@@ -21,8 +21,9 @@ if TYPE_CHECKING:
 
 DEFAULT_CELL_CAP = 25_000_000
 
-_BASE_CODE = {"A": 0, "C": 1, "G": 2, "T": 3, "N": 4}
-_NEG = -(1 << 28)
+_NEG = -(1 << 28)  # unreachable; far below any score, far above int32 overflow
+OUTSIDE_CODE = 5  # band_fill column code outside the sequence; scores as unreachable
+_FIRST_RADIUS = 16  # global_align's first band half-width
 
 # traceback states, preference order on ties
 _M, _IX, _IY = 0, 1, 2
@@ -190,40 +191,129 @@ def result_from_alignment(aligned_a: str, aligned_b: str, score: int) -> Alignme
     return AlignmentResult(aligned_a, aligned_b, score, tuple(ops), identity)
 
 
-def _fill_matrices(ca: np.ndarray, cb: np.ndarray, scoring: Scoring):
-    """Antidiagonal Needleman-Wunsch-Gotoh fill over three int32 matrices."""
-    m, n = len(ca), len(cb)
-    oe = scoring.gap_open + scoring.gap_extend
-    e = scoring.gap_extend
-    sub = scoring.substitution_matrix()
+def band_fill(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    offsets: list[int],
+    width: int,
+    scoring: Scoring,
+    top: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    local: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Banded three-state affine-gap fill (Gotoh), one vectorised row at a time.
 
-    M = np.full((m + 1, n + 1), _NEG, dtype=np.int32)
-    Ix = np.full((m + 1, n + 1), _NEG, dtype=np.int32)
-    Iy = np.full((m + 1, n + 1), _NEG, dtype=np.int32)
-    M[0, 0] = 0
-    Ix[1:, 0] = oe + e * np.arange(m, dtype=np.int32)
-    Iy[0, 1:] = oe + e * np.arange(n, dtype=np.int32)
+    `rows` holds the base codes down the matrix. Each of the G bands stores
+    `width` cells per row; row i (1-based) of band g scores against the
+    codes cols[g, offsets[i] : offsets[i] + width], where OUTSIDE_CODE marks
+    a column outside the sequence. From one row to the next the offset
+    steps by 1 or by 0. A step of 1 keeps the row in diagonal coordinates:
+    M reads the same slot of the previous row and Ix the next slot. A step
+    of 0 keeps it in column coordinates: M reads the previous slot and Ix
+    the same slot. Iy is an exact integer running-max scan along the row.
+    Cells outside the stored windows are unreachable.
 
-    for k in range(2, m + n + 1):
-        lo = max(1, k - n)
-        hi = min(m, k - 1)
-        if lo > hi:
-            continue
-        ii = np.arange(lo, hi + 1)
-        jj = k - ii
-        dm = M[ii - 1, jj - 1]
-        np.maximum(dm, Ix[ii - 1, jj - 1], out=dm)
-        np.maximum(dm, Iy[ii - 1, jj - 1], out=dm)
-        M[ii, jj] = sub[ca[ii - 1], cb[jj - 1]] + dm
-        up = M[ii - 1, jj] + oe
-        np.maximum(up, Ix[ii - 1, jj] + e, out=up)
-        np.maximum(up, Iy[ii - 1, jj] + oe, out=up)
-        Ix[ii, jj] = up
-        left = M[ii, jj - 1] + oe
-        np.maximum(left, Ix[ii, jj - 1] + oe, out=left)
-        np.maximum(left, Iy[ii, jj - 1] + e, out=left)
-        Iy[ii, jj] = left
+    `top` is row 0 of (M, Ix, Iy), each (G, width); None leaves row 0
+    unreachable. Local mode floors the M predecessor at 0, so an alignment
+    may start anywhere. Returns M, Ix and Iy as (len(rows) + 1, G, width)
+    int32 arrays.
+    """
+    m = len(rows)
+    shape = (m + 1, cols.shape[0], width)
+    M = np.empty(shape, dtype=np.int32)
+    Ix = np.empty(shape, dtype=np.int32)
+    Iy = np.empty(shape, dtype=np.int32)
+    if top is None:
+        M[0] = Ix[0] = Iy[0] = _NEG
+    else:
+        M[0], Ix[0], Iy[0] = top
+    # slots no move reaches: M's first slot of a column-coordinate row, Ix's
+    # last slot of a diagonal-coordinate row, Iy's first slot of every row
+    M[1:, :, 0] = Ix[1:, :, -1] = Iy[1:, :, 0] = _NEG
+
+    # 0-d int32 constants: ufuncs convert a Python int on every call
+    oe = np.array(scoring.gap_open + scoring.gap_extend, dtype=np.int32)
+    e = np.array(scoring.gap_extend, dtype=np.int32)
+    zero = np.array(0, dtype=np.int32)
+    table = np.full((5, 6), _NEG, dtype=np.int32)
+    table[:, :5] = scoring.substitution_matrix()
+    sub_rows = list(table)
+    steps = np.arange(width, dtype=np.int32)
+    # Iy[t] = max over k < t of (H[k] - e*k) + oe - e + e*t, H = max(M, Ix)
+    ramp = (-e * steps)[None, :]
+    iy_add = ((oe - e) + e * steps[1:])[None, :]
+    tmp = np.empty(shape[1:], dtype=np.int32)
+    best = np.empty_like(tmp)
+    tmp_head, tmp_tail = tmp[:, :-1], tmp[:, 1:]
+    best_head = best[:, :-1]
+    # per-row views, made once: the loop below only indexes and calls ufuncs
+    rows_m, rows_x, rows_y = list(M), list(Ix), list(Iy)
+    tails_m, tails_x, tails_y = list(M[:, :, 1:]), list(Ix[:, :, 1:]), list(Iy[:, :, 1:])
+    heads_x = list(Ix[:, :, :-1])
+    maximum, add, running_max = np.maximum, np.add, np.maximum.accumulate
+
+    codes = rows.tolist()
+    for i in range(1, m + 1):
+        pm, px, py = rows_m[i - 1], rows_x[i - 1], rows_y[i - 1]
+        cm, cx = rows_m[i], rows_x[i]
+        off = offsets[i]
+        sub = sub_rows[codes[i - 1]][cols[:, off : off + width]]
+        maximum(pm, py, out=tmp)
+        maximum(tmp, px, out=best)
+        if local:
+            maximum(best, zero, out=best)
+        if off != offsets[i - 1]:
+            add(sub, best, out=cm)
+            head = heads_x[i]
+            add(tmp_tail, oe, out=head)
+            add(tails_x[i - 1], e, out=best_head)
+            maximum(head, best_head, out=head)
+        else:
+            add(sub[:, 1:], best_head, out=tails_m[i])
+            add(tmp, oe, out=cx)
+            add(px, e, out=best)
+            maximum(cx, best, out=cx)
+        maximum(cm, cx, out=tmp)
+        add(tmp, ramp, out=tmp)
+        running_max(tmp, axis=1, out=tmp)
+        add(tmp_head, iy_add, out=tails_y[i])
     return M, Ix, Iy
+
+
+def _global_band(ca: np.ndarray, cb: np.ndarray, radius: int, scoring: Scoring):
+    """Fill the band of diagonals [min(0, n-m) - radius, max(0, n-m) + radius].
+
+    Row i keeps the `width` columns starting at starts[i]; the window is
+    clipped to the matrix, so at most n + 1 columns a row are stored, and
+    a width of n + 1 is the full DP. Returns starts and the (m + 1, width)
+    M, Ix and Iy arrays.
+    """
+    m, n = len(ca), len(cb)
+    lo = min(0, n - m) - radius
+    hi = max(0, n - m) + radius
+    width = min(hi - lo + 1, n + 1)
+    starts = np.clip(np.arange(m + 1) + lo, 0, n + 1 - width).tolist()
+    cols = np.empty((1, n + 1), dtype=np.uint8)
+    cols[0, 0] = OUTSIDE_CODE
+    cols[0, 1:] = cb
+    oe = scoring.gap_open + scoring.gap_extend
+    top_m = np.full((1, width), _NEG, dtype=np.int32)
+    top_m[0, 0] = 0
+    top_y = np.full((1, width), _NEG, dtype=np.int32)
+    top_y[0, 1:] = oe + scoring.gap_extend * np.arange(width - 1)
+    top_x = np.full((1, width), _NEG, dtype=np.int32)
+    M, Ix, Iy = band_fill(ca, cols, starts, width, scoring, (top_m, top_x, top_y))
+    return starts, M[:, 0], Ix[:, 0], Iy[:, 0]
+
+
+def _outside_bound(m: int, n: int, radius: int, scoring: Scoring) -> int:
+    """Upper bound on the score of any global path that leaves the band.
+
+    Leaving the band and coming back takes at least |n-m| + 2*radius + 2
+    gap columns and one gap open; every aligned pair scores at most `match`.
+    """
+    gaps = abs(n - m) + 2 * radius + 2
+    pairs = (m + n - gaps) // 2
+    return scoring.match * pairs + scoring.gap_extend * gaps + scoring.gap_open
 
 
 def global_align(
@@ -234,7 +324,11 @@ def global_align(
 ) -> AlignmentResult:
     """Optimal global alignment of reference `a` against patient `b`.
 
-    Traceback ties prefer Match/Substitute over Delete (gap in B) over
+    The DP runs in a diagonal band that starts at radius 16 and doubles
+    until its score is strictly above the best score any path leaving the
+    band could reach (Ukkonen 1985), or until it covers the whole matrix.
+    Every optimal path then lies in the band, so the result equals the full
+    DP's. Traceback ties prefer Match/Substitute over Delete (gap in B) over
     Insert (gap in A), so the output is deterministic.
     """
     m, n = len(a.bases), len(b.bases)
@@ -245,38 +339,58 @@ def global_align(
 
     ca = encode_bases(a.bases)
     cb = encode_bases(b.bases)
-    M, Ix, Iy = _fill_matrices(ca, cb, scoring)
+    radius = _FIRST_RADIUS
+    while True:
+        starts, M, Ix, Iy = _global_band(ca, cb, radius, scoring)
+        t = n - starts[m]
+        finals = (int(M[m, t]), int(Ix[m, t]), int(Iy[m, t]))
+        score = max(finals)
+        full = M.shape[1] == n + 1
+        if full or score > _outside_bound(m, n, radius, scoring):
+            break
+        del starts, M, Ix, Iy  # free this band before the wider one is filled
+        radius *= 2
+
+    width = M.shape[1]
     oe = scoring.gap_open + scoring.gap_extend
     e = scoring.gap_extend
-    sub = scoring.substitution_matrix()
+    sub = scoring.substitution_matrix().tolist()
+    codes_a, codes_b = ca.tolist(), cb.tolist()
+
+    def cell(i: int, j: int) -> tuple[int, int, int]:
+        t = j - starts[i]
+        if 0 <= t < width:
+            return int(M[i, t]), int(Ix[i, t]), int(Iy[i, t])
+        return _NEG, _NEG, _NEG
 
     i, j = m, n
-    finals = (int(M[i, j]), int(Ix[i, j]), int(Iy[i, j]))
-    score = max(finals)
     state = finals.index(score)  # index order == preference order M, Ix, Iy
-
+    here = finals
     rev_a: list[str] = []
     rev_b: list[str] = []
     while i > 0 or j > 0:
         if state == _M:
             rev_a.append(a.bases[i - 1])
             rev_b.append(b.bases[j - 1])
-            target = int(M[i, j]) - int(sub[ca[i - 1], cb[j - 1]])
+            target = here[_M] - sub[codes_a[i - 1]][codes_b[j - 1]]
             i -= 1
             j -= 1
-            candidates = (int(M[i, j]), int(Ix[i, j]), int(Iy[i, j]))
+            here = cell(i, j)
+            candidates = here
         elif state == _IX:
             rev_a.append(a.bases[i - 1])
             rev_b.append("-")
-            target = int(Ix[i, j])
+            target = here[_IX]
             i -= 1
-            candidates = (int(M[i, j]) + oe, int(Ix[i, j]) + e, int(Iy[i, j]) + oe)
+            here = cell(i, j)
+            candidates = (here[0] + oe, here[1] + e, here[2] + oe)
         else:
             rev_a.append("-")
             rev_b.append(b.bases[j - 1])
-            target = int(Iy[i, j])
+            target = here[_IY]
             j -= 1
-            candidates = (int(M[i, j]) + oe, int(Ix[i, j]) + oe, int(Iy[i, j]) + e)
+            here = cell(i, j)
+            candidates = (here[0] + oe, here[1] + oe, here[2] + e)
         if i == 0 and j == 0:
             break
         state = candidates.index(target)

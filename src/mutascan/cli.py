@@ -44,6 +44,21 @@ from .seqstats import (
 )
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, so bad values exit 2 as usage errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mutascan",
@@ -62,8 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="rank database subjects by local similarity")
     p.add_argument("--db", required=True, help="database FASTA file")
     p.add_argument("--query", required=True, help="query FASTA file (first record)")
-    p.add_argument("--k", type=int, default=SearchParams().k, help="seed length")
-    p.add_argument("--max-hits", type=int, default=SearchParams().max_hits)
+    p.add_argument("--k", type=_int_at_least(4), default=SearchParams().k,
+                   help="seed length (at least 4)")
+    p.add_argument("--max-hits", type=_int_at_least(1), default=SearchParams().max_hits,
+                   help="hits to report (at least 1)")
     p.add_argument("--json", action="store_true",
                    help="also print one JSON object per hit")
 

@@ -1,11 +1,11 @@
 """Local seed-and-extend homology search over k-mer-indexed FASTA databases.
 
 The search pipeline: collect exact k-mer seed matches, group them by
-diagonal (query offset minus subject offset), extend each seed without gaps
-under an X-drop rule, then run a banded gapped local alignment around each
-seeded diagonal. Per-subject alignments merge into one ranked hit carrying
-the classic report columns (max score, total score, query cover, E-value,
-max identity). Only the forward strand is searched.
+diagonal (query offset minus subject offset), then run a banded gapped
+local alignment around each seeded diagonal; all diagonals of one query
+share one batched band fill. Per-subject alignments merge into one ranked
+hit carrying the classic report columns (max score, total score, query
+cover, E-value, max identity). Only the forward strand is searched.
 """
 
 from __future__ import annotations
@@ -13,16 +13,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .align import AlignmentResult, Scoring, result_from_alignment
+import numpy as np
+
+from .align import (
+    OUTSIDE_CODE,
+    AlignmentResult,
+    Scoring,
+    band_fill,
+    encode_bases,
+    result_from_alignment,
+)
 from .errors import MutascanError
 from .seqio import DnaSequence, FastaFile
 
 DEFAULT_K = 11
 BAND_RADIUS = 16
+# seeded diagonals filled together; one batch stores at most
+# 3 x 32 x 33 int32 cells per query row
+_BATCH_GROUPS = 32
 
-_NEG = -(1 << 28)
-# predecessor tags for the banded DP traceback
-_START, _FROM_M, _FROM_IX, _FROM_IY = 0, 1, 2, 3
+# traceback states, preference order on ties (a fresh start comes first)
+_M, _IX, _IY = 0, 1, 2
 
 
 class HomologyError(MutascanError):
@@ -39,6 +50,12 @@ class QueryTooShortError(HomologyError):
 
 @dataclass(frozen=True)
 class SearchParams:
+    """Seed length, scoring, E-value constants and hit cap for `search`.
+
+    `x_drop` is validated but not read: every seeded diagonal gets the
+    banded gapped alignment, so no ungapped X-drop pass runs.
+    """
+
     k: int = DEFAULT_K
     match_score: int = 1
     mismatch_score: int = -3
@@ -59,6 +76,8 @@ class SearchParams:
             raise ValueError("mismatch and gap scores must be negative")
         if self.x_drop <= 0:
             raise ValueError("x_drop must be positive")
+        if self.max_hits < 1:
+            raise ValueError("max_hits must be at least 1")
 
     def scoring(self) -> Scoring:
         return Scoring(
@@ -123,185 +142,106 @@ def build_index(db: FastaFile, k: int = DEFAULT_K) -> KmerIndex:
     return KmerIndex(k, tuple(db.records), frozen)
 
 
-def _ungapped_extend(
-    qb: str, sb: str, q_off: int, s_off: int, k: int, params: SearchParams
-) -> tuple[int, int, int]:
-    """X-drop extension of an exact seed; returns (q_start, q_end, score).
-
-    Coordinates are 0-based on the query, end exclusive. N against anything
-    scores 0. Extension in each direction stops once the running score falls
-    more than x_drop below the best seen.
-    """
-    match, mismatch, x_drop = params.match_score, params.mismatch_score, params.x_drop
-    score = k * match  # the seed itself is an exact N-free match
-
-    best = cur = score
-    qe = q_off + k
-    se = s_off + k
-    best_qe = qe
-    while qe < len(qb) and se < len(sb):
-        x, y = qb[qe], sb[se]
-        if x == "N" or y == "N":
-            pass
-        elif x == y:
-            cur += match
-        else:
-            cur += mismatch
-        qe += 1
-        se += 1
-        if cur > best:
-            best = cur
-            best_qe = qe
-        elif best - cur > x_drop:
-            break
-
-    total_best = cur_left = best
-    qs = q_off
-    ss = s_off
-    best_qs = qs
-    while qs > 0 and ss > 0:
-        x, y = qb[qs - 1], sb[ss - 1]
-        if x == "N" or y == "N":
-            pass
-        elif x == y:
-            cur_left += match
-        else:
-            cur_left += mismatch
-        qs -= 1
-        ss -= 1
-        if cur_left > total_best:
-            total_best = cur_left
-            best_qs = qs
-        elif total_best - cur_left > x_drop:
-            break
-
-    return best_qs, best_qe, total_best
-
-
-def _banded_local_align(
-    qb: str, sb: str, diagonal: int, params: SearchParams, radius: int = BAND_RADIUS
-) -> _LocalAlignment | None:
-    """Best gapped local alignment within a diagonal band of the given radius.
+def _seeded_alignments(
+    qb: str, subjects: tuple[DnaSequence, ...], keys: list[tuple[int, int]],
+    params: SearchParams,
+) -> list[_LocalAlignment | None]:
+    """Best banded local alignment on each (subject index, diagonal) key.
 
     Smith-Waterman with affine gaps (Gotoh), restricted to DP cells (i, j)
-    with |i - j - diagonal| <= radius. Alignments start and end on aligned
-    columns; tie-breaks prefer a fresh start, then Match over gap-in-subject
-    over gap-in-query, so output is deterministic.
+    with |i - j - diagonal| <= BAND_RADIUS. The keys go through `band_fill`
+    in batches of at most _BATCH_GROUPS, one vectorised row of every band
+    per query base. Band slot b of query row i holds subject column
+    j = i - diagonal - BAND_RADIUS + b.
     """
-    m, n = len(qb), len(sb)
+    radius = BAND_RADIUS
     width = 2 * radius + 1
-    sub = params.scoring().substitution_matrix()
-    code = {"A": 0, "C": 1, "G": 2, "T": 3, "N": 4}
-    oe = params.gap_open + params.gap_extend
-    e = params.gap_extend
+    scoring = params.scoring()
+    m = len(qb)
+    qcodes = encode_bases(qb)
+    offsets = list(range(-1, m))  # row i's band starts at code column i - 1
+    codes: dict[int, np.ndarray] = {}
+    out: list[_LocalAlignment | None] = []
+    for lo in range(0, len(keys), _BATCH_GROUPS):
+        batch = keys[lo : lo + _BATCH_GROUPS]
+        # cols[g, x] holds the code of subject base x - diagonal - radius
+        cols = np.full((len(batch), m + width - 1), OUTSIDE_CODE, dtype=np.uint8)
+        for g, (si, diag) in enumerate(batch):
+            if si not in codes:
+                codes[si] = encode_bases(subjects[si].bases)
+            sc = codes[si]
+            first = diag + radius
+            x_lo = max(0, first)
+            x_hi = min(cols.shape[1], first + len(sc))
+            if x_lo < x_hi:
+                cols[g, x_lo:x_hi] = sc[x_lo - first : x_hi - first]
+        M, Ix, Iy = band_fill(qcodes, cols, offsets, width, scoring, local=True)
+        for g, (si, diag) in enumerate(batch):
+            out.append(
+                _local_traceback(
+                    M[:, g], Ix[:, g], Iy[:, g], qb, subjects[si].bases,
+                    qcodes, codes[si], diag, scoring,
+                )
+            )
+    return out
 
-    lo_row = max(1, 1 + diagonal - radius)
-    hi_row = min(m, n + diagonal + radius)
-    if lo_row > hi_row:
+
+def _local_traceback(
+    M: np.ndarray, Ix: np.ndarray, Iy: np.ndarray, qb: str, sb: str,
+    qcodes: np.ndarray, scodes: np.ndarray, diag: int, scoring: Scoring,
+) -> _LocalAlignment | None:
+    """Trace the best alignment of one filled band back to its start.
+
+    The best cell is the first maximum of M in row-major order; it must
+    score above 0. Moves are recomputed from the stored values, taking the
+    first predecessor that reaches the cell's value in the order: fresh
+    start, Match, gap in subject, gap in query.
+    """
+    width = M.shape[1]
+    best_i, best_b = divmod(int(np.argmax(M)), width)
+    best_score = int(M[best_i, best_b])
+    if best_score <= 0:
         return None
+    sub = scoring.substitution_matrix().tolist()
+    oe = scoring.gap_open + scoring.gap_extend
+    e = scoring.gap_extend
+    shift = diag + BAND_RADIUS  # j = i - shift + b
 
-    neg_row = [_NEG] * width
-    M = [neg_row[:] for _ in range(hi_row + 1)]
-    Ix = [neg_row[:] for _ in range(hi_row + 1)]
-    Iy = [neg_row[:] for _ in range(hi_row + 1)]
-    ptr_m = [[_START] * width for _ in range(hi_row + 1)]
-    ptr_x = [[_START] * width for _ in range(hi_row + 1)]
-    ptr_y = [[_START] * width for _ in range(hi_row + 1)]
-
-    best_score, best_i, best_b = 0, -1, -1
-    for i in range(lo_row, hi_row + 1):
-        j_lo = max(1, i - diagonal - radius)
-        j_hi = min(n, i - diagonal + radius)
-        if j_lo > j_hi:
-            continue
-        qc = code[qb[i - 1]]
-        row_m, row_x, row_y = M[i], Ix[i], Iy[i]
-        prev_m, prev_x, prev_y = M[i - 1], Ix[i - 1], Iy[i - 1]
-        pm, px, py = ptr_m[i], ptr_x[i], ptr_y[i]
-        for j in range(j_lo, j_hi + 1):
-            b = j - (i - diagonal - radius)
-            # diagonal predecessor sits at the same band column of row i-1
-            dm = prev_m[b] if i > 1 and j > 1 else _NEG
-            dx = prev_x[b] if i > 1 and j > 1 else _NEG
-            dy = prev_y[b] if i > 1 and j > 1 else _NEG
-            best_prev, tag = 0, _START
-            if dm > best_prev:
-                best_prev, tag = dm, _FROM_M
-            if dx > best_prev:
-                best_prev, tag = dx, _FROM_IX
-            if dy > best_prev:
-                best_prev, tag = dy, _FROM_IY
-            row_m[b] = best_prev + int(sub[qc][code[sb[j - 1]]])
-            pm[b] = tag
-
-            # gap in subject: consumes query base i, predecessor row i-1 col b+1
-            um = prev_m[b + 1] + oe if i > 1 and b + 1 < width else _NEG
-            ux = prev_x[b + 1] + e if i > 1 and b + 1 < width else _NEG
-            uy = prev_y[b + 1] + oe if i > 1 and b + 1 < width else _NEG
-            vx, tag = um, _FROM_M
-            if ux > vx:
-                vx, tag = ux, _FROM_IX
-            if uy > vx:
-                vx, tag = uy, _FROM_IY
-            row_x[b] = vx
-            px[b] = tag
-
-            # gap in query: consumes subject base j, predecessor same row col b-1
-            lm = row_m[b - 1] + oe if j > 1 and b - 1 >= 0 else _NEG
-            lx = row_x[b - 1] + oe if j > 1 and b - 1 >= 0 else _NEG
-            ly = row_y[b - 1] + e if j > 1 and b - 1 >= 0 else _NEG
-            vy, tag = lm, _FROM_M
-            if lx > vy:
-                vy, tag = lx, _FROM_IX
-            if ly > vy:
-                vy, tag = ly, _FROM_IY
-            row_y[b] = vy
-            py[b] = tag
-
-            if row_m[b] > best_score:
-                best_score, best_i, best_b = row_m[b], i, b
-
-    if best_i < 0 or best_score <= 0:
-        return None
-
-    # traceback from the best aligned-pair cell
     rev_q: list[str] = []
     rev_s: list[str] = []
     i, b = best_i, best_b
-    state = _FROM_M
+    state = _M
     while True:
-        j = b + (i - diagonal - radius)
-        if state == _FROM_M:
+        j = i - shift + b
+        if state == _M:
             rev_q.append(qb[i - 1])
             rev_s.append(sb[j - 1])
-            nxt = ptr_m[i][b]
-            i -= 1  # diagonal predecessor keeps the same band column
-            if nxt == _START:
+            target = int(M[i, b]) - sub[qcodes[i - 1]][scodes[j - 1]]
+            i -= 1  # diagonal predecessor keeps the same band slot
+            if target == 0:
                 q_start, s_start = i, j - 1
                 break
-            state = nxt
-        elif state == _FROM_IX:
+            state = (int(M[i, b]), int(Ix[i, b]), int(Iy[i, b])).index(target)
+        elif state == _IX:
             rev_q.append(qb[i - 1])
             rev_s.append("-")
-            nxt = ptr_x[i][b]
+            target = int(Ix[i, b])
             i -= 1
             b += 1
-            state = nxt
+            state = (int(M[i, b]) + oe, int(Ix[i, b]) + e, int(Iy[i, b]) + oe).index(target)
         else:
             rev_q.append("-")
             rev_s.append(sb[j - 1])
-            nxt = ptr_y[i][b]
+            target = int(Iy[i, b])
             b -= 1
-            state = nxt
+            state = (int(M[i, b]) + oe, int(Ix[i, b]) + oe, int(Iy[i, b]) + e).index(target)
 
-    q_end = best_i
-    s_end = best_b + (best_i - diagonal - radius)
     return _LocalAlignment(
         best_score,
         q_start,
-        q_end,
+        best_i,
         s_start,
-        s_end,
+        best_i - shift + best_b,
         "".join(reversed(rev_q)),
         "".join(reversed(rev_s)),
     )
@@ -340,41 +280,27 @@ def search(
     if len(qb) < k:
         raise QueryTooShortError(f"query length {len(qb)} is below k={k}")
 
-    # (a) seed matches, (b) grouped by subject and diagonal
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    # (a) seed matches, (b) counted by subject and diagonal
+    groups: dict[tuple[int, int], int] = {}
     for q_off in range(len(qb) - k + 1):
         window = qb[q_off : q_off + k]
         if "N" in window:
             continue
         for si, s_off in index.postings.get(window, ()):
-            groups.setdefault((si, q_off - s_off), []).append((q_off, s_off))
+            key = (si, q_off - s_off)
+            groups[key] = groups.get(key, 0) + 1
 
+    # (c) one banded gapped local alignment per seeded diagonal
+    keys = [
+        key for key in sorted(groups)
+        if groups[key] >= params.min_seed_hits_per_diagonal
+    ]
     per_subject: dict[int, list[_LocalAlignment]] = {}
-    for (si, diag) in sorted(groups):
-        seeds = sorted(groups[(si, diag)])
-        if len(seeds) < params.min_seed_hits_per_diagonal:
-            continue
-        sb = index.subjects[si].bases
-        # (c) ungapped X-drop pass; overlapping seeds on a diagonal collapse
-        # into one segment via reached-end tracking
-        reached = -1
-        segments = []
-        for q_off, s_off in seeds:
-            if q_off < reached:
-                continue
-            qs, qe, score = _ungapped_extend(qb, sb, q_off, s_off, k, params)
-            reached = qe
-            segments.append((qs, qe, score))
-        if not segments:
-            continue
-        # (d) gapped banded extension; every segment qualifies (the trigger
-        # cutoff equals the seed score, which every segment meets), and on a
-        # shared diagonal the band DP is identical, so it runs once
-        aln = _banded_local_align(qb, sb, diag, params)
+    for (si, _), aln in zip(keys, _seeded_alignments(qb, index.subjects, keys, params)):
         if aln is not None:
             per_subject.setdefault(si, []).append(aln)
 
-    # (e) merge per-subject alignments into hits
+    # (d) merge per-subject alignments into hits
     hits: list[HomologyHit] = []
     db_len = index.total_length
     for si in sorted(per_subject):
@@ -394,7 +320,7 @@ def search(
             )
         )
 
-    # (f) rank and truncate
+    # (e) rank and truncate
     hits.sort(key=lambda h: (-h.max_score, h.subject_id))
     return hits[: params.max_hits]
 

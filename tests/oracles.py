@@ -2,15 +2,19 @@
 
 Everything here is written from the plain definitions, in the most direct
 style possible (straight loops, recursion, lookup strings), deliberately
-sharing no code or algorithmic structure with the package under test.
+sharing no code or algorithmic structure with the package under test. The
+one exception is the differential references for the banded kernel: the
+package's earlier full-matrix and per-diagonal aligners, kept unchanged.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
 # --- composition -----------------------------------------------------------
 
@@ -208,6 +212,306 @@ def smith_waterman_score(
     return best
 
 
+# --- differential references for the banded kernel ------------------------
+#
+# The package's earlier aligners, kept unchanged as references: a full-matrix
+# antidiagonal Gotoh fill with its traceback, and the pure-Python banded
+# Smith-Waterman that `search` ran once per seeded diagonal. The banded
+# kernel must reproduce their output exactly, tie order included. Only the
+# record types and the hit merge rules are taken from the package.
+
+_NEG = -(1 << 28)
+_M, _IX, _IY = 0, 1, 2
+_START, _FROM_M, _FROM_IX, _FROM_IY = 0, 1, 2, 3
+_CODE_TABLE = bytes.maketrans(b"ACGTN", bytes([0, 1, 2, 3, 4]))
+
+
+def _encode(bases: str) -> np.ndarray:
+    return np.frombuffer(bases.encode("ascii").translate(_CODE_TABLE), dtype=np.uint8).copy()
+
+
+def _fill_matrices(ca: np.ndarray, cb: np.ndarray, scoring):
+    """Antidiagonal Needleman-Wunsch-Gotoh fill over three int32 matrices."""
+    m, n = len(ca), len(cb)
+    oe = scoring.gap_open + scoring.gap_extend
+    e = scoring.gap_extend
+    sub = scoring.substitution_matrix()
+
+    M = np.full((m + 1, n + 1), _NEG, dtype=np.int32)
+    Ix = np.full((m + 1, n + 1), _NEG, dtype=np.int32)
+    Iy = np.full((m + 1, n + 1), _NEG, dtype=np.int32)
+    M[0, 0] = 0
+    Ix[1:, 0] = oe + e * np.arange(m, dtype=np.int32)
+    Iy[0, 1:] = oe + e * np.arange(n, dtype=np.int32)
+
+    for k in range(2, m + n + 1):
+        lo = max(1, k - n)
+        hi = min(m, k - 1)
+        if lo > hi:
+            continue
+        ii = np.arange(lo, hi + 1)
+        jj = k - ii
+        dm = M[ii - 1, jj - 1]
+        np.maximum(dm, Ix[ii - 1, jj - 1], out=dm)
+        np.maximum(dm, Iy[ii - 1, jj - 1], out=dm)
+        M[ii, jj] = sub[ca[ii - 1], cb[jj - 1]] + dm
+        up = M[ii - 1, jj] + oe
+        np.maximum(up, Ix[ii - 1, jj] + e, out=up)
+        np.maximum(up, Iy[ii - 1, jj] + oe, out=up)
+        Ix[ii, jj] = up
+        left = M[ii, jj - 1] + oe
+        np.maximum(left, Ix[ii, jj - 1] + oe, out=left)
+        np.maximum(left, Iy[ii, jj - 1] + e, out=left)
+        Iy[ii, jj] = left
+    return M, Ix, Iy
+
+
+def reference_global_align(a: str, b: str, scoring):
+    """Full-matrix optimal global alignment of `a` against `b`.
+
+    Traceback ties prefer Match/Substitute over Delete (gap in B) over
+    Insert (gap in A). Returns the package's AlignmentResult.
+    """
+    from mutascan.align import result_from_alignment
+
+    m, n = len(a), len(b)
+    ca = _encode(a)
+    cb = _encode(b)
+    M, Ix, Iy = _fill_matrices(ca, cb, scoring)
+    oe = scoring.gap_open + scoring.gap_extend
+    e = scoring.gap_extend
+    sub = scoring.substitution_matrix()
+
+    i, j = m, n
+    finals = (int(M[i, j]), int(Ix[i, j]), int(Iy[i, j]))
+    score = max(finals)
+    state = finals.index(score)  # index order == preference order M, Ix, Iy
+
+    rev_a: list[str] = []
+    rev_b: list[str] = []
+    while i > 0 or j > 0:
+        if state == _M:
+            rev_a.append(a[i - 1])
+            rev_b.append(b[j - 1])
+            target = int(M[i, j]) - int(sub[ca[i - 1], cb[j - 1]])
+            i -= 1
+            j -= 1
+            candidates = (int(M[i, j]), int(Ix[i, j]), int(Iy[i, j]))
+        elif state == _IX:
+            rev_a.append(a[i - 1])
+            rev_b.append("-")
+            target = int(Ix[i, j])
+            i -= 1
+            candidates = (int(M[i, j]) + oe, int(Ix[i, j]) + e, int(Iy[i, j]) + oe)
+        else:
+            rev_a.append("-")
+            rev_b.append(b[j - 1])
+            target = int(Iy[i, j])
+            j -= 1
+            candidates = (int(M[i, j]) + oe, int(Ix[i, j]) + oe, int(Iy[i, j]) + e)
+        if i == 0 and j == 0:
+            break
+        state = candidates.index(target)
+
+    aligned_a = "".join(reversed(rev_a))
+    aligned_b = "".join(reversed(rev_b))
+    return result_from_alignment(aligned_a, aligned_b, score)
+
+
+@dataclass(frozen=True)
+class _LocalAlignment:
+    score: int
+    q_start: int  # 0-based, inclusive
+    q_end: int  # 0-based, exclusive
+    s_start: int
+    s_end: int
+    aligned_q: str
+    aligned_s: str
+
+
+def _banded_local_align(qb: str, sb: str, diagonal: int, params, radius: int = 16):
+    """Best gapped local alignment within a diagonal band of the given radius.
+
+    Smith-Waterman with affine gaps (Gotoh), restricted to DP cells (i, j)
+    with |i - j - diagonal| <= radius. Alignments start and end on aligned
+    columns; tie-breaks prefer a fresh start, then Match over gap-in-subject
+    over gap-in-query, so output is deterministic.
+    """
+    m, n = len(qb), len(sb)
+    width = 2 * radius + 1
+    sub = params.scoring().substitution_matrix()
+    code = {"A": 0, "C": 1, "G": 2, "T": 3, "N": 4}
+    oe = params.gap_open + params.gap_extend
+    e = params.gap_extend
+
+    lo_row = max(1, 1 + diagonal - radius)
+    hi_row = min(m, n + diagonal + radius)
+    if lo_row > hi_row:
+        return None
+
+    neg_row = [_NEG] * width
+    M = [neg_row[:] for _ in range(hi_row + 1)]
+    Ix = [neg_row[:] for _ in range(hi_row + 1)]
+    Iy = [neg_row[:] for _ in range(hi_row + 1)]
+    ptr_m = [[_START] * width for _ in range(hi_row + 1)]
+    ptr_x = [[_START] * width for _ in range(hi_row + 1)]
+    ptr_y = [[_START] * width for _ in range(hi_row + 1)]
+
+    best_score, best_i, best_b = 0, -1, -1
+    for i in range(lo_row, hi_row + 1):
+        j_lo = max(1, i - diagonal - radius)
+        j_hi = min(n, i - diagonal + radius)
+        if j_lo > j_hi:
+            continue
+        qc = code[qb[i - 1]]
+        row_m, row_x, row_y = M[i], Ix[i], Iy[i]
+        prev_m, prev_x, prev_y = M[i - 1], Ix[i - 1], Iy[i - 1]
+        pm, px, py = ptr_m[i], ptr_x[i], ptr_y[i]
+        for j in range(j_lo, j_hi + 1):
+            b = j - (i - diagonal - radius)
+            # diagonal predecessor sits at the same band column of row i-1
+            dm = prev_m[b] if i > 1 and j > 1 else _NEG
+            dx = prev_x[b] if i > 1 and j > 1 else _NEG
+            dy = prev_y[b] if i > 1 and j > 1 else _NEG
+            best_prev, tag = 0, _START
+            if dm > best_prev:
+                best_prev, tag = dm, _FROM_M
+            if dx > best_prev:
+                best_prev, tag = dx, _FROM_IX
+            if dy > best_prev:
+                best_prev, tag = dy, _FROM_IY
+            row_m[b] = best_prev + int(sub[qc][code[sb[j - 1]]])
+            pm[b] = tag
+
+            # gap in subject: consumes query base i, predecessor row i-1 col b+1
+            um = prev_m[b + 1] + oe if i > 1 and b + 1 < width else _NEG
+            ux = prev_x[b + 1] + e if i > 1 and b + 1 < width else _NEG
+            uy = prev_y[b + 1] + oe if i > 1 and b + 1 < width else _NEG
+            vx, tag = um, _FROM_M
+            if ux > vx:
+                vx, tag = ux, _FROM_IX
+            if uy > vx:
+                vx, tag = uy, _FROM_IY
+            row_x[b] = vx
+            px[b] = tag
+
+            # gap in query: consumes subject base j, predecessor same row col b-1
+            lm = row_m[b - 1] + oe if j > 1 and b - 1 >= 0 else _NEG
+            lx = row_x[b - 1] + oe if j > 1 and b - 1 >= 0 else _NEG
+            ly = row_y[b - 1] + e if j > 1 and b - 1 >= 0 else _NEG
+            vy, tag = lm, _FROM_M
+            if lx > vy:
+                vy, tag = lx, _FROM_IX
+            if ly > vy:
+                vy, tag = ly, _FROM_IY
+            row_y[b] = vy
+            py[b] = tag
+
+            if row_m[b] > best_score:
+                best_score, best_i, best_b = row_m[b], i, b
+
+    if best_i < 0 or best_score <= 0:
+        return None
+
+    # traceback from the best aligned-pair cell
+    rev_q: list[str] = []
+    rev_s: list[str] = []
+    i, b = best_i, best_b
+    state = _FROM_M
+    while True:
+        j = b + (i - diagonal - radius)
+        if state == _FROM_M:
+            rev_q.append(qb[i - 1])
+            rev_s.append(sb[j - 1])
+            nxt = ptr_m[i][b]
+            i -= 1  # diagonal predecessor keeps the same band column
+            if nxt == _START:
+                q_start, s_start = i, j - 1
+                break
+            state = nxt
+        elif state == _FROM_IX:
+            rev_q.append(qb[i - 1])
+            rev_s.append("-")
+            nxt = ptr_x[i][b]
+            i -= 1
+            b += 1
+            state = nxt
+        else:
+            rev_q.append("-")
+            rev_s.append(sb[j - 1])
+            nxt = ptr_y[i][b]
+            b -= 1
+            state = nxt
+
+    q_end = best_i
+    s_end = best_b + (best_i - diagonal - radius)
+    return _LocalAlignment(
+        best_score,
+        q_start,
+        q_end,
+        s_start,
+        s_end,
+        "".join(reversed(rev_q)),
+        "".join(reversed(rev_s)),
+    )
+
+
+def reference_search(query, index, params):
+    """Seed-and-extend search running `_banded_local_align` once per diagonal.
+
+    Seeds, diagonal groups, hit merging and ranking follow the package's
+    documented rules; returns a list of the package's HomologyHit.
+    """
+    from mutascan.align import result_from_alignment
+    from mutascan.homology import HomologyHit, e_value
+
+    k = index.k
+    qb = query.bases
+    groups: dict[tuple[int, int], int] = {}
+    for q_off in range(len(qb) - k + 1):
+        window = qb[q_off : q_off + k]
+        if "N" in window:
+            continue
+        for si, s_off in index.postings.get(window, ()):
+            groups[(si, q_off - s_off)] = groups.get((si, q_off - s_off), 0) + 1
+
+    per_subject: dict[int, list[_LocalAlignment]] = {}
+    for si, diag in sorted(groups):
+        if groups[(si, diag)] < params.min_seed_hits_per_diagonal:
+            continue
+        aln = _banded_local_align(qb, index.subjects[si].bases, diag, params)
+        if aln is not None:
+            per_subject.setdefault(si, []).append(aln)
+
+    hits = []
+    db_len = index.total_length
+    for si in sorted(per_subject):
+        unique = sorted(
+            set(per_subject[si]),
+            key=lambda a: (-a.score, a.q_start, a.s_start, a.q_end, a.s_end),
+        )
+        kept: list[_LocalAlignment] = []
+        for a in unique:
+            if all(a.q_end <= c.q_start or a.q_start >= c.q_end for c in kept):
+                kept.append(a)
+        best = kept[0]
+        covered = sum(a.q_end - a.q_start for a in kept)
+        best_result = result_from_alignment(best.aligned_q, best.aligned_s, best.score)
+        hits.append(
+            HomologyHit(
+                subject_id=index.subjects[si].id,
+                max_score=best.score,
+                total_score=sum(a.score for a in kept),
+                query_cover=100.0 * covered / len(qb),
+                e_value=e_value(best.score, len(qb), db_len, params),
+                max_ident=best_result.identity_percent,
+                best_alignment=best_result,
+            )
+        )
+    hits.sort(key=lambda h: (-h.max_score, h.subject_id))
+    return hits[: params.max_hits]
+
+
 # --- genetic code ----------------------------------------------------------
 
 # the standard genetic code as published in translation-table form:
@@ -268,6 +572,14 @@ def finite_difference_gradients(loss_fn, arrays: list[np.ndarray], h: float = 1e
 
 def random_bases(rng: random.Random, length: int, alphabet: str = "ACGT") -> str:
     return "".join(rng.choice(alphabet) for _ in range(length))
+
+
+@st.composite
+def dna(draw, alphabet: str = "ACGT", min_size: int = 1, max_size: int = 60) -> str:
+    """Hypothesis strategy for random bases; the length is drawn first so
+    long sequences are as common as short ones."""
+    length = draw(st.integers(min_size, max_size))
+    return random_bases(draw(st.randoms(use_true_random=False)), length, alphabet)
 
 
 def random_fasta_text(rng: random.Random, max_records: int = 5) -> tuple[str, list]:

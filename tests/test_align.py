@@ -4,8 +4,11 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mutascan.align import (
+    _global_band,
     DEFAULT_CELL_CAP,
     AlignmentResult,
     EmptySequenceError,
@@ -18,6 +21,7 @@ from mutascan.align import (
     SizeCapExceededError,
     apply_mutations,
     call_mutations,
+    encode_bases,
     global_align,
     result_from_alignment,
     score_alignment,
@@ -25,9 +29,11 @@ from mutascan.align import (
 from mutascan.seqio import DnaSequence
 
 from oracles import (
+    dna,
     enumerate_global_score,
     global_score_dp,
     random_bases,
+    reference_global_align,
     rescore_alignment,
 )
 
@@ -134,6 +140,93 @@ def test_matches_naive_dp_at_moderate_lengths():
         b = random_bases(rng, rng.randint(50, 200), "ACGTN")
         res = _align(a, b)
         assert res.score == global_score_dp(a, b, *_params(Scoring()))
+
+
+# --- differential tests against the full-matrix reference aligner -----------
+
+_SCORINGS = st.sampled_from(
+    [
+        Scoring(),
+        Scoring(match=1, mismatch=-3, gap_open=-5, gap_extend=-2),
+        Scoring(match=3, mismatch=-2, gap_open=-4, gap_extend=-3),
+        Scoring(match=1, mismatch=0, gap_open=0, gap_extend=0),
+        Scoring(match=2, mismatch=0, gap_open=-1, gap_extend=0),
+    ]
+)
+
+
+def _assert_same_as_reference(a, b, scoring):
+    assert _align(a, b, scoring) == reference_global_align(a, b, scoring)
+
+
+@st.composite
+def _edited_pairs(draw):
+    """A reference and a copy carrying a few substitutions and indels."""
+    ref = draw(dna("ACGTN", 1, 400))
+    alt = list(ref)
+    for _ in range(draw(st.integers(0, 8))):
+        pos = draw(st.integers(0, len(alt)))
+        kind = draw(st.sampled_from(["sub", "ins", "del"]))
+        if kind == "ins" or not alt:
+            alt[pos:pos] = draw(dna("ACGT", 1, 12))
+        elif kind == "sub" and pos < len(alt):
+            alt[pos] = draw(st.sampled_from("ACGTN"))
+        else:
+            del alt[pos : pos + draw(st.integers(1, 12))]
+    return ref, "".join(alt) or "A"
+
+
+@settings(max_examples=80, deadline=None)
+@given(_edited_pairs(), _SCORINGS)
+def test_matches_reference_on_edited_pairs(pair, scoring):
+    _assert_same_as_reference(*pair, scoring)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dna("ACGT", 1, 160), dna("ACGT", 1, 160), _SCORINGS)
+def test_matches_reference_on_unrelated_pairs(a, b, scoring):
+    # unrelated sequences fail the band certificate until it covers the matrix
+    _assert_same_as_reference(a, b, scoring)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dna("ACGTNNNN", 1, 160), dna("ACGTNNNN", 1, 160), _SCORINGS)
+def test_matches_reference_on_n_rich_pairs(a, b, scoring):
+    _assert_same_as_reference(a, b, scoring)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dna("ACGTN", 34, 200), st.integers(0, 1000), st.booleans(), st.booleans(), _SCORINGS, st.data())
+def test_matches_reference_on_very_unequal_lengths(short, extra, related, swap, scoring, data):
+    # a related pair shares `short` around one long insertion, so the band
+    # spans |m - n| + 33 diagonals without covering the matrix
+    filler = data.draw(dna("ACGT", extra, extra))
+    if related:
+        cut = data.draw(st.integers(0, len(short)))
+        long = short[:cut] + filler + short[cut:]
+    else:
+        long = data.draw(dna("ACGT", 1, len(short))) + filler
+    a, b = (long, short) if swap else (short, long)
+    _assert_same_as_reference(a, b, scoring)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dna("ACGTN", 1, 1), dna("ACGTN", 1, 80), st.booleans(), _SCORINGS)
+def test_matches_reference_on_length_one_inputs(one, other, swap, scoring):
+    a, b = (other, one) if swap else (one, other)
+    _assert_same_as_reference(a, b, scoring)
+
+
+def test_band_never_stores_more_than_the_full_matrix():
+    rng = random.Random(15)
+    for m, n in ((50, 30), (30, 50), (200, 200)):
+        ca = encode_bases(random_bases(rng, m))
+        cb = encode_bases(random_bases(rng, n))
+        for radius in (16, 64, 4096):
+            starts, M, Ix, Iy = _global_band(ca, cb, radius, Scoring())
+            assert M.shape == Ix.shape == Iy.shape
+            assert M.shape[0] == m + 1 and M.shape[1] <= n + 1
+            assert all(0 <= s <= n + 1 - M.shape[1] for s in starts)
 
 
 def test_alignment_invariants():

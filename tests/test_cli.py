@@ -63,6 +63,26 @@ def test_search_command(corpus, capsys):
     assert "100%" in lines[1]
 
 
+def test_search_k_below_4_is_a_usage_error(corpus, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["search", "--db", str(corpus["db_ncbi"]),
+             "--query", str(corpus["patient_clean"]), "--k", "3"]
+        )
+    assert exc.value.code == 2
+    assert "--k: must be at least 4" in capsys.readouterr().err
+
+
+def test_search_max_hits_below_1_is_a_usage_error(corpus, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["search", "--db", str(corpus["db_ncbi"]),
+             "--query", str(corpus["patient_mutated"]), "--max-hits", "-1"]
+        )
+    assert exc.value.code == 2
+    assert "--max-hits: must be at least 1" in capsys.readouterr().err
+
+
 def test_search_json_output(corpus, capsys):
     rc = main(
         [

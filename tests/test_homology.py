@@ -4,9 +4,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mutascan.align import result_from_alignment
 from mutascan.homology import (
+    _BATCH_GROUPS,
     BAND_RADIUS,
     DEFAULT_K,
     EmptyDatabaseError,
@@ -22,7 +25,14 @@ from mutascan.homology import (
 )
 from mutascan.seqio import DnaSequence, FastaFile
 
-from oracles import kmer_postings, random_bases, rescore_alignment, smith_waterman_score
+from oracles import (
+    dna,
+    kmer_postings,
+    random_bases,
+    reference_search,
+    rescore_alignment,
+    smith_waterman_score,
+)
 
 
 def _db(*seqs):
@@ -54,6 +64,8 @@ def test_params_validation():
         SearchParams(gap_open=0)
     with pytest.raises(ValueError):
         SearchParams(x_drop=0)
+    with pytest.raises(ValueError):
+        SearchParams(max_hits=0)
 
 
 def test_build_index_matches_enumeration_oracle():
@@ -207,6 +219,71 @@ def test_min_seed_hits_per_diagonal_filter():
     assert search(_query(query), index)
     strict = SearchParams(min_seed_hits_per_diagonal=2)
     assert search(_query(query), index, strict) == []
+
+
+# --- differential tests against the one-diagonal-at-a-time reference -------
+
+
+@st.composite
+def _search_case(draw, k, min_subject, max_subject, min_query, max_query):
+    """A database plus a query that is an edited slice of a subject or random."""
+    alphabet = draw(st.sampled_from(["ACGT", "ACGTN", "ACGTNNNN"]))
+    subjects = draw(
+        st.lists(dna(alphabet, min_subject, max_subject), min_size=1, max_size=5)
+    )
+    source = draw(st.sampled_from(subjects))
+    if draw(st.booleans()) and len(source) >= min_query:
+        start = draw(st.integers(0, len(source) - k))
+        query = list(source[start : start + draw(st.integers(min_query, max_query))])
+        for _ in range(draw(st.integers(0, 6))):
+            pos = draw(st.integers(0, len(query) - 1))
+            kind = draw(st.sampled_from(["sub", "ins", "del"]))
+            if kind == "sub":
+                query[pos] = draw(st.sampled_from("ACGTN"))
+            elif kind == "ins":
+                query.insert(pos, draw(st.sampled_from("ACGT")))
+            elif len(query) > k:
+                del query[pos]
+        query = "".join(query)
+    else:
+        query = draw(dna(alphabet, min_query, max_query))
+    params = SearchParams(
+        k=k,
+        max_hits=draw(st.integers(1, 25)),
+        min_seed_hits_per_diagonal=draw(st.integers(1, 3)),
+    )
+    index = build_index(_db(*((f"s{i}", b) for i, b in enumerate(subjects))), k)
+    return _query(query), index, params
+
+
+@settings(max_examples=40, deadline=None)
+@given(_search_case(k=4, min_subject=20, max_subject=150, min_query=20, max_query=60))
+def test_search_matches_reference_on_k4_databases(case):
+    # k = 4 seeds many chance diagonals per query, often several batches
+    query, index, params = case
+    assert search(query, index, params) == reference_search(query, index, params)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_search_case(k=11, min_subject=1, max_subject=400, min_query=11, max_query=200))
+def test_search_matches_reference_on_default_seeds(case):
+    query, index, params = case
+    assert search(query, index, params) == reference_search(query, index, params)
+
+
+def test_search_batches_many_diagonals_like_reference():
+    rng = random.Random(40)
+    subjects = [(f"s{i}", random_bases(rng, rng.randint(100, 300), "ACGTN")) for i in range(4)]
+    query = _query(random_bases(rng, 70))
+    params = SearchParams(k=4, max_hits=50)
+    index = build_index(_db(*subjects), params.k)
+    diagonals = {
+        (si, q_off - s_off)
+        for q_off in range(len(query.bases) - params.k + 1)
+        for si, s_off in index.postings.get(query.bases[q_off : q_off + params.k], ())
+    }
+    assert len(diagonals) > 2 * _BATCH_GROUPS
+    assert search(query, index, params) == reference_search(query, index, params)
 
 
 def test_e_value_definition_and_monotonicity():

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import MutascanError
+from .errors import MutascanError, PositionOutOfRangeError
 from .seqio import DnaSequence
 
 if TYPE_CHECKING:
@@ -27,6 +27,8 @@ _FIRST_RADIUS = 16  # global_align's first band half-width
 
 # traceback states, preference order on ties
 _M, _IX, _IY = 0, 1, 2
+_UNREACHABLE = (_NEG, _NEG, _NEG)
+_GAP = ord("-")  # traceback code of a gap column
 
 
 class AlignError(MutascanError):
@@ -42,10 +44,6 @@ class SizeCapExceededError(AlignError):
 
 
 class OverlappingMutationsError(AlignError):
-    pass
-
-
-class PositionOutOfRangeError(AlignError):
     pass
 
 
@@ -134,6 +132,29 @@ class Mutation:
         return f"{self.position} del{self.ref_bases}"
 
 
+def mutation_to_dict(m: Mutation) -> dict:
+    """The {position, kind, ref, alt} record that files and reports hold."""
+    return {
+        "position": m.position,
+        "kind": m.kind.value,
+        "ref": m.ref_bases,
+        "alt": m.alt_bases,
+    }
+
+
+def mutation_from_dict(record: dict) -> Mutation:
+    """Inverse of `mutation_to_dict`; a missing "ref" or "alt" reads as empty.
+
+    Raises KeyError, TypeError or ValueError on a malformed record.
+    """
+    return Mutation(
+        position=int(record["position"]),
+        kind=MutationKind(record["kind"]),
+        ref_bases=str(record.get("ref", "")),
+        alt_bases=str(record.get("alt", "")),
+    )
+
+
 def encode_bases(bases: str) -> np.ndarray:
     return np.frombuffer(
         bases.encode("ascii").translate(_CODE_TABLE), dtype=np.uint8
@@ -141,6 +162,7 @@ def encode_bases(bases: str) -> np.ndarray:
 
 
 _CODE_TABLE = bytes.maketrans(b"ACGTN", bytes([0, 1, 2, 3, 4]))
+_BASE_TABLE = bytes.maketrans(bytes([0, 1, 2, 3, 4]), b"ACGTN")
 
 
 def score_alignment(aligned_a: str, aligned_b: str, scoring: Scoring) -> int:
@@ -279,6 +301,95 @@ def band_fill(
     return M, Ix, Iy
 
 
+def _band_traceback(
+    M: np.ndarray, Ix: np.ndarray, Iy: np.ndarray, rows: list[int],
+    cols: np.ndarray, offsets: list[int], scoring: Scoring, local: bool,
+):
+    """Trace the best path of one band filled by `band_fill` back to its start.
+
+    M, Ix and Iy are the band's (len(rows) + 1, width) values. Cell (i, b)
+    lies in row i and column x = offsets[i] + b and consumes the row code
+    rows[i - 1] and the column code cols[x]. With step = offsets[i] -
+    offsets[i - 1], the M predecessor of (i, b) is slot b - 1 + step of row
+    i - 1, the Ix predecessor slot b + step of row i - 1 and the Iy
+    predecessor slot b - 1 of row i; a slot outside the window is
+    unreachable. Each move is recomputed from the stored values, taking the
+    first candidate that reaches the cell's value.
+
+    Local mode starts at the first maximum of M in row-major order, which
+    must be above 0, and stops at a fresh start; ties prefer a fresh start,
+    then M, Ix, Iy. Global mode starts at the last row's last column, stops
+    at row 0, column 0, and prefers M, then Ix, then Iy. Returns None when
+    no local path scores above 0, else (score, (row, column) of the cell the
+    path leaves from, (row, column) of its last cell, aligned row bases,
+    aligned column bases).
+    """
+    width = M.shape[1]
+    sub = scoring.substitution_matrix().tolist()
+    oe = scoring.gap_open + scoring.gap_extend
+    e = scoring.gap_extend
+    col = cols.item
+    m_at, x_at, y_at = M.item, Ix.item, Iy.item
+
+    def cell(i: int, b: int) -> tuple[int, int, int]:
+        if 0 <= b < width:
+            return m_at(i, b), x_at(i, b), y_at(i, b)
+        return _UNREACHABLE
+
+    if local:
+        i, b = divmod(int(np.argmax(M)), width)
+        here = cell(i, b)
+        score, state = here[_M], _M
+        if score <= 0:
+            return None
+    else:
+        i = len(rows)
+        b = len(cols) - 1 - offsets[i]
+        here = cell(i, b)
+        score = max(here)
+        state = here.index(score)  # index order == preference order M, Ix, Iy
+    end = (i, offsets[i] + b)
+    origin = -offsets[0]  # slot of column 0 in row 0
+    rev_r: list[int] = []
+    rev_c: list[int] = []
+    while True:
+        if state == _M:
+            r, c = rows[i - 1], col(offsets[i] + b)
+            rev_r.append(r)
+            rev_c.append(c)
+            target = here[_M] - sub[r][c]
+            b += offsets[i] - offsets[i - 1] - 1
+            i -= 1
+            if local and target == 0:
+                break
+            here = cell(i, b)
+            candidates = here
+        elif state == _IX:
+            rev_r.append(rows[i - 1])
+            rev_c.append(_GAP)
+            target = here[_IX]
+            b += offsets[i] - offsets[i - 1]
+            i -= 1
+            here = cell(i, b)
+            candidates = (here[0] + oe, here[1] + e, here[2] + oe)
+        else:
+            rev_r.append(_GAP)
+            rev_c.append(col(offsets[i] + b))
+            target = here[_IY]
+            b -= 1
+            here = cell(i, b)
+            candidates = (here[0] + oe, here[1] + oe, here[2] + e)
+        if i == 0 and b == origin and not local:
+            break
+        state = candidates.index(target)
+    return score, (i, offsets[i] + b), end, _decode(rev_r), _decode(rev_c)
+
+
+def _decode(rev_codes: list[int]) -> str:
+    """Bases for codes collected last to first; _GAP decodes to '-'."""
+    return bytes(reversed(rev_codes)).translate(_BASE_TABLE).decode("ascii")
+
+
 def _global_band(ca: np.ndarray, cb: np.ndarray, radius: int, scoring: Scoring):
     """Fill the band of diagonals [min(0, n-m) - radius, max(0, n-m) + radius].
 
@@ -292,17 +403,21 @@ def _global_band(ca: np.ndarray, cb: np.ndarray, radius: int, scoring: Scoring):
     hi = max(0, n - m) + radius
     width = min(hi - lo + 1, n + 1)
     starts = np.clip(np.arange(m + 1) + lo, 0, n + 1 - width).tolist()
-    cols = np.empty((1, n + 1), dtype=np.uint8)
-    cols[0, 0] = OUTSIDE_CODE
-    cols[0, 1:] = cb
     oe = scoring.gap_open + scoring.gap_extend
     top_m = np.full((1, width), _NEG, dtype=np.int32)
     top_m[0, 0] = 0
     top_y = np.full((1, width), _NEG, dtype=np.int32)
     top_y[0, 1:] = oe + scoring.gap_extend * np.arange(width - 1)
     top_x = np.full((1, width), _NEG, dtype=np.int32)
-    M, Ix, Iy = band_fill(ca, cols, starts, width, scoring, (top_m, top_x, top_y))
+    M, Ix, Iy = band_fill(
+        ca, _global_columns(cb)[None, :], starts, width, scoring, (top_m, top_x, top_y)
+    )
     return starts, M[:, 0], Ix[:, 0], Iy[:, 0]
+
+
+def _global_columns(cb: np.ndarray) -> np.ndarray:
+    """Column codes of a global band: column j consumes base j; column 0 none."""
+    return np.concatenate((np.array([OUTSIDE_CODE], dtype=np.uint8), cb))
 
 
 def _outside_bound(m: int, n: int, radius: int, scoring: Scoring) -> int:
@@ -324,12 +439,14 @@ def global_align(
 ) -> AlignmentResult:
     """Optimal global alignment of reference `a` against patient `b`.
 
-    The DP runs in a diagonal band that starts at radius 16 and doubles
-    until its score is strictly above the best score any path leaving the
-    band could reach (Ukkonen 1985), or until it covers the whole matrix.
-    Every optimal path then lies in the band, so the result equals the full
-    DP's. Traceback ties prefer Match/Substitute over Delete (gap in B) over
-    Insert (gap in A), so the output is deterministic.
+    The DP first runs in a diagonal band of radius 16. It keeps that band
+    when the band's score is strictly above the best score any path leaving
+    the band could reach (Ukkonen 1985). Otherwise the band's score, a
+    lower bound on the optimum, picks the smallest radius whose leave-bound
+    it beats, and a second fill at that radius (or over the whole matrix)
+    is final. Every optimal path then lies in the band, so the result
+    equals the full DP's. Traceback ties prefer Match/Substitute over
+    Delete (gap in B) over Insert (gap in A), so the output is deterministic.
     """
     m, n = len(a.bases), len(b.bases)
     if m == 0 or n == 0:
@@ -340,64 +457,72 @@ def global_align(
     ca = encode_bases(a.bases)
     cb = encode_bases(b.bases)
     radius = _FIRST_RADIUS
-    while True:
+    starts, M, Ix, Iy = _global_band(ca, cb, radius, scoring)
+    t = n - starts[m]
+    score = max(M.item(m, t), Ix.item(m, t), Iy.item(m, t))
+    full_radius = (n - abs(n - m) + 1) // 2  # from here on the band stores whole rows
+    while radius < full_radius and score <= _outside_bound(m, n, radius, scoring):
+        radius += 1
+    if radius != _FIRST_RADIUS:
+        del M, Ix, Iy  # free the first band before the wider one is filled
         starts, M, Ix, Iy = _global_band(ca, cb, radius, scoring)
-        t = n - starts[m]
-        finals = (int(M[m, t]), int(Ix[m, t]), int(Iy[m, t]))
-        score = max(finals)
-        full = M.shape[1] == n + 1
-        if full or score > _outside_bound(m, n, radius, scoring):
-            break
-        del starts, M, Ix, Iy  # free this band before the wider one is filled
-        radius *= 2
-
-    width = M.shape[1]
-    oe = scoring.gap_open + scoring.gap_extend
-    e = scoring.gap_extend
-    sub = scoring.substitution_matrix().tolist()
-    codes_a, codes_b = ca.tolist(), cb.tolist()
-
-    def cell(i: int, j: int) -> tuple[int, int, int]:
-        t = j - starts[i]
-        if 0 <= t < width:
-            return int(M[i, t]), int(Ix[i, t]), int(Iy[i, t])
-        return _NEG, _NEG, _NEG
-
-    i, j = m, n
-    state = finals.index(score)  # index order == preference order M, Ix, Iy
-    here = finals
-    rev_a: list[str] = []
-    rev_b: list[str] = []
-    while i > 0 or j > 0:
-        if state == _M:
-            rev_a.append(a.bases[i - 1])
-            rev_b.append(b.bases[j - 1])
-            target = here[_M] - sub[codes_a[i - 1]][codes_b[j - 1]]
-            i -= 1
-            j -= 1
-            here = cell(i, j)
-            candidates = here
-        elif state == _IX:
-            rev_a.append(a.bases[i - 1])
-            rev_b.append("-")
-            target = here[_IX]
-            i -= 1
-            here = cell(i, j)
-            candidates = (here[0] + oe, here[1] + e, here[2] + oe)
-        else:
-            rev_a.append("-")
-            rev_b.append(b.bases[j - 1])
-            target = here[_IY]
-            j -= 1
-            here = cell(i, j)
-            candidates = (here[0] + oe, here[1] + oe, here[2] + e)
-        if i == 0 and j == 0:
-            break
-        state = candidates.index(target)
-
-    aligned_a = "".join(reversed(rev_a))
-    aligned_b = "".join(reversed(rev_b))
+    score, _, _, aligned_a, aligned_b = _band_traceback(
+        M, Ix, Iy, ca.tolist(), _global_columns(cb), starts, scoring, local=False
+    )
     return result_from_alignment(aligned_a, aligned_b, score)
+
+
+@dataclass(frozen=True)
+class LocalAlignment:
+    """A local alignment of a query against one subject; spans are 0-based, half-open."""
+
+    score: int
+    q_start: int
+    q_end: int
+    s_start: int
+    s_end: int
+    aligned_q: str
+    aligned_s: str
+
+
+def banded_local_align(
+    query: str, bands: list[tuple[str, int]], radius: int, scoring: Scoring
+) -> list[LocalAlignment | None]:
+    """Best local alignment of `query` in each band of a (subject, diagonal) list.
+
+    Smith-Waterman with affine gaps (Gotoh), restricted to the DP cells
+    (i, j) with |i - j - diagonal| <= radius; None where no alignment in
+    the band scores above 0. All bands go through one `band_fill`, one
+    vectorised row of every band per query base.
+    """
+    width = 2 * radius + 1
+    m = len(query)
+    rows = encode_bases(query)
+    offsets = list(range(-1, m))  # row i's window starts at column i - 1
+    # cols[g, x] holds the code of subject base x - diagonal - radius
+    cols = np.full((len(bands), m + width - 1), OUTSIDE_CODE, dtype=np.uint8)
+    for g, (subject, diag) in enumerate(bands):
+        first = diag + radius
+        x_lo = max(0, first)
+        x_hi = min(cols.shape[1], first + len(subject))
+        if x_lo < x_hi:
+            cols[g, x_lo:x_hi] = encode_bases(subject[x_lo - first : x_hi - first])
+    M, Ix, Iy = band_fill(rows, cols, offsets, width, scoring, local=True)
+    row_codes = rows.tolist()
+    out: list[LocalAlignment | None] = []
+    for g, (_, diag) in enumerate(bands):
+        path = _band_traceback(
+            M[:, g], Ix[:, g], Iy[:, g], row_codes, cols[g], offsets, scoring, local=True
+        )
+        if path is None:
+            out.append(None)
+            continue
+        score, (i0, x0), (i1, x1), aligned_q, aligned_s = path
+        shift = diag + radius - 1  # column x is subject prefix length x - shift
+        out.append(
+            LocalAlignment(score, i0, i1, x0 - shift, x1 - shift, aligned_q, aligned_s)
+        )
+    return out
 
 
 def call_mutations(alignment: AlignmentResult) -> list[Mutation]:

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .align import Scoring, call_mutations, global_align
+from .align import Scoring, call_mutations, global_align, mutation_to_dict
 from .errors import MutascanError
 from .homology import (
     SearchParams,
@@ -23,6 +23,7 @@ from .homology import (
     search,
 )
 from .neural import (
+    CorruptFileError,
     FeatureVector,
     NetworkTopology,
     TrainConfig,
@@ -161,16 +162,7 @@ def _cmd_align(args) -> int:
     muts = call_mutations(result)
     if args.json:
         for m in muts:
-            print(
-                json.dumps(
-                    {
-                        "position": m.position,
-                        "kind": m.kind.value,
-                        "ref": m.ref_bases,
-                        "alt": m.alt_bases,
-                    }
-                )
-            )
+            print(json.dumps(mutation_to_dict(m)))
         return 0
     width = max(1, args.width)
     print(f"score {result.score}  identity {result.identity_percent:.2f}%")
@@ -220,8 +212,12 @@ def _cmd_predict(args) -> int:
         obj = json.loads(line)
         if isinstance(obj, list):
             row_id, values = f"line-{lineno}", obj
-        else:
+        elif isinstance(obj, dict) and "features" in obj:
             row_id, values = str(obj.get("id", f"line-{lineno}")), obj["features"]
+        else:
+            raise CorruptFileError(
+                f"{args.features}:{lineno}: expected a 'features' array or a bare array"
+            )
         vector = FeatureVector(tuple(float(v) for v in values))
         label, score = classify(net, vector)
         print(f"{row_id}\t{score:.6f}\t{label.display}")

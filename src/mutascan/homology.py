@@ -2,8 +2,8 @@
 
 The search pipeline: collect exact k-mer seed matches, group them by
 diagonal (query offset minus subject offset), then run a banded gapped
-local alignment around each seeded diagonal; all diagonals of one query
-share one batched band fill. Per-subject alignments merge into one ranked
+local alignment around each seeded diagonal, filled in batches by
+`align.banded_local_align`. Per-subject alignments merge into one ranked
 hit carrying the classic report columns (max score, total score, query
 cover, E-value, max identity). Only the forward strand is searched.
 """
@@ -13,14 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .align import (
-    OUTSIDE_CODE,
     AlignmentResult,
+    LocalAlignment,
     Scoring,
-    band_fill,
-    encode_bases,
+    banded_local_align,
     result_from_alignment,
 )
 from .errors import MutascanError
@@ -31,9 +28,6 @@ BAND_RADIUS = 16
 # seeded diagonals filled together; one batch stores at most
 # 3 x 32 x 33 int32 cells per query row
 _BATCH_GROUPS = 32
-
-# traceback states, preference order on ties (a fresh start comes first)
-_M, _IX, _IY = 0, 1, 2
 
 
 class HomologyError(MutascanError):
@@ -50,18 +44,13 @@ class QueryTooShortError(HomologyError):
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Seed length, scoring, E-value constants and hit cap for `search`.
-
-    `x_drop` is validated but not read: every seeded diagonal gets the
-    banded gapped alignment, so no ungapped X-drop pass runs.
-    """
+    """Seed length, scoring, E-value constants and hit cap for `search`."""
 
     k: int = DEFAULT_K
     match_score: int = 1
     mismatch_score: int = -3
     gap_open: int = -5
     gap_extend: int = -2
-    x_drop: int = 20
     min_seed_hits_per_diagonal: int = 1
     karlin_lambda: float = 1.374
     karlin_k: float = 0.711
@@ -74,8 +63,6 @@ class SearchParams:
             raise ValueError("match score must be positive")
         if self.mismatch_score >= 0 or self.gap_open >= 0 or self.gap_extend >= 0:
             raise ValueError("mismatch and gap scores must be negative")
-        if self.x_drop <= 0:
-            raise ValueError("x_drop must be positive")
         if self.max_hits < 1:
             raise ValueError("max_hits must be at least 1")
 
@@ -113,17 +100,6 @@ class HomologyHit:
     best_alignment: AlignmentResult
 
 
-@dataclass(frozen=True)
-class _LocalAlignment:
-    score: int
-    q_start: int  # 0-based, inclusive
-    q_end: int  # 0-based, exclusive
-    s_start: int
-    s_end: int
-    aligned_q: str
-    aligned_s: str
-
-
 def build_index(db: FastaFile, k: int = DEFAULT_K) -> KmerIndex:
     """Index every N-free length-k window of every subject."""
     if len(db) == 0:
@@ -142,117 +118,12 @@ def build_index(db: FastaFile, k: int = DEFAULT_K) -> KmerIndex:
     return KmerIndex(k, tuple(db.records), frozen)
 
 
-def _seeded_alignments(
-    qb: str, subjects: tuple[DnaSequence, ...], keys: list[tuple[int, int]],
-    params: SearchParams,
-) -> list[_LocalAlignment | None]:
-    """Best banded local alignment on each (subject index, diagonal) key.
-
-    Smith-Waterman with affine gaps (Gotoh), restricted to DP cells (i, j)
-    with |i - j - diagonal| <= BAND_RADIUS. The keys go through `band_fill`
-    in batches of at most _BATCH_GROUPS, one vectorised row of every band
-    per query base. Band slot b of query row i holds subject column
-    j = i - diagonal - BAND_RADIUS + b.
-    """
-    radius = BAND_RADIUS
-    width = 2 * radius + 1
-    scoring = params.scoring()
-    m = len(qb)
-    qcodes = encode_bases(qb)
-    offsets = list(range(-1, m))  # row i's band starts at code column i - 1
-    codes: dict[int, np.ndarray] = {}
-    out: list[_LocalAlignment | None] = []
-    for lo in range(0, len(keys), _BATCH_GROUPS):
-        batch = keys[lo : lo + _BATCH_GROUPS]
-        # cols[g, x] holds the code of subject base x - diagonal - radius
-        cols = np.full((len(batch), m + width - 1), OUTSIDE_CODE, dtype=np.uint8)
-        for g, (si, diag) in enumerate(batch):
-            if si not in codes:
-                codes[si] = encode_bases(subjects[si].bases)
-            sc = codes[si]
-            first = diag + radius
-            x_lo = max(0, first)
-            x_hi = min(cols.shape[1], first + len(sc))
-            if x_lo < x_hi:
-                cols[g, x_lo:x_hi] = sc[x_lo - first : x_hi - first]
-        M, Ix, Iy = band_fill(qcodes, cols, offsets, width, scoring, local=True)
-        for g, (si, diag) in enumerate(batch):
-            out.append(
-                _local_traceback(
-                    M[:, g], Ix[:, g], Iy[:, g], qb, subjects[si].bases,
-                    qcodes, codes[si], diag, scoring,
-                )
-            )
-    return out
-
-
-def _local_traceback(
-    M: np.ndarray, Ix: np.ndarray, Iy: np.ndarray, qb: str, sb: str,
-    qcodes: np.ndarray, scodes: np.ndarray, diag: int, scoring: Scoring,
-) -> _LocalAlignment | None:
-    """Trace the best alignment of one filled band back to its start.
-
-    The best cell is the first maximum of M in row-major order; it must
-    score above 0. Moves are recomputed from the stored values, taking the
-    first predecessor that reaches the cell's value in the order: fresh
-    start, Match, gap in subject, gap in query.
-    """
-    width = M.shape[1]
-    best_i, best_b = divmod(int(np.argmax(M)), width)
-    best_score = int(M[best_i, best_b])
-    if best_score <= 0:
-        return None
-    sub = scoring.substitution_matrix().tolist()
-    oe = scoring.gap_open + scoring.gap_extend
-    e = scoring.gap_extend
-    shift = diag + BAND_RADIUS  # j = i - shift + b
-
-    rev_q: list[str] = []
-    rev_s: list[str] = []
-    i, b = best_i, best_b
-    state = _M
-    while True:
-        j = i - shift + b
-        if state == _M:
-            rev_q.append(qb[i - 1])
-            rev_s.append(sb[j - 1])
-            target = int(M[i, b]) - sub[qcodes[i - 1]][scodes[j - 1]]
-            i -= 1  # diagonal predecessor keeps the same band slot
-            if target == 0:
-                q_start, s_start = i, j - 1
-                break
-            state = (int(M[i, b]), int(Ix[i, b]), int(Iy[i, b])).index(target)
-        elif state == _IX:
-            rev_q.append(qb[i - 1])
-            rev_s.append("-")
-            target = int(Ix[i, b])
-            i -= 1
-            b += 1
-            state = (int(M[i, b]) + oe, int(Ix[i, b]) + e, int(Iy[i, b]) + oe).index(target)
-        else:
-            rev_q.append("-")
-            rev_s.append(sb[j - 1])
-            target = int(Iy[i, b])
-            b -= 1
-            state = (int(M[i, b]) + oe, int(Ix[i, b]) + oe, int(Iy[i, b]) + e).index(target)
-
-    return _LocalAlignment(
-        best_score,
-        q_start,
-        best_i,
-        s_start,
-        best_i - shift + best_b,
-        "".join(reversed(rev_q)),
-        "".join(reversed(rev_s)),
-    )
-
-
-def _select_non_overlapping(alns: list[_LocalAlignment]) -> list[_LocalAlignment]:
+def _select_non_overlapping(alns: list[LocalAlignment]) -> list[LocalAlignment]:
     """Greedy best-first selection of alignments disjoint on query coordinates."""
     unique = sorted(
         set(alns), key=lambda a: (-a.score, a.q_start, a.s_start, a.q_end, a.s_end)
     )
-    kept: list[_LocalAlignment] = []
+    kept: list[LocalAlignment] = []
     for a in unique:
         if all(a.q_end <= k.q_start or a.q_start >= k.q_end for k in kept):
             kept.append(a)
@@ -290,15 +161,19 @@ def search(
             key = (si, q_off - s_off)
             groups[key] = groups.get(key, 0) + 1
 
-    # (c) one banded gapped local alignment per seeded diagonal
+    # (c) one banded gapped local alignment per seeded diagonal, in batches
     keys = [
         key for key in sorted(groups)
         if groups[key] >= params.min_seed_hits_per_diagonal
     ]
-    per_subject: dict[int, list[_LocalAlignment]] = {}
-    for (si, _), aln in zip(keys, _seeded_alignments(qb, index.subjects, keys, params)):
-        if aln is not None:
-            per_subject.setdefault(si, []).append(aln)
+    scoring = params.scoring()
+    per_subject: dict[int, list[LocalAlignment]] = {}
+    for lo in range(0, len(keys), _BATCH_GROUPS):
+        batch = keys[lo : lo + _BATCH_GROUPS]
+        bands = [(index.subjects[si].bases, diag) for si, diag in batch]
+        for (si, _), aln in zip(batch, banded_local_align(qb, bands, BAND_RADIUS, scoring)):
+            if aln is not None:
+                per_subject.setdefault(si, []).append(aln)
 
     # (d) merge per-subject alignments into hits
     hits: list[HomologyHit] = []

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .align import Mutation, MutationKind
+from .align import Mutation, MutationKind, mutation_from_dict
 from .errors import MutascanError
 from .seqio import DnaSequence
 from .seqstats import windowed_gc
@@ -170,13 +170,9 @@ def _init_network(topology: NetworkTopology, cfg: TrainConfig) -> Network:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # split form avoids overflow in exp for large |z|
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; each branch is the split form for its sign
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _as_input(x, width: int) -> np.ndarray:
@@ -288,7 +284,8 @@ def classify(net: Network, x, threshold: float = 0.5) -> tuple[Label, float]:
     return label, score
 
 
-_TRANSITIONS = {("A", "G"), ("G", "A"), ("C", "T"), ("T", "C")}
+# the base a transition substitution puts in place of each base
+TRANSITION = {"A": "G", "G": "A", "C": "T", "T": "C"}
 
 
 def encode(mut: Mutation, ref: DnaSequence) -> FeatureVector:
@@ -321,7 +318,7 @@ def encode(mut: Mutation, ref: DnaSequence) -> FeatureVector:
         changed = [
             (r, a) for r, a in zip(mut.ref_bases, mut.alt_bases) if r != a
         ]
-        f10 = 1.0 if changed and all(p in _TRANSITIONS for p in changed) else 0.0
+        f10 = 1.0 if changed and all(TRANSITION.get(r) == a for r, a in changed) else 0.0
     else:
         f10 = 0.5
     return FeatureVector(
@@ -465,14 +462,8 @@ def rows_to_samples(
                 f"row {row.id} has only a mutation descriptor; encoding it "
                 "requires a reference sequence and CDS bounds"
             )
-        desc = row.mutation
         try:
-            mut = Mutation(
-                position=int(desc["position"]),
-                kind=MutationKind(desc["kind"]),
-                ref_bases=str(desc.get("ref", "")),
-                alt_bases=str(desc.get("alt", "")),
-            )
+            mut = mutation_from_dict(row.mutation)
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptFileError(f"row {row.id}: bad mutation descriptor: {exc}") from exc
         effect = classify_effect(mut, ref, cds_start, cds_end)

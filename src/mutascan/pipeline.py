@@ -26,6 +26,7 @@ from .align import (
     apply_mutations,
     call_mutations,
     global_align,
+    mutation_to_dict,
 )
 from .errors import MutascanError
 from .homology import (
@@ -37,6 +38,7 @@ from .homology import (
     search,
 )
 from .neural import (
+    TRANSITION,
     Label,
     Network,
     NetworkTopology,
@@ -417,13 +419,7 @@ def _effect_dict(e: ProteinEffect | None) -> dict | None:
 
 
 def _mutation_dict(m: Mutation) -> dict:
-    return {
-        "position": m.position,
-        "kind": m.kind.value,
-        "ref": m.ref_bases,
-        "alt": m.alt_bases,
-        "effect": _effect_dict(m.effect),
-    }
+    return {**mutation_to_dict(m), "effect": _effect_dict(m.effect)}
 
 
 def report_to_dict(report: DiagnosisReport) -> dict:
@@ -538,7 +534,6 @@ _REF_LENGTH = 1200
 _CDS_START = 101
 _CDS_END = 1000
 _GC_COUNT = 456  # exactly 38.0% of 1200
-_TRANSITION = {"A": "G", "G": "A", "C": "T", "T": "C"}
 
 
 def _mine_substitution_sites(bases: str) -> tuple[list, list, list]:
@@ -560,7 +555,7 @@ def _mine_substitution_sites(bases: str) -> tuple[list, list, list]:
             continue
         variants = []
         for off in range(3):
-            alt_base = _TRANSITION[codon[off]]
+            alt_base = TRANSITION[codon[off]]
             alt_codon = codon[:off] + alt_base + codon[off + 1 :]
             variants.append((off, alt_base, CODON_TABLE[alt_codon]))
         site = None
@@ -639,7 +634,7 @@ def make_synthetic_corpus(seed: int, out_dir: str | Path) -> dict[str, Path]:
     ]
     noncoding_positions = [10, 50, 1100]
     benign = [("BRCA1", _sub(*silent_sites[i])) for i in range(6)] + [
-        ("BRCA1", _sub(p, ref_bases[p - 1], _TRANSITION[ref_bases[p - 1]]))
+        ("BRCA1", _sub(p, ref_bases[p - 1], TRANSITION[ref_bases[p - 1]]))
         for p in noncoding_positions
     ]
 
@@ -706,12 +701,7 @@ def make_synthetic_corpus(seed: int, out_dir: str | Path) -> dict[str, Path]:
                         {
                             "id": row_id,
                             "gene": gene,
-                            "mutation": {
-                                "position": mut.position,
-                                "kind": mut.kind.value,
-                                "ref": mut.ref_bases,
-                                "alt": mut.alt_bases,
-                            },
+                            "mutation": mutation_to_dict(mut),
                             "features": list(features.values),
                             "label": label,
                         }

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .align import Mutation, MutationKind
-from .errors import MutascanError
+from .errors import MutascanError, PositionOutOfRangeError
 from .seqio import DnaSequence
 
 STOP = "*"
@@ -33,10 +33,6 @@ CODON_TABLE = {
 
 
 class ProteinError(MutascanError):
-    pass
-
-
-class PositionOutOfRangeError(ProteinError):
     pass
 
 

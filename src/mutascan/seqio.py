@@ -167,9 +167,15 @@ def write_fasta(file: FastaFile, width: int = DEFAULT_LINE_WIDTH) -> str:
 
 
 def read_fasta_path(path) -> FastaFile:
-    """Read and parse a FASTA file from disk."""
+    """Read and parse a FASTA file from disk; FASTA text is ASCII."""
     with open(path, "r", encoding="ascii") as fh:
-        return parse_fasta(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FastaParseError(
+                f"{path}: byte {exc.start} is not ASCII, so this is not FASTA text"
+            ) from exc
+    return parse_fasta(text)
 
 
 def write_fasta_path(file: FastaFile, path, width: int = DEFAULT_LINE_WIDTH) -> None:

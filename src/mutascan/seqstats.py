@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MutascanError
+from .errors import MutascanError, PositionOutOfRangeError
 from .seqio import DnaSequence
 
 GC_GATE_TARGET = 38.0
@@ -23,10 +23,6 @@ class SeqstatsError(MutascanError):
 
 class AllAmbiguousError(SeqstatsError):
     """Sequence is entirely N; GC%/AT% are undefined."""
-
-
-class PositionOutOfRangeError(SeqstatsError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mutascan import align as align_module
 from mutascan.align import (
     _global_band,
     DEFAULT_CELL_CAP,
@@ -229,6 +230,25 @@ def test_band_never_stores_more_than_the_full_matrix():
             assert all(0 <= s <= n + 1 - M.shape[1] for s in starts)
 
 
+def test_global_align_fills_at_most_two_bands(monkeypatch):
+    rng = random.Random(16)
+    ref = random_bases(rng, 2000)
+    # an unrelated pair needs the whole matrix; a deletion and an insertion
+    # 60 bases long pull the path 60 diagonals off, beyond the first band
+    shifted = ref[:500] + ref[560:1500] + random_bases(rng, 60) + ref[1500:]
+    fills = []
+
+    def counting_band(ca, cb, radius, scoring):
+        fills.append(radius)
+        return _global_band(ca, cb, radius, scoring)
+
+    monkeypatch.setattr(align_module, "_global_band", counting_band)
+    for other in (random_bases(rng, 2000), shifted):
+        fills.clear()
+        assert _align(ref, other) == reference_global_align(ref, other, Scoring())
+        assert 1 < len(fills) <= 2
+
+
 def test_alignment_invariants():
     rng = random.Random(9)
     for _ in range(40):
@@ -323,6 +343,15 @@ def test_mutation_validation():
         Mutation(1, MutationKind.DELETION, "", "C")
     with pytest.raises(ValueError):
         Mutation(-1, MutationKind.INSERTION, "", "C")
+
+
+def test_one_position_out_of_range_error_class():
+    from mutascan import protein, seqstats
+    from mutascan.errors import MutascanError
+
+    assert PositionOutOfRangeError is seqstats.PositionOutOfRangeError
+    assert PositionOutOfRangeError is protein.PositionOutOfRangeError
+    assert issubclass(PositionOutOfRangeError, MutascanError)
 
 
 def test_apply_substitution_deletion_insertion():

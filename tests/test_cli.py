@@ -146,6 +146,23 @@ def test_predict_accepts_bare_arrays(tmp_path, capsys, trained_model):
     assert line.startswith("line-1\t")
 
 
+def test_predict_row_without_features_names_the_line(tmp_path, capsys, trained_model):
+    feats = tmp_path / "feats.jsonl"
+    feats.write_text(json.dumps([0.5] * 10) + "\n" + json.dumps({"id": "x"}) + "\n",
+                     encoding="utf-8")
+    assert main(["predict", "--model", str(trained_model), "--features", str(feats)]) == 1
+    err = capsys.readouterr().err
+    assert f"{feats}:2:" in err and "'features' array" in err
+
+
+def test_non_ascii_fasta_exits_1_naming_the_file(tmp_path, capsys):
+    fasta = tmp_path / "latin1.fasta"
+    fasta.write_bytes(b">r caf\xe9\nACGT\n")
+    assert main(["stats", str(fasta)]) == 1
+    err = capsys.readouterr().err
+    assert str(fasta) in err and "not ASCII" in err
+
+
 def test_diagnose_command_text_and_json(corpus, trained_model, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MUTASCAN_WORKDIR", str(tmp_path / "wd"))
     rc = main(

@@ -46,7 +46,7 @@ def _query(bases):
 def test_default_parameters():
     p = SearchParams()
     assert (p.k, p.match_score, p.mismatch_score) == (11, 1, -3)
-    assert (p.gap_open, p.gap_extend, p.x_drop) == (-5, -2, 20)
+    assert (p.gap_open, p.gap_extend) == (-5, -2)
     assert (p.karlin_lambda, p.karlin_k) == (1.374, 0.711)
     assert (p.min_seed_hits_per_diagonal, p.max_hits) == (1, 20)
     assert DEFAULT_K == 11
@@ -62,8 +62,6 @@ def test_params_validation():
         SearchParams(mismatch_score=1)
     with pytest.raises(ValueError):
         SearchParams(gap_open=0)
-    with pytest.raises(ValueError):
-        SearchParams(x_drop=0)
     with pytest.raises(ValueError):
         SearchParams(max_hits=0)
 

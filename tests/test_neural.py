@@ -30,6 +30,7 @@ from mutascan.neural import (
     rows_to_samples,
     save_net,
     train,
+    _sigmoid,
     zero_network,
 )
 from mutascan.protein import EffectKind, ProteinEffect, classify_effect
@@ -92,6 +93,21 @@ def test_forward_single_chain_matches_scalar_sigmoid():
     h = sigmoid_scalar(0.0)
     assert forward(net, [0.0]) == pytest.approx(sigmoid_scalar(h), abs=1e-15)
     assert forward(net, [0.0]) == pytest.approx(0.6224593312018546, abs=1e-12)
+
+
+def test_sigmoid_is_bit_identical_to_the_masked_split_form():
+    def split_sigmoid(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    edges = [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, 36.7, -36.7, 745.2, -745.2]
+    rng = np.random.default_rng(3)
+    z = np.concatenate([edges, rng.normal(0.0, 20.0, 1990)]).reshape(-1, 4)
+    assert _sigmoid(z).tobytes() == split_sigmoid(z).tobytes()
 
 
 def test_forward_matches_manual_composition():

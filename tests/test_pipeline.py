@@ -1,12 +1,21 @@
 """End-to-end diagnosis pipeline, manifests, and the synthetic corpus."""
 
+import hashlib
 import json
 import random
 
 import pytest
 
 from mutascan.align import MutationKind
-from mutascan.neural import Label, load_training_rows
+from mutascan.neural import (
+    Label,
+    NetworkTopology,
+    TrainConfig,
+    load_training_rows,
+    rows_to_samples,
+    save_net,
+    train,
+)
 from mutascan.pipeline import (
     DatabaseEntry,
     DatabaseManifest,
@@ -398,3 +407,32 @@ def test_corpus_seeds_vary(tmp_path):
         paths = make_synthetic_corpus(seed, tmp_path / str(i))
         rows = load_training_rows(paths["training_data"])
         assert len(rows) == 18
+
+
+# --- golden output --------------------------------------------------------------
+
+# SHA-256 of the seed-42 report.json with the work directory written as $WORK.
+# The reports pin both alignment kernels' output byte for byte: the homology
+# top hit's best local alignment and the global reference/patient alignment.
+GOLDEN_REPORT_SHA256 = {
+    ("patient_mutated", "manifest"):
+        "aac10c3de02bae172744ff4756cf9b7acad58ae0a5239e26b11751162751ea98",
+    ("patient_clean", "manifest_fallback"):
+        "863c0a6bb90832b7159bc0354e10abdc4e4d589c2f41489808e207aa6280946c",
+}
+GOLDEN_TRAIN = TrainConfig(max_epochs=2_000)
+
+
+@pytest.mark.parametrize("patient,manifest", sorted(GOLDEN_REPORT_SHA256))
+def test_report_json_matches_golden_hash(corpus, tmp_path, patient, manifest):
+    rows = load_training_rows(corpus["training_data"])
+    net, _ = train(NetworkTopology(), rows_to_samples(rows), GOLDEN_TRAIN)
+    save_net(net, tmp_path / "model.json")
+    run_diagnosis(
+        corpus[patient], corpus[manifest],
+        model_path=tmp_path / "model.json", work_dir=tmp_path / "wd",
+    )
+    text = (tmp_path / "wd" / "report.json").read_text(encoding="utf-8")
+    text = text.replace(json.dumps(str(tmp_path))[1:-1], "$WORK")
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_REPORT_SHA256[(patient, manifest)]

@@ -15,6 +15,7 @@ from mutascan.seqio import (
     InvalidSymbolError,
     SequencelessHeaderError,
     parse_fasta,
+    read_fasta_path,
     write_fasta,
 )
 
@@ -94,6 +95,13 @@ def test_data_before_first_header_rejected():
 def test_header_without_id_rejected():
     with pytest.raises(FastaParseError):
         parse_fasta(">\nACGT")
+
+
+def test_non_ascii_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "utf8.fasta"
+    path.write_text(">r \u00e9\nACGT\n", encoding="utf-8")
+    with pytest.raises(FastaParseError, match="not ASCII"):
+        read_fasta_path(path)
 
 
 def test_description_whitespace_preserved_after_first_gap():

@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import __version__
 from .align import Scoring, call_mutations, global_align, mutation_to_dict
 from .errors import MutascanError
 from .homology import (
+    MAX_K,
+    MIN_K,
     SearchParams,
     build_index,
     format_hit_table,
@@ -30,6 +31,7 @@ from .neural import (
     classify,
     load_net,
     load_training_rows,
+    read_json_lines,
     rows_to_samples,
     save_net,
     train,
@@ -45,8 +47,8 @@ from .seqstats import (
 )
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low, so bad values exit 2 as usage errors."""
+def _int_in_range(low: int, high: int | None = None):
+    """argparse type: an integer in [low, high], so bad values exit 2 as usage errors."""
 
     def parse(text: str) -> int:
         try:
@@ -55,6 +57,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -78,9 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="rank database subjects by local similarity")
     p.add_argument("--db", required=True, help="database FASTA file")
     p.add_argument("--query", required=True, help="query FASTA file (first record)")
-    p.add_argument("--k", type=_int_at_least(4), default=SearchParams().k,
-                   help="seed length (at least 4)")
-    p.add_argument("--max-hits", type=_int_at_least(1), default=SearchParams().max_hits,
+    p.add_argument("--k", type=_int_in_range(MIN_K, MAX_K), default=SearchParams().k,
+                   help=f"seed length ({MIN_K} to {MAX_K})")
+    p.add_argument("--max-hits", type=_int_in_range(1), default=SearchParams().max_hits,
                    help="hits to report (at least 1)")
     p.add_argument("--json", action="store_true",
                    help="also print one JSON object per hit")
@@ -205,11 +209,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     net = load_net(args.model)
-    text = Path(args.features).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        obj = json.loads(line)
+    for lineno, obj in read_json_lines(args.features):
         if isinstance(obj, list):
             row_id, values = f"line-{lineno}", obj
         elif isinstance(obj, dict) and "features" in obj:

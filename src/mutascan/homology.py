@@ -1,11 +1,14 @@
 """Local seed-and-extend homology search over k-mer-indexed FASTA databases.
 
-The search pipeline: collect exact k-mer seed matches, group them by
-diagonal (query offset minus subject offset), then run a banded gapped
-local alignment around each seeded diagonal, filled in batches by
-`align.banded_local_align`. Per-subject alignments merge into one ranked
-hit carrying the classic report columns (max score, total score, query
-cover, E-value, max identity). Only the forward strand is searched.
+The index packs every N-free k-mer window of the database into a 2-bit
+code (so k is at most 32) and sorts the codes. The search pipeline:
+collect exact k-mer seed matches by binary search of the query's codes,
+group them by diagonal (query offset minus subject offset), then run a
+banded gapped local alignment around each seeded diagonal, filled in
+batches by `align.banded_local_align`. Per-subject alignments merge into
+one ranked hit carrying the classic report columns (max score, total
+score, query cover, E-value, max identity). Only the forward strand is
+searched.
 """
 
 from __future__ import annotations
@@ -13,17 +16,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .align import (
     AlignmentResult,
     LocalAlignment,
     Scoring,
     banded_local_align,
+    encode_bases,
     result_from_alignment,
 )
 from .errors import MutascanError
 from .seqio import DnaSequence, FastaFile
 
 DEFAULT_K = 11
+MIN_K = 4
+MAX_K = 32  # 2 bits a base in a uint64 code
 BAND_RADIUS = 16
 # seeded diagonals filled together; one batch stores at most
 # 3 x 32 x 33 int32 cells per query row
@@ -57,8 +65,7 @@ class SearchParams:
     max_hits: int = 20
 
     def __post_init__(self):
-        if self.k < 4:
-            raise ValueError("k must be at least 4")
+        _check_k(self.k)
         if self.match_score <= 0:
             raise ValueError("match score must be positive")
         if self.mismatch_score >= 0 or self.gap_open >= 0 or self.gap_extend >= 0:
@@ -75,11 +82,27 @@ class SearchParams:
         )
 
 
-@dataclass(frozen=True)
+def _check_k(k: int) -> None:
+    if k < MIN_K:
+        raise ValueError(f"k must be at least {MIN_K}")
+    if k > MAX_K:
+        raise ValueError(f"k must be at most {MAX_K}, the longest 2-bit k-mer code")
+
+
+@dataclass(frozen=True, eq=False)
 class KmerIndex:
+    """Every N-free length-k window of every subject, sorted by 2-bit code.
+
+    Window i has code `codes[i]` and starts at offset `offsets[i]` of
+    subject `subject_idx[i]`; `codes` is ascending, and windows with equal
+    codes come in no particular order.
+    """
+
     k: int
     subjects: tuple[DnaSequence, ...]
-    postings: dict[str, tuple[tuple[int, int], ...]]
+    codes: np.ndarray
+    subject_idx: np.ndarray
+    offsets: np.ndarray
 
     @property
     def total_length(self) -> int:
@@ -100,22 +123,62 @@ class HomologyHit:
     best_alignment: AlignmentResult
 
 
+def _window_codes(bases: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets of the N-free length-k windows of `bases` and their 2-bit codes."""
+    symbols = encode_bases(bases)  # A, C, G, T -> 0..3, N -> 4
+    n = len(symbols) - k + 1
+    if n <= 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.uint64)
+    codes = np.zeros(n, dtype=np.uint64)
+    for j in range(k):
+        codes <<= 2
+        codes |= symbols[j : j + n] & 3
+    n_before = np.concatenate(([0], np.cumsum(symbols == 4)))
+    clean = np.flatnonzero(n_before[k:] == n_before[:n])
+    return clean, codes[clean]
+
+
 def build_index(db: FastaFile, k: int = DEFAULT_K) -> KmerIndex:
     """Index every N-free length-k window of every subject."""
     if len(db) == 0:
         raise EmptyDatabaseError("database contains no sequences")
-    if k < 4:
-        raise ValueError("k must be at least 4")
-    postings: dict[str, list[tuple[int, int]]] = {}
-    for si, subject in enumerate(db):
-        bases = subject.bases
-        for off in range(len(bases) - k + 1):
-            window = bases[off : off + k]
-            if "N" in window:
-                continue
-            postings.setdefault(window, []).append((si, off))
-    frozen = {w: tuple(ps) for w, ps in postings.items()}
-    return KmerIndex(k, tuple(db.records), frozen)
+    _check_k(k)
+    # joined with N, so no N-free window spans two subjects
+    positions, codes = _window_codes("N".join(s.bases for s in db), k)
+    starts = np.cumsum([0] + [len(s) + 1 for s in db.records[:-1]])
+    subject_idx = np.searchsorted(starts, positions, side="right") - 1
+    order = np.argsort(codes)
+    return KmerIndex(
+        k,
+        tuple(db.records),
+        codes[order],
+        subject_idx[order],
+        (positions - starts[subject_idx])[order],
+    )
+
+
+def _seed_diagonals(qb: str, index: KmerIndex) -> dict[tuple[int, int], int]:
+    """Seed count per (subject, diagonal), keys in ascending order."""
+    q_offsets, q_codes = _window_codes(qb, index.k)
+    lo = np.searchsorted(index.codes, q_codes, side="left")
+    counts = np.searchsorted(index.codes, q_codes, side="right") - lo
+    total = int(counts.sum())
+    if total == 0:
+        return {}
+    # entry j of match run r is index window lo[r] + j
+    run_start = np.cumsum(counts) - counts
+    window = np.arange(total) - np.repeat(run_start - lo, counts)
+    subject = index.subject_idx[window]
+    diagonal = np.repeat(q_offsets, counts) - index.offsets[window]
+    low = int(diagonal.min())
+    span = int(diagonal.max()) - low + 1
+    keys, seeds = np.unique(subject * span + (diagonal - low), return_counts=True)
+    return {
+        (si, d + low): n
+        for si, d, n in zip(
+            (keys // span).tolist(), (keys % span).tolist(), seeds.tolist()
+        )
+    }
 
 
 def _select_non_overlapping(alns: list[LocalAlignment]) -> list[LocalAlignment]:
@@ -144,7 +207,7 @@ def search(
 
     Hits sort by max score descending, subject id ascending on ties, and
     the list truncates to params.max_hits. Seeds use the index's k (the
-    window size the postings were built with).
+    window size the index was built with).
     """
     k = index.k
     qb = query.bases
@@ -152,19 +215,12 @@ def search(
         raise QueryTooShortError(f"query length {len(qb)} is below k={k}")
 
     # (a) seed matches, (b) counted by subject and diagonal
-    groups: dict[tuple[int, int], int] = {}
-    for q_off in range(len(qb) - k + 1):
-        window = qb[q_off : q_off + k]
-        if "N" in window:
-            continue
-        for si, s_off in index.postings.get(window, ()):
-            key = (si, q_off - s_off)
-            groups[key] = groups.get(key, 0) + 1
+    groups = _seed_diagonals(qb, index)
 
     # (c) one banded gapped local alignment per seeded diagonal, in batches
     keys = [
-        key for key in sorted(groups)
-        if groups[key] >= params.min_seed_hits_per_diagonal
+        key for key, seeds in groups.items()
+        if seeds >= params.min_seed_hits_per_diagonal
     ]
     scoring = params.scoring()
     per_subject: dict[int, list[LocalAlignment]] = {}

@@ -14,13 +14,13 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .align import Mutation, MutationKind, mutation_from_dict
 from .errors import MutascanError
-from .seqio import DnaSequence
+from .seqio import DnaSequence, write_text_atomic
 from .seqstats import windowed_gc
 
 MODEL_FORMAT = "mutascan-model"
@@ -352,13 +352,13 @@ def save_net(net: Network, path: str | Path) -> None:
             "init_range": list(net.train_config.init_range),
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    write_text_atomic(path, json.dumps(doc, indent=2) + "\n")
 
 
 def load_net(path: str | Path) -> Network:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptFileError(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise CorruptFileError(f"{path} is not a model file")
@@ -403,10 +403,12 @@ class TrainingRow:
     mutation: dict | None = field(default=None)
 
 
-def load_training_rows(path: str | Path) -> list[TrainingRow]:
-    """Parse a JSON-lines training file: {id, gene, features|mutation, label}."""
-    rows: list[TrainingRow] = []
-    text = Path(path).read_text(encoding="utf-8")
+def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
+    """(1-based line number, value) for each non-blank line of a JSON-lines file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptFileError(f"{path}: byte {exc.start} is not UTF-8 text") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -414,6 +416,13 @@ def load_training_rows(path: str | Path) -> list[TrainingRow]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorruptFileError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        yield lineno, obj
+
+
+def load_training_rows(path: str | Path) -> list[TrainingRow]:
+    """Parse a JSON-lines training file: {id, gene, features|mutation, label}."""
+    rows: list[TrainingRow] = []
+    for lineno, obj in read_json_lines(path):
         try:
             row = TrainingRow(
                 id=str(obj["id"]),

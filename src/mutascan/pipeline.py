@@ -52,7 +52,13 @@ from .neural import (
     train,
 )
 from .protein import ProteinEffect, classify_effect, is_malignant_candidate
-from .seqio import DnaSequence, FastaFile, read_fasta_path, write_fasta_path
+from .seqio import (
+    DnaSequence,
+    FastaFile,
+    read_fasta_path,
+    write_fasta_path,
+    write_text_atomic,
+)
 from .seqstats import (
     GC_GATE_TARGET,
     GC_GATE_TOLERANCE,
@@ -149,6 +155,8 @@ def load_manifest(path: str | Path) -> DatabaseManifest:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"manifest {path}: byte {exc.start} is not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("databases"), list):
@@ -393,8 +401,8 @@ def run_diagnosis(
         },
     )
     try:
-        (wd / "report.txt").write_text(render_report(report, "text"), encoding="utf-8")
-        (wd / "report.json").write_text(render_report(report, "json"), encoding="utf-8")
+        write_text_atomic(wd / "report.txt", render_report(report, "text"))
+        write_text_atomic(wd / "report.json", render_report(report, "json"))
     except OSError as exc:
         raise IoFailureError(f"cannot write reports to {wd}: {exc}") from exc
     return report

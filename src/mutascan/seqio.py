@@ -7,11 +7,15 @@ normalized at parse time and positions are always reported 1-based.
 from __future__ import annotations
 
 import io
+import os
+import re
 from dataclasses import dataclass
+from pathlib import Path
 
 from .errors import MutascanError
 
 ALPHABET = frozenset("ACGTN")
+_INVALID_SYMBOL = re.compile(r"[^ACGTN]")
 
 DEFAULT_LINE_WIDTH = 60
 
@@ -61,8 +65,8 @@ class DnaSequence:
             raise ValueError(f"record id must be a non-empty token, got {self.id!r}")
         if not self.bases:
             raise ValueError(f"record {self.id!r} has no bases")
-        bad = set(self.bases) - ALPHABET
-        if bad:
+        if _INVALID_SYMBOL.search(self.bases):
+            bad = set(self.bases) - ALPHABET
             raise ValueError(
                 f"record {self.id!r} contains symbols outside ACGTN: {sorted(bad)}"
             )
@@ -137,9 +141,9 @@ def parse_fasta(text: str) -> FastaFile:
             if cur_id is None:
                 raise FastaParseError("sequence data before the first header")
             upper = line.upper()
-            for off, sym in enumerate(upper):
-                if sym not in ALPHABET:
-                    raise InvalidSymbolError(cur_id, cur_len + off + 1, sym)
+            bad = _INVALID_SYMBOL.search(upper)
+            if bad:
+                raise InvalidSymbolError(cur_id, cur_len + bad.start() + 1, bad.group())
             cur_parts.append(upper)
             cur_len += len(upper)
     flush()
@@ -178,6 +182,23 @@ def read_fasta_path(path) -> FastaFile:
     return parse_fasta(text)
 
 
+def write_text_atomic(path, text: str, encoding: str = "utf-8") -> None:
+    """Write `text` to `path` whole or not at all.
+
+    The text goes to a temp file in the same directory, which then replaces
+    `path`; if anything fails, the temp file is removed and an earlier file
+    at `path` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding=encoding, newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_fasta_path(file: FastaFile, path, width: int = DEFAULT_LINE_WIDTH) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(write_fasta(file, width))
+    write_text_atomic(path, write_fasta(file, width), encoding="ascii")

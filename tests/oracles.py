@@ -68,6 +68,21 @@ def kmer_postings(subjects: list[str], k: int) -> dict[str, list[tuple[int, int]
     return postings
 
 
+def seed_diagonal_counts(
+    query: str, subjects: list[str], k: int
+) -> dict[tuple[int, int], int]:
+    """Shared N-free k-mers of query and subjects, counted by (subject, diagonal)."""
+    postings = kmer_postings(subjects, k)
+    groups: dict[tuple[int, int], int] = {}
+    for q_off in range(len(query) - k + 1):
+        window = query[q_off : q_off + k]
+        if "N" in window:
+            continue
+        for si, s_off in postings.get(window, ()):
+            groups[(si, q_off - s_off)] = groups.get((si, q_off - s_off), 0) + 1
+    return groups
+
+
 # --- pairwise alignment ----------------------------------------------------
 
 
@@ -465,15 +480,8 @@ def reference_search(query, index, params):
     from mutascan.align import result_from_alignment
     from mutascan.homology import HomologyHit, e_value
 
-    k = index.k
     qb = query.bases
-    groups: dict[tuple[int, int], int] = {}
-    for q_off in range(len(qb) - k + 1):
-        window = qb[q_off : q_off + k]
-        if "N" in window:
-            continue
-        for si, s_off in index.postings.get(window, ()):
-            groups[(si, q_off - s_off)] = groups.get((si, q_off - s_off), 0) + 1
+    groups = seed_diagonal_counts(qb, [s.bases for s in index.subjects], index.k)
 
     per_subject: dict[int, list[_LocalAlignment]] = {}
     for si, diag in sorted(groups):

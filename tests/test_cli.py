@@ -73,6 +73,16 @@ def test_search_k_below_4_is_a_usage_error(corpus, capsys):
     assert "--k: must be at least 4" in capsys.readouterr().err
 
 
+def test_search_k_above_32_is_a_usage_error(corpus, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["search", "--db", str(corpus["db_ncbi"]),
+             "--query", str(corpus["patient_clean"]), "--k", "33"]
+        )
+    assert exc.value.code == 2
+    assert "--k: must be at most 32" in capsys.readouterr().err
+
+
 def test_search_max_hits_below_1_is_a_usage_error(corpus, capsys):
     with pytest.raises(SystemExit) as exc:
         main(
@@ -153,6 +163,13 @@ def test_predict_row_without_features_names_the_line(tmp_path, capsys, trained_m
     assert main(["predict", "--model", str(trained_model), "--features", str(feats)]) == 1
     err = capsys.readouterr().err
     assert f"{feats}:2:" in err and "'features' array" in err
+
+
+def test_predict_non_json_line_names_the_line(tmp_path, capsys, trained_model):
+    feats = tmp_path / "feats.jsonl"
+    feats.write_text(json.dumps([0.5] * 10) + "\nnot json\n", encoding="utf-8")
+    assert main(["predict", "--model", str(trained_model), "--features", str(feats)]) == 1
+    assert f"error: {feats}:2: invalid JSON: " in capsys.readouterr().err
 
 
 def test_non_ascii_fasta_exits_1_naming_the_file(tmp_path, capsys):

@@ -12,10 +12,12 @@ from mutascan.homology import (
     _BATCH_GROUPS,
     BAND_RADIUS,
     DEFAULT_K,
+    MAX_K,
     EmptyDatabaseError,
     HomologyHit,
     QueryTooShortError,
     SearchParams,
+    _seed_diagonals,
     build_index,
     e_value,
     format_e_value,
@@ -31,6 +33,7 @@ from oracles import (
     random_bases,
     reference_search,
     rescore_alignment,
+    seed_diagonal_counts,
     smith_waterman_score,
 )
 
@@ -57,6 +60,9 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SearchParams(k=3)
     with pytest.raises(ValueError):
+        SearchParams(k=33)
+    SearchParams(k=MAX_K)
+    with pytest.raises(ValueError):
         SearchParams(match_score=0)
     with pytest.raises(ValueError):
         SearchParams(mismatch_score=1)
@@ -66,21 +72,39 @@ def test_params_validation():
         SearchParams(max_hits=0)
 
 
+def _postings_of(index):
+    """The index's windows as {k-mer: [(subject, offset), ...]}, checking codes."""
+    postings = {}
+    for code, si, off in zip(
+        index.codes.tolist(), index.subject_idx.tolist(), index.offsets.tolist()
+    ):
+        kmer = index.subjects[si].bases[off : off + index.k]
+        want = 0
+        for ch in kmer:
+            want = 4 * want + "ACGT".index(ch)
+        assert code == want
+        postings.setdefault(kmer, []).append((si, off))
+    return postings
+
+
 def test_build_index_matches_enumeration_oracle():
     rng = random.Random(31)
     seqs = [(f"s{i}", random_bases(rng, rng.randint(5, 120), "ACGTN")) for i in range(4)]
-    for k in (4, 7, 11):
+    for k in (4, 7, 11, 32):
         index = build_index(_db(*seqs), k)
+        assert list(index.codes) == sorted(index.codes)
+        postings = _postings_of(index)
         want = kmer_postings([b for _, b in seqs], k)
-        assert set(index.postings) == set(want)
+        assert set(postings) == set(want)
         for kmer, posts in want.items():
-            assert sorted(index.postings[kmer]) == sorted(posts)
-        assert all("N" not in kmer and len(kmer) == k for kmer in index.postings)
+            assert sorted(postings[kmer]) == sorted(posts)
+        assert all("N" not in kmer and len(kmer) == k for kmer in postings)
 
 
 def test_build_index_skips_short_subjects():
     index = build_index(_db(("tiny", "ACGT"), ("big", "ACGTACGTACGTACG")), k=11)
-    assert all(si == 1 for posts in index.postings.values() for si, _ in posts)
+    assert len(index.subject_idx) == 5
+    assert all(si == 1 for si in index.subject_idx.tolist())
     assert index.total_length == 19
     assert index.subject_summaries() == [("tiny", 4), ("big", 15)]
 
@@ -90,6 +114,31 @@ def test_build_index_validation():
         build_index(FastaFile(()))
     with pytest.raises(ValueError):
         build_index(_db(("a", "ACGTACGT")), k=3)
+    with pytest.raises(ValueError):
+        build_index(_db(("a", "ACGT" * 10)), k=MAX_K + 1)
+
+
+@st.composite
+def _seeding_case(draw):
+    """N-rich subjects, some shorter than k, and a query that may hold N."""
+    k = draw(st.sampled_from([4, 11, 32]))
+    alphabet = draw(st.sampled_from(["ACGT", "ACGTN", "ACGTNNNN", "AAN"]))
+    subjects = draw(st.lists(dna(alphabet, 1, 3 * k), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        source = draw(st.sampled_from(subjects))
+        query = source + draw(dna("ACGTN", 1, k))
+    else:
+        query = draw(dna(alphabet, 1, 3 * k))
+    return k, subjects, query
+
+
+@settings(max_examples=150, deadline=None)
+@given(_seeding_case())
+def test_seed_diagonals_match_enumeration_oracle(case):
+    k, subjects, query = case
+    index = build_index(_db(*((f"s{i}", b) for i, b in enumerate(subjects))), k)
+    want = seed_diagonal_counts(query, subjects, k)
+    assert list(_seed_diagonals(query, index).items()) == sorted(want.items())
 
 
 def test_query_shorter_than_k_rejected():
@@ -275,11 +324,7 @@ def test_search_batches_many_diagonals_like_reference():
     query = _query(random_bases(rng, 70))
     params = SearchParams(k=4, max_hits=50)
     index = build_index(_db(*subjects), params.k)
-    diagonals = {
-        (si, q_off - s_off)
-        for q_off in range(len(query.bases) - params.k + 1)
-        for si, s_off in index.postings.get(query.bases[q_off : q_off + params.k], ())
-    }
+    diagonals = seed_diagonal_counts(query.bases, [b for _, b in subjects], params.k)
     assert len(diagonals) > 2 * _BATCH_GROUPS
     assert search(query, index, params) == reference_search(query, index, params)
 

@@ -428,6 +428,14 @@ def test_load_training_rows_reports_line_numbers(tmp_path):
         load_training_rows(path)
 
 
+def test_load_training_rows_rejects_non_utf8(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"id": "caf\xe9", "gene": "g", "features": [], "label": 1}\n')
+    with pytest.raises(CorruptFileError) as exc:
+        load_training_rows(path)
+    assert str(path) in str(exc.value) and "not UTF-8" in str(exc.value)
+
+
 def test_rows_to_samples_descriptor_path(tmp_path):
     ref = DnaSequence("r", "", "ATGCAAGGGTTT")
     path = tmp_path / "rows.jsonl"

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from mutascan import pipeline
 from mutascan.align import MutationKind
 from mutascan.neural import (
     Label,
@@ -73,6 +74,14 @@ def test_load_manifest_errors(tmp_path):
     )
     with pytest.raises(ManifestError):
         load_manifest(bad)
+
+
+def test_load_manifest_rejects_non_utf8(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"databases": [{"name": "caf\xe9", "fasta": "x.fasta"}]}')
+    with pytest.raises(ManifestError) as exc:
+        load_manifest(bad)
+    assert str(bad) in str(exc.value) and "not UTF-8" in str(exc.value)
 
 
 def test_load_manifest_rejects_bad_cds(tmp_path):
@@ -229,6 +238,31 @@ def test_artifacts_written_to_workdir(corpus, trained_model, tmp_path):
     doc = json.loads((wd / "report.json").read_text(encoding="utf-8"))
     assert doc["overall_label"] == "AtRisk"
     assert doc["display"] == "highly risk of breast cancer"
+
+
+def test_failed_report_write_keeps_the_earlier_report(
+    corpus, trained_model, tmp_path, monkeypatch
+):
+    wd = tmp_path / "artifacts"
+    run_diagnosis(
+        corpus["patient_mutated"], corpus["manifest"], model_path=trained_model, work_dir=wd
+    )
+    earlier = (wd / "report.json").read_bytes()
+
+    def unwritable_render(report, fmt="text"):
+        # a lone surrogate has no UTF-8 encoding, so writing the JSON report
+        # fails after its file is opened
+        return render_report(report, fmt) + ("\ud800" if fmt == "json" else "")
+
+    monkeypatch.setattr(pipeline, "render_report", unwritable_render)
+    with pytest.raises(UnicodeEncodeError):
+        run_diagnosis(
+            corpus["patient_clean"], corpus["manifest"], model_path=trained_model, work_dir=wd
+        )
+    assert (wd / "report.json").read_bytes() == earlier
+    assert sorted(p.name for p in wd.iterdir()) == [
+        "combined.fasta", "report.json", "report.txt"
+    ]
 
 
 def test_workdir_env_variable_is_honored(corpus, trained_model, tmp_path, monkeypatch):

@@ -104,6 +104,58 @@ def test_non_ascii_file_is_a_parse_error(tmp_path):
         read_fasta_path(path)
 
 
+# --- fuzzing ------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(
+        st.one_of(st.sampled_from(list(">ACGTNacgtn \t\r\n")), st.characters()),
+        max_size=200,
+    )
+)
+def test_any_text_parses_or_raises_a_parse_error(text):
+    try:
+        parsed = parse_fasta(text)
+    except FastaParseError:
+        return
+    assert len(parsed) >= 1
+
+
+@st.composite
+def _fasta_with_stray_symbols(draw):
+    """FASTA text with unique ids whose body lines may hold stray symbols,
+    plus the expected first InvalidSymbolError (or None)."""
+    symbols = st.sampled_from(list("ACGTNacgtn") * 8 + list("XUu*-.\u00e9\u00df1 \r"))
+    n_records = draw(st.integers(1, 4))
+    lines, first_bad = [], None
+    for i in range(n_records):
+        rec_id = f"r{i}"
+        lines.append(f">{rec_id} d")
+        body = ""
+        while not body:
+            drawn = st.lists(st.text(symbols, min_size=1, max_size=12), min_size=1, max_size=4)
+            for line in draw(drawn):
+                lines.append(line)
+                body += line.rstrip().upper()
+        bad = next((p for p, ch in enumerate(body) if ch not in "ACGTN"), None)
+        if bad is not None and first_bad is None:
+            first_bad = (rec_id, bad + 1, body[bad])
+    return "\n".join(lines) + "\n", first_bad
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fasta_with_stray_symbols())
+def test_invalid_symbol_error_names_the_first_stray_symbol(case):
+    text, first_bad = case
+    if first_bad is None:
+        parse_fasta(text)
+        return
+    with pytest.raises(InvalidSymbolError) as exc:
+        parse_fasta(text)
+    assert (exc.value.record_id, exc.value.position, exc.value.symbol) == first_bad
+
+
 def test_description_whitespace_preserved_after_first_gap():
     f = parse_fasta(">id a  b\nACGT")
     assert f.records[0].description == "a  b"

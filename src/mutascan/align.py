@@ -19,7 +19,7 @@ from .seqio import DnaSequence
 if TYPE_CHECKING:
     from .protein import ProteinEffect
 
-DEFAULT_CELL_CAP = 25_000_000
+DEFAULT_CELL_CAP = 25_000_000  # cells of one global band: 3 int32 arrays, 300 MB
 
 _NEG = -(1 << 28)  # unreachable; far below any score, far above int32 overflow
 OUTSIDE_CODE = 5  # band_fill column code outside the sequence; scores as unreachable
@@ -395,13 +395,19 @@ def _global_band(ca: np.ndarray, cb: np.ndarray, radius: int, scoring: Scoring):
 
     Row i keeps the `width` columns starting at starts[i]; the window is
     clipped to the matrix, so at most n + 1 columns a row are stored, and
-    a width of n + 1 is the full DP. Returns starts and the (m + 1, width)
-    M, Ix and Iy arrays.
+    a width of n + 1 is the full DP. Raises SizeCapExceededError before
+    filling a band of more than DEFAULT_CELL_CAP cells. Returns starts and
+    the (m + 1, width) M, Ix and Iy arrays.
     """
     m, n = len(ca), len(cb)
     lo = min(0, n - m) - radius
     hi = max(0, n - m) + radius
     width = min(hi - lo + 1, n + 1)
+    if (m + 1) * width > DEFAULT_CELL_CAP:
+        raise SizeCapExceededError(
+            f"{m} x {n} alignment needs a band of {(m + 1) * width} cells, "
+            f"above the {DEFAULT_CELL_CAP}-cell cap"
+        )
     starts = np.clip(np.arange(m + 1) + lo, 0, n + 1 - width).tolist()
     oe = scoring.gap_open + scoring.gap_extend
     top_m = np.full((1, width), _NEG, dtype=np.int32)
@@ -432,10 +438,7 @@ def _outside_bound(m: int, n: int, radius: int, scoring: Scoring) -> int:
 
 
 def global_align(
-    a: DnaSequence,
-    b: DnaSequence,
-    scoring: Scoring = Scoring(),
-    cell_cap: int = DEFAULT_CELL_CAP,
+    a: DnaSequence, b: DnaSequence, scoring: Scoring = Scoring()
 ) -> AlignmentResult:
     """Optimal global alignment of reference `a` against patient `b`.
 
@@ -447,12 +450,12 @@ def global_align(
     is final. Every optimal path then lies in the band, so the result
     equals the full DP's. Traceback ties prefer Match/Substitute over
     Delete (gap in B) over Insert (gap in A), so the output is deterministic.
+    A band of more than DEFAULT_CELL_CAP cells raises SizeCapExceededError
+    before it is filled.
     """
     m, n = len(a.bases), len(b.bases)
     if m == 0 or n == 0:
         raise EmptySequenceError("cannot align an empty sequence")
-    if m * n > cell_cap:
-        raise SizeCapExceededError(f"{m} x {n} exceeds the {cell_cap}-cell cap")
 
     ca = encode_bases(a.bases)
     cb = encode_bases(b.bases)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,24 +53,25 @@ class QueryTooShortError(HomologyError):
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Seed length, scoring, E-value constants and hit cap for `search`."""
+    """Seed length and hit cap for `search`.
+
+    The scoring system is fixed, and the Karlin-Altschul lambda and K of
+    `e_value` were fitted to it, so neither is a field: changing one
+    score without refitting both constants would give wrong E-values.
+    """
 
     k: int = DEFAULT_K
-    match_score: int = 1
-    mismatch_score: int = -3
-    gap_open: int = -5
-    gap_extend: int = -2
-    min_seed_hits_per_diagonal: int = 1
-    karlin_lambda: float = 1.374
-    karlin_k: float = 0.711
     max_hits: int = 20
+
+    match_score: ClassVar[int] = 1
+    mismatch_score: ClassVar[int] = -3
+    gap_open: ClassVar[int] = -5
+    gap_extend: ClassVar[int] = -2
+    karlin_lambda: ClassVar[float] = 1.374
+    karlin_k: ClassVar[float] = 0.711
 
     def __post_init__(self):
         _check_k(self.k)
-        if self.match_score <= 0:
-            raise ValueError("match score must be positive")
-        if self.mismatch_score >= 0 or self.gap_open >= 0 or self.gap_extend >= 0:
-            raise ValueError("mismatch and gap scores must be negative")
         if self.max_hits < 1:
             raise ValueError("max_hits must be at least 1")
 
@@ -214,14 +216,10 @@ def search(
     if len(qb) < k:
         raise QueryTooShortError(f"query length {len(qb)} is below k={k}")
 
-    # (a) seed matches, (b) counted by subject and diagonal
-    groups = _seed_diagonals(qb, index)
+    # (a) seed matches, (b) grouped by subject and diagonal
+    keys = list(_seed_diagonals(qb, index))
 
     # (c) one banded gapped local alignment per seeded diagonal, in batches
-    keys = [
-        key for key, seeds in groups.items()
-        if seeds >= params.min_seed_hits_per_diagonal
-    ]
     scoring = params.scoring()
     per_subject: dict[int, list[LocalAlignment]] = {}
     for lo in range(0, len(keys), _BATCH_GROUPS):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -20,11 +20,15 @@ import numpy as np
 
 from .align import Mutation, MutationKind, mutation_from_dict
 from .errors import MutascanError
+from .protein import EffectKind, classify_effect
 from .seqio import DnaSequence, write_text_atomic
 from .seqstats import windowed_gc
 
 MODEL_FORMAT = "mutascan-model"
 MODEL_VERSION = 1
+
+# a candidate scoring at or above this is labelled AtRisk
+RISK_THRESHOLD = 0.5
 
 DISPLAY_AT_RISK = "highly risk of breast cancer"
 DISPLAY_NORMAL = "Normal"
@@ -277,7 +281,7 @@ def train(
     return net, report
 
 
-def classify(net: Network, x, threshold: float = 0.5) -> tuple[Label, float]:
+def classify(net: Network, x, threshold: float = RISK_THRESHOLD) -> tuple[Label, float]:
     """Label an input AtRisk when its score reaches the threshold (inclusive)."""
     score = forward(net, x)
     label = Label.AT_RISK if score >= threshold else Label.NORMAL
@@ -300,8 +304,6 @@ def encode(mut: Mutation, ref: DnaSequence) -> FeatureVector:
     A multi-base substitution counts as a transition only if every changed
     column is one.
     """
-    from .protein import EffectKind
-
     if mut.effect is None:
         raise ValueError("mutation must carry a protein effect before encoding")
     kind_hot = {
@@ -414,7 +416,7 @@ def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CorruptFileError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         yield lineno, obj
 
@@ -428,12 +430,12 @@ def load_training_rows(path: str | Path) -> list[TrainingRow]:
                 id=str(obj["id"]),
                 gene=str(obj["gene"]),
                 label=int(obj["label"]),
-                features=tuple(float(v) for v in obj["features"])
+                features=FeatureVector(tuple(float(v) for v in obj["features"])).values
                 if "features" in obj
                 else None,
                 mutation=obj.get("mutation"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorruptFileError(f"{path}:{lineno}: bad row: {exc}") from exc
         if row.label not in (0, 1):
             raise CorruptFileError(f"{path}:{lineno}: label must be 0 or 1")
@@ -459,8 +461,6 @@ def rows_to_samples(
     CDS; without a reference they are rejected, since the encoding needs
     sequence context.
     """
-    from .protein import classify_effect
-
     samples: list[tuple[FeatureVector, int]] = []
     for row in rows:
         if row.features is not None:
@@ -476,6 +476,5 @@ def rows_to_samples(
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptFileError(f"row {row.id}: bad mutation descriptor: {exc}") from exc
         effect = classify_effect(mut, ref, cds_start, cds_end)
-        mut = Mutation(mut.position, mut.kind, mut.ref_bases, mut.alt_bases, effect)
-        samples.append((encode(mut, ref), row.label))
+        samples.append((encode(replace(mut, effect=effect), ref), row.label))
     return samples

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -38,6 +38,7 @@ from .homology import (
     search,
 )
 from .neural import (
+    RISK_THRESHOLD,
     TRANSITION,
     Label,
     Network,
@@ -51,7 +52,7 @@ from .neural import (
     save_net,
     train,
 )
-from .protein import ProteinEffect, classify_effect, is_malignant_candidate
+from .protein import CODON_TABLE, ProteinEffect, classify_effect, is_malignant_candidate
 from .seqio import (
     DnaSequence,
     FastaFile,
@@ -157,29 +158,41 @@ def load_manifest(path: str | Path) -> DatabaseManifest:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ManifestError(f"manifest {path}: byte {exc.start} is not UTF-8 text") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("databases"), list):
         raise ManifestError(f"manifest {path} must have a 'databases' list")
     if not doc["databases"]:
         raise ManifestError("manifest lists no databases")
+    for key in ("training_data", "model"):
+        if not isinstance(doc.get(key), (str, type(None))):
+            raise ManifestError(f"manifest {path}: '{key}' must be a path")
 
     base = path.parent
     entries: list[DatabaseEntry] = []
     for i, raw in enumerate(doc["databases"]):
-        if not isinstance(raw, dict) or "name" not in raw or "fasta" not in raw:
-            raise ManifestError(f"database entry {i} needs 'name' and 'fasta'")
+        if not (isinstance(raw, dict) and "name" in raw and isinstance(raw.get("fasta"), str)):
+            raise ManifestError(f"database entry {i} needs 'name' and a 'fasta' path")
         fasta_path = base / raw["fasta"]
-        if not fasta_path.is_file():
+        try:
+            readable = fasta_path.is_file()
+        except OSError:  # a name too long for the file system
+            readable = False
+        if not readable:
             raise ManifestError(
                 f"database '{raw['name']}': FASTA not readable: {fasta_path}"
             )
+        cds_doc = raw.get("cds") or {}
+        if not isinstance(cds_doc, dict):
+            raise ManifestError(
+                f"database '{raw['name']}': 'cds' must map record ids to bounds"
+            )
         cds: dict[str, tuple[int, int]] = {}
-        for rec_id, bounds in (raw.get("cds") or {}).items():
+        for rec_id, bounds in cds_doc.items():
             if (
                 not isinstance(bounds, (list, tuple))
                 or len(bounds) != 2
-                or not all(isinstance(b, int) for b in bounds)
+                or not all(type(b) is int for b in bounds)  # bool is an int subclass
                 or not (1 <= bounds[0] <= bounds[1])
             ):
                 raise ManifestError(
@@ -198,14 +211,12 @@ def load_manifest(path: str | Path) -> DatabaseManifest:
 
 
 def adopt_reference(
-    patient: DnaSequence,
-    manifest: DatabaseManifest,
-    params: SearchParams = SearchParams(),
-    gate_target: float = GC_GATE_TARGET,
-    gate_tolerance: float = GC_GATE_TOLERANCE,
+    patient: DnaSequence, manifest: DatabaseManifest
 ) -> tuple[AdoptedReference, list[RejectedReference]]:
     """Adopt the first database whose top hit passes the GC gate.
 
+    Each database is searched with the default `SearchParams` and its top
+    hit gated at GC_GATE_TARGET +/- GC_GATE_TOLERANCE percent GC.
     Databases are consulted strictly in manifest priority order; every
     database consulted before the acceptance is recorded as a rejection
     with its gate verdict (or a no-hits note). Raises NoDatabaseAccepted
@@ -214,8 +225,7 @@ def adopt_reference(
     rejections: list[RejectedReference] = []
     for entry in manifest.databases:
         db = read_fasta_path(entry.fasta_path)
-        index = build_index(db, params.k)
-        hits = search(patient, index, params)
+        hits = search(patient, build_index(db))
         if not hits:
             rejections.append(
                 RejectedReference(entry.name, None, "no hits for the patient query")
@@ -230,14 +240,14 @@ def adopt_reference(
                 RejectedReference(entry.name, None, "subject is all-ambiguous")
             )
             continue
-        verdict = gc_gate(stats, gate_target, gate_tolerance)
+        verdict = gc_gate(stats)
         if not verdict.accepted:
             rejections.append(
                 RejectedReference(
                     entry.name,
                     verdict,
                     f"GC {verdict.measured_gc:.1f}% outside "
-                    f"{gate_target}% +/- {gate_tolerance}%",
+                    f"{GC_GATE_TARGET}% +/- {GC_GATE_TOLERANCE}%",
                 )
             )
             continue
@@ -272,11 +282,9 @@ def resolve_workdir(work_dir: str | Path | None = None) -> Path:
 def _attach_effects(
     muts: list[Mutation], ref: DnaSequence, cds_start: int, cds_end: int
 ) -> list[Mutation]:
-    out = []
-    for m in muts:
-        effect = classify_effect(m, ref, cds_start, cds_end)
-        out.append(Mutation(m.position, m.kind, m.ref_bases, m.alt_bases, effect))
-    return out
+    return [
+        replace(m, effect=classify_effect(m, ref, cds_start, cds_end)) for m in muts
+    ]
 
 
 def _obtain_network(
@@ -316,11 +324,6 @@ def run_diagnosis(
     manifest: DatabaseManifest | str | Path,
     model_path: str | Path | None = None,
     work_dir: str | Path | None = None,
-    search_params: SearchParams = SearchParams(),
-    scoring: Scoring = Scoring(),
-    gate_target: float = GC_GATE_TARGET,
-    gate_tolerance: float = GC_GATE_TOLERANCE,
-    threshold: float = 0.5,
     train_config: TrainConfig = TrainConfig(),
 ) -> DiagnosisReport:
     """Run the whole diagnosis and write work-directory artifacts.
@@ -339,9 +342,7 @@ def run_diagnosis(
         )
     patient = patient_file.records[0]
 
-    adopted, rejected = adopt_reference(
-        patient, manifest, search_params, gate_target, gate_tolerance
-    )
+    adopted, rejected = adopt_reference(patient, manifest)
     ref = adopted.subject
 
     wd = resolve_workdir(work_dir)
@@ -356,7 +357,7 @@ def run_diagnosis(
     except OSError as exc:
         raise IoFailureError(f"cannot write work directory {wd}: {exc}") from exc
 
-    alignment = global_align(ref, patient, scoring)
+    alignment = global_align(ref, patient)
     mutations = _attach_effects(
         call_mutations(alignment), ref, adopted.cds_start, adopted.cds_end
     )
@@ -368,7 +369,7 @@ def run_diagnosis(
     )
     calls = []
     for m in candidates:
-        label, score = classify(net, encode(m, ref), threshold)
+        label, score = classify(net, encode(m, ref))
         calls.append(CandidateCall(m, score, label))
     overall = (
         Label.AT_RISK
@@ -387,16 +388,11 @@ def run_diagnosis(
         overall_label=overall,
         tool_versions={"mutascan": __version__},
         config={
-            "gate_target": gate_target,
-            "gate_tolerance": gate_tolerance,
-            "threshold": threshold,
-            "search_k": search_params.k,
-            "scoring": {
-                "match": scoring.match,
-                "mismatch": scoring.mismatch,
-                "gap_open": scoring.gap_open,
-                "gap_extend": scoring.gap_extend,
-            },
+            "gate_target": GC_GATE_TARGET,
+            "gate_tolerance": GC_GATE_TOLERANCE,
+            "threshold": RISK_THRESHOLD,
+            "search_k": SearchParams().k,
+            "scoring": asdict(Scoring()),
             **model_info,
         },
     )
@@ -551,8 +547,6 @@ def _mine_substitution_sites(bases: str) -> tuple[list, list, list]:
     (position, ref_base, alt_base) with a 1-based reference position.
     Every codon contributes to at most one list, so sites never collide.
     """
-    from .protein import CODON_TABLE
-
     nonsense, silent, missense = [], [], []
     n_codons = (_CDS_END - _CDS_START + 1) // 3
     for ci in range(n_codons):
@@ -700,10 +694,7 @@ def make_synthetic_corpus(seed: int, out_dir: str | Path) -> dict[str, Path]:
         with (out / "training.jsonl").open("w", encoding="utf-8") as fh:
             for row_id, gene, mut, label in rows:
                 effect = classify_effect(mut, reference, _CDS_START, _CDS_END)
-                classified = Mutation(
-                    mut.position, mut.kind, mut.ref_bases, mut.alt_bases, effect
-                )
-                features = encode(classified, reference)
+                features = encode(replace(mut, effect=effect), reference)
                 fh.write(
                     json.dumps(
                         {

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .align import Mutation, MutationKind
-from .errors import MutascanError, PositionOutOfRangeError
+from .errors import PositionOutOfRangeError
 from .seqio import DnaSequence
 
 STOP = "*"
@@ -30,10 +30,6 @@ CODON_TABLE = {
     "AGT": "S", "AGC": "S", "AGA": "R", "AGG": "R",
     "GGT": "G", "GGC": "G", "GGA": "G", "GGG": "G",
 }
-
-
-class ProteinError(MutascanError):
-    pass
 
 
 class EffectKind(Enum):

@@ -485,8 +485,6 @@ def reference_search(query, index, params):
 
     per_subject: dict[int, list[_LocalAlignment]] = {}
     for si, diag in sorted(groups):
-        if groups[(si, diag)] < params.min_seed_hits_per_diagonal:
-            continue
         aln = _banded_local_align(qb, index.subjects[si].bases, diag, params)
         if aln is not None:
             per_subject.setdefault(si, []).append(aln)
@@ -588,6 +586,19 @@ def dna(draw, alphabet: str = "ACGT", min_size: int = 1, max_size: int = 60) -> 
     long sequences are as common as short ones."""
     length = draw(st.integers(min_size, max_size))
     return random_bases(draw(st.randoms(use_true_random=False)), length, alphabet)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def plausible_or_any(*values):
+    """Hypothesis strategy: one of `values`, or any JSON value."""
+    return st.sampled_from(values) | json_values
 
 
 def random_fasta_text(rng: random.Random, max_records: int = 5) -> tuple[str, list]:

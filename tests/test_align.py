@@ -308,11 +308,30 @@ def test_empty_sequence_rejected():
         global_align(_seq("ACGT"), fake)
 
 
-def test_size_cap():
-    big = SimpleNamespace(id="big", bases="A" * 5001)
-    with pytest.raises(SizeCapExceededError):
-        global_align(big, big, cell_cap=5000 * 5000)
+def test_size_cap(monkeypatch):
     assert DEFAULT_CELL_CAP == 25_000_000
+    # the cap counts the cells a band stores: a 7 kb gene with a few edits
+    # aligns in a narrow band although its full matrix holds 49M cells
+    rng = random.Random(17)
+    ref = random_bases(rng, 7000)
+    sub = "A" if ref[999] != "A" else "C"
+    patient = ref[:999] + sub + ref[1000:3000] + ref[3004:5000] + "T" + ref[5000:]
+    assert (len(ref), len(patient)) == (7000, 6997)
+    assert len(ref) * len(patient) > DEFAULT_CELL_CAP
+    muts = call_mutations(_align(ref, patient))
+    assert apply_mutations(_seq(ref), muts).bases == patient
+
+    widths = []
+    band_fill = align_module.band_fill
+
+    def recording_fill(rows, cols, offsets, width, *args, **kwargs):
+        widths.append(width)
+        return band_fill(rows, cols, offsets, width, *args, **kwargs)
+
+    monkeypatch.setattr(align_module, "band_fill", recording_fill)
+    with pytest.raises(SizeCapExceededError):
+        _align("A" * 5001, "C" * 5001)
+    assert widths == [33]  # the 5,002 x 5,002 full matrix is never filled
 
 
 def test_scoring_validation():

@@ -6,8 +6,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mutascan.align import Mutation, MutationKind
+from mutascan.errors import MutascanError
 from mutascan.neural import (
     DISPLAY_AT_RISK,
     DISPLAY_NORMAL,
@@ -37,7 +40,13 @@ from mutascan.protein import EffectKind, ProteinEffect, classify_effect
 from mutascan.seqio import DnaSequence
 from mutascan.seqstats import windowed_gc
 
-from oracles import finite_difference_gradients, random_bases, sigmoid_scalar
+from oracles import (
+    finite_difference_gradients,
+    json_values,
+    plausible_or_any,
+    random_bases,
+    sigmoid_scalar,
+)
 
 
 def _net_111(w1, b1, w2, b2):
@@ -434,6 +443,52 @@ def test_load_training_rows_rejects_non_utf8(tmp_path):
     with pytest.raises(CorruptFileError) as exc:
         load_training_rows(path)
     assert str(path) in str(exc.value) and "not UTF-8" in str(exc.value)
+
+
+def test_load_training_rows_checks_labels_and_features(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    good = json.dumps({"id": "a", "gene": "g", "features": [0.1] * 10, "label": 1})
+    for bad in (
+        good.replace('"label": 1', '"label": 1e400'),
+        json.dumps({"id": "b", "gene": "g", "features": [0.1] * 9, "label": 1}),
+        json.dumps({"id": "b", "gene": "g", "features": [0.1] * 9 + [1.5], "label": 0}),
+        "[" * 100_000,
+    ):
+        _write_rows(path, [good, bad])
+        with pytest.raises(CorruptFileError) as exc:
+            load_training_rows(path)
+        assert f"{path}:2:" in str(exc.value)
+
+
+_TRAINING_ROW = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": plausible_or_any("a"),
+        "gene": plausible_or_any("g"),
+        "label": plausible_or_any(0, 1) | st.floats(),
+        "features": st.lists(st.floats(-0.5, 1.5) | json_values, max_size=11)
+        | json_values,
+        "mutation": plausible_or_any(
+            {"position": 4, "kind": "substitution", "ref": "C", "alt": "T"}
+        ),
+    },
+)
+_TRAINING_LINE = st.one_of(
+    _TRAINING_ROW.map(json.dumps), json_values.map(json.dumps), st.text(max_size=30)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_TRAINING_LINE, max_size=4))
+def test_any_json_lines_text_loads_or_raises_a_mutascan_error(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "training-fuzz.jsonl"
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass"))
+    try:
+        rows = load_training_rows(path)
+    except MutascanError:
+        return
+    assert rows and all(r.label in (0, 1) for r in rows)
+    rows_to_samples([r for r in rows if r.features is not None])
 
 
 def test_rows_to_samples_descriptor_path(tmp_path):

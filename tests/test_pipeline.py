@@ -1,13 +1,19 @@
 """End-to-end diagnosis pipeline, manifests, and the synthetic corpus."""
 
+import dataclasses
 import hashlib
+import inspect
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mutascan import pipeline
-from mutascan.align import MutationKind
+from mutascan.align import MutationKind, global_align
+from mutascan.errors import MutascanError
+from mutascan.homology import SearchParams
 from mutascan.neural import (
     Label,
     NetworkTopology,
@@ -38,6 +44,7 @@ from mutascan.seqio import DnaSequence, FastaFile, parse_fasta, write_fasta
 from mutascan.seqstats import composition
 
 from conftest import FAST_TRAIN
+from oracles import json_values, plausible_or_any
 
 
 def _read(path):
@@ -94,6 +101,63 @@ def test_load_manifest_rejects_bad_cds(tmp_path):
         load_manifest(path)
     doc["databases"][0]["cds"] = {"r": [0, 4]}
     path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ManifestError):
+        load_manifest(path)
+
+
+def test_load_manifest_rejects_mistyped_fields(tmp_path):
+    (tmp_path / "db.fasta").write_text(">r\nACGTACGTACGTACGT\n", encoding="utf-8")
+    good = {"name": "x", "fasta": "db.fasta"}
+    path = tmp_path / "m.json"
+    for doc in (
+        {"databases": [{"name": "x", "fasta": 5}]},
+        {"databases": [good], "training_data": 7},
+        {"databases": [good], "model": ["m.json"]},
+        {"databases": [{**good, "cds": [1, 2]}]},
+        {"databases": [{**good, "cds": {"r": [True, True]}}]},
+    ):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ManifestError):
+            load_manifest(path)
+
+
+_MANIFEST_ENTRY = st.fixed_dictionaries(
+    {},
+    optional={
+        "name": plausible_or_any("x"),
+        "fasta": plausible_or_any("db.fasta", "missing.fasta", "", "x" * 300),
+        "cds": plausible_or_any({}, {"r": [1, 8]})
+        | st.dictionaries(st.sampled_from(["r", "q"]), plausible_or_any([1, 8], [2, 1])),
+    },
+)
+_MANIFEST_DOC = json_values | st.fixed_dictionaries(
+    {},
+    optional={
+        "databases": st.lists(_MANIFEST_ENTRY | json_values, max_size=3) | json_values,
+        "training_data": plausible_or_any("t.jsonl"),
+        "model": plausible_or_any("m.json"),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_MANIFEST_DOC)
+def test_any_json_manifest_loads_or_raises_a_mutascan_error(tmp_path_factory, doc):
+    base = tmp_path_factory.getbasetemp() / "manifest-fuzz"
+    base.mkdir(exist_ok=True)
+    (base / "db.fasta").write_text(">r\nACGTACGTACGTACGT\n", encoding="utf-8")
+    path = base / "m.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        manifest = load_manifest(path)
+    except MutascanError:
+        return
+    assert all(e.fasta_path.is_file() for e in manifest.databases)
+
+
+def test_deep_json_manifest_is_a_manifest_error(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
     with pytest.raises(ManifestError):
         load_manifest(path)
 
@@ -329,6 +393,19 @@ def test_training_on_the_fly_writes_model(corpus, tmp_path):
     assert report.config["converged"] is True
     assert (wd / "model.json").exists()
     assert report.overall_label is Label.AT_RISK
+
+
+def test_diagnosis_settings_are_constants():
+    # one scoring system, gate and threshold: no caller can set another
+    def parameters(fn):
+        return tuple(inspect.signature(fn).parameters)
+
+    assert parameters(run_diagnosis) == (
+        "patient_path", "manifest", "model_path", "work_dir", "train_config",
+    )
+    assert parameters(adopt_reference) == ("patient", "manifest")
+    assert parameters(global_align) == ("a", "b", "scoring")
+    assert tuple(f.name for f in dataclasses.fields(SearchParams)) == ("k", "max_hits")
 
 
 def test_reports_are_byte_identical_across_runs(corpus, trained_model, tmp_path):

@@ -165,32 +165,6 @@ _CODE_TABLE = bytes.maketrans(b"ACGTN", bytes([0, 1, 2, 3, 4]))
 _BASE_TABLE = bytes.maketrans(bytes([0, 1, 2, 3, 4]), b"ACGTN")
 
 
-def score_alignment(aligned_a: str, aligned_b: str, scoring: Scoring) -> int:
-    """Recompute an alignment's score from its aligned strings."""
-    if len(aligned_a) != len(aligned_b):
-        raise ValueError("aligned strings must have equal length")
-    total = 0
-    in_gap_a = in_gap_b = False
-    for x, y in zip(aligned_a, aligned_b):
-        if x == "-" and y == "-":
-            raise ValueError("column gapped on both sides")
-        if x == "-":
-            total += scoring.gap_extend + (0 if in_gap_a else scoring.gap_open)
-            in_gap_a, in_gap_b = True, False
-        elif y == "-":
-            total += scoring.gap_extend + (0 if in_gap_b else scoring.gap_open)
-            in_gap_a, in_gap_b = False, True
-        else:
-            in_gap_a = in_gap_b = False
-            if x == "N" or y == "N":
-                pass  # N scores 0 against anything
-            elif x == y:
-                total += scoring.match
-            else:
-                total += scoring.mismatch
-    return total
-
-
 def result_from_alignment(aligned_a: str, aligned_b: str, score: int) -> AlignmentResult:
     """Build the ops runs and identity percentage for finished aligned strings."""
     ops: list[tuple[OpKind, int]] = []

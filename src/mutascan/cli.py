@@ -13,6 +13,7 @@ import sys
 
 from . import __version__
 from .align import Scoring, call_mutations, global_align, mutation_to_dict
+from .corpus import make_synthetic_corpus
 from .errors import MutascanError
 from .homology import (
     MAX_K,
@@ -25,18 +26,18 @@ from .homology import (
 )
 from .neural import (
     CorruptFileError,
-    FeatureVector,
     NetworkTopology,
     TrainConfig,
     classify,
     load_net,
     load_training_rows,
+    parse_features,
     read_json_lines,
     rows_to_samples,
     save_net,
     train,
 )
-from .pipeline import make_synthetic_corpus, render_report, run_diagnosis
+from .pipeline import render_report, run_diagnosis
 from .seqio import read_fasta_path
 from .seqstats import (
     GC_GATE_TARGET,
@@ -218,8 +219,7 @@ def _cmd_predict(args) -> int:
             raise CorruptFileError(
                 f"{args.features}:{lineno}: expected a 'features' array or a bare array"
             )
-        vector = FeatureVector(tuple(float(v) for v in values))
-        label, score = classify(net, vector)
+        label, score = classify(net, parse_features(values, f"{args.features}:{lineno}"))
         print(f"{row_id}\t{score:.6f}\t{label.display}")
     return 0
 

@@ -110,9 +110,6 @@ class KmerIndex:
     def total_length(self) -> int:
         return sum(len(s) for s in self.subjects)
 
-    def subject_summaries(self) -> list[tuple[str, int]]:
-        return [(s.id, len(s)) for s in self.subjects]
-
 
 @dataclass(frozen=True)
 class HomologyHit:

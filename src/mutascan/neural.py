@@ -360,7 +360,7 @@ def save_net(net: Network, path: str | Path) -> None:
 def load_net(path: str | Path) -> Network:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise CorruptFileError(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise CorruptFileError(f"{path} is not a model file")
@@ -416,32 +416,41 @@ def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
             continue
         try:
             obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError: an int past the digit limit
             raise CorruptFileError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         yield lineno, obj
+
+
+def parse_features(values, where: str) -> FeatureVector:
+    """The feature vector of a row's JSON `features` array; `where` is file:line."""
+    try:
+        return FeatureVector(tuple(float(v) for v in values))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CorruptFileError(f"{where}: bad row: {exc}") from exc
 
 
 def load_training_rows(path: str | Path) -> list[TrainingRow]:
     """Parse a JSON-lines training file: {id, gene, features|mutation, label}."""
     rows: list[TrainingRow] = []
     for lineno, obj in read_json_lines(path):
+        where = f"{path}:{lineno}"
         try:
             row = TrainingRow(
                 id=str(obj["id"]),
                 gene=str(obj["gene"]),
-                label=int(obj["label"]),
-                features=FeatureVector(tuple(float(v) for v in obj["features"])).values
+                label=obj["label"],
+                features=parse_features(obj["features"], where).values
                 if "features" in obj
                 else None,
                 mutation=obj.get("mutation"),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise CorruptFileError(f"{path}:{lineno}: bad row: {exc}") from exc
-        if row.label not in (0, 1):
-            raise CorruptFileError(f"{path}:{lineno}: label must be 0 or 1")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptFileError(f"{where}: bad row: {exc}") from exc
+        if type(row.label) is not int or row.label not in (0, 1):  # refuses 1.0, "1", true
+            raise CorruptFileError(f"{where}: label must be 0 or 1")
         if row.features is None and row.mutation is None:
             raise CorruptFileError(
-                f"{path}:{lineno}: row needs features or a mutation descriptor"
+                f"{where}: row needs features or a mutation descriptor"
             )
         rows.append(row)
     if not rows:
@@ -473,7 +482,7 @@ def rows_to_samples(
             )
         try:
             mut = mutation_from_dict(row.mutation)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorruptFileError(f"row {row.id}: bad mutation descriptor: {exc}") from exc
         effect = classify_effect(mut, ref, cds_start, cds_end)
         samples.append((encode(replace(mut, effect=effect), ref), row.label))

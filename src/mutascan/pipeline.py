@@ -5,15 +5,13 @@ reference gene by homology search gated on GC content (falling back across
 databases until one passes), write the combined normal+patient FASTA, align
 and call mutations, classify each mutation's protein effect, score the
 malignant candidates with the neural classifier, and render a diagnosis
-report. Also hosts the deterministic synthetic corpus generator that stands
-in for the unpublished clinical datasets.
+report.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import random
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -21,13 +19,12 @@ from . import __version__
 from .align import (
     AlignmentResult,
     Mutation,
-    MutationKind,
     Scoring,
-    apply_mutations,
     call_mutations,
     global_align,
     mutation_to_dict,
 )
+from .corpus import make_synthetic_corpus  # re-exported: perfbench imports it from here
 from .errors import MutascanError
 from .homology import (
     HomologyHit,
@@ -39,7 +36,6 @@ from .homology import (
 )
 from .neural import (
     RISK_THRESHOLD,
-    TRANSITION,
     Label,
     Network,
     NetworkTopology,
@@ -52,7 +48,7 @@ from .neural import (
     save_net,
     train,
 )
-from .protein import CODON_TABLE, ProteinEffect, classify_effect, is_malignant_candidate
+from .protein import ProteinEffect, classify_effect, is_malignant_candidate
 from .seqio import (
     DnaSequence,
     FastaFile,
@@ -158,7 +154,7 @@ def load_manifest(path: str | Path) -> DatabaseManifest:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ManifestError(f"manifest {path}: byte {exc.start} is not UTF-8 text") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: an int past the digit limit
         raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("databases"), list):
         raise ManifestError(f"manifest {path} must have a 'databases' list")
@@ -530,216 +526,3 @@ def render_report(report: DiagnosisReport, fmt: str = "text") -> str:
         lines.append("  none")
     lines += ["", f"Diagnosis: {report.overall_label.display}", ""]
     return "\n".join(lines)
-
-
-# --- synthetic corpus ------------------------------------------------------
-
-_REF_LENGTH = 1200
-_CDS_START = 101
-_CDS_END = 1000
-_GC_COUNT = 456  # exactly 38.0% of 1200
-
-
-def _mine_substitution_sites(bases: str) -> tuple[list, list, list]:
-    """Find codons where a single transition yields each effect class.
-
-    Returns (nonsense, silent, missense) site lists; each site is
-    (position, ref_base, alt_base) with a 1-based reference position.
-    Every codon contributes to at most one list, so sites never collide.
-    """
-    nonsense, silent, missense = [], [], []
-    n_codons = (_CDS_END - _CDS_START + 1) // 3
-    for ci in range(n_codons):
-        p = _CDS_START + 3 * ci
-        codon = bases[p - 1 : p + 2]
-        aa = CODON_TABLE[codon]
-        if aa == "*":
-            continue
-        variants = []
-        for off in range(3):
-            alt_base = TRANSITION[codon[off]]
-            alt_codon = codon[:off] + alt_base + codon[off + 1 :]
-            variants.append((off, alt_base, CODON_TABLE[alt_codon]))
-        site = None
-        for off, alt_base, alt_aa in variants:
-            if alt_aa == "*":
-                site = ("nonsense", (p + off, codon[off], alt_base))
-                break
-        if site is None:
-            for off, alt_base, alt_aa in variants:
-                if alt_aa == aa:
-                    site = ("silent", (p + off, codon[off], alt_base))
-                    break
-        if site is None:
-            for off, alt_base, alt_aa in variants:
-                if alt_aa != aa:
-                    site = ("missense", (p + off, codon[off], alt_base))
-                    break
-        if site is None:
-            continue
-        {"nonsense": nonsense, "silent": silent, "missense": missense}[site[0]].append(
-            site[1]
-        )
-    return nonsense, silent, missense
-
-
-def _sub(position: int, ref_base: str, alt_base: str) -> Mutation:
-    return Mutation(position, MutationKind.SUBSTITUTION, ref_base, alt_base)
-
-
-def make_synthetic_corpus(seed: int, out_dir: str | Path) -> dict[str, Path]:
-    """Generate the deterministic desk-scale corpus.
-
-    Writes three FASTA databases (the first holds a reference at exactly
-    38.0% GC; the second a 50.0%-GC homolog so a fallback manifest can
-    demonstrate gate rejection; the third a 43.0%-GC homolog), CDS
-    annotations, an 18-row training file (9 malignant split 5 BRCA1 / 4
-    BRCA2, 9 benign), two patient samples, and two manifests. Byte-identical
-    output for a fixed seed.
-    """
-    out = Path(out_dir)
-    rng = random.Random(seed)
-
-    # reference with an exact base-count profile: GC = 456/1200 = 38.0%
-    pool = (
-        ["G"] * (_GC_COUNT // 2)
-        + ["C"] * (_GC_COUNT - _GC_COUNT // 2)
-        + ["A"] * ((_REF_LENGTH - _GC_COUNT) // 2)
-        + ["T"] * (_REF_LENGTH - _GC_COUNT - (_REF_LENGTH - _GC_COUNT) // 2)
-    )
-    rng.shuffle(pool)
-    ref_bases = "".join(pool)
-    reference = DnaSequence(
-        "BRCA1_ref", "synthetic normal gene, CDS 101..1000", ref_bases
-    )
-
-    nonsense_sites, silent_sites, missense_sites = _mine_substitution_sites(ref_bases)
-    if len(nonsense_sites) < 3 or len(silent_sites) < 9 or len(missense_sites) < 4:
-        raise PipelineError(
-            "seed produced too few usable codons; choose another seed"
-        )
-
-    # malignant exemplars: 5 BRCA1 (3 nonsense, 1 frameshift insertion,
-    # 1 missense) + 4 BRCA2 (1 frameshift deletion, 3 missense)
-    fs_ins_pos = silent_sites[7][0]
-    fs_del_pos = silent_sites[8][0]
-    malignant = [
-        ("BRCA1", _sub(*nonsense_sites[0])),
-        ("BRCA1", _sub(*nonsense_sites[1])),
-        ("BRCA1", _sub(*nonsense_sites[2])),
-        ("BRCA1", Mutation(fs_ins_pos, MutationKind.INSERTION, "", "A")),
-        ("BRCA1", _sub(*missense_sites[0])),
-        ("BRCA2", Mutation(fs_del_pos, MutationKind.DELETION, ref_bases[fs_del_pos - 1], "")),
-        ("BRCA2", _sub(*missense_sites[1])),
-        ("BRCA2", _sub(*missense_sites[2])),
-        ("BRCA2", _sub(*missense_sites[3])),
-    ]
-    noncoding_positions = [10, 50, 1100]
-    benign = [("BRCA1", _sub(*silent_sites[i])) for i in range(6)] + [
-        ("BRCA1", _sub(p, ref_bases[p - 1], TRANSITION[ref_bases[p - 1]]))
-        for p in noncoding_positions
-    ]
-
-    rows = []
-    for i, (gene, mut) in enumerate(malignant, start=1):
-        rows.append((f"mal-{i}", gene, mut, 1))
-    for i, (gene, mut) in enumerate(benign, start=1):
-        rows.append((f"ben-{i}", gene, mut, 0))
-
-    # the mutated patient carries the first malignant mutation plus one
-    # silent change; the clean patient is the reference verbatim
-    patient_muts = sorted(
-        [malignant[0][1], _sub(*silent_sites[6])], key=lambda m: m.position
-    )
-    patient_clean = DnaSequence("patient_clean", "synthetic patient sample", ref_bases)
-    patient_mutated = DnaSequence(
-        "patient_mutated",
-        "synthetic patient sample",
-        apply_mutations(reference, patient_muts).bases,
-    )
-
-    def homolog(record_id: str, extra_gc: int) -> DnaSequence:
-        # flip A/T bases to G/C outside the first 200 bases, so seeds on the
-        # shared prefix always anchor the homology search
-        candidates = [
-            i for i in range(200, _REF_LENGTH) if ref_bases[i] in "AT"
-        ]
-        flips = set(rng.sample(candidates, extra_gc))
-        out_bases = "".join(
-            ("G" if ch == "A" else "C") if i in flips else ch
-            for i, ch in enumerate(ref_bases)
-        )
-        return DnaSequence(record_id, "synthetic homolog", out_bases)
-
-    def decoy(record_id: str) -> DnaSequence:
-        return DnaSequence(
-            record_id, "synthetic decoy", "".join(rng.choice("ACGT") for _ in range(800))
-        )
-
-    ebi_homolog = homolog("BRCA1_ebi_homolog", 144)  # GC 600/1200 = 50.0%
-    ensembl_homolog = homolog("BRCA1_ensembl_homolog", 60)  # GC 516/1200 = 43.0%
-
-    db_ncbi = FastaFile((reference, decoy("decoy_n1"), decoy("decoy_n2")))
-    db_ebi = FastaFile((ebi_homolog, decoy("decoy_e1"), decoy("decoy_e2")))
-    db_ensembl = FastaFile((ensembl_homolog, decoy("decoy_s1"), decoy("decoy_s2")))
-
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        write_fasta_path(db_ncbi, out / "db_ncbi.fasta")
-        write_fasta_path(db_ebi, out / "db_ebi.fasta")
-        write_fasta_path(db_ensembl, out / "db_ensembl.fasta")
-        write_fasta_path(FastaFile((patient_clean,)), out / "patient_clean.fasta")
-        write_fasta_path(FastaFile((patient_mutated,)), out / "patient_mutated.fasta")
-
-        with (out / "training.jsonl").open("w", encoding="utf-8") as fh:
-            for row_id, gene, mut, label in rows:
-                effect = classify_effect(mut, reference, _CDS_START, _CDS_END)
-                features = encode(replace(mut, effect=effect), reference)
-                fh.write(
-                    json.dumps(
-                        {
-                            "id": row_id,
-                            "gene": gene,
-                            "mutation": mutation_to_dict(mut),
-                            "features": list(features.values),
-                            "label": label,
-                        }
-                    )
-                    + "\n"
-                )
-
-        db_entries = {
-            "ncbi": {"name": "ncbi", "fasta": "db_ncbi.fasta",
-                     "cds": {"BRCA1_ref": [_CDS_START, _CDS_END]}},
-            "ebi": {"name": "ebi", "fasta": "db_ebi.fasta",
-                    "cds": {"BRCA1_ebi_homolog": [_CDS_START, _CDS_END]}},
-            "ensembl": {"name": "ensembl", "fasta": "db_ensembl.fasta",
-                        "cds": {"BRCA1_ensembl_homolog": [_CDS_START, _CDS_END]}},
-        }
-        manifest = {
-            "databases": [db_entries["ncbi"], db_entries["ebi"], db_entries["ensembl"]],
-            "training_data": "training.jsonl",
-        }
-        fallback = {
-            "databases": [db_entries["ebi"], db_entries["ncbi"], db_entries["ensembl"]],
-            "training_data": "training.jsonl",
-        }
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-        )
-        (out / "manifest_fallback.json").write_text(
-            json.dumps(fallback, indent=2) + "\n", encoding="utf-8"
-        )
-    except OSError as exc:
-        raise IoFailureError(f"cannot write corpus to {out}: {exc}") from exc
-
-    return {
-        "manifest": out / "manifest.json",
-        "manifest_fallback": out / "manifest_fallback.json",
-        "db_ncbi": out / "db_ncbi.fasta",
-        "db_ebi": out / "db_ebi.fasta",
-        "db_ensembl": out / "db_ensembl.fasta",
-        "patient_clean": out / "patient_clean.fasta",
-        "patient_mutated": out / "patient_mutated.fasta",
-        "training_data": out / "training.jsonl",
-    }

@@ -11,7 +11,7 @@ from mutascan.neural import NetworkTopology, TrainConfig, load_training_rows, ro
 @pytest.fixture(scope="session")
 def corpus(tmp_path_factory):
     """Deterministic seed-42 corpus shared by pipeline, CLI, and gate tests."""
-    from mutascan.pipeline import make_synthetic_corpus
+    from mutascan.corpus import make_synthetic_corpus
 
     out = tmp_path_factory.mktemp("corpus")
     return make_synthetic_corpus(42, out)

@@ -25,7 +25,6 @@ from mutascan.align import (
     encode_bases,
     global_align,
     result_from_alignment,
-    score_alignment,
 )
 from mutascan.seqio import DnaSequence
 
@@ -263,7 +262,6 @@ def test_alignment_invariants():
             not (x == "-" and y == "-") for x, y in zip(res.aligned_a, res.aligned_b)
         )
         # stored score equals the score recomputed from the aligned strings
-        assert res.score == score_alignment(res.aligned_a, res.aligned_b, Scoring())
         assert res.score == rescore_alignment(
             res.aligned_a, res.aligned_b, *_params(Scoring())
         )
@@ -344,13 +342,6 @@ def test_scoring_validation():
     with pytest.raises(ValueError):
         Scoring(gap_extend=1)
     Scoring(mismatch=0, gap_extend=0)  # zero penalties are legal, positives are not
-
-
-def test_score_alignment_rejects_malformed_input():
-    with pytest.raises(ValueError):
-        score_alignment("AC", "A", Scoring())
-    with pytest.raises(ValueError):
-        score_alignment("A-C", "A-C", Scoring())
 
 
 def test_mutation_validation():

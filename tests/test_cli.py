@@ -172,6 +172,24 @@ def test_predict_non_json_line_names_the_line(tmp_path, capsys, trained_model):
     assert f"error: {feats}:2: invalid JSON: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        "[1" + "0" * 400 + ", 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]",  # float() overflows
+        json.dumps([2.0] + [0.5] * 9),  # outside [0, 1]
+        json.dumps({"features": ["x"] * 10}),
+        json.dumps({"features": 5}),
+    ],
+)
+def test_predict_bad_feature_names_the_line(tmp_path, capsys, trained_model, row):
+    feats = tmp_path / "feats.jsonl"
+    feats.write_text(row + "\n", encoding="utf-8")
+    assert main(["predict", "--model", str(trained_model), "--features", str(feats)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {feats}:1: bad row: ")
+    assert "Traceback" not in err
+
+
 def test_non_ascii_fasta_exits_1_naming_the_file(tmp_path, capsys):
     fasta = tmp_path / "latin1.fasta"
     fasta.write_bytes(b">r caf\xe9\nACGT\n")
@@ -229,3 +247,10 @@ def test_gen_corpus_command(tmp_path, capsys):
         "training.jsonl",
     ):
         assert (out_dir / name).exists()
+
+
+def test_gen_corpus_unwritable_out_exits_1(tmp_path, capsys):
+    out_file = tmp_path / "taken"
+    out_file.write_text("", encoding="utf-8")
+    assert main(["gen-corpus", "--out", str(out_file)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write corpus to {out_file}: ")

@@ -354,9 +354,10 @@ def test_save_load_preserves_train_config(tmp_path):
 
 def test_load_rejects_corrupt_files(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(CorruptFileError):
-        load_net(path)
+    for text in ("{not json", "[" * 100_000, "[1" + "0" * 5000 + "]"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorruptFileError):
+            load_net(path)
     path.write_text(json.dumps({"format": "other", "version": 1}), encoding="utf-8")
     with pytest.raises(CorruptFileError):
         load_net(path)
@@ -450,9 +451,13 @@ def test_load_training_rows_checks_labels_and_features(tmp_path):
     good = json.dumps({"id": "a", "gene": "g", "features": [0.1] * 10, "label": 1})
     for bad in (
         good.replace('"label": 1', '"label": 1e400'),
+        good.replace('"label": 1', '"label": 0.7'),
+        good.replace('"label": 1', '"label": "1"'),
+        good.replace('"label": 1', '"label": true'),
         json.dumps({"id": "b", "gene": "g", "features": [0.1] * 9, "label": 1}),
         json.dumps({"id": "b", "gene": "g", "features": [0.1] * 9 + [1.5], "label": 0}),
         "[" * 100_000,
+        "[1" + "0" * 5000 + "]",  # past int's string-conversion digit limit
     ):
         _write_rows(path, [good, bad])
         with pytest.raises(CorruptFileError) as exc:
@@ -520,3 +525,8 @@ def test_rows_to_samples_descriptor_path(tmp_path):
     assert effect.kind is EffectKind.NONSENSE
     assert vec.values[6] == 1.0  # nonsense one-hot
     assert vec.values[9] == 1.0  # C>T transition
+
+    _write_rows(path, [json.dumps({"id": "m2", "gene": "g", "label": 1, "mutation": {
+        "position": 1e400, "kind": "substitution", "ref": "C", "alt": "T"}})])
+    with pytest.raises(CorruptFileError, match="row m2: bad mutation descriptor"):
+        rows_to_samples(load_training_rows(path), ref=ref, cds_start=1, cds_end=9)

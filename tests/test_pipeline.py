@@ -1,10 +1,9 @@
-"""End-to-end diagnosis pipeline, manifests, and the synthetic corpus."""
+"""End-to-end diagnosis pipeline and manifests."""
 
 import dataclasses
 import hashlib
 import inspect
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +32,6 @@ from mutascan.pipeline import (
     NoDatabaseAcceptedError,
     adopt_reference,
     load_manifest,
-    make_synthetic_corpus,
     render_report,
     report_to_dict,
     resolve_workdir,
@@ -41,7 +39,6 @@ from mutascan.pipeline import (
 )
 from mutascan.protein import EffectKind
 from mutascan.seqio import DnaSequence, FastaFile, parse_fasta, write_fasta
-from mutascan.seqstats import composition
 
 from conftest import FAST_TRAIN
 from oracles import json_values, plausible_or_any
@@ -69,9 +66,10 @@ def test_load_manifest_errors(tmp_path):
     with pytest.raises(ManifestError):
         load_manifest(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
-    bad.write_text("{oops", encoding="utf-8")
-    with pytest.raises(ManifestError):
-        load_manifest(bad)
+    for text in ("{oops", "[1" + "0" * 5000 + "]"):
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ManifestError):
+            load_manifest(bad)
     bad.write_text(json.dumps({"databases": []}), encoding="utf-8")
     with pytest.raises(ManifestError):
         load_manifest(bad)
@@ -457,67 +455,6 @@ def test_fallback_report_mentions_rejection(corpus, trained_model, tmp_path):
     assert "ncbi: adopted 'BRCA1_ref'" in text
     with pytest.raises(ValueError):
         render_report(report, "html")
-
-
-# --- synthetic corpus -----------------------------------------------------------
-
-
-def test_corpus_is_byte_deterministic(tmp_path):
-    a = make_synthetic_corpus(7, tmp_path / "a")
-    b = make_synthetic_corpus(7, tmp_path / "b")
-    assert set(a) == set(b)
-    for key in a:
-        assert a[key].read_bytes() == b[key].read_bytes(), key
-    c = make_synthetic_corpus(8, tmp_path / "c")
-    assert a["db_ncbi"].read_bytes() != c["db_ncbi"].read_bytes()
-
-
-def test_corpus_reference_gc_profile(corpus):
-    ref = _read(corpus["db_ncbi"]).records[0]
-    assert ref.id == "BRCA1_ref"
-    assert len(ref.bases) == 1200
-    assert composition(ref).gc_percent == 38.0
-    ebi = _read(corpus["db_ebi"]).records[0]
-    assert composition(ebi).gc_percent == 50.0
-    ensembl = _read(corpus["db_ensembl"]).records[0]
-    assert composition(ensembl).gc_percent == 43.0
-    for key in ("db_ncbi", "db_ebi", "db_ensembl"):
-        assert len(_read(corpus[key])) == 3
-
-
-def test_corpus_training_rows(corpus):
-    rows = load_training_rows(corpus["training_data"])
-    assert len(rows) == 18
-    malignant = [r for r in rows if r.label == 1]
-    benign = [r for r in rows if r.label == 0]
-    assert len(malignant) == len(benign) == 9
-    assert sum(1 for r in malignant if r.gene == "BRCA1") == 5
-    assert sum(1 for r in malignant if r.gene == "BRCA2") == 4
-    assert all(r.gene == "BRCA1" for r in benign)
-    kinds = [r.mutation["kind"] for r in malignant]
-    assert kinds.count("insertion") == 1
-    assert kinds.count("deletion") == 1
-    assert kinds.count("substitution") == 7
-    assert all(r.features is not None for r in rows)
-
-
-def test_corpus_patients(corpus):
-    clean = _read(corpus["patient_clean"])
-    mutated = _read(corpus["patient_mutated"])
-    assert len(clean) == len(mutated) == 1
-    ref = _read(corpus["db_ncbi"]).records[0]
-    assert clean.records[0].bases == ref.bases
-    assert mutated.records[0].bases != ref.bases
-    assert len(mutated.records[0].bases) == len(ref.bases)  # two substitutions
-
-
-def test_corpus_seeds_vary(tmp_path):
-    rng = random.Random(99)
-    seeds = [rng.randint(0, 10_000) for _ in range(3)]
-    for i, seed in enumerate(seeds):
-        paths = make_synthetic_corpus(seed, tmp_path / str(i))
-        rows = load_training_rows(paths["training_data"])
-        assert len(rows) == 18
 
 
 # --- golden output --------------------------------------------------------------

@@ -93,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("align", help="global alignment and mutation calls")
     p.add_argument("--ref", required=True, help="reference FASTA (first record)")
     p.add_argument("--alt", required=True, help="patient FASTA (first record)")
-    p.add_argument("--width", type=int, default=60, help="alignment wrap width")
+    p.add_argument("--width", type=_int_in_range(1), default=60,
+                   help="alignment wrap width (at least 1)")
     p.add_argument("--json", action="store_true",
                    help="print one JSON object per mutation instead of text")
 
@@ -169,7 +170,7 @@ def _cmd_align(args) -> int:
         for m in muts:
             print(json.dumps(mutation_to_dict(m)))
         return 0
-    width = max(1, args.width)
+    width = args.width
     print(f"score {result.score}  identity {result.identity_percent:.2f}%")
     for start in range(0, len(result), width):
         block_a = result.aligned_a[start : start + width]
@@ -190,13 +191,7 @@ def _cmd_align(args) -> int:
 def _cmd_train(args) -> int:
     rows = load_training_rows(args.data)
     samples = rows_to_samples(rows)
-    cfg = TrainConfig(
-        learning_rate=args.lr,
-        momentum=args.momentum,
-        target_mse=args.target_mse,
-        max_epochs=args.max_epochs,
-        seed=args.seed,
-    )
+    cfg = args.train_config
     net, report = train(NetworkTopology(), samples, cfg)
     save_net(net, args.out)
     state = "converged" if report.converged else "did not converge"
@@ -248,14 +243,31 @@ _COMMANDS = {
 }
 
 
+def _train_config(parser: argparse.ArgumentParser, args) -> TrainConfig:
+    """The `train` flags as a TrainConfig; a value it refuses is a usage error."""
+    try:
+        return TrainConfig(
+            learning_rate=args.lr,
+            momentum=args.momentum,
+            target_mse=args.target_mse,
+            max_epochs=args.max_epochs,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        parser.error(f"train: {exc}")
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "train":
+        args.train_config = _train_config(parser, args)
     try:
         return _COMMANDS[args.command](args)
     except MutascanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except OSError as exc:  # writing an output path the user named, such as train --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

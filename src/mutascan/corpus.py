@@ -50,31 +50,18 @@ def _mine_substitution_sites(bases: str) -> tuple[list, list, list]:
         aa = CODON_TABLE[codon]
         if aa == "*":
             continue
-        variants = []
+        variants = []  # (amino acid after the transition, site)
         for off in range(3):
             alt_base = TRANSITION[codon[off]]
-            alt_codon = codon[:off] + alt_base + codon[off + 1 :]
-            variants.append((off, alt_base, CODON_TABLE[alt_codon]))
-        site = None
-        for off, alt_base, alt_aa in variants:
-            if alt_aa == "*":
-                site = ("nonsense", (p + off, codon[off], alt_base))
+            alt_aa = CODON_TABLE[codon[:off] + alt_base + codon[off + 1 :]]
+            variants.append((alt_aa, (p + off, codon[off], alt_base)))
+        # the first class any variant reaches claims the codon; when neither
+        # nonsense nor silent is reached, every variant is missense
+        for sites, wanted in ((nonsense, "*"), (silent, aa), (missense, None)):
+            site = next((s for alt_aa, s in variants if wanted in (None, alt_aa)), None)
+            if site is not None:
+                sites.append(site)
                 break
-        if site is None:
-            for off, alt_base, alt_aa in variants:
-                if alt_aa == aa:
-                    site = ("silent", (p + off, codon[off], alt_base))
-                    break
-        if site is None:
-            for off, alt_base, alt_aa in variants:
-                if alt_aa != aa:
-                    site = ("missense", (p + off, codon[off], alt_base))
-                    break
-        if site is None:
-            continue
-        {"nonsense": nonsense, "silent": silent, "missense": missense}[site[0]].append(
-            site[1]
-        )
     return nonsense, silent, missense
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -21,7 +21,7 @@ import numpy as np
 from .align import Mutation, MutationKind, mutation_from_dict
 from .errors import MutascanError
 from .protein import EffectKind, classify_effect
-from .seqio import DnaSequence, write_text_atomic
+from .seqio import DnaSequence, read_text, write_text_atomic
 from .seqstats import windowed_gc
 
 MODEL_FORMAT = "mutascan-model"
@@ -102,14 +102,18 @@ class TrainConfig:
     init_range: tuple[float, float] = (-0.5, 0.5)
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate}")
         if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must be in [0, 1)")
-        if self.target_mse <= 0:
-            raise ValueError("target MSE must be positive")
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not (math.isfinite(self.target_mse) and self.target_mse > 0):
+            raise ValueError(f"target MSE must be finite and positive, got {self.target_mse}")
         if self.max_epochs < 1:
-            raise ValueError("max epochs must be at least 1")
+            raise ValueError(f"max epochs must be at least 1, got {self.max_epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if len(self.init_range) != 2 or not all(map(math.isfinite, self.init_range)):
+            raise ValueError(f"init range must be two finite bounds, got {self.init_range}")
         if self.init_range[0] > self.init_range[1]:
             raise ValueError("init range lower bound exceeds upper bound")
 
@@ -343,25 +347,17 @@ def save_net(net: Network, path: str | Path) -> None:
         "topology": list(net.topology.layer_sizes),
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
-        "train_config": None
-        if net.train_config is None
-        else {
-            "learning_rate": net.train_config.learning_rate,
-            "momentum": net.train_config.momentum,
-            "target_mse": net.train_config.target_mse,
-            "max_epochs": net.train_config.max_epochs,
-            "seed": net.train_config.seed,
-            "init_range": list(net.train_config.init_range),
-        },
+        "train_config": None if net.train_config is None else asdict(net.train_config),
     }
     write_text_atomic(path, json.dumps(doc, indent=2) + "\n")
 
 
 def load_net(path: str | Path) -> Network:
+    text = read_text(path, CorruptFileError)
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
-        raise CorruptFileError(f"cannot read model file {path}: {exc}") from exc
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError: an int past the digit limit
+        raise CorruptFileError(f"model file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise CorruptFileError(f"{path} is not a model file")
     if doc.get("version") != MODEL_VERSION:
@@ -407,10 +403,7 @@ class TrainingRow:
 
 def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
     """(1-based line number, value) for each non-blank line of a JSON-lines file."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorruptFileError(f"{path}: byte {exc.start} is not UTF-8 text") from exc
+    text = read_text(path, CorruptFileError)
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

@@ -53,13 +53,13 @@ from .seqio import (
     DnaSequence,
     FastaFile,
     read_fasta_path,
+    read_text,
     write_fasta_path,
     write_text_atomic,
 )
 from .seqstats import (
     GC_GATE_TARGET,
     GC_GATE_TOLERANCE,
-    AllAmbiguousError,
     GateVerdict,
     composition,
     gc_gate,
@@ -148,12 +148,9 @@ class DiagnosisReport:
 def load_manifest(path: str | Path) -> DatabaseManifest:
     """Read and validate a manifest; paths resolve relative to its directory."""
     path = Path(path)
+    text = read_text(path, ManifestError)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"manifest {path}: byte {exc.start} is not UTF-8 text") from exc
+        doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError: an int past the digit limit
         raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("databases"), list):
@@ -170,11 +167,7 @@ def load_manifest(path: str | Path) -> DatabaseManifest:
         if not (isinstance(raw, dict) and "name" in raw and isinstance(raw.get("fasta"), str)):
             raise ManifestError(f"database entry {i} needs 'name' and a 'fasta' path")
         fasta_path = base / raw["fasta"]
-        try:
-            readable = fasta_path.is_file()
-        except OSError:  # a name too long for the file system
-            readable = False
-        if not readable:
+        if not os.path.isfile(fasta_path):  # False, not an error, for a name too long
             raise ManifestError(
                 f"database '{raw['name']}': FASTA not readable: {fasta_path}"
             )
@@ -229,14 +222,8 @@ def adopt_reference(
             continue
         top = hits[0]
         subject = next(r for r in db if r.id == top.subject_id)
-        try:
-            stats = composition(subject)
-        except AllAmbiguousError:
-            rejections.append(
-                RejectedReference(entry.name, None, "subject is all-ambiguous")
-            )
-            continue
-        verdict = gc_gate(stats)
+        # a hit needs an N-free seed in its subject, so composition is defined
+        verdict = gc_gate(composition(subject))
         if not verdict.accepted:
             rejections.append(
                 RejectedReference(
@@ -400,18 +387,6 @@ def run_diagnosis(
     return report
 
 
-def _verdict_dict(v: GateVerdict | None) -> dict | None:
-    if v is None:
-        return None
-    return {
-        "accepted": v.accepted,
-        "measured_gc": v.measured_gc,
-        "target": v.target,
-        "tolerance": v.tolerance,
-        "gene_band_flag": v.gene_band_flag,
-    }
-
-
 def _effect_dict(e: ProteinEffect | None) -> dict | None:
     if e is None:
         return None
@@ -430,13 +405,13 @@ def report_to_dict(report: DiagnosisReport) -> dict:
             "subject_id": report.adopted.subject.id,
             "cds_start": report.adopted.cds_start,
             "cds_end": report.adopted.cds_end,
-            "gate_verdict": _verdict_dict(report.adopted.verdict),
+            "gate_verdict": asdict(report.adopted.verdict),
             "top_hit": hit_to_dict(report.adopted.top_hit),
         },
         "rejected_references": [
             {
                 "database_name": r.database_name,
-                "gate_verdict": _verdict_dict(r.verdict),
+                "gate_verdict": asdict(r.verdict) if r.verdict else None,
                 "reason": r.reason,
             }
             for r in report.rejected

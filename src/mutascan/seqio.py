@@ -6,6 +6,7 @@ normalized at parse time and positions are always reported 1-based.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import re
@@ -170,16 +171,24 @@ def write_fasta(file: FastaFile, width: int = DEFAULT_LINE_WIDTH) -> str:
     return "\n".join(out) + "\n"
 
 
+def read_text(path, error: type[MutascanError], encoding: str = "utf-8") -> str:
+    """The whole text of the file at `path`.
+
+    A file that cannot be opened or read, or whose bytes are not `encoding`
+    text, raises `error` with a message naming the file.
+    """
+    try:
+        with open(path, "r", encoding=encoding) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {exc.start} is not {encoding.upper()} text") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise error(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def read_fasta_path(path) -> FastaFile:
     """Read and parse a FASTA file from disk; FASTA text is ASCII."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise FastaParseError(
-                f"{path}: byte {exc.start} is not ASCII, so this is not FASTA text"
-            ) from exc
-    return parse_fasta(text)
+    return parse_fasta(read_text(path, FastaParseError, encoding="ascii"))
 
 
 def write_text_atomic(path, text: str, encoding: str = "utf-8") -> None:
@@ -187,16 +196,19 @@ def write_text_atomic(path, text: str, encoding: str = "utf-8") -> None:
 
     The text goes to a temp file in the same directory, which then replaces
     `path`; if anything fails, the temp file is removed and an earlier file
-    at `path` is left as it was.
+    at `path` is left as it was. An `OSError` names `path`, not the temp file.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"  # `/` and `.` have no name
     try:
         with open(tmp, "w", encoding=encoding, newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):  # absent, or its directory never existed
+            tmp.unlink()
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

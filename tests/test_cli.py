@@ -93,6 +93,40 @@ def test_search_max_hits_below_1_is_a_usage_error(corpus, capsys):
     assert "--max-hits: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["train", "--lr", "nan"], "learning rate must be finite and positive"),
+        (["train", "--lr", "inf"], "learning rate must be finite and positive"),
+        (["train", "--target-mse", "nan"], "target MSE must be finite and positive"),
+        (["train", "--momentum", "1"], "momentum must be in [0, 1)"),
+        (["train", "--max-epochs", "0"], "max epochs must be at least 1"),
+        (["train", "--seed", "-1"], "seed must be non-negative"),
+        (["align", "--width", "0"], "--width: must be at least 1"),
+    ],
+)
+def test_bad_flag_value_is_a_usage_error(corpus, tmp_path, capsys, flags, message):
+    files = {
+        "train": ["--data", str(corpus["training_data"]), "--out", str(tmp_path / "m.json")],
+        "align": ["--ref", str(corpus["db_ncbi"]), "--alt", str(corpus["patient_clean"])],
+    }
+    with pytest.raises(SystemExit) as exc:
+        main(flags[:1] + files[flags[0]] + flags[1:])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_train_to_a_missing_directory_names_the_target(corpus, tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "m.json"
+    argv = ["train", "--data", str(corpus["training_data"]), "--out", str(out),
+            "--max-epochs", "5"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{out}'\n"
+    )
+
+
 def test_search_json_output(corpus, capsys):
     rc = main(
         [

@@ -89,6 +89,19 @@ def test_train_config_validation():
         TrainConfig(target_mse=0)
     with pytest.raises(ValueError):
         TrainConfig(init_range=(0.5, -0.5))
+    for bad in (
+        {"learning_rate": math.nan},
+        {"learning_rate": math.inf},
+        {"target_mse": math.nan},
+        {"target_mse": math.inf},
+        {"init_range": (math.nan, 0.5)},
+        {"init_range": (-math.inf, 0.5)},
+        {"init_range": ()},
+        {"init_range": (0.0, 0.1, 0.2)},
+        {"seed": -1},
+    ):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
 
 
 def test_zero_network_outputs_exactly_half():
@@ -436,6 +449,14 @@ def test_load_training_rows_reports_line_numbers(tmp_path):
     path.write_text("", encoding="utf-8")
     with pytest.raises(EmptyDatasetError):
         load_training_rows(path)
+
+
+@pytest.mark.parametrize("load", [load_net, load_training_rows])
+def test_missing_model_or_training_file_is_a_corrupt_file_error(tmp_path, load):
+    path = tmp_path / "missing.json"
+    with pytest.raises(CorruptFileError) as exc:
+        load(path)
+    assert str(exc.value) == f"cannot read {path}: No such file or directory"
 
 
 def test_load_training_rows_rejects_non_utf8(tmp_path):

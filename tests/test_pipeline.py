@@ -109,6 +109,7 @@ def test_load_manifest_rejects_mistyped_fields(tmp_path):
     path = tmp_path / "m.json"
     for doc in (
         {"databases": [{"name": "x", "fasta": 5}]},
+        {"databases": [{"name": "x", "fasta": "db.fasta\u0000"}]},
         {"databases": [good], "training_data": 7},
         {"databases": [good], "model": ["m.json"]},
         {"databases": [{**good, "cds": [1, 2]}]},
@@ -356,6 +357,32 @@ def test_multi_record_patient_rejected(corpus, trained_model, tmp_path):
     with pytest.raises(MultiRecordPatientFileError):
         run_diagnosis(bad, corpus["manifest"], model_path=trained_model,
                       work_dir=tmp_path / "wd")
+
+
+@pytest.mark.parametrize("role", ["patient", "database"])
+@pytest.mark.parametrize(
+    "name,wording",
+    [
+        ("missing.fasta", "cannot read "),
+        ("a-directory", "cannot read "),
+        ("latin1.fasta", "is not ASCII text"),
+    ],
+)
+def test_unreadable_fasta_is_a_mutascan_error_naming_the_file(
+    corpus, trained_model, tmp_path, role, name, wording
+):
+    (tmp_path / "a-directory").mkdir()
+    (tmp_path / "latin1.fasta").write_bytes(b">r caf\xe9\nACGT\n")
+    bad = tmp_path / name
+    patient, manifest = corpus["patient_clean"], load_manifest(corpus["manifest"])
+    if role == "patient":
+        patient = bad
+    else:  # a manifest read earlier, whose database has since become unreadable
+        entry = dataclasses.replace(manifest.databases[0], fasta_path=bad)
+        manifest = dataclasses.replace(manifest, databases=(entry,))
+    with pytest.raises(MutascanError) as exc:
+        run_diagnosis(patient, manifest, model_path=trained_model, work_dir=tmp_path / "wd")
+    assert str(bad) in str(exc.value) and wording in str(exc.value)
 
 
 def test_missing_model_and_training_data(corpus, tmp_path):

@@ -16,7 +16,9 @@ from mutascan.seqio import (
     SequencelessHeaderError,
     parse_fasta,
     read_fasta_path,
+    read_text,
     write_fasta,
+    write_text_atomic,
 )
 
 from oracles import random_fasta_text
@@ -102,6 +104,38 @@ def test_non_ascii_file_is_a_parse_error(tmp_path):
     path.write_text(">r \u00e9\nACGT\n", encoding="utf-8")
     with pytest.raises(FastaParseError, match="not ASCII"):
         read_fasta_path(path)
+
+
+@pytest.mark.parametrize("name", ["missing.fasta", "a-directory", "nul\x00byte.fasta"])
+def test_unreadable_fasta_is_a_parse_error_naming_the_file(tmp_path, name):
+    (tmp_path / "a-directory").mkdir()
+    path = tmp_path / name
+    with pytest.raises(FastaParseError) as exc:
+        read_fasta_path(path)
+    assert str(exc.value).startswith(f"cannot read {path}: ")
+
+
+def test_read_text_names_the_byte_that_does_not_decode(tmp_path):
+    path = tmp_path / "x.txt"
+    path.write_bytes(b"ok\n\xff")
+    with pytest.raises(FastaParseError) as exc:
+        read_text(path, FastaParseError)
+    assert str(exc.value) == f"{path}: byte 3 is not UTF-8 text"
+    assert read_text(path, FastaParseError, encoding="latin-1") == "ok\n\u00ff"
+
+
+@pytest.mark.parametrize("target", ["no/such/dir/out.txt", "a-directory"])
+def test_failed_atomic_write_names_the_target_and_leaves_no_temp_file(tmp_path, target):
+    (tmp_path / "a-directory").mkdir()
+    path = tmp_path / target
+    with pytest.raises(OSError) as exc:
+        write_text_atomic(path, "text\n")
+    assert exc.value.filename == str(path)
+    assert str(path) in str(exc.value) and ".tmp" not in str(exc.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory"]
+    assert list((tmp_path / "a-directory").iterdir()) == []
+    if target.startswith("no/"):
+        assert isinstance(exc.value, FileNotFoundError)  # the errno subclass survives
 
 
 # --- fuzzing ------------------------------------------------------------------

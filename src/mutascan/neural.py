@@ -82,8 +82,8 @@ class NetworkTopology:
     def __post_init__(self):
         if len(self.layer_sizes) < 3:
             raise ValueError("need input, at least one hidden, and output layer")
-        if any(s < 1 for s in self.layer_sizes):
-            raise ValueError("layer sizes must be positive")
+        if any(type(s) is not int or s < 1 for s in self.layer_sizes):  # bool is an int
+            raise ValueError(f"layer sizes must be positive integers, got {self.layer_sizes!r}")
         if self.layer_sizes[-1] != 1:
             raise ValueError("output layer must have exactly one node")
 
@@ -108,6 +108,10 @@ class TrainConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not (math.isfinite(self.target_mse) and self.target_mse > 0):
             raise ValueError(f"target MSE must be finite and positive, got {self.target_mse}")
+        if type(self.max_epochs) is not int or type(self.seed) is not int:  # bool is an int
+            raise ValueError(
+                f"max epochs and seed must be integers, got {self.max_epochs!r}, {self.seed!r}"
+            )
         if self.max_epochs < 1:
             raise ValueError(f"max epochs must be at least 1, got {self.max_epochs}")
         if self.seed < 0:
@@ -365,7 +369,7 @@ def load_net(path: str | Path) -> Network:
             f"model version {doc.get('version')!r}, expected {MODEL_VERSION}"
         )
     try:
-        topology = NetworkTopology(tuple(int(s) for s in doc["topology"]))
+        topology = NetworkTopology(tuple(doc["topology"]))
         weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
         biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
         cfg_doc = doc.get("train_config")

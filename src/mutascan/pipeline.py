@@ -2,10 +2,11 @@
 
 The flow: load a priority-ordered database manifest, adopt a normal
 reference gene by homology search gated on GC content (falling back across
-databases until one passes), write the combined normal+patient FASTA, align
-and call mutations, classify each mutation's protein effect, score the
-malignant candidates with the neural classifier, and render a diagnosis
-report.
+databases until one passes), align and call mutations, classify each
+mutation's protein effect, score the malignant candidates with the neural
+classifier, render a diagnosis report, and only then write the work
+directory: the combined normal+patient FASTA, a model trained on the fly,
+and the reports.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def load_manifest(path: str | Path) -> DatabaseManifest:
             raise ManifestError(
                 f"database '{raw['name']}': FASTA not readable: {fasta_path}"
             )
-        cds_doc = raw.get("cds") or {}
+        cds_doc = raw.get("cds", {})
         if not isinstance(cds_doc, dict):
             raise ManifestError(
                 f"database '{raw['name']}': 'cds' must map record ids to bounds"
@@ -262,24 +263,16 @@ def resolve_workdir(work_dir: str | Path | None = None) -> Path:
     return Path(os.environ.get(WORKDIR_ENV_VAR, DEFAULT_WORKDIR))
 
 
-def _attach_effects(
-    muts: list[Mutation], ref: DnaSequence, cds_start: int, cds_end: int
-) -> list[Mutation]:
-    return [
-        replace(m, effect=classify_effect(m, ref, cds_start, cds_end)) for m in muts
-    ]
-
-
 def _obtain_network(
     manifest: DatabaseManifest,
     model_path: str | Path | None,
-    ref: DnaSequence,
-    cds_start: int,
-    cds_end: int,
+    adopted: AdoptedReference,
     train_config: TrainConfig,
-    work_dir: Path,
 ) -> tuple[Network, dict]:
-    """Load the model if one is given, otherwise train from the manifest's data."""
+    """Load the model if one is given, otherwise train from the manifest's data.
+
+    Writes nothing; the info of a network trained here names no model file.
+    """
     chosen = Path(model_path) if model_path else manifest.model_path
     if chosen is not None:
         return load_net(chosen), {"model": str(chosen), "trained_here": False}
@@ -289,12 +282,9 @@ def _obtain_network(
             "or add 'training_data' to the manifest"
         )
     rows = load_training_rows(manifest.training_data_path)
-    samples = rows_to_samples(rows, ref, cds_start, cds_end)
+    samples = rows_to_samples(rows, adopted.subject, adopted.cds_start, adopted.cds_end)
     net, report = train(NetworkTopology(), samples, train_config)
-    saved = work_dir / "model.json"
-    save_net(net, saved)
     return net, {
-        "model": str(saved),
         "trained_here": True,
         "epochs_run": report.epochs_run,
         "final_mse": report.final_mse,
@@ -309,11 +299,13 @@ def run_diagnosis(
     work_dir: str | Path | None = None,
     train_config: TrainConfig = TrainConfig(),
 ) -> DiagnosisReport:
-    """Run the whole diagnosis and write work-directory artifacts.
+    """Run the whole diagnosis, then write the work directory.
 
-    Artifacts: combined.fasta (normal + patient), report.txt, report.json,
-    and model.json when the classifier is trained on the fly. The overall
-    label is AtRisk when any malignant candidate scores at or above the
+    Artifacts, written in this order once everything is computed:
+    combined.fasta (normal + patient), model.json when the classifier is
+    trained on the fly, report.txt and report.json. A diagnosis that fails
+    before writing leaves the work directory as it was. The overall label
+    is AtRisk when any malignant candidate scores at or above the
     threshold; a risk label is a result, not an error.
     """
     if not isinstance(manifest, DatabaseManifest):
@@ -327,29 +319,14 @@ def run_diagnosis(
 
     adopted, rejected = adopt_reference(patient, manifest)
     ref = adopted.subject
-
-    wd = resolve_workdir(work_dir)
-    try:
-        wd.mkdir(parents=True, exist_ok=True)
-        combined_patient = patient
-        if patient.id == ref.id:
-            combined_patient = DnaSequence(
-                patient.id + ".patient", patient.description, patient.bases
-            )
-        write_fasta_path(FastaFile((ref, combined_patient)), wd / "combined.fasta")
-    except OSError as exc:
-        raise IoFailureError(f"cannot write work directory {wd}: {exc}") from exc
-
     alignment = global_align(ref, patient)
-    mutations = _attach_effects(
-        call_mutations(alignment), ref, adopted.cds_start, adopted.cds_end
-    )
+    mutations = [
+        replace(m, effect=classify_effect(m, ref, adopted.cds_start, adopted.cds_end))
+        for m in call_mutations(alignment)
+    ]
     candidates = [m for m in mutations if is_malignant_candidate(m.effect)]
 
-    net, model_info = _obtain_network(
-        manifest, model_path, ref, adopted.cds_start, adopted.cds_end,
-        train_config, wd,
-    )
+    net, model_info = _obtain_network(manifest, model_path, adopted, train_config)
     calls = []
     for m in candidates:
         label, score = classify(net, encode(m, ref))
@@ -360,6 +337,7 @@ def run_diagnosis(
         else Label.NORMAL
     )
 
+    wd = resolve_workdir(work_dir)
     report = DiagnosisReport(
         patient_id=patient.id,
         adopted=adopted,
@@ -376,14 +354,26 @@ def run_diagnosis(
             "threshold": RISK_THRESHOLD,
             "search_k": SearchParams().k,
             "scoring": asdict(Scoring()),
+            "model": str(wd / "model.json"),  # a loaded model's info names its own file
             **model_info,
         },
     )
+    text, doc = render_report(report, "text"), render_report(report, "json")
+    combined_patient = patient
+    if patient.id == ref.id:
+        combined_patient = DnaSequence(
+            patient.id + ".patient", patient.description, patient.bases
+        )
+
     try:
-        write_text_atomic(wd / "report.txt", render_report(report, "text"))
-        write_text_atomic(wd / "report.json", render_report(report, "json"))
+        wd.mkdir(parents=True, exist_ok=True)
+        write_fasta_path(FastaFile((ref, combined_patient)), wd / "combined.fasta")
+        if model_info["trained_here"]:
+            save_net(net, wd / "model.json")
+        write_text_atomic(wd / "report.txt", text)
+        write_text_atomic(wd / "report.json", doc)
     except OSError as exc:
-        raise IoFailureError(f"cannot write reports to {wd}: {exc}") from exc
+        raise IoFailureError(f"cannot write work directory {wd}: {exc}") from exc
     return report
 
 

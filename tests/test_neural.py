@@ -74,6 +74,9 @@ def test_topology_validation():
         NetworkTopology((10, 4, 2))
     with pytest.raises(ValueError):
         NetworkTopology((10, 0, 1))
+    for sizes in ((10.9, 4, 1), (10, 4, True), (10, "4", 1)):
+        with pytest.raises(ValueError):
+            NetworkTopology(sizes)
 
 
 def test_train_config_validation():
@@ -99,6 +102,10 @@ def test_train_config_validation():
         {"init_range": ()},
         {"init_range": (0.0, 0.1, 0.2)},
         {"seed": -1},
+        {"max_epochs": 2.5},
+        {"max_epochs": True},
+        {"seed": True},
+        {"seed": 1.0},
     ):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
@@ -387,6 +394,21 @@ def test_load_rejects_corrupt_files(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(CorruptFileError):
         load_net(path)
+
+    net = zero_network(NetworkTopology())
+    net.train_config = TrainConfig()
+    save_net(net, path)
+    good = json.loads(path.read_text(encoding="utf-8"))
+    load_net(path)
+    for edit in (
+        {"topology": [10.9, 4, True]},  # int() would read it as (10, 4, 1)
+        {"topology": [10, 4, 1.0]},
+        {"train_config": {**good["train_config"], "max_epochs": 2.5}},
+        {"train_config": {**good["train_config"], "seed": True}},
+    ):
+        path.write_text(json.dumps({**good, **edit}), encoding="utf-8")
+        with pytest.raises(CorruptFileError):
+            load_net(path)
 
 
 def test_load_rejects_other_versions(tmp_path):

@@ -14,6 +14,7 @@ from mutascan.align import MutationKind, global_align
 from mutascan.errors import MutascanError
 from mutascan.homology import SearchParams
 from mutascan.neural import (
+    CorruptFileError,
     Label,
     NetworkTopology,
     TrainConfig,
@@ -113,6 +114,7 @@ def test_load_manifest_rejects_mistyped_fields(tmp_path):
         {"databases": [good], "training_data": 7},
         {"databases": [good], "model": ["m.json"]},
         {"databases": [{**good, "cds": [1, 2]}]},
+        *({"databases": [{**good, "cds": cds}]} for cds in ([], 0, False, "", None)),
         {"databases": [{**good, "cds": {"r": [True, True]}}]},
     ):
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -392,6 +394,46 @@ def test_missing_model_and_training_data(corpus, tmp_path):
         run_diagnosis(
             corpus["patient_clean"], stripped, work_dir=tmp_path / "wd"
         )
+
+
+def _snapshot(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "failure,error",
+    [
+        ("no model and no training data", MissingModelAndTrainingDataError),
+        ("corrupt model", CorruptFileError),
+    ],
+    ids=["no model and no training data", "corrupt model"],
+)
+def test_failed_diagnosis_leaves_the_work_directory_unchanged(
+    corpus, trained_model, tmp_path, failure, error
+):
+    wd = tmp_path / "wd"
+    run_diagnosis(
+        corpus["patient_mutated"], corpus["manifest"], model_path=trained_model, work_dir=wd
+    )
+    before = _snapshot(wd)
+    manifest, model = load_manifest(corpus["manifest"]), tmp_path / "corrupt.json"
+    if failure == "corrupt model":
+        model.write_text("{not json", encoding="utf-8")
+    else:
+        manifest, model = DatabaseManifest(manifest.databases, None, None), None
+    with pytest.raises(error):
+        run_diagnosis(corpus["patient_clean"], manifest, model_path=model, work_dir=wd)
+    assert _snapshot(wd) == before
+
+
+def test_blocked_model_file_is_an_io_failure(corpus, tmp_path):
+    wd = tmp_path / "wd"
+    (wd / "model.json").mkdir(parents=True)
+    with pytest.raises(IoFailureError):
+        run_diagnosis(
+            corpus["patient_mutated"], corpus["manifest"], work_dir=wd, train_config=FAST_TRAIN
+        )
+    assert not list(wd.glob("report.*"))
 
 
 def test_workdir_collision_with_file_fails_cleanly(corpus, trained_model, tmp_path):

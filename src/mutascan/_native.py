@@ -1,0 +1,218 @@
+"""The compiled banded kernel: `_band.c`, built on first use with the system `cc`.
+
+`load` compiles the C file with `cc -O2 -fwrapv -shared -fPIC` into a
+per-user cache directory, `$XDG_CACHE_HOME/mutascan` or else
+`~/.cache/mutascan`, and loads it with ctypes. The library's name holds the
+SHA-256 of the source and the platform, so a warm start spawns no process.
+A cache directory that another user owns, or that others may write to, is
+not used: the library is then built into a private temp directory for the
+process. With no compiler, a failed build or a failed load, `load` returns
+None and `align` runs its numpy fill and Python traceback instead.
+
+ctypes checks no bounds, so `Kernel` checks every array before each call:
+dtype, contiguity or strides, shape, codes and row windows.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import hashlib
+import os
+import shutil
+import stat
+import subprocess
+import sysconfig
+import tempfile
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+
+_CC = ("cc", "-O2", "-fwrapv", "-shared", "-fPIC")
+_BUILD_TIMEOUT_S = 120
+# the C table: row codes A C G T N, column codes those and align.OUTSIDE_CODE
+_TABLE_SHAPE = (5, 6)
+
+_ptr, _i64, _i32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int32
+
+
+@functools.cache
+def load() -> Kernel | None:
+    """The kernel, built or taken from the cache on the first call; None if it cannot run."""
+    return _load(_cache_dir())
+
+
+def _cache_dir() -> Path | None:
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # the XDG spec ignores a relative path
+        try:
+            base = Path.home() / ".cache"
+        except RuntimeError:  # no home directory
+            return None
+    return Path(base) / "mutascan"
+
+
+def _load(cache: Path | None) -> Kernel | None:
+    """Load the kernel from `cache`, building it there first if need be.
+
+    When `cache` is None or not private to this user, the library is built
+    into a temp directory that is removed once it is loaded.
+    """
+    if os.name != "posix":
+        return None
+    try:
+        source = resources.files(__package__).joinpath("_band.c").read_bytes()
+        key = hashlib.sha256(source + sysconfig.get_platform().encode()).hexdigest()[:16]
+        name = f"_band-{key}.so"
+        if cache is not None and _private_dir(cache):
+            if not (cache / name).is_file():
+                _build(source, cache / name)
+            return Kernel(cache / name)
+        tmp = Path(tempfile.mkdtemp(prefix="mutascan-"))
+        try:
+            _build(source, tmp / name)
+            return Kernel(tmp / name)  # a loaded library outlives its file
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        # OSError: no source or no cc, a failed write or load; AttributeError: a missing symbol
+        return None
+
+
+def _private_dir(path: Path) -> bool:
+    """Make `path` (mode 0700) if absent; True if this user owns it and only they may write."""
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = path.stat()
+    except OSError:
+        return False
+    return (
+        stat.S_ISDIR(st.st_mode)
+        and st.st_uid == os.getuid()
+        and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+    )
+
+
+def _build(source: bytes, lib: Path) -> None:
+    """Compile `source` into `lib` whole or not at all, as `seqio.write_text_atomic` writes.
+
+    The temp file's name is unique, so builds racing in other processes or
+    threads never write the same file; the last rename wins.
+    """
+    fd, name = tempfile.mkstemp(prefix=f".{lib.name}.", suffix=".tmp", dir=lib.parent)
+    os.close(fd)
+    tmp = Path(name)
+    try:
+        subprocess.run(
+            [*_CC, "-o", str(tmp), "-x", "c", "-"],
+            input=source,
+            capture_output=True,
+            check=True,
+            timeout=_BUILD_TIMEOUT_S,
+        )
+        os.replace(tmp, lib)
+    finally:
+        with contextlib.suppress(OSError):  # absent after the rename or a failed build
+            tmp.unlink()
+
+
+def _check(name: str, a: np.ndarray, dtype, shape: tuple, strides: tuple | None = None) -> None:
+    """Refuse an array the C code would misread: dtype, shape, and C order or `strides`."""
+    if not isinstance(a, np.ndarray) or a.dtype != dtype:
+        raise ValueError(f"{name} must be a {np.dtype(dtype)} array")
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    if strides is None:
+        if not a.flags.c_contiguous:
+            raise ValueError(f"{name} must be C-contiguous")
+    elif a.strides != strides:
+        raise ValueError(f"{name} has strides {a.strides}, expected {strides}")
+
+
+def _check_codes(rows: np.ndarray, cols: np.ndarray) -> None:
+    if rows.size and int(rows.max()) >= _TABLE_SHAPE[0]:
+        raise ValueError(f"row code {int(rows.max())} above {_TABLE_SHAPE[0] - 1}")
+    if cols.size and int(cols.max()) >= _TABLE_SHAPE[1]:
+        raise ValueError(f"column code {int(cols.max())} above {_TABLE_SHAPE[1] - 1}")
+
+
+class Kernel:
+    """The loaded library; each method checks its arrays, then calls the C function."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        lib = ctypes.CDLL(str(path))
+        self._fill = lib.band_fill_rows
+        self._fill.argtypes = [
+            _ptr, _i64, _ptr, _i64, _i64, _ptr, _i64, _ptr, _i32, _i32, _i32, _ptr, _ptr, _ptr
+        ]
+        self._fill.restype = None
+        self._trace = lib.band_traceback
+        self._trace.argtypes = [
+            _ptr, _ptr, _ptr, _i64, _i64, _i64, _ptr, _ptr, _i64, _ptr, _ptr,
+            _i64, _i64, _i32, _i64, _ptr, _ptr, _ptr,
+        ]
+        self._trace.restype = _i64
+
+    def fill_rows(self, rows, cols, offsets, table, oe: int, e: int, local: bool, M, Ix, Iy) -> None:
+        """`align._fill_rows_numpy` in C: fill rows 1.. of M, Ix and Iy in place."""
+        m = len(rows)
+        g, ncols = cols.shape if cols.ndim == 2 else (0, 0)
+        width = M.shape[-1] if M.ndim == 3 else 0
+        _check("rows", rows, np.uint8, (m,))
+        _check("cols", cols, np.uint8, (g, ncols))
+        _check("offsets", offsets, np.int64, (m + 1,))
+        _check("table", table, np.int32, _TABLE_SHAPE)
+        for name, a in (("M", M), ("Ix", Ix), ("Iy", Iy)):
+            _check(name, a, np.int32, (m + 1, g, width))
+        if width < 1:
+            raise ValueError("a band needs at least one slot a row")
+        _check_codes(rows, cols)
+        if m and (int(offsets[1:].min()) < 0 or int(offsets[1:].max()) > ncols - width):
+            raise ValueError(f"a row window of {width} slots leaves the {ncols} columns")
+        self._fill(
+            rows.ctypes.data, m, cols.ctypes.data, g, ncols, offsets.ctypes.data, width,
+            table.ctypes.data, oe, e, local, M.ctypes.data, Ix.ctypes.data, Iy.ctypes.data,
+        )
+
+    def traceback(self, M, Ix, Iy, rows, cols, offsets, table, oe: int, e: int, local: bool):
+        """`align._band_traceback_python` in C, for one band's (rows + 1, width) views.
+
+        Returns None when local and no cell scores above 0, else (score,
+        start row, start slot, end row, end slot, row codes, column codes),
+        the codes last column first. Raises ValueError when the C traceback
+        finds no path, which the Python traceback would also fail on.
+        """
+        m = len(rows)
+        width = M.shape[-1] if M.ndim == 2 else 0
+        _check("rows", rows, np.uint8, (m,))
+        _check("cols", cols, np.uint8, (len(cols),))
+        _check("offsets", offsets, np.int64, (m + 1,))
+        _check("table", table, np.int32, _TABLE_SHAPE)
+        band = (m + 1, width)
+        row_step = M.strides[0] if M.ndim == 2 else 0
+        if row_step < width * M.itemsize or row_step % M.itemsize:
+            raise ValueError(f"M rows are {row_step} bytes apart, not a whole row of int32")
+        for name, a in (("M", M), ("Ix", Ix), ("Iy", Iy)):
+            _check(name, a, np.int32, band, (row_step, a.itemsize))
+        if width < 1:
+            raise ValueError("a band needs at least one slot a row")
+        _check_codes(rows, cols)
+        cap = m + len(cols)  # each step consumes a row, a column or both
+        out_r = np.empty(cap, dtype=np.uint8)
+        out_c = np.empty(cap, dtype=np.uint8)
+        ends = np.zeros(5, dtype=np.int64)
+        n = self._trace(
+            M.ctypes.data, Ix.ctypes.data, Iy.ctypes.data, row_step // M.itemsize, m, width,
+            rows.ctypes.data, cols.ctypes.data, len(cols), offsets.ctypes.data,
+            table.ctypes.data, oe, e, local, cap, out_r.ctypes.data, out_c.ctypes.data,
+            ends.ctypes.data,
+        )
+        if n < 0:
+            raise ValueError("native traceback found no predecessor for a cell on the path")
+        if n == 0:
+            return None
+        score, i0, b0, i1, b1 = ends.tolist()
+        return score, i0, b0, i1, b1, out_r[:n], out_c[:n]

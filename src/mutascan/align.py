@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _native
 from .errors import MutascanError, PositionOutOfRangeError
 from .seqio import DnaSequence
 
@@ -190,31 +191,31 @@ def result_from_alignment(aligned_a: str, aligned_b: str, score: int) -> Alignme
 def band_fill(
     rows: np.ndarray,
     cols: np.ndarray,
-    offsets: list[int],
+    offsets: np.ndarray,
     width: int,
     scoring: Scoring,
     top: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     local: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Banded three-state affine-gap fill (Gotoh), one vectorised row at a time.
+    """Banded three-state affine-gap fill (Gotoh), one row of every band at a time.
 
     `rows` holds the base codes down the matrix. Each of the G bands stores
     `width` cells per row; row i (1-based) of band g scores against the
     codes cols[g, offsets[i] : offsets[i] + width], where OUTSIDE_CODE marks
-    a column outside the sequence. From one row to the next the offset
-    steps by 1 or by 0. A step of 1 keeps the row in diagonal coordinates:
-    M reads the same slot of the previous row and Ix the next slot. A step
-    of 0 keeps it in column coordinates: M reads the previous slot and Ix
-    the same slot. Iy is an exact integer running-max scan along the row.
-    Cells outside the stored windows are unreachable.
+    a column outside the sequence. `offsets` is an int64 array. From one row
+    to the next the offset steps by 1 or by 0. A step of 1 keeps the row in
+    diagonal coordinates: M reads the same slot of the previous row and Ix
+    the next slot. A step of 0 keeps it in column coordinates: M reads the
+    previous slot and Ix the same slot. Iy is an exact integer running-max
+    scan along the row. Cells outside the stored windows are unreachable.
 
     `top` is row 0 of (M, Ix, Iy), each (G, width); None leaves row 0
     unreachable. Local mode floors the M predecessor at 0, so an alignment
     may start anywhere. Returns M, Ix and Iy as (len(rows) + 1, G, width)
-    int32 arrays.
+    int32 arrays. The rows are filled by the compiled kernel when it loads,
+    else by `_fill_rows_numpy`; both give the same values.
     """
-    m = len(rows)
-    shape = (m + 1, cols.shape[0], width)
+    shape = (len(rows) + 1, cols.shape[0], width)
     M = np.empty(shape, dtype=np.int32)
     Ix = np.empty(shape, dtype=np.int32)
     Iy = np.empty(shape, dtype=np.int32)
@@ -222,22 +223,49 @@ def band_fill(
         M[0] = Ix[0] = Iy[0] = _NEG
     else:
         M[0], Ix[0], Iy[0] = top
+    oe, e, table = _fill_constants(scoring)
+    kernel = _native.load()
+    if kernel is None:
+        _fill_rows_numpy(rows, cols, offsets.tolist(), table, oe, e, local, M, Ix, Iy)
+    else:
+        kernel.fill_rows(rows, cols, offsets, table, int(oe), int(e), local, M, Ix, Iy)
+    return M, Ix, Iy
+
+
+def _fill_constants(scoring: Scoring) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0-d int32 gap open + extend and gap extend, and the 5 x 6 int32 score
+    table of (row code, column code); column OUTSIDE_CODE is unreachable."""
+    # 0-d int32 constants: ufuncs convert a Python int on every call
+    oe = np.array(scoring.gap_open + scoring.gap_extend, dtype=np.int32)
+    e = np.array(scoring.gap_extend, dtype=np.int32)
+    table = np.full((5, OUTSIDE_CODE + 1), _NEG, dtype=np.int32)
+    table[:, :OUTSIDE_CODE] = scoring.substitution_matrix()
+    return oe, e, table
+
+
+def _fill_rows_numpy(
+    rows: np.ndarray, cols: np.ndarray, offsets: list[int], table: np.ndarray,
+    oe: np.ndarray, e: np.ndarray, local: bool,
+    M: np.ndarray, Ix: np.ndarray, Iy: np.ndarray,
+) -> None:
+    """Fill rows 1.. of `band_fill`'s M, Ix and Iy with one numpy step per row.
+
+    The fallback where the compiled kernel cannot be built, and the
+    reference the tests compare it with.
+    """
+    m = len(rows)
+    width = M.shape[2]
     # slots no move reaches: M's first slot of a column-coordinate row, Ix's
     # last slot of a diagonal-coordinate row, Iy's first slot of every row
     M[1:, :, 0] = Ix[1:, :, -1] = Iy[1:, :, 0] = _NEG
 
-    # 0-d int32 constants: ufuncs convert a Python int on every call
-    oe = np.array(scoring.gap_open + scoring.gap_extend, dtype=np.int32)
-    e = np.array(scoring.gap_extend, dtype=np.int32)
     zero = np.array(0, dtype=np.int32)
-    table = np.full((5, 6), _NEG, dtype=np.int32)
-    table[:, :5] = scoring.substitution_matrix()
     sub_rows = list(table)
     steps = np.arange(width, dtype=np.int32)
     # Iy[t] = max over k < t of (H[k] - e*k) + oe - e + e*t, H = max(M, Ix)
     ramp = (-e * steps)[None, :]
     iy_add = ((oe - e) + e * steps[1:])[None, :]
-    tmp = np.empty(shape[1:], dtype=np.int32)
+    tmp = np.empty(M.shape[1:], dtype=np.int32)
     best = np.empty_like(tmp)
     tmp_head, tmp_tail = tmp[:, :-1], tmp[:, 1:]
     best_head = best[:, :-1]
@@ -272,10 +300,38 @@ def band_fill(
         add(tmp, ramp, out=tmp)
         running_max(tmp, axis=1, out=tmp)
         add(tmp_head, iy_add, out=tails_y[i])
-    return M, Ix, Iy
 
 
 def _band_traceback(
+    M: np.ndarray, Ix: np.ndarray, Iy: np.ndarray, rows: np.ndarray,
+    cols: np.ndarray, offsets: np.ndarray, scoring: Scoring, local: bool,
+):
+    """Trace the best path of one band filled by `band_fill` back to its start.
+
+    Arguments and result are those of `_band_traceback_python`, with `rows`
+    a uint8 array and `offsets` an int64 array. The compiled kernel traces
+    when it loads, else `_band_traceback_python`; both give the same path.
+    """
+    kernel = _native.load()
+    if kernel is None:
+        return _band_traceback_python(
+            M, Ix, Iy, rows.tolist(), cols, offsets.tolist(), scoring, local
+        )
+    table = _fill_constants(scoring)[2]
+    path = kernel.traceback(
+        M, Ix, Iy, rows, cols, offsets, table,
+        scoring.gap_open + scoring.gap_extend, scoring.gap_extend, local,
+    )
+    if path is None:
+        return None
+    score, i0, b0, i1, b1, rev_r, rev_c = path
+    return (
+        score, (i0, int(offsets[i0]) + b0), (i1, int(offsets[i1]) + b1),
+        _decode(rev_r), _decode(rev_c),
+    )
+
+
+def _band_traceback_python(
     M: np.ndarray, Ix: np.ndarray, Iy: np.ndarray, rows: list[int],
     cols: np.ndarray, offsets: list[int], scoring: Scoring, local: bool,
 ):
@@ -296,7 +352,8 @@ def _band_traceback(
     at row 0, column 0, and prefers M, then Ix, then Iy. Returns None when
     no local path scores above 0, else (score, (row, column) of the cell the
     path leaves from, (row, column) of its last cell, aligned row bases,
-    aligned column bases).
+    aligned column bases). The fallback where the compiled kernel cannot be
+    built, and the reference the tests compare it with.
     """
     width = M.shape[1]
     sub = scoring.substitution_matrix().tolist()
@@ -359,9 +416,9 @@ def _band_traceback(
     return score, (i, offsets[i] + b), end, _decode(rev_r), _decode(rev_c)
 
 
-def _decode(rev_codes: list[int]) -> str:
-    """Bases for codes collected last to first; _GAP decodes to '-'."""
-    return bytes(reversed(rev_codes)).translate(_BASE_TABLE).decode("ascii")
+def _decode(rev_codes) -> str:
+    """Bases for codes collected last to first (a list or a uint8 array); _GAP decodes to '-'."""
+    return bytes(rev_codes)[::-1].translate(_BASE_TABLE).decode("ascii")
 
 
 def _global_band(ca: np.ndarray, cb: np.ndarray, radius: int, scoring: Scoring):
@@ -382,7 +439,7 @@ def _global_band(ca: np.ndarray, cb: np.ndarray, radius: int, scoring: Scoring):
             f"{m} x {n} alignment needs a band of {(m + 1) * width} cells, "
             f"above the {DEFAULT_CELL_CAP}-cell cap"
         )
-    starts = np.clip(np.arange(m + 1) + lo, 0, n + 1 - width).tolist()
+    starts = np.clip(np.arange(m + 1, dtype=np.int64) + lo, 0, n + 1 - width)
     oe = scoring.gap_open + scoring.gap_extend
     top_m = np.full((1, width), _NEG, dtype=np.int32)
     top_m[0, 0] = 0
@@ -435,7 +492,7 @@ def global_align(
     cb = encode_bases(b.bases)
     radius = _FIRST_RADIUS
     starts, M, Ix, Iy = _global_band(ca, cb, radius, scoring)
-    t = n - starts[m]
+    t = n - int(starts[m])
     score = max(M.item(m, t), Ix.item(m, t), Iy.item(m, t))
     full_radius = (n - abs(n - m) + 1) // 2  # from here on the band stores whole rows
     while radius < full_radius and score <= _outside_bound(m, n, radius, scoring):
@@ -444,7 +501,7 @@ def global_align(
         del M, Ix, Iy  # free the first band before the wider one is filled
         starts, M, Ix, Iy = _global_band(ca, cb, radius, scoring)
     score, _, _, aligned_a, aligned_b = _band_traceback(
-        M, Ix, Iy, ca.tolist(), _global_columns(cb), starts, scoring, local=False
+        M, Ix, Iy, ca, _global_columns(cb), starts, scoring, local=False
     )
     return result_from_alignment(aligned_a, aligned_b, score)
 
@@ -475,7 +532,7 @@ def banded_local_align(
     width = 2 * radius + 1
     m = len(query)
     rows = encode_bases(query)
-    offsets = list(range(-1, m))  # row i's window starts at column i - 1
+    offsets = np.arange(-1, m, dtype=np.int64)  # row i's window starts at column i - 1
     # cols[g, x] holds the code of subject base x - diagonal - radius
     cols = np.full((len(bands), m + width - 1), OUTSIDE_CODE, dtype=np.uint8)
     for g, (subject, diag) in enumerate(bands):
@@ -485,11 +542,10 @@ def banded_local_align(
         if x_lo < x_hi:
             cols[g, x_lo:x_hi] = encode_bases(subject[x_lo - first : x_hi - first])
     M, Ix, Iy = band_fill(rows, cols, offsets, width, scoring, local=True)
-    row_codes = rows.tolist()
     out: list[LocalAlignment | None] = []
     for g, (_, diag) in enumerate(bands):
         path = _band_traceback(
-            M[:, g], Ix[:, g], Iy[:, g], row_codes, cols[g], offsets, scoring, local=True
+            M[:, g], Ix[:, g], Iy[:, g], rows, cols[g], offsets, scoring, local=True
         )
         if path is None:
             out.append(None)

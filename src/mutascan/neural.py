@@ -345,6 +345,11 @@ def encode(mut: Mutation, ref: DnaSequence) -> FeatureVector:
 
 def save_net(net: Network, path: str | Path) -> None:
     """Write the network as versioned JSON; floats keep full precision."""
+    write_text_atomic(path, net_to_json(net))
+
+
+def net_to_json(net: Network) -> str:
+    """The text of a model file, as `save_net` writes it and `load_net` reads it."""
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -353,7 +358,7 @@ def save_net(net: Network, path: str | Path) -> None:
         "biases": [b.tolist() for b in net.biases],
         "train_config": None if net.train_config is None else asdict(net.train_config),
     }
-    write_text_atomic(path, json.dumps(doc, indent=2) + "\n")
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def load_net(path: str | Path) -> Network:

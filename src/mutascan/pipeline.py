@@ -45,8 +45,8 @@ from .neural import (
     encode,
     load_net,
     load_training_rows,
+    net_to_json,
     rows_to_samples,
-    save_net,
     train,
 )
 from .protein import ProteinEffect, classify_effect, is_malignant_candidate
@@ -55,8 +55,9 @@ from .seqio import (
     FastaFile,
     read_fasta_path,
     read_text,
-    write_fasta_path,
-    write_text_atomic,
+    write_fasta,
+    write_fasta_path,  # not called here: perfbench/tracing.py wraps this name
+    write_texts_atomic,
 )
 from .seqstats import (
     GC_GATE_TARGET,
@@ -301,10 +302,12 @@ def run_diagnosis(
 ) -> DiagnosisReport:
     """Run the whole diagnosis, then write the work directory.
 
-    Artifacts, written in this order once everything is computed:
-    combined.fasta (normal + patient), model.json when the classifier is
-    trained on the fly, report.txt and report.json. A diagnosis that fails
-    before writing leaves the work directory as it was. The overall label
+    Artifacts, written together once everything is computed: combined.fasta
+    (normal + patient), model.json when the classifier is trained on the
+    fly, report.txt and report.json. Each goes to a temp file first, and
+    none replaces its earlier version unless all were written and no target
+    is a directory, so a diagnosis that fails, in writing or before, leaves
+    the work directory's files as they were. The overall label
     is AtRisk when any malignant candidate scores at or above the
     threshold; a risk label is a result, not an error.
     """
@@ -365,13 +368,14 @@ def run_diagnosis(
             patient.id + ".patient", patient.description, patient.bases
         )
 
+    files = {wd / "combined.fasta": write_fasta(FastaFile((ref, combined_patient)))}
+    if model_info["trained_here"]:
+        files[wd / "model.json"] = net_to_json(net)
+    files[wd / "report.txt"] = text
+    files[wd / "report.json"] = doc
     try:
         wd.mkdir(parents=True, exist_ok=True)
-        write_fasta_path(FastaFile((ref, combined_patient)), wd / "combined.fasta")
-        if model_info["trained_here"]:
-            save_net(net, wd / "model.json")
-        write_text_atomic(wd / "report.txt", text)
-        write_text_atomic(wd / "report.json", doc)
+        write_texts_atomic(files)
     except OSError as exc:
         raise IoFailureError(f"cannot write work directory {wd}: {exc}") from exc
     return report

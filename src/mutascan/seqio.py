@@ -7,6 +7,7 @@ normalized at parse time and positions are always reported 1-based.
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import os
 import re
@@ -192,21 +193,38 @@ def read_fasta_path(path) -> FastaFile:
 
 
 def write_text_atomic(path, text: str, encoding: str = "utf-8") -> None:
-    """Write `text` to `path` whole or not at all.
+    """Write `text` to `path` whole or not at all; see `write_texts_atomic`."""
+    write_texts_atomic({path: text}, encoding)
 
-    The text goes to a temp file in the same directory, which then replaces
-    `path`; if anything fails, the temp file is removed and an earlier file
-    at `path` is left as it was. An `OSError` names `path`, not the temp file.
+
+def write_texts_atomic(texts: dict, encoding: str = "utf-8") -> None:
+    """Write each text of a {path: text} map whole, and all of them or none.
+
+    Every text first goes to a temp file in its path's directory. Only when
+    all are written, and no path is a directory, do the temp files replace
+    their paths, in the map's order. If anything fails before that, the
+    temp files are removed and every earlier file is left as it was; a
+    rename that fails after others succeeded leaves those replaced. An
+    `OSError` names the path, not its temp file.
     """
-    path = Path(path)
-    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"  # `/` and `.` have no name
+    staged: list[tuple[Path, Path]] = []  # (temp file, path)
+    path = None
     try:
-        with open(tmp, "w", encoding=encoding, newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in texts.items():
+            path = Path(path)
+            tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"  # `/` and `.` have no name
+            staged.append((tmp, path))
+            with open(tmp, "w", encoding=encoding, newline="") as fh:
+                fh.write(text)
+        for _, path in staged:
+            if path.is_dir():  # os.replace would fail on it after earlier renames
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException as exc:
-        with contextlib.suppress(OSError):  # absent, or its directory never existed
-            tmp.unlink()
+        for tmp, _ in staged:
+            with contextlib.suppress(OSError):  # renamed, absent, or its directory never existed
+                tmp.unlink()
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise

@@ -1,3 +1,4 @@
+import contextlib
 import sys
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from mutascan import _native
 from mutascan.neural import NetworkTopology, TrainConfig, load_training_rows, rows_to_samples, save_net, train
 
 
@@ -15,6 +17,14 @@ def corpus(tmp_path_factory):
 
     out = tmp_path_factory.mktemp("corpus")
     return make_synthetic_corpus(42, out)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _kernel_cache(tmp_path_factory):
+    """Build the compiled kernel into the session's temp directory, not the user's cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
 
 
 FAST_TRAIN = TrainConfig(target_mse=1e-4, max_epochs=100_000)
@@ -30,3 +40,22 @@ def trained_model(corpus, tmp_path_factory):
     path = tmp_path_factory.mktemp("model") / "model.json"
     save_net(net, path)
     return path
+
+
+@contextlib.contextmanager
+def _numpy_kernel():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        yield
+
+
+@pytest.fixture(scope="session")
+def kernels():
+    """Context managers that run a block under each banded kernel.
+
+    The first leaves the loader alone, so the compiled kernel runs where it
+    loads; the second makes the loader report no kernel, so `align` runs its
+    numpy fill and Python traceback. Session-scoped, so hypothesis tests can
+    take it: `for kernel in kernels: with kernel(): ...`.
+    """
+    return (contextlib.nullcontext, _numpy_kernel)

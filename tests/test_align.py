@@ -178,26 +178,34 @@ def _edited_pairs(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_edited_pairs(), _SCORINGS)
-def test_matches_reference_on_edited_pairs(pair, scoring):
-    _assert_same_as_reference(*pair, scoring)
+def test_matches_reference_on_edited_pairs(kernels, pair, scoring):
+    for kernel in kernels:
+        with kernel():
+            _assert_same_as_reference(*pair, scoring)
 
 
 @settings(max_examples=40, deadline=None)
 @given(dna("ACGT", 1, 160), dna("ACGT", 1, 160), _SCORINGS)
-def test_matches_reference_on_unrelated_pairs(a, b, scoring):
+def test_matches_reference_on_unrelated_pairs(kernels, a, b, scoring):
     # unrelated sequences fail the band certificate until it covers the matrix
-    _assert_same_as_reference(a, b, scoring)
+    for kernel in kernels:
+        with kernel():
+            _assert_same_as_reference(a, b, scoring)
 
 
 @settings(max_examples=40, deadline=None)
 @given(dna("ACGTNNNN", 1, 160), dna("ACGTNNNN", 1, 160), _SCORINGS)
-def test_matches_reference_on_n_rich_pairs(a, b, scoring):
-    _assert_same_as_reference(a, b, scoring)
+def test_matches_reference_on_n_rich_pairs(kernels, a, b, scoring):
+    for kernel in kernels:
+        with kernel():
+            _assert_same_as_reference(a, b, scoring)
 
 
 @settings(max_examples=30, deadline=None)
 @given(dna("ACGTN", 34, 200), st.integers(0, 1000), st.booleans(), st.booleans(), _SCORINGS, st.data())
-def test_matches_reference_on_very_unequal_lengths(short, extra, related, swap, scoring, data):
+def test_matches_reference_on_very_unequal_lengths(
+    kernels, short, extra, related, swap, scoring, data
+):
     # a related pair shares `short` around one long insertion, so the band
     # spans |m - n| + 33 diagonals without covering the matrix
     filler = data.draw(dna("ACGT", extra, extra))
@@ -207,14 +215,18 @@ def test_matches_reference_on_very_unequal_lengths(short, extra, related, swap, 
     else:
         long = data.draw(dna("ACGT", 1, len(short))) + filler
     a, b = (long, short) if swap else (short, long)
-    _assert_same_as_reference(a, b, scoring)
+    for kernel in kernels:
+        with kernel():
+            _assert_same_as_reference(a, b, scoring)
 
 
 @settings(max_examples=40, deadline=None)
 @given(dna("ACGTN", 1, 1), dna("ACGTN", 1, 80), st.booleans(), _SCORINGS)
-def test_matches_reference_on_length_one_inputs(one, other, swap, scoring):
+def test_matches_reference_on_length_one_inputs(kernels, one, other, swap, scoring):
     a, b = (other, one) if swap else (one, other)
-    _assert_same_as_reference(a, b, scoring)
+    for kernel in kernels:
+        with kernel():
+            _assert_same_as_reference(a, b, scoring)
 
 
 def test_band_never_stores_more_than_the_full_matrix():

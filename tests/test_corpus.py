@@ -34,15 +34,17 @@ def test_corpus_is_byte_deterministic(tmp_path):
 GOLDEN_CORPUS_SHA256 = "5e6ce54996d8b65cd594d1dc61755e73be4ce5135803371c9ef9cbb1738df36b"
 
 
-def test_corpus_bytes_match_golden_hash(tmp_path):
-    digest = hashlib.sha256()
-    for seed in range(51):
-        paths = make_synthetic_corpus(seed, tmp_path / str(seed))
-        for key in sorted(paths):
-            data = paths[key].read_bytes()
-            digest.update(f"{seed}:{key}:{len(data)}\n".encode())
-            digest.update(data)
-    assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
+def test_corpus_bytes_match_golden_hash(kernels, tmp_path):
+    for kernel in kernels:
+        digest = hashlib.sha256()
+        with kernel():
+            for seed in range(51):
+                paths = make_synthetic_corpus(seed, tmp_path / str(seed))
+                for key in sorted(paths):
+                    data = paths[key].read_bytes()
+                    digest.update(f"{seed}:{key}:{len(data)}\n".encode())
+                    digest.update(data)
+        assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
 
 
 def test_pipeline_reexports_the_corpus_generator():

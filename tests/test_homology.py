@@ -294,17 +294,21 @@ def _search_case(draw, k, min_subject, max_subject, min_query, max_query):
 
 @settings(max_examples=40, deadline=None)
 @given(_search_case(k=4, min_subject=20, max_subject=150, min_query=20, max_query=60))
-def test_search_matches_reference_on_k4_databases(case):
+def test_search_matches_reference_on_k4_databases(kernels, case):
     # k = 4 seeds many chance diagonals per query, often several batches
     query, index, params = case
-    assert search(query, index, params) == reference_search(query, index, params)
+    for kernel in kernels:
+        with kernel():
+            assert search(query, index, params) == reference_search(query, index, params)
 
 
 @settings(max_examples=30, deadline=None)
 @given(_search_case(k=11, min_subject=1, max_subject=400, min_query=11, max_query=200))
-def test_search_matches_reference_on_default_seeds(case):
+def test_search_matches_reference_on_default_seeds(kernels, case):
     query, index, params = case
-    assert search(query, index, params) == reference_search(query, index, params)
+    for kernel in kernels:
+        with kernel():
+            assert search(query, index, params) == reference_search(query, index, params)
 
 
 def test_search_batches_many_diagonals_like_reference():

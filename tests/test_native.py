@@ -1,0 +1,325 @@
+"""The compiled banded kernel against the numpy fill and Python traceback it mirrors."""
+
+import hashlib
+import importlib.resources
+import random
+import subprocess
+import sysconfig
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mutascan import _native
+from mutascan import align
+from mutascan.align import Scoring, banded_local_align, encode_bases, global_align
+from mutascan.homology import SearchParams, build_index, search
+from mutascan.seqio import DnaSequence, FastaFile
+
+from oracles import dna, random_bases
+
+_SCORINGS = st.sampled_from(
+    [
+        Scoring(),
+        SearchParams().scoring(),
+        Scoring(match=3, mismatch=-2, gap_open=-4, gap_extend=-3),
+        Scoring(match=1, mismatch=0, gap_open=0, gap_extend=0),  # ties everywhere
+    ]
+)
+
+
+@pytest.fixture(scope="session")
+def native():
+    kernel = _native.load()
+    if kernel is None:
+        pytest.skip("the compiled kernel does not build or load on this host")
+    return kernel
+
+
+def _numpy(fn, *args, **kwargs):
+    """`fn(*args, **kwargs)` with the loader reporting no compiled kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        return fn(*args, **kwargs)
+
+
+def _recorded(name, fn, *args):
+    """Every (args, kwargs) that `fn(*args)` passes to `align.<name>`."""
+    calls = []
+    original = getattr(align, name)
+
+    def record(*a, **kw):
+        calls.append((a, kw))
+        return original(*a, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(align, name, record)
+        fn(*args)
+    return calls
+
+
+_BANDS = st.lists(st.tuples(dna("ACGTNN", 1, 150), st.integers(-60, 60)), min_size=1, max_size=6)
+
+
+def _global_pair():
+    return st.tuples(dna("ACGTNNNN", 1, 150), dna("ACGTNNNN", 1, 150)) | st.tuples(
+        dna("ACGTN", 1, 1), dna("ACGTN", 1, 90)
+    )
+
+
+def _assert_same_fill(calls):
+    for args, kwargs in calls:
+        native = align.band_fill(*args, **kwargs)
+        reference = _numpy(align.band_fill, *args, **kwargs)
+        for got, want in zip(native, reference):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+def _assert_same_traceback(calls):
+    for (M, Ix, Iy, rows, cols, offsets, scoring), kwargs in calls:
+        want = align._band_traceback_python(
+            M, Ix, Iy, rows.tolist(), cols, offsets.tolist(), scoring, **kwargs
+        )
+        assert align._band_traceback(M, Ix, Iy, rows, cols, offsets, scoring, **kwargs) == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(_global_pair(), st.booleans(), st.integers(0, 40), _SCORINGS)
+def test_native_fill_matches_numpy(native, pair, swap, radius, scoring):
+    a, b = pair[::-1] if swap else pair
+    ca, cb = encode_bases(a), encode_bases(b)
+    _assert_same_fill(_recorded("band_fill", align._global_band, ca, cb, radius, scoring))
+    bands = [(a, d) for d in (-radius, 0, len(b) - len(a), radius)]
+    _assert_same_fill(_recorded("band_fill", banded_local_align, b, bands, radius % 17, scoring))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dna("ACGTNN", 1, 150), _BANDS, st.integers(0, 16), _SCORINGS)
+def test_native_fill_matches_numpy_on_local_batches(native, query, bands, radius, scoring):
+    _assert_same_fill(_recorded("band_fill", banded_local_align, query, bands, radius, scoring))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_global_pair(), st.booleans(), _SCORINGS)
+def test_native_traceback_matches_python_on_global_bands(native, pair, swap, scoring):
+    a, b = pair[::-1] if swap else pair
+    seqs = DnaSequence("a", "", a), DnaSequence("b", "", b)
+    _assert_same_traceback(_recorded("_band_traceback", global_align, *seqs, scoring))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dna("ACGTNN", 1, 150), _BANDS, st.integers(0, 16), _SCORINGS)
+def test_native_traceback_matches_python_on_local_batches(native, query, bands, radius, scoring):
+    calls = _recorded("_band_traceback", banded_local_align, query, bands, radius, scoring)
+    assert len(calls) == len(bands)
+    _assert_same_traceback(calls)
+
+
+# --- loader ---------------------------------------------------------------------
+
+
+def _library_name():
+    """The cache file name: the SHA-256 of the C source and the platform."""
+    source = importlib.resources.files("mutascan").joinpath("_band.c").read_bytes()
+    key = hashlib.sha256(source + sysconfig.get_platform().encode()).hexdigest()[:16]
+    return f"_band-{key}.so"
+
+
+@pytest.mark.parametrize("case", ["no cc", "failing cc", "unloadable library"])
+def test_without_a_working_kernel_numpy_runs_and_agrees(tmp_path, monkeypatch, case):
+    ref = random_bases(random.Random(3), 400)
+    patient = ref[:100] + "T" + ref[101:300] + ref[306:]
+    db = FastaFile((DnaSequence("r", "", ref), DnaSequence("s", "", ref[::-1])))
+    query = DnaSequence("p", "", patient)
+
+    def results():
+        return (
+            global_align(db.records[0], query),
+            search(query, build_index(db, 11)),
+        )
+
+    expected = results()
+    cache = tmp_path / "cache"
+    cache.mkdir(mode=0o700)
+    if case == "unloadable library":
+        (cache / _library_name()).write_bytes(b"not a shared library")
+    else:
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        if case == "failing cc":
+            (bin_dir / "cc").write_text("#!/bin/sh\nexit 1\n", encoding="utf-8")
+            (bin_dir / "cc").chmod(0o755)
+        monkeypatch.setenv("PATH", str(bin_dir))
+    before = sorted(cache.iterdir())
+    assert _native._load(cache) is None
+    assert sorted(cache.iterdir()) == before  # a failed build leaves no file behind
+
+    ran = []
+    for name in ("_fill_rows_numpy", "_band_traceback_python"):
+        original = getattr(align, name)
+        monkeypatch.setattr(
+            align, name, lambda *a, name=name, fn=original, **kw: ran.append(name) or fn(*a, **kw)
+        )
+    monkeypatch.setattr(_native, "load", lambda: _native._load(cache))
+    assert results() == expected
+    assert set(ran) == {"_fill_rows_numpy", "_band_traceback_python"}
+
+
+@pytest.mark.parametrize("mode", [0o770, 0o707, 0o777])
+def test_cache_directory_others_may_write_is_not_loaded_from(native, tmp_path, mode):
+    cache = tmp_path / "cache"
+    built = _native._load(cache)
+    assert built is not None and built.path.parent == cache
+    built.path.unlink()  # a new file, not a rewrite of the loaded one
+    built.path.write_bytes(b"not a shared library")  # loading it would fail
+    cache.chmod(mode)
+    try:
+        kernel = _native._load(cache)
+    finally:
+        cache.chmod(0o700)
+    assert kernel is not None and kernel.path.parent != cache
+    assert not kernel.path.exists()  # the private build directory is removed after loading
+    assert built.path.read_bytes() == b"not a shared library"
+
+
+def test_cache_directory_is_made_private(native, tmp_path):
+    cache = tmp_path / "deep" / "cache"
+    assert _native._load(cache).path.parent == cache
+    assert cache.stat().st_mode & 0o777 == 0o700
+
+
+def test_warm_load_starts_no_process(native, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    assert _native._load(cache) is not None
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a warm load started a process")
+
+    monkeypatch.setattr(subprocess, "run", no_process)
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    kernel = _native._load(cache)
+    assert kernel is not None and kernel.path.parent == cache
+
+
+def test_cache_key_is_source_and_platform(native, tmp_path):
+    assert _native._load(tmp_path).path.name == _library_name()
+
+
+# --- checks before each C call ---------------------------------------------------
+
+
+@pytest.fixture
+def guarded(native):
+    """A kernel whose C functions fail the test if called."""
+    kernel = _native.Kernel(native.path)
+
+    def not_reached(*args):
+        raise AssertionError("the C function was called")
+
+    kernel._fill = kernel._trace = not_reached
+    return kernel
+
+
+def _fill_args(m=6, n=9, width=4, g=2):
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 5, m).astype(np.uint8)
+    cols = rng.integers(0, 6, (g, n)).astype(np.uint8)
+    offsets = np.clip(np.arange(-1, m, dtype=np.int64), 0, n - width)
+    table = align._fill_constants(Scoring())[2]
+    arrays = [np.zeros((m + 1, g, width), dtype=np.int32) for _ in range(3)]
+    return [rows, cols, offsets, table, -6, -1, False, *arrays]
+
+
+@pytest.mark.parametrize(
+    "index,bad",
+    [
+        (0, lambda a: a.astype(np.int64)),  # rows dtype
+        (1, lambda a: np.asfortranarray(a)),  # cols not C-contiguous
+        (1, lambda a: a[:, :-1]),  # cols a strided view
+        (2, lambda a: a.astype(np.int32)),  # offsets dtype
+        (2, lambda a: a[:-1]),  # offsets one short
+        (2, lambda a: a + 6),  # a row window past the columns
+        (2, lambda a: a - 2),  # a row window before column 0
+        (0, lambda a: np.where(a == a[0], 5, a).astype(np.uint8)),  # row code 5
+        (1, lambda a: np.where(a == a[0, 0], 6, a).astype(np.uint8)),  # column code 6
+        (7, lambda a: a[:-1]),  # M one row short
+        (8, lambda a: a.astype(np.int64)),  # Ix dtype
+        (9, lambda a: a[:, ::-1]),  # Iy with negative strides
+    ],
+)
+def test_fill_refuses_bad_arrays_before_calling_c(guarded, index, bad):
+    args = _fill_args()
+    args[index] = bad(args[index])
+    with pytest.raises(ValueError):
+        guarded.fill_rows(*args)
+
+
+def _traced_band(scoring=Scoring()):
+    """Arguments of the global traceback of a short pair."""
+    a, b = DnaSequence("a", "", "ACGTTGCAAC"), DnaSequence("b", "", "ACGTGCAACG")
+    [(args, kwargs)] = _recorded("_band_traceback", global_align, a, b, scoring)
+    return list(args), kwargs
+
+
+@pytest.mark.parametrize(
+    "index,bad",
+    [
+        (0, lambda a: a.astype(np.int64)),  # M dtype
+        (1, lambda a: np.asfortranarray(a)),  # Ix strides differ from M's
+        (2, lambda a: a[:, :-1]),  # Iy narrower than M
+        (3, lambda a: a.astype(np.int32)),  # rows dtype
+        (3, lambda a: np.where(a == a[0], 6, a).astype(np.uint8)),  # row code 6
+        (4, lambda a: np.where(a == a[1], 6, a).astype(np.uint8)),  # column code 6
+        (4, lambda a: np.stack([a, a])),  # cols not one row
+        (5, lambda a: a.tolist()),  # offsets a list
+        (5, lambda a: a[:-1]),  # offsets one short
+    ],
+)
+def test_traceback_refuses_bad_arrays_before_calling_c(guarded, index, bad):
+    args, kwargs = _traced_band()
+    M, Ix, Iy, rows, cols, offsets, scoring = args
+    table = align._fill_constants(scoring)[2]
+    checked = [M, Ix, Iy, rows, cols, offsets]
+    checked[index] = bad(checked[index])
+    with pytest.raises(ValueError):
+        guarded.traceback(*checked, table, -6, -1, False)
+
+
+def test_traceback_with_no_predecessor_raises(native):
+    args, kwargs = _traced_band()
+    M, Ix, Iy, rows, cols, offsets, scoring = args
+    for a in (M, Ix, Iy):
+        a[-1] += 1000  # the last row now scores above anything it could come from
+    with pytest.raises(ValueError):
+        align._band_traceback(*args, **kwargs)
+    with pytest.raises(ValueError):
+        align._band_traceback_python(
+            M, Ix, Iy, rows.tolist(), cols, offsets.tolist(), scoring, **kwargs
+        )
+
+
+def test_traceback_never_writes_past_its_capacity(native):
+    args, _ = _traced_band()
+    M, Ix, Iy, rows, cols, offsets, scoring = args
+    table = align._fill_constants(scoring)[2]
+    cap, guard = 4, 16  # the path is 10 columns long
+    out_r = np.full(cap + guard, 0xAB, dtype=np.uint8)
+    out_c = np.full(cap + guard, 0xAB, dtype=np.uint8)
+    ends = np.zeros(5, dtype=np.int64)
+    n = native._trace(
+        M.ctypes.data, Ix.ctypes.data, Iy.ctypes.data, M.strides[0] // 4, len(rows),
+        M.shape[1], rows.ctypes.data, cols.ctypes.data, len(cols), offsets.ctypes.data,
+        table.ctypes.data, -6, -1, False, cap, out_r.ctypes.data, out_c.ctypes.data,
+        ends.ctypes.data,
+    )
+    assert n == -1
+    assert (out_r[cap:] == 0xAB).all() and (out_c[cap:] == 0xAB).all()
+
+
+# --- packaging ------------------------------------------------------------------
+
+
+def test_kernel_source_ships_with_the_package():
+    assert (importlib.resources.files("mutascan") / "_band.c").is_file()

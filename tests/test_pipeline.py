@@ -436,6 +436,23 @@ def test_blocked_model_file_is_an_io_failure(corpus, tmp_path):
     assert not list(wd.glob("report.*"))
 
 
+def test_blocked_write_leaves_no_mixed_work_directory(corpus, tmp_path):
+    wd = tmp_path / "wd"
+    run_diagnosis(
+        corpus["patient_mutated"], corpus["manifest"], work_dir=wd, train_config=FAST_TRAIN
+    )
+    (wd / "model.json").unlink()
+    (wd / "model.json").mkdir()
+    before = {p.name: p.read_bytes() for p in wd.iterdir() if p.is_file()}
+    assert sorted(before) == ["combined.fasta", "report.json", "report.txt"]
+    with pytest.raises(IoFailureError):
+        run_diagnosis(
+            corpus["patient_clean"], corpus["manifest"], work_dir=wd, train_config=FAST_TRAIN
+        )
+    assert {p.name: p.read_bytes() for p in wd.iterdir() if p.is_file()} == before
+    assert sorted(p.name for p in wd.iterdir()) == sorted([*before, "model.json"])
+
+
 def test_workdir_collision_with_file_fails_cleanly(corpus, trained_model, tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("not a directory", encoding="utf-8")
@@ -541,15 +558,17 @@ GOLDEN_TRAIN = TrainConfig(max_epochs=2_000)
 
 
 @pytest.mark.parametrize("patient,manifest", sorted(GOLDEN_REPORT_SHA256))
-def test_report_json_matches_golden_hash(corpus, tmp_path, patient, manifest):
+def test_report_json_matches_golden_hash(kernels, corpus, tmp_path, patient, manifest):
     rows = load_training_rows(corpus["training_data"])
     net, _ = train(NetworkTopology(), rows_to_samples(rows), GOLDEN_TRAIN)
     save_net(net, tmp_path / "model.json")
-    run_diagnosis(
-        corpus[patient], corpus[manifest],
-        model_path=tmp_path / "model.json", work_dir=tmp_path / "wd",
-    )
-    text = (tmp_path / "wd" / "report.json").read_text(encoding="utf-8")
-    text = text.replace(json.dumps(str(tmp_path))[1:-1], "$WORK")
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert digest == GOLDEN_REPORT_SHA256[(patient, manifest)]
+    for kernel in kernels:
+        with kernel():
+            run_diagnosis(
+                corpus[patient], corpus[manifest],
+                model_path=tmp_path / "model.json", work_dir=tmp_path / "wd",
+            )
+        text = (tmp_path / "wd" / "report.json").read_text(encoding="utf-8")
+        text = text.replace(json.dumps(str(tmp_path))[1:-1], "$WORK")
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == GOLDEN_REPORT_SHA256[(patient, manifest)]

@@ -7,6 +7,8 @@ anything scores 0, neither match nor mismatch.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -30,6 +32,10 @@ _FIRST_RADIUS = 16  # global_align's first band half-width
 _M, _IX, _IY = 0, 1, 2
 _UNREACHABLE = (_NEG, _NEG, _NEG)
 _GAP = ord("-")  # traceback code of a gap column
+# call_mutations' column classes: Insert (gap in A), Delete (gap in B),
+# Match, Substitute; a variant is a maximal run of I, D or S
+_INS, _DEL, _MATCH, _SUB = b"IDMS"
+_VARIANT_RUNS = re.compile(rb"I+|D+|S+")
 
 
 class AlignError(MutascanError):
@@ -70,23 +76,31 @@ class Scoring:
         return sub
 
 
-class OpKind(Enum):
-    MATCH = "match"
-    SUBSTITUTE = "substitute"
-    INSERT = "insert"  # gap in A: extra bases in B
-    DELETE = "delete"  # gap in B: reference bases missing from B
-
-
 @dataclass(frozen=True)
 class AlignmentResult:
+    """A pairwise alignment of a[a_start:a_end] with b[b_start:b_end].
+
+    Spans are 0-based and half-open, so a global alignment spans
+    (0, len(a), 0, len(b)). The aligned rows mark a gap with '-'; no column
+    is gapped on both sides.
+    """
+
+    score: int
     aligned_a: str
     aligned_b: str
-    score: int
-    ops: tuple[tuple[OpKind, int], ...]
-    identity_percent: float
+    a_start: int
+    a_end: int
+    b_start: int
+    b_end: int
 
     def __len__(self) -> int:
         return len(self.aligned_a)
+
+    @property
+    def identity_percent(self) -> float:
+        """Percentage of columns that hold the same base on both sides."""
+        a, b = self.aligned_a, self.aligned_b
+        return 100.0 * sum(map(operator.eq, a, b)) / len(a) if a else 0.0
 
 
 class MutationKind(Enum):
@@ -146,14 +160,17 @@ def mutation_to_dict(m: Mutation) -> dict:
 def mutation_from_dict(record: dict) -> Mutation:
     """Inverse of `mutation_to_dict`; a missing "ref" or "alt" reads as empty.
 
-    Raises KeyError, TypeError or ValueError on a malformed record.
+    The position must be an int and the bases strings over ACGTN. Raises
+    KeyError, TypeError or ValueError on a malformed record.
     """
-    return Mutation(
-        position=int(record["position"]),
-        kind=MutationKind(record["kind"]),
-        ref_bases=str(record.get("ref", "")),
-        alt_bases=str(record.get("alt", "")),
-    )
+    position = record["position"]
+    ref, alt = record.get("ref", ""), record.get("alt", "")
+    if type(position) is not int:  # refuses 1.7, "1", true
+        raise TypeError(f"position must be an integer, got {position!r}")
+    for bases in (ref, alt):
+        if type(bases) is not str or bases.strip("ACGTN"):
+            raise ValueError(f"bases must be a string over ACGTN, got {bases!r}")
+    return Mutation(position, MutationKind(record["kind"]), ref, alt)
 
 
 def encode_bases(bases: str) -> np.ndarray:
@@ -164,28 +181,6 @@ def encode_bases(bases: str) -> np.ndarray:
 
 _CODE_TABLE = bytes.maketrans(b"ACGTN", bytes([0, 1, 2, 3, 4]))
 _BASE_TABLE = bytes.maketrans(bytes([0, 1, 2, 3, 4]), b"ACGTN")
-
-
-def result_from_alignment(aligned_a: str, aligned_b: str, score: int) -> AlignmentResult:
-    """Build the ops runs and identity percentage for finished aligned strings."""
-    ops: list[tuple[OpKind, int]] = []
-    matches = 0
-    for x, y in zip(aligned_a, aligned_b):
-        if x == "-":
-            kind = OpKind.INSERT
-        elif y == "-":
-            kind = OpKind.DELETE
-        elif x == y:
-            kind = OpKind.MATCH
-            matches += 1
-        else:
-            kind = OpKind.SUBSTITUTE
-        if ops and ops[-1][0] is kind:
-            ops[-1] = (kind, ops[-1][1] + 1)
-        else:
-            ops.append((kind, 1))
-    identity = 100.0 * matches / len(aligned_a) if aligned_a else 0.0
-    return AlignmentResult(aligned_a, aligned_b, score, tuple(ops), identity)
 
 
 def band_fill(
@@ -503,31 +498,19 @@ def global_align(
     score, _, _, aligned_a, aligned_b = _band_traceback(
         M, Ix, Iy, ca, _global_columns(cb), starts, scoring, local=False
     )
-    return result_from_alignment(aligned_a, aligned_b, score)
-
-
-@dataclass(frozen=True)
-class LocalAlignment:
-    """A local alignment of a query against one subject; spans are 0-based, half-open."""
-
-    score: int
-    q_start: int
-    q_end: int
-    s_start: int
-    s_end: int
-    aligned_q: str
-    aligned_s: str
+    return AlignmentResult(score, aligned_a, aligned_b, 0, m, 0, n)
 
 
 def banded_local_align(
     query: str, bands: list[tuple[str, int]], radius: int, scoring: Scoring
-) -> list[LocalAlignment | None]:
+) -> list[AlignmentResult | None]:
     """Best local alignment of `query` in each band of a (subject, diagonal) list.
 
     Smith-Waterman with affine gaps (Gotoh), restricted to the DP cells
     (i, j) with |i - j - diagonal| <= radius; None where no alignment in
-    the band scores above 0. All bands go through one `band_fill`, one
-    vectorised row of every band per query base.
+    the band scores above 0. Side A of each record is the query, side B
+    the subject. All bands go through one `band_fill`, one vectorised row
+    of every band per query base.
     """
     width = 2 * radius + 1
     m = len(query)
@@ -542,7 +525,7 @@ def banded_local_align(
         if x_lo < x_hi:
             cols[g, x_lo:x_hi] = encode_bases(subject[x_lo - first : x_hi - first])
     M, Ix, Iy = band_fill(rows, cols, offsets, width, scoring, local=True)
-    out: list[LocalAlignment | None] = []
+    out: list[AlignmentResult | None] = []
     for g, (_, diag) in enumerate(bands):
         path = _band_traceback(
             M[:, g], Ix[:, g], Iy[:, g], rows, cols[g], offsets, scoring, local=True
@@ -553,7 +536,7 @@ def banded_local_align(
         score, (i0, x0), (i1, x1), aligned_q, aligned_s = path
         shift = diag + radius - 1  # column x is subject prefix length x - shift
         out.append(
-            LocalAlignment(score, i0, i1, x0 - shift, x1 - shift, aligned_q, aligned_s)
+            AlignmentResult(score, aligned_q, aligned_s, i0, i1, x0 - shift, x1 - shift)
         )
     return out
 
@@ -566,28 +549,25 @@ def call_mutations(alignment: AlignmentResult) -> list[Mutation]:
     reference position, insertions before substitutions before deletions
     when positions tie.
     """
-    muts: list[Mutation] = []
-    ref_pos = 0  # last consumed reference base, 1-based
-    col = 0
     a, b = alignment.aligned_a, alignment.aligned_b
-    for kind, length in alignment.ops:
-        seg_a = a[col : col + length]
-        seg_b = b[col : col + length]
-        if kind is OpKind.MATCH:
-            ref_pos += length
-        elif kind is OpKind.SUBSTITUTE:
+    ca = np.frombuffer(a.encode("ascii"), dtype=np.uint8)
+    cb = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
+    in_ref = ca != _GAP
+    classes = np.select([~in_ref, cb == _GAP, ca == cb], [_INS, _DEL, _MATCH], _SUB)
+    text = classes.astype(np.uint8).tobytes()
+    consumed = np.cumsum(in_ref) - in_ref  # reference bases left of each column
+    muts: list[Mutation] = []
+    for run in _VARIANT_RUNS.finditer(text):
+        lo, hi = run.span()
+        ref_pos = consumed.item(lo)
+        if text[lo] == _INS:  # sits after the last consumed reference base
+            muts.append(Mutation(ref_pos, MutationKind.INSERTION, "", b[lo:hi]))
+        elif text[lo] == _DEL:
+            muts.append(Mutation(ref_pos + 1, MutationKind.DELETION, a[lo:hi], ""))
+        else:
             muts.append(
-                Mutation(ref_pos + 1, MutationKind.SUBSTITUTION, seg_a, seg_b)
+                Mutation(ref_pos + 1, MutationKind.SUBSTITUTION, a[lo:hi], b[lo:hi])
             )
-            ref_pos += length
-        elif kind is OpKind.DELETE:
-            muts.append(Mutation(ref_pos + 1, MutationKind.DELETION, seg_a, ""))
-            ref_pos += length
-        else:  # INSERT: sits after the last consumed reference base
-            muts.append(
-                Mutation(ref_pos, MutationKind.INSERTION, "", seg_b)
-            )
-        col += length
     muts.sort(key=lambda mu: (mu.position, _KIND_ORDER[mu.kind]))
     return muts
 

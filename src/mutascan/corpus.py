@@ -11,7 +11,7 @@ from .align import Mutation, MutationKind, apply_mutations, mutation_to_dict
 from .errors import MutascanError
 from .neural import TRANSITION, encode
 from .protein import CODON_TABLE, classify_effect
-from .seqio import DnaSequence, FastaFile, write_fasta, write_text_atomic
+from .seqio import DnaSequence, FastaFile, write_fasta, write_texts_atomic
 
 _REF_LENGTH = 1200
 _CDS_START = 101
@@ -77,8 +77,8 @@ def make_synthetic_corpus(seed: int, out_dir: str | Path) -> dict[str, Path]:
     demonstrate gate rejection; the third a 43.0%-GC homolog), CDS
     annotations, an 18-row training file (9 malignant split 5 BRCA1 / 4
     BRCA2, 9 benign), two patient samples, and two manifests. Byte-identical
-    output for a fixed seed. Each file is written whole or not at all, the
-    manifests last.
+    output for a fixed seed. The eight files are written all together or
+    not at all, the manifests renamed into place last.
     """
     out = Path(out_dir)
     rng = random.Random(seed)
@@ -198,7 +198,7 @@ def make_synthetic_corpus(seed: int, out_dir: str | Path) -> dict[str, Path]:
         "training_data": "training.jsonl",
     }
 
-    texts = {  # in writing order: a manifest never names a file not yet written
+    texts = {  # in renaming order: a manifest never names a file not yet in place
         "db_ncbi": write_fasta(db_ncbi),
         "db_ebi": write_fasta(db_ebi),
         "db_ensembl": write_fasta(db_ensembl),
@@ -211,8 +211,7 @@ def make_synthetic_corpus(seed: int, out_dir: str | Path) -> dict[str, Path]:
     paths = {key: out / name for key, name in _FILE_NAMES.items()}
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for key, text in texts.items():
-            write_text_atomic(paths[key], text)
+        write_texts_atomic({paths[key]: text for key, text in texts.items()})
     except OSError as exc:
         raise CorpusError(f"cannot write corpus to {out}: {exc}") from exc
     return paths

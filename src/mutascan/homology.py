@@ -19,14 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .align import (
-    AlignmentResult,
-    LocalAlignment,
-    Scoring,
-    banded_local_align,
-    encode_bases,
-    result_from_alignment,
-)
+from .align import AlignmentResult, Scoring, banded_local_align, encode_bases
 from .errors import MutascanError
 from .seqio import DnaSequence, FastaFile
 
@@ -180,14 +173,14 @@ def _seed_diagonals(qb: str, index: KmerIndex) -> dict[tuple[int, int], int]:
     }
 
 
-def _select_non_overlapping(alns: list[LocalAlignment]) -> list[LocalAlignment]:
+def _select_non_overlapping(alns: list[AlignmentResult]) -> list[AlignmentResult]:
     """Greedy best-first selection of alignments disjoint on query coordinates."""
     unique = sorted(
-        set(alns), key=lambda a: (-a.score, a.q_start, a.s_start, a.q_end, a.s_end)
+        set(alns), key=lambda a: (-a.score, a.a_start, a.b_start, a.a_end, a.b_end)
     )
-    kept: list[LocalAlignment] = []
+    kept: list[AlignmentResult] = []
     for a in unique:
-        if all(a.q_end <= k.q_start or a.q_start >= k.q_end for k in kept):
+        if all(a.a_end <= k.a_start or a.a_start >= k.a_end for k in kept):
             kept.append(a)
     return kept
 
@@ -218,7 +211,7 @@ def search(
 
     # (c) one banded gapped local alignment per seeded diagonal, in batches
     scoring = params.scoring()
-    per_subject: dict[int, list[LocalAlignment]] = {}
+    per_subject: dict[int, list[AlignmentResult]] = {}
     for lo in range(0, len(keys), _BATCH_GROUPS):
         batch = keys[lo : lo + _BATCH_GROUPS]
         bands = [(index.subjects[si].bases, diag) for si, diag in batch]
@@ -232,8 +225,7 @@ def search(
     for si in sorted(per_subject):
         kept = _select_non_overlapping(per_subject[si])
         best = kept[0]
-        covered = sum(a.q_end - a.q_start for a in kept)
-        best_result = result_from_alignment(best.aligned_q, best.aligned_s, best.score)
+        covered = sum(a.a_end - a.a_start for a in kept)
         hits.append(
             HomologyHit(
                 subject_id=index.subjects[si].id,
@@ -241,8 +233,8 @@ def search(
                 total_score=sum(a.score for a in kept),
                 query_cover=100.0 * covered / len(qb),
                 e_value=e_value(best.score, len(qb), db_len, params),
-                max_ident=best_result.identity_percent,
-                best_alignment=best_result,
+                max_ident=best.identity_percent,
+                best_alignment=best,
             )
         )
 

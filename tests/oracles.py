@@ -3,8 +3,9 @@
 Everything here is written from the plain definitions, in the most direct
 style possible (straight loops, recursion, lookup strings), deliberately
 sharing no code or algorithmic structure with the package under test. The
-one exception is the differential references for the banded kernel: the
-package's earlier full-matrix and per-diagonal aligners, kept unchanged.
+exceptions are the differential references for the banded kernel and for
+mutation calling: the package's earlier full-matrix and per-diagonal
+aligners and its column-walk call derivation, kept unchanged.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ def reference_global_align(a: str, b: str, scoring):
     Traceback ties prefer Match/Substitute over Delete (gap in B) over
     Insert (gap in A). Returns the package's AlignmentResult.
     """
-    from mutascan.align import result_from_alignment
+    from mutascan.align import AlignmentResult
 
     m, n = len(a), len(b)
     ca = _encode(a)
@@ -330,7 +331,7 @@ def reference_global_align(a: str, b: str, scoring):
 
     aligned_a = "".join(reversed(rev_a))
     aligned_b = "".join(reversed(rev_b))
-    return result_from_alignment(aligned_a, aligned_b, score)
+    return AlignmentResult(score, aligned_a, aligned_b, 0, m, 0, n)
 
 
 @dataclass(frozen=True)
@@ -477,7 +478,7 @@ def reference_search(query, index, params):
     Seeds, diagonal groups, hit merging and ranking follow the package's
     documented rules; returns a list of the package's HomologyHit.
     """
-    from mutascan.align import result_from_alignment
+    from mutascan.align import AlignmentResult
     from mutascan.homology import HomologyHit, e_value
 
     qb = query.bases
@@ -502,7 +503,10 @@ def reference_search(query, index, params):
                 kept.append(a)
         best = kept[0]
         covered = sum(a.q_end - a.q_start for a in kept)
-        best_result = result_from_alignment(best.aligned_q, best.aligned_s, best.score)
+        best_result = AlignmentResult(
+            best.score, best.aligned_q, best.aligned_s,
+            best.q_start, best.q_end, best.s_start, best.s_end,
+        )
         hits.append(
             HomologyHit(
                 subject_id=index.subjects[si].id,
@@ -516,6 +520,60 @@ def reference_search(query, index, params):
         )
     hits.sort(key=lambda h: (-h.max_score, h.subject_id))
     return hits[: params.max_hits]
+
+
+# --- mutation calls from aligned strings -------------------------------------
+
+
+def reference_calls(aligned_a: str, aligned_b: str):
+    """Mutation calls and identity percentage of two aligned rows, A the reference.
+
+    The package's earlier derivation, kept unchanged: one walk over the
+    columns collects runs of match, substitute, insert (gap in A) and
+    delete (gap in B) columns; every substitute, insert or delete run is
+    one call. Calls sort by position, insertions before substitutions
+    before deletions on ties. Returns (calls, identity percent).
+    """
+    from mutascan.align import Mutation, MutationKind
+
+    ops: list[tuple[str, int]] = []
+    matches = 0
+    for x, y in zip(aligned_a, aligned_b):
+        if x == "-":
+            kind = "insert"
+        elif y == "-":
+            kind = "delete"
+        elif x == y:
+            kind = "match"
+            matches += 1
+        else:
+            kind = "substitute"
+        if ops and ops[-1][0] == kind:
+            ops[-1] = (kind, ops[-1][1] + 1)
+        else:
+            ops.append((kind, 1))
+    identity = 100.0 * matches / len(aligned_a) if aligned_a else 0.0
+
+    muts = []
+    ref_pos = 0  # last consumed reference base, 1-based
+    col = 0
+    for kind, length in ops:
+        seg_a = aligned_a[col : col + length]
+        seg_b = aligned_b[col : col + length]
+        if kind == "match":
+            ref_pos += length
+        elif kind == "substitute":
+            muts.append(Mutation(ref_pos + 1, MutationKind.SUBSTITUTION, seg_a, seg_b))
+            ref_pos += length
+        elif kind == "delete":
+            muts.append(Mutation(ref_pos + 1, MutationKind.DELETION, seg_a, ""))
+            ref_pos += length
+        else:  # an insertion sits after the last consumed reference base
+            muts.append(Mutation(ref_pos, MutationKind.INSERTION, "", seg_b))
+        col += length
+    order = {MutationKind.INSERTION: 0, MutationKind.SUBSTITUTION: 1, MutationKind.DELETION: 2}
+    muts.sort(key=lambda mu: (mu.position, order[mu.kind]))
+    return muts, identity
 
 
 # --- genetic code ----------------------------------------------------------

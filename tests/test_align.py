@@ -15,16 +15,15 @@ from mutascan.align import (
     EmptySequenceError,
     Mutation,
     MutationKind,
-    OpKind,
     OverlappingMutationsError,
     PositionOutOfRangeError,
     Scoring,
     SizeCapExceededError,
     apply_mutations,
+    banded_local_align,
     call_mutations,
     encode_bases,
     global_align,
-    result_from_alignment,
 )
 from mutascan.seqio import DnaSequence
 
@@ -33,6 +32,7 @@ from oracles import (
     enumerate_global_score,
     global_score_dp,
     random_bases,
+    reference_calls,
     reference_global_align,
     rescore_alignment,
 )
@@ -55,7 +55,7 @@ def test_identical_sequences():
     assert res.score == 8
     assert res.aligned_a == res.aligned_b == "ACGT"
     assert res.identity_percent == 100.0
-    assert res.ops == ((OpKind.MATCH, 4),)
+    assert (res.a_start, res.a_end, res.b_start, res.b_end) == (0, 4, 0, 4)
     assert call_mutations(res) == []
 
 
@@ -103,7 +103,7 @@ def test_n_columns_score_zero_but_still_called():
 
 
 def test_adjacent_substitutions_merge_into_one_run():
-    res = result_from_alignment("AAGG", "AATT", 2)
+    res = AlignmentResult(2, "AAGG", "AATT", 0, 4, 0, 4)
     muts = call_mutations(res)
     assert len(muts) == 1
     assert muts[0].position == 3
@@ -111,7 +111,7 @@ def test_adjacent_substitutions_merge_into_one_run():
 
 
 def test_insertion_sorts_before_substitution_at_same_position():
-    res = result_from_alignment("TA-C", "TTGC", 0)
+    res = AlignmentResult(0, "TA-C", "TTGC", 0, 3, 0, 4)
     muts = call_mutations(res)
     assert [m.kind for m in muts] == [MutationKind.INSERTION, MutationKind.SUBSTITUTION]
     assert [m.position for m in muts] == [2, 2]
@@ -229,6 +229,51 @@ def test_matches_reference_on_length_one_inputs(kernels, one, other, swap, scori
             _assert_same_as_reference(a, b, scoring)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_edited_pairs(), st.lists(st.integers(-40, 40), min_size=1, max_size=4),
+       st.integers(0, 16), _SCORINGS)
+def test_spans_match_the_aligned_strings(kernels, pair, diagonals, radius, scoring):
+    a, b = pair
+    for kernel in kernels:
+        with kernel():
+            records = [_align(a, b, scoring)]
+            records += banded_local_align(a, [(b, d) for d in diagonals], radius, scoring)
+            for res in filter(None, records):
+                assert a[res.a_start : res.a_end] == res.aligned_a.replace("-", "")
+                assert b[res.b_start : res.b_end] == res.aligned_b.replace("-", "")
+
+
+_SUBSTITUTED = [(x, y) for x in "ACGTN" for y in "ACGTN" if x != y]
+
+
+@st.composite
+def _aligned_rows(draw):
+    """Two aligned rows made of runs of match, substitute, insert and delete
+    columns over ACGTN; any run may start, end or follow any other."""
+    base = st.sampled_from("ACGTN")
+    columns = []
+    for kind, length in draw(st.lists(st.tuples(st.sampled_from("MSID"), st.integers(1, 4)))):
+        for _ in range(length):
+            if kind == "M":
+                x = draw(base)
+                columns.append((x, x))
+            elif kind == "S":
+                columns.append(draw(st.sampled_from(_SUBSTITUTED)))
+            elif kind == "I":
+                columns.append(("-", draw(base)))
+            else:
+                columns.append((draw(base), "-"))
+    return "".join(x for x, _ in columns), "".join(y for _, y in columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_aligned_rows())
+def test_calls_and_identity_match_the_column_walk(rows):
+    aligned_a, aligned_b = rows
+    res = AlignmentResult(0, aligned_a, aligned_b, 0, 0, 0, 0)
+    assert (call_mutations(res), res.identity_percent) == reference_calls(*rows)
+
+
 def test_band_never_stores_more_than_the_full_matrix():
     rng = random.Random(15)
     for m, n in ((50, 30), (30, 50), (200, 200)):
@@ -277,9 +322,8 @@ def test_alignment_invariants():
         assert res.score == rescore_alignment(
             res.aligned_a, res.aligned_b, *_params(Scoring())
         )
-        # ops runs are maximal and sum to the alignment length
-        assert sum(n for _, n in res.ops) == len(res.aligned_a)
-        assert all(k1 != k2 for (k1, _), (k2, _) in zip(res.ops, res.ops[1:]))
+        # a global alignment spans both sequences whole
+        assert (res.a_start, res.a_end, res.b_start, res.b_end) == (0, len(a), 0, len(b))
 
 
 def test_score_is_symmetric():

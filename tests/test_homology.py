@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mutascan.align import result_from_alignment
+from mutascan.align import AlignmentResult
 from mutascan.homology import (
     _BATCH_GROUPS,
     BAND_RADIUS,
@@ -352,7 +352,7 @@ def _hit(subject_id, max_score, total_score, cover, e, ident):
         query_cover=cover,
         e_value=e,
         max_ident=ident,
-        best_alignment=result_from_alignment(aligned, aligned, max_score),
+        best_alignment=AlignmentResult(max_score, aligned, aligned, 0, 4, 0, 4),
     )
 
 

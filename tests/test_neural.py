@@ -521,8 +521,27 @@ _TRAINING_ROW = st.fixed_dictionaries(
         ),
     },
 )
+_DESCRIPTOR_ROW = st.fixed_dictionaries(
+    {
+        "id": st.just("d"),
+        "gene": st.just("g"),
+        "label": st.sampled_from([0, 1]),
+        "mutation": st.fixed_dictionaries(
+            {
+                "position": st.sampled_from([0, 4, 9, 13, 1.7, True, "4"]),
+                "kind": st.sampled_from(["substitution", "insertion", "deletion"]),
+                "ref": st.sampled_from(["", "C", "CA", 7]),
+                "alt": st.sampled_from(["", "T", "X", "TN", "t"]),
+            }
+        )
+        | json_values,
+    }
+)
 _TRAINING_LINE = st.one_of(
-    _TRAINING_ROW.map(json.dumps), json_values.map(json.dumps), st.text(max_size=30)
+    _TRAINING_ROW.map(json.dumps),
+    _DESCRIPTOR_ROW.map(json.dumps),
+    json_values.map(json.dumps),
+    st.text(max_size=30),
 )
 
 
@@ -537,6 +556,11 @@ def test_any_json_lines_text_loads_or_raises_a_mutascan_error(tmp_path_factory, 
         return
     assert rows and all(r.label in (0, 1) for r in rows)
     rows_to_samples([r for r in rows if r.features is not None])
+    ref = DnaSequence("r", "", "ATGCAAGGGTTT")
+    try:
+        rows_to_samples(rows, ref=ref, cds_start=1, cds_end=9)
+    except MutascanError:
+        pass
 
 
 def test_rows_to_samples_descriptor_path(tmp_path):
@@ -569,7 +593,16 @@ def test_rows_to_samples_descriptor_path(tmp_path):
     assert vec.values[6] == 1.0  # nonsense one-hot
     assert vec.values[9] == 1.0  # C>T transition
 
-    _write_rows(path, [json.dumps({"id": "m2", "gene": "g", "label": 1, "mutation": {
-        "position": 1e400, "kind": "substitution", "ref": "C", "alt": "T"}})])
-    with pytest.raises(CorruptFileError, match="row m2: bad mutation descriptor"):
-        rows_to_samples(load_training_rows(path), ref=ref, cds_start=1, cds_end=9)
+    for bad in (
+        {"position": 1e400, "kind": "substitution", "ref": "C", "alt": "T"},
+        {"position": 1.7, "kind": "substitution", "ref": "C", "alt": "T"},
+        {"position": "4", "kind": "substitution", "ref": "C", "alt": "T"},
+        {"position": True, "kind": "substitution", "ref": "A", "alt": "T"},
+        {"position": 4, "kind": "substitution", "ref": 7, "alt": "T"},
+        {"position": 4, "kind": "substitution", "ref": "C", "alt": "X"},
+        {"position": 4, "kind": "substitution", "ref": "c", "alt": "t"},
+        {"position": 4, "kind": "insertion", "alt": ["T"]},
+    ):
+        _write_rows(path, [json.dumps({"id": "m2", "gene": "g", "label": 1, "mutation": bad})])
+        with pytest.raises(CorruptFileError, match="row m2: bad mutation descriptor"):
+            rows_to_samples(load_training_rows(path), ref=ref, cds_start=1, cds_end=9)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -102,11 +103,14 @@ class TrainConfig:
     init_range: tuple[float, float] = (-0.5, 0.5)
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        lr = _real("learning rate", self.learning_rate)
+        momentum = _real("momentum", self.momentum)
+        target = _real("target MSE", self.target_mse)
+        if not (math.isfinite(lr) and lr > 0):
             raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate}")
-        if not (0.0 <= self.momentum < 1.0):
+        if not (0.0 <= momentum < 1.0):
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not (math.isfinite(self.target_mse) and self.target_mse > 0):
+        if not (math.isfinite(target) and target > 0):
             raise ValueError(f"target MSE must be finite and positive, got {self.target_mse}")
         if type(self.max_epochs) is not int or type(self.seed) is not int:  # bool is an int
             raise ValueError(
@@ -116,10 +120,21 @@ class TrainConfig:
             raise ValueError(f"max epochs must be at least 1, got {self.max_epochs}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if len(self.init_range) != 2 or not all(map(math.isfinite, self.init_range)):
+        bounds = [_real("init range bound", b) for b in self.init_range]
+        if len(bounds) != 2 or not all(map(math.isfinite, bounds)):
             raise ValueError(f"init range must be two finite bounds, got {self.init_range}")
-        if self.init_range[0] > self.init_range[1]:
+        if bounds[0] > bounds[1]:
             raise ValueError("init range lower bound exceeds upper bound")
+
+
+def _real(name: str, value) -> float:
+    """A config value as a float for its range checks; the field keeps the value as given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # bool is an int
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an int too large for a float
+        raise ValueError(f"{name} is too large for a float") from exc
 
 
 @dataclass(frozen=True)
@@ -169,22 +184,36 @@ def zero_network(topology: NetworkTopology) -> Network:
     )
 
 
-def _init_network(topology: NetworkTopology, cfg: TrainConfig) -> Network:
+def _layer_views(
+    flat: np.ndarray, sizes: Sequence[int]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (weights, biases) views into one flat buffer laid out W0, b0, W1, b1, ..."""
+    weights, biases, at = [], [], 0
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        weights.append(flat[at : at + n_out * n_in].reshape(n_out, n_in))
+        at += n_out * n_in
+        biases.append(flat[at : at + n_out])
+        at += n_out
+    return weights, biases
+
+
+def _init_network(topology: NetworkTopology, cfg: TrainConfig) -> tuple[Network, np.ndarray]:
+    """A seeded network whose parameters are views into the returned flat buffer."""
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.init_range
     sizes = topology.layer_sizes
-    weights = [
-        rng.uniform(lo, hi, size=(sizes[i + 1], sizes[i]))
-        for i in range(len(sizes) - 1)
-    ]
-    biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
-    return Network(topology, weights, biases, train_config=cfg)
+    params = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:])))
+    weights, biases = _layer_views(params, sizes)
+    for w in weights:
+        w[...] = rng.uniform(lo, hi, size=w.shape)
+    return Network(topology, weights, biases, train_config=cfg), params
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) never overflows; each branch is the split form for its sign
+    # exp(-|z|) never overflows; one division serves both signs' split forms,
+    # 1 / (1 + e) for z >= 0 and e / (1 + e) below
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _as_input(x, width: int) -> np.ndarray:
@@ -221,25 +250,33 @@ def gradient(net: Network, sample: tuple) -> tuple[list[np.ndarray], list[np.nda
     arr = _as_input(x, net.topology.input_size)
     acts = _forward_all(net, arr[np.newaxis, :])
     t = np.asarray([[float(target)]])
-    d_weights, d_biases = _backward(net, acts, t, scale=1.0)
+    d_weights = [np.empty_like(w) for w in net.weights]
+    d_biases = [np.empty_like(b) for b in net.biases]
+    _backward(net, acts, t, 1.0, d_weights, d_biases)
     return d_weights, d_biases
 
 
 def _backward(
-    net: Network, acts: list[np.ndarray], targets: np.ndarray, scale: float
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Reverse pass for E = scale * sum_samples (output - target)^2."""
+    net: Network,
+    acts: list[np.ndarray],
+    targets: np.ndarray,
+    scale: float,
+    d_weights: list[np.ndarray],
+    d_biases: list[np.ndarray],
+) -> None:
+    """Reverse pass for E = scale * sum_samples (output - target)^2.
+
+    Writes each layer's partials into `d_weights` and `d_biases`, arrays
+    shaped like the network's parameters.
+    """
     out = acts[-1]
     delta = 2.0 * scale * (out - targets) * out * (1.0 - out)
-    d_weights: list[np.ndarray] = [None] * len(net.weights)  # type: ignore[list-item]
-    d_biases: list[np.ndarray] = [None] * len(net.biases)  # type: ignore[list-item]
     for layer in range(len(net.weights) - 1, -1, -1):
-        d_weights[layer] = delta.T @ acts[layer]
-        d_biases[layer] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[layer], out=d_weights[layer])
+        np.add.reduce(delta, axis=0, out=d_biases[layer])
         if layer > 0:
             a = acts[layer]
             delta = (delta @ net.weights[layer]) * a * (1.0 - a)
-    return d_weights, d_biases
 
 
 def train(
@@ -253,6 +290,11 @@ def train(
     records the post-update MSE of every epoch, so the report's curve is
     exactly what a monitoring plot would show. Deterministic for a fixed
     seed, dataset, and config.
+
+    The parameters, their gradients and their velocities each live in one
+    flat buffer with the same layout, so the momentum step is four
+    whole-buffer operations. Every element goes through the same IEEE
+    operations as a per-layer update, so the result is the same to the bit.
     """
     if len(data) == 0:
         raise EmptyDatasetError("training data is empty")
@@ -260,26 +302,32 @@ def train(
     batch = np.stack([_as_input(x, width) for x, _ in data])
     targets = np.asarray([[float(t)] for _, t in data])
 
-    net = _init_network(topology, cfg)
-    vel_w = [np.zeros_like(w) for w in net.weights]
-    vel_b = [np.zeros_like(b) for b in net.biases]
+    net, params = _init_network(topology, cfg)
+    grads = np.empty_like(params)
+    d_weights, d_biases = _layer_views(grads, topology.layer_sizes)
+    vel = np.zeros_like(params)
+    step = np.empty_like(params)
     scale = 1.0 / len(data)
 
     history: list[float] = []
     acts = _forward_all(net, batch)
     for _ in range(cfg.max_epochs):
-        d_weights, d_biases = _backward(net, acts, targets, scale)
-        for layer in range(len(net.weights)):
-            vel_w[layer] = cfg.momentum * vel_w[layer] - cfg.learning_rate * d_weights[layer]
-            vel_b[layer] = cfg.momentum * vel_b[layer] - cfg.learning_rate * d_biases[layer]
-            net.weights[layer] = net.weights[layer] + vel_w[layer]
-            net.biases[layer] = net.biases[layer] + vel_b[layer]
+        _backward(net, acts, targets, scale, d_weights, d_biases)
+        vel *= cfg.momentum
+        np.multiply(cfg.learning_rate, grads, out=step)
+        vel -= step
+        params += vel
         acts = _forward_all(net, batch)
-        mse = float(np.mean((acts[-1] - targets) ** 2))
+        err = acts[-1] - targets
+        # np.mean's sum and division, without its Python wrapper
+        mse = float(np.add.reduce(err * err, axis=None) / err.size)
         history.append(mse)
         if mse <= cfg.target_mse:
             break
 
+    # the caller's network owns its arrays; the training buffers stay private
+    net.weights = [w.copy() for w in net.weights]
+    net.biases = [b.copy() for b in net.biases]
     report = TrainReport(
         epochs_run=len(history),
         final_mse=history[-1],

@@ -3,9 +3,10 @@
 Everything here is written from the plain definitions, in the most direct
 style possible (straight loops, recursion, lookup strings), deliberately
 sharing no code or algorithmic structure with the package under test. The
-exceptions are the differential references for the banded kernel and for
-mutation calling: the package's earlier full-matrix and per-diagonal
-aligners and its column-walk call derivation, kept unchanged.
+exceptions are the differential references for the banded kernel, for
+mutation calling and for training: the package's earlier full-matrix and
+per-diagonal aligners, its column-walk call derivation and its per-layer
+gradient-descent trainer, kept unchanged.
 """
 
 from __future__ import annotations
@@ -629,6 +630,85 @@ def finite_difference_gradients(loss_fn, arrays: list[np.ndarray], h: float = 1e
             gflat[idx] = (up - down) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+# --- neural training: the package's earlier per-layer trainer, kept unchanged
+
+
+def reference_sigmoid(z: np.ndarray) -> np.ndarray:
+    # exp(-|z|) never overflows; each branch is the split form for its sign
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _reference_forward_all(weights, biases, batch: np.ndarray) -> list[np.ndarray]:
+    acts = [batch]
+    for w, b in zip(weights, biases):
+        acts.append(reference_sigmoid(acts[-1] @ w.T + b))
+    return acts
+
+
+def _reference_backward(weights, acts, targets, scale):
+    out = acts[-1]
+    delta = 2.0 * scale * (out - targets) * out * (1.0 - out)
+    d_weights = [None] * len(weights)
+    d_biases = [None] * len(weights)
+    for layer in range(len(weights) - 1, -1, -1):
+        d_weights[layer] = delta.T @ acts[layer]
+        d_biases[layer] = delta.sum(axis=0)
+        if layer > 0:
+            a = acts[layer]
+            delta = (delta @ weights[layer]) * a * (1.0 - a)
+    return d_weights, d_biases
+
+
+def reference_train(topology, data, cfg):
+    """Full-batch momentum gradient descent with one array per layer parameter.
+
+    Returns (Network, TrainReport), as `neural.train` does; the trainer must
+    match it bit for bit.
+    """
+    from mutascan.neural import Network, TrainReport, _as_input
+
+    width = topology.input_size
+    batch = np.stack([_as_input(x, width) for x, _ in data])
+    targets = np.asarray([[float(t)] for _, t in data])
+
+    rng = np.random.default_rng(cfg.seed)
+    lo, hi = cfg.init_range
+    sizes = topology.layer_sizes
+    net = Network(
+        topology,
+        [rng.uniform(lo, hi, size=(sizes[i + 1], sizes[i])) for i in range(len(sizes) - 1)],
+        [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)],
+        train_config=cfg,
+    )
+    vel_w = [np.zeros_like(w) for w in net.weights]
+    vel_b = [np.zeros_like(b) for b in net.biases]
+    scale = 1.0 / len(data)
+
+    history: list[float] = []
+    acts = _reference_forward_all(net.weights, net.biases, batch)
+    for _ in range(cfg.max_epochs):
+        d_weights, d_biases = _reference_backward(net.weights, acts, targets, scale)
+        for layer in range(len(net.weights)):
+            vel_w[layer] = cfg.momentum * vel_w[layer] - cfg.learning_rate * d_weights[layer]
+            vel_b[layer] = cfg.momentum * vel_b[layer] - cfg.learning_rate * d_biases[layer]
+            net.weights[layer] = net.weights[layer] + vel_w[layer]
+            net.biases[layer] = net.biases[layer] + vel_b[layer]
+        acts = _reference_forward_all(net.weights, net.biases, batch)
+        mse = float(np.mean((acts[-1] - targets) ** 2))
+        history.append(mse)
+        if mse <= cfg.target_mse:
+            break
+
+    report = TrainReport(
+        epochs_run=len(history),
+        final_mse=history[-1],
+        converged=history[-1] <= cfg.target_mse,
+        history=tuple(history),
+    )
+    return net, report
 
 
 # --- random generators -----------------------------------------------------

@@ -224,6 +224,19 @@ def test_predict_bad_feature_names_the_line(tmp_path, capsys, trained_model, row
     assert "Traceback" not in err
 
 
+def test_predict_with_an_overflowing_model_config_exits_1(tmp_path, capsys, trained_model):
+    doc = json.loads(trained_model.read_text(encoding="utf-8"))
+    doc["train_config"]["learning_rate"] = 10**400  # float() of it overflows
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    feats = tmp_path / "feats.jsonl"
+    feats.write_text(json.dumps([0.5] * 10) + "\n", encoding="utf-8")
+    assert main(["predict", "--model", str(model), "--features", str(feats)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: model file {model} is malformed: ")
+    assert "Traceback" not in err
+
+
 def test_non_ascii_fasta_exits_1_naming_the_file(tmp_path, capsys):
     fasta = tmp_path / "latin1.fasta"
     fasta.write_bytes(b">r caf\xe9\nACGT\n")

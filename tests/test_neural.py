@@ -1,5 +1,6 @@
 """Feed-forward classifier: forward pass, gradients, training, persistence."""
 
+import itertools
 import json
 import math
 import random
@@ -30,6 +31,7 @@ from mutascan.neural import (
     gradient,
     load_net,
     load_training_rows,
+    net_to_json,
     rows_to_samples,
     save_net,
     train,
@@ -45,6 +47,8 @@ from oracles import (
     json_values,
     plausible_or_any,
     random_bases,
+    reference_sigmoid,
+    reference_train,
     sigmoid_scalar,
 )
 
@@ -106,9 +110,25 @@ def test_train_config_validation():
         {"max_epochs": True},
         {"seed": True},
         {"seed": 1.0},
+        {"learning_rate": True},
+        {"target_mse": True},
+        {"momentum": False},
+        {"init_range": (False, True)},
+        {"learning_rate": "0.5"},
+        {"momentum": None},
+        {"target_mse": 1j},
+        {"init_range": ("-0.5", 0.5)},
+        {"learning_rate": 10**400},  # float() overflows
+        {"target_mse": 10**400},
+        {"momentum": 10**400},
+        {"init_range": (-(10**400), 0.5)},
     ):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+    # values are stored as given, so a model file's bytes do not move
+    cfg = TrainConfig(learning_rate=1, momentum=0, init_range=(-1, 1))
+    assert (cfg.learning_rate, cfg.momentum, cfg.init_range) == (1, 0, (-1, 1))
+    assert type(cfg.learning_rate) is int
 
 
 def test_zero_network_outputs_exactly_half():
@@ -137,6 +157,14 @@ def test_sigmoid_is_bit_identical_to_the_masked_split_form():
     rng = np.random.default_rng(3)
     z = np.concatenate([edges, rng.normal(0.0, 20.0, 1990)]).reshape(-1, 4)
     assert _sigmoid(z).tobytes() == split_sigmoid(z).tobytes()
+
+
+def test_sigmoid_is_bit_identical_to_the_two_division_form():
+    tiny = 5e-324  # the smallest subnormal
+    edges = np.array([math.inf, -math.inf, math.nan, -math.nan, tiny, -tiny, 745.2, -745.2])
+    assert _sigmoid(edges).tobytes() == reference_sigmoid(edges).tobytes()
+    batch = np.random.default_rng(11).normal(0.0, 8.0, (18, 4))
+    assert _sigmoid(batch).tobytes() == reference_sigmoid(batch).tobytes()
 
 
 def test_forward_matches_manual_composition():
@@ -181,6 +209,8 @@ def test_gradient_zero_at_exact_target():
     dw, db = gradient(net, (x, t))
     assert all(np.allclose(g, 0.0) for g in dw)
     assert all(np.allclose(g, 0.0) for g in db)
+    dw2, db2 = gradient(net, (x, t))  # each call returns new arrays
+    assert not any(np.shares_memory(a, b) for a, b in zip(dw + db, dw2 + db2))
 
 
 def test_gradient_closed_form_single_chain():
@@ -263,6 +293,50 @@ def test_history_records_post_update_mse():
     assert report.final_mse == pytest.approx(batch_mse, rel=1e-12)
     assert report.final_mse == report.history[-1]
     assert report.epochs_run == len(report.history)
+
+
+def _assert_same_training(got, want):
+    (net, report), (ref_net, ref_report) = got, want
+    assert report == ref_report  # history tuples included
+    assert all(np.array_equal(a, b) for a, b in zip(net.weights, ref_net.weights))
+    assert all(np.array_equal(a, b) for a, b in zip(net.biases, ref_net.biases))
+    assert net_to_json(net) == net_to_json(ref_net)
+    # the returned parameters are the caller's own arrays
+    arrays = net.weights + net.biases
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+
+
+@st.composite
+def _training_case(draw):
+    sizes = [draw(st.integers(1, 6)) for _ in range(draw(st.integers(2, 4)))] + [1]
+    unit = st.floats(0.0, 1.0)
+    features = st.lists(unit, min_size=sizes[0], max_size=sizes[0])
+    sample = st.tuples(features, st.sampled_from([0, 1]) | unit)
+    data = draw(st.lists(sample, min_size=1, max_size=20))
+    cfg = TrainConfig(
+        learning_rate=draw(st.sampled_from([0.5, 2.0]) | st.floats(1e-3, 5.0)),
+        momentum=draw(st.sampled_from([0.0, 0.9]) | st.floats(0.0, 0.99)),
+        target_mse=draw(st.sampled_from([1e-1, 1e-2, 1e-3, 1e-9])),  # 1e-9: runs to the cap
+        max_epochs=draw(st.integers(1, 300)),
+        seed=draw(st.integers(0, 2**32)),
+        init_range=draw(st.sampled_from([(-0.5, 0.5), (-2.0, 2.0), (0.0, 0.0), (0.1, 0.3)])),
+    )
+    return NetworkTopology(tuple(sizes)), data, cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_training_case())
+def test_training_matches_the_per_layer_reference(case):
+    topology, data, cfg = case
+    _assert_same_training(train(topology, data, cfg), reference_train(topology, data, cfg))
+
+
+def test_corpus_training_matches_the_per_layer_reference(corpus):
+    samples = rows_to_samples(load_training_rows(corpus["training_data"]))
+    cfg = TrainConfig(target_mse=1e-5)
+    got = train(NetworkTopology(), samples, cfg)
+    assert got[1].converged and got[1].epochs_run == 11_504
+    _assert_same_training(got, reference_train(NetworkTopology(), samples, cfg))
 
 
 def test_classify_threshold_is_inclusive():
@@ -405,6 +479,8 @@ def test_load_rejects_corrupt_files(tmp_path):
         {"topology": [10, 4, 1.0]},
         {"train_config": {**good["train_config"], "max_epochs": 2.5}},
         {"train_config": {**good["train_config"], "seed": True}},
+        {"train_config": {**good["train_config"], "learning_rate": 10**400}},
+        {"train_config": {**good["train_config"], "momentum": False}},
     ):
         path.write_text(json.dumps({**good, **edit}), encoding="utf-8")
         with pytest.raises(CorruptFileError):

@@ -13,6 +13,7 @@ searched.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -30,6 +31,10 @@ BAND_RADIUS = 16
 # seeded diagonals filled together; one batch stores at most
 # 3 x 32 x 33 int32 cells per query row
 _BATCH_GROUPS = 32
+# Indexes kept per process, keyed on (database, k). A diagnosis consults a
+# few databases at one k, so 8 keeps all of them built across diagnoses;
+# an index holds 24 bytes a database base.
+INDEX_MEMO_SIZE = 8
 
 
 class HomologyError(MutascanError):
@@ -90,7 +95,8 @@ class KmerIndex:
 
     Window i has code `codes[i]` and starts at offset `offsets[i]` of
     subject `subject_idx[i]`; `codes` is ascending, and windows with equal
-    codes come in no particular order.
+    codes come in no particular order. The arrays are read-only: one index
+    may be shared by every caller of `build_index`.
     """
 
     k: int
@@ -130,8 +136,12 @@ def _window_codes(bases: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     return clean, codes[clean]
 
 
+@functools.lru_cache(maxsize=INDEX_MEMO_SIZE)
 def build_index(db: FastaFile, k: int = DEFAULT_K) -> KmerIndex:
-    """Index every N-free length-k window of every subject."""
+    """Index every N-free length-k window of every subject.
+
+    Results are memoized by (db, k) (`INDEX_MEMO_SIZE`); errors are not.
+    """
     if len(db) == 0:
         raise EmptyDatabaseError("database contains no sequences")
     _check_k(k)
@@ -140,13 +150,10 @@ def build_index(db: FastaFile, k: int = DEFAULT_K) -> KmerIndex:
     starts = np.cumsum([0] + [len(s) + 1 for s in db.records[:-1]])
     subject_idx = np.searchsorted(starts, positions, side="right") - 1
     order = np.argsort(codes)
-    return KmerIndex(
-        k,
-        tuple(db.records),
-        codes[order],
-        subject_idx[order],
-        (positions - starts[subject_idx])[order],
-    )
+    arrays = (codes[order], subject_idx[order], (positions - starts[subject_idx])[order])
+    for a in arrays:
+        a.flags.writeable = False
+    return KmerIndex(k, tuple(db.records), *arrays)
 
 
 def _seed_diagonals(qb: str, index: KmerIndex) -> dict[tuple[int, int], int]:

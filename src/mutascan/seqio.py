@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import functools
 import io
 import os
 import re
@@ -20,6 +21,13 @@ ALPHABET = frozenset("ACGTN")
 _INVALID_SYMBOL = re.compile(r"[^ACGTN]")
 
 DEFAULT_LINE_WIDTH = 60
+
+# Parsed texts kept per process, keyed on the text itself, so a caller that
+# reads the same file again gets the same `FastaFile` without a re-parse
+# and a file rewritten in place is parsed anew. A diagnosis reads a few
+# databases and one patient; 16 keeps the databases of a long-lived caller
+# hot across many patients while bounding what large inputs can pin.
+PARSE_MEMO_SIZE = 16
 
 
 class FastaParseError(MutascanError):
@@ -95,6 +103,7 @@ class FastaFile:
         return len(self.records)
 
 
+@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_fasta(text: str) -> FastaFile:
     """Parse a FASTA character stream into validated records.
 
@@ -106,6 +115,7 @@ def parse_fasta(text: str) -> FastaFile:
     Raises EmptyInputError, InvalidSymbolError, DuplicateIdError, or
     SequencelessHeaderError; any other format violation (data before the
     first header, a header with no id) raises the base FastaParseError.
+    Results are memoized by text (`PARSE_MEMO_SIZE`); errors are not.
     """
     records: list[DnaSequence] = []
     seen: set[str] = set()

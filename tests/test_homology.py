@@ -12,6 +12,7 @@ from mutascan.homology import (
     _BATCH_GROUPS,
     BAND_RADIUS,
     DEFAULT_K,
+    INDEX_MEMO_SIZE,
     MAX_K,
     EmptyDatabaseError,
     HomologyHit,
@@ -111,6 +112,24 @@ def test_build_index_validation():
         build_index(_db(("a", "ACGTACGT")), k=3)
     with pytest.raises(ValueError):
         build_index(_db(("a", "ACGT" * 10)), k=MAX_K + 1)
+
+
+def test_build_index_errors_are_raised_on_every_call():
+    bad_calls = [
+        ((FastaFile(()),), EmptyDatabaseError),
+        ((_db(("a", "ACGTACGT")), 3), ValueError),
+    ]
+    for args, error in bad_calls:
+        messages = []
+        for _ in range(2):
+            misses = build_index.cache_info().misses
+            with pytest.raises(error) as exc:
+                build_index(*args)
+            assert build_index.cache_info().misses == misses + 1  # not served from the memo
+            messages.append(str(exc.value))
+            for i in range(INDEX_MEMO_SIZE + 1):  # other databases cycle the memo
+                build_index(_db(("s", "ACGT" * (i + 3))))
+        assert messages[0] == messages[1]
 
 
 @st.composite
@@ -309,6 +328,27 @@ def test_search_matches_reference_on_default_seeds(kernels, case):
     for kernel in kernels:
         with kernel():
             assert search(query, index, params) == reference_search(query, index, params)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_search_case(k=11, min_subject=1, max_subject=400, min_query=11, max_query=200))
+def test_memoized_index_searches_like_a_fresh_one(kernels, case):
+    query, index, params = case
+    db = FastaFile(index.subjects)  # equal to, not the same object as, the one indexed
+    hits = build_index.cache_info().hits
+    cached = build_index(db, index.k)
+    assert cached is index
+    assert build_index.cache_info().hits == hits + 1
+    fresh = build_index.__wrapped__(db, index.k)
+    assert fresh is not cached
+    for kernel in kernels:
+        with kernel():
+            want = reference_search(query, fresh, params)
+            assert search(query, cached, params) == want
+            assert search(query, fresh, params) == want
+    for array in (cached.codes, cached.subject_idx, cached.offsets):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 def test_search_batches_many_diagonals_like_reference():

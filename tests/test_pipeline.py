@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import os
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from mutascan import pipeline
 from mutascan.align import MutationKind, global_align
 from mutascan.errors import MutascanError
-from mutascan.homology import SearchParams
+from mutascan.homology import SearchParams, build_index
 from mutascan.neural import (
     CorruptFileError,
     Label,
@@ -572,3 +574,60 @@ def test_report_json_matches_golden_hash(kernels, corpus, tmp_path, patient, man
         text = text.replace(json.dumps(str(tmp_path))[1:-1], "$WORK")
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == GOLDEN_REPORT_SHA256[(patient, manifest)]
+
+
+# --- databases read on every diagnosis, parsed and indexed once per content ---
+
+
+def test_each_database_is_indexed_once_per_content(corpus, tmp_path):
+    rows = load_training_rows(corpus["training_data"])
+    net, _ = train(NetworkTopology(), rows_to_samples(rows), GOLDEN_TRAIN)
+    save_net(net, tmp_path / "model.json")
+    build_index.cache_clear()  # earlier tests may have indexed these databases
+    grown, texts = [], []
+    for _ in range(2):
+        misses = build_index.cache_info().misses
+        report = run_diagnosis(
+            corpus["patient_clean"], corpus["manifest_fallback"],
+            model_path=tmp_path / "model.json", work_dir=tmp_path / "wd",
+        )
+        grown.append(build_index.cache_info().misses - misses)
+        texts.append((tmp_path / "wd" / "report.json").read_text(encoding="utf-8"))
+    consulted = len(report.rejected) + 1
+    assert consulted == 2
+    assert grown == [consulted, 0]
+    assert texts[0] == texts[1]
+    text = texts[0].replace(json.dumps(str(tmp_path))[1:-1], "$WORK")
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_REPORT_SHA256[("patient_clean", "manifest_fallback")]
+
+
+def test_database_rewritten_in_place_is_read_anew(corpus, trained_model, tmp_path):
+    work = tmp_path / "corpus"
+    shutil.copytree(corpus["manifest"].parent, work)
+    db = work / "db_ncbi.fasta"
+
+    def diagnose():
+        return run_diagnosis(
+            work / "patient_clean.fasta", work / "manifest.json",
+            model_path=trained_model, work_dir=tmp_path / "wd",
+        )
+
+    first = diagnose()
+    assert first.adopted.subject.id == "BRCA1_ref"
+    before = db.stat()
+    text = db.read_text(encoding="ascii")
+    # one base of BRCA1_ref, the first record, swapped A<->T or C<->G:
+    # same byte length and GC content, one mismatch against the patient
+    i = text.index("\n") + 301
+    assert text[i] in "ACGT"
+    db.write_text(text[:i] + text[i].translate(str.maketrans("ACGT", "TGCA")) + text[i + 1:],
+                  encoding="ascii")
+    os.utime(db, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert (db.stat().st_size, db.stat().st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+
+    second = diagnose()
+    assert second.adopted.subject.id == "BRCA1_ref"
+    assert second.adopted.subject.bases != first.adopted.subject.bases
+    assert second.adopted.top_hit.max_score < first.adopted.top_hit.max_score
+    assert len(second.mutations) == len(first.mutations) + 1

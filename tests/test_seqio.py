@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mutascan.seqio import (
+    PARSE_MEMO_SIZE,
     DnaSequence,
     DuplicateIdError,
     EmptyInputError,
@@ -97,6 +98,39 @@ def test_data_before_first_header_rejected():
 def test_header_without_id_rejected():
     with pytest.raises(FastaParseError):
         parse_fasta(">\nACGT")
+
+
+def test_parse_is_memoized_by_text():
+    text = ">memo one\nACGT\n>memo2\nTTGA\n"
+    first = parse_fasta(text)
+    hits = parse_fasta.cache_info().hits
+    assert parse_fasta("".join(list(text))) is first  # an equal text, another object
+    assert parse_fasta.cache_info().hits == hits + 1
+    assert parse_fasta.__wrapped__(text) == first
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        (">a\nACXT\n", InvalidSymbolError),
+        ("", EmptyInputError),
+        (">a\nAC\n>a\nGT\n", DuplicateIdError),
+        (">a\n>b\nACGT\n", SequencelessHeaderError),
+        ("ACGT\n>a\nACGT\n", FastaParseError),
+    ],
+)
+def test_parse_errors_are_raised_on_every_call(text, error):
+    messages = []
+    for _ in range(2):
+        misses = parse_fasta.cache_info().misses
+        with pytest.raises(error) as exc:
+            parse_fasta(text)
+        assert type(exc.value) is error
+        assert parse_fasta.cache_info().misses == misses + 1  # not served from the memo
+        messages.append(str(exc.value))
+        for i in range(PARSE_MEMO_SIZE + 1):  # other texts cycle the memo
+            parse_fasta(f">r{i}\nACGT\n")
+    assert messages[0] == messages[1]
 
 
 def test_non_ascii_file_is_a_parse_error(tmp_path):

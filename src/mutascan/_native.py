@@ -10,7 +10,8 @@ process. With no compiler, a failed build or a failed load, `load` returns
 None and `align` runs its numpy fill and Python traceback instead.
 
 ctypes checks no bounds, so `Kernel` checks every array before each call:
-dtype, contiguity or strides, shape, codes and row windows.
+dtype, C order, shape, codes and row windows. Both calls take the same
+arguments, all G bands at once, and share one check.
 """
 
 from __future__ import annotations
@@ -118,28 +119,40 @@ def _build(source: bytes, lib: Path) -> None:
             tmp.unlink()
 
 
-def _check(name: str, a: np.ndarray, dtype, shape: tuple, strides: tuple | None = None) -> None:
-    """Refuse an array the C code would misread: dtype, shape, and C order or `strides`."""
+def _check(name: str, a: np.ndarray, dtype, shape: tuple) -> None:
+    """Refuse an array the C code would misread: dtype, shape and C order."""
     if not isinstance(a, np.ndarray) or a.dtype != dtype:
         raise ValueError(f"{name} must be a {np.dtype(dtype)} array")
     if a.shape != shape:
         raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-    if strides is None:
-        if not a.flags.c_contiguous:
-            raise ValueError(f"{name} must be C-contiguous")
-    elif a.strides != strides:
-        raise ValueError(f"{name} has strides {a.strides}, expected {strides}")
+    if not a.flags.c_contiguous:
+        raise ValueError(f"{name} must be C-contiguous")
 
 
-def _check_codes(rows: np.ndarray, cols: np.ndarray) -> None:
+def _check_bands(rows, cols, offsets, table, M, Ix, Iy) -> tuple[int, int, int, int]:
+    """Refuse bands the C code would misread; return (m, G, ncols, width)."""
+    m = len(rows)
+    g, ncols = cols.shape if cols.ndim == 2 else (0, 0)
+    width = M.shape[-1] if M.ndim == 3 else 0
+    _check("rows", rows, np.uint8, (m,))
+    _check("cols", cols, np.uint8, (g, ncols))
+    _check("offsets", offsets, np.int64, (m + 1,))
+    _check("table", table, np.int32, _TABLE_SHAPE)
+    for name, a in (("M", M), ("Ix", Ix), ("Iy", Iy)):
+        _check(name, a, np.int32, (m + 1, g, width))
+    if width < 1:
+        raise ValueError("a band needs at least one slot a row")
     if rows.size and int(rows.max()) >= _TABLE_SHAPE[0]:
         raise ValueError(f"row code {int(rows.max())} above {_TABLE_SHAPE[0] - 1}")
     if cols.size and int(cols.max()) >= _TABLE_SHAPE[1]:
         raise ValueError(f"column code {int(cols.max())} above {_TABLE_SHAPE[1] - 1}")
+    if m and (int(offsets[1:].min()) < 0 or int(offsets[1:].max()) > ncols - width):
+        raise ValueError(f"a row window of {width} slots leaves the {ncols} columns")
+    return m, g, ncols, width
 
 
 class Kernel:
-    """The loaded library; each method checks its arrays, then calls the C function."""
+    """The loaded library; each method checks its arrays once, then calls the C code."""
 
     def __init__(self, path: Path):
         self.path = path
@@ -158,61 +171,43 @@ class Kernel:
 
     def fill_rows(self, rows, cols, offsets, table, oe: int, e: int, local: bool, M, Ix, Iy) -> None:
         """`align._fill_rows_numpy` in C: fill rows 1.. of M, Ix and Iy in place."""
-        m = len(rows)
-        g, ncols = cols.shape if cols.ndim == 2 else (0, 0)
-        width = M.shape[-1] if M.ndim == 3 else 0
-        _check("rows", rows, np.uint8, (m,))
-        _check("cols", cols, np.uint8, (g, ncols))
-        _check("offsets", offsets, np.int64, (m + 1,))
-        _check("table", table, np.int32, _TABLE_SHAPE)
-        for name, a in (("M", M), ("Ix", Ix), ("Iy", Iy)):
-            _check(name, a, np.int32, (m + 1, g, width))
-        if width < 1:
-            raise ValueError("a band needs at least one slot a row")
-        _check_codes(rows, cols)
-        if m and (int(offsets[1:].min()) < 0 or int(offsets[1:].max()) > ncols - width):
-            raise ValueError(f"a row window of {width} slots leaves the {ncols} columns")
+        m, g, ncols, width = _check_bands(rows, cols, offsets, table, M, Ix, Iy)
         self._fill(
             rows.ctypes.data, m, cols.ctypes.data, g, ncols, offsets.ctypes.data, width,
             table.ctypes.data, oe, e, local, M.ctypes.data, Ix.ctypes.data, Iy.ctypes.data,
         )
 
-    def traceback(self, M, Ix, Iy, rows, cols, offsets, table, oe: int, e: int, local: bool):
-        """`align._band_traceback_python` in C, for one band's (rows + 1, width) views.
+    def traceback(self, rows, cols, offsets, table, oe: int, e: int, local: bool, M, Ix, Iy):
+        """`align._band_traceback_python` in C for each band, on `fill_rows`'s arguments.
 
-        Returns None when local and no cell scores above 0, else (score,
-        start row, start slot, end row, end slot, row codes, column codes),
-        the codes last column first. Raises ValueError when the C traceback
-        finds no path, which the Python traceback would also fail on.
+        Returns one path a band: None when local and no cell scores above 0,
+        else (score, start (row, column), end (row, column), row codes, column
+        codes), the codes as bytes, last first. Raises ValueError where the
+        Python traceback would fail: a cell on the path has no predecessor.
         """
-        m = len(rows)
-        width = M.shape[-1] if M.ndim == 2 else 0
-        _check("rows", rows, np.uint8, (m,))
-        _check("cols", cols, np.uint8, (len(cols),))
-        _check("offsets", offsets, np.int64, (m + 1,))
-        _check("table", table, np.int32, _TABLE_SHAPE)
-        band = (m + 1, width)
-        row_step = M.strides[0] if M.ndim == 2 else 0
-        if row_step < width * M.itemsize or row_step % M.itemsize:
-            raise ValueError(f"M rows are {row_step} bytes apart, not a whole row of int32")
-        for name, a in (("M", M), ("Ix", Ix), ("Iy", Iy)):
-            _check(name, a, np.int32, band, (row_step, a.itemsize))
-        if width < 1:
-            raise ValueError("a band needs at least one slot a row")
-        _check_codes(rows, cols)
-        cap = m + len(cols)  # each step consumes a row, a column or both
+        m, g, ncols, width = _check_bands(rows, cols, offsets, table, M, Ix, Iy)
+        cap = m + ncols  # each step consumes a row, a column or both
         out_r = np.empty(cap, dtype=np.uint8)
         out_c = np.empty(cap, dtype=np.uint8)
         ends = np.zeros(5, dtype=np.int64)
-        n = self._trace(
-            M.ctypes.data, Ix.ctypes.data, Iy.ctypes.data, row_step // M.itemsize, m, width,
-            rows.ctypes.data, cols.ctypes.data, len(cols), offsets.ctypes.data,
-            table.ctypes.data, oe, e, local, cap, out_r.ctypes.data, out_c.ctypes.data,
-            ends.ctypes.data,
-        )
-        if n < 0:
-            raise ValueError("native traceback found no predecessor for a cell on the path")
-        if n == 0:
-            return None
-        score, i0, b0, i1, b1 = ends.tolist()
-        return score, i0, b0, i1, b1, out_r[:n], out_c[:n]
+        pm, px, py, pc = M.ctypes.data, Ix.ctypes.data, Iy.ctypes.data, cols.ctypes.data
+        band_bytes = width * M.itemsize  # from a row of one band to the same row of the next
+        paths = []
+        for band in range(g):
+            at = band * band_bytes
+            n = self._trace(
+                pm + at, px + at, py + at, g * width, m, width, rows.ctypes.data,
+                pc + band * ncols, ncols, offsets.ctypes.data, table.ctypes.data, oe, e, local,
+                cap, out_r.ctypes.data, out_c.ctypes.data, ends.ctypes.data,
+            )
+            if n < 0:
+                raise ValueError("native traceback found no predecessor for a cell on the path")
+            if n == 0:
+                paths.append(None)
+                continue
+            score, i0, b0, i1, b1 = ends.tolist()
+            paths.append((
+                score, (i0, offsets.item(i0) + b0), (i1, offsets.item(i1) + b1),
+                out_r[:n].tobytes(), out_c[:n].tobytes(),
+            ))
+        return paths

@@ -7,6 +7,7 @@ anything scores 0, neither match nor mismatch.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from dataclasses import dataclass
@@ -67,13 +68,16 @@ class Scoring:
         if self.mismatch > 0 or self.gap_open > 0 or self.gap_extend > 0:
             raise ValueError("mismatch and gap scores must be <= 0")
 
-    def substitution_matrix(self) -> np.ndarray:
-        """5x5 int32 lookup over base codes; any pairing with N scores 0."""
-        sub = np.full((5, 5), self.mismatch, dtype=np.int32)
-        np.fill_diagonal(sub, self.match)
-        sub[4, :] = 0
-        sub[:, 4] = 0
-        return sub
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """Read-only 5 x 6 int32 scores of (row code, column code), built once: rows
+        A C G T N, columns those and OUTSIDE_CODE; N pairs 0, the outside _NEG."""
+        table = np.full((5, OUTSIDE_CODE + 1), self.mismatch, dtype=np.int32)
+        np.fill_diagonal(table, self.match)
+        table[4, :] = table[:, 4] = 0
+        table[:, OUTSIDE_CODE] = _NEG
+        table.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)
@@ -218,30 +222,18 @@ def band_fill(
         M[0] = Ix[0] = Iy[0] = _NEG
     else:
         M[0], Ix[0], Iy[0] = top
-    oe, e, table = _fill_constants(scoring)
+    args = (scoring.table, scoring.gap_open + scoring.gap_extend, scoring.gap_extend, local)
     kernel = _native.load()
     if kernel is None:
-        _fill_rows_numpy(rows, cols, offsets.tolist(), table, oe, e, local, M, Ix, Iy)
+        _fill_rows_numpy(rows, cols, offsets.tolist(), *args, M, Ix, Iy)
     else:
-        kernel.fill_rows(rows, cols, offsets, table, int(oe), int(e), local, M, Ix, Iy)
+        kernel.fill_rows(rows, cols, offsets, *args, M, Ix, Iy)
     return M, Ix, Iy
-
-
-def _fill_constants(scoring: Scoring) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """0-d int32 gap open + extend and gap extend, and the 5 x 6 int32 score
-    table of (row code, column code); column OUTSIDE_CODE is unreachable."""
-    # 0-d int32 constants: ufuncs convert a Python int on every call
-    oe = np.array(scoring.gap_open + scoring.gap_extend, dtype=np.int32)
-    e = np.array(scoring.gap_extend, dtype=np.int32)
-    table = np.full((5, OUTSIDE_CODE + 1), _NEG, dtype=np.int32)
-    table[:, :OUTSIDE_CODE] = scoring.substitution_matrix()
-    return oe, e, table
 
 
 def _fill_rows_numpy(
     rows: np.ndarray, cols: np.ndarray, offsets: list[int], table: np.ndarray,
-    oe: np.ndarray, e: np.ndarray, local: bool,
-    M: np.ndarray, Ix: np.ndarray, Iy: np.ndarray,
+    oe: int, e: int, local: bool, M: np.ndarray, Ix: np.ndarray, Iy: np.ndarray,
 ) -> None:
     """Fill rows 1.. of `band_fill`'s M, Ix and Iy with one numpy step per row.
 
@@ -250,6 +242,8 @@ def _fill_rows_numpy(
     """
     m = len(rows)
     width = M.shape[2]
+    # 0-d int32 constants: ufuncs convert a Python int on every call
+    oe, e = np.array(oe, dtype=np.int32), np.array(e, dtype=np.int32)
     # slots no move reaches: M's first slot of a column-coordinate row, Ix's
     # last slot of a diagonal-coordinate row, Iy's first slot of every row
     M[1:, :, 0] = Ix[1:, :, -1] = Iy[1:, :, 0] = _NEG
@@ -300,30 +294,31 @@ def _fill_rows_numpy(
 def _band_traceback(
     M: np.ndarray, Ix: np.ndarray, Iy: np.ndarray, rows: np.ndarray,
     cols: np.ndarray, offsets: np.ndarray, scoring: Scoring, local: bool,
-):
-    """Trace the best path of one band filled by `band_fill` back to its start.
+) -> list:
+    """Trace the best path of every band filled by `band_fill` back to its start.
 
-    Arguments and result are those of `_band_traceback_python`, with `rows`
-    a uint8 array and `offsets` an int64 array. The compiled kernel traces
-    when it loads, else `_band_traceback_python`; both give the same path.
+    Takes `band_fill`'s arguments and its (len(rows) + 1, G, width) result,
+    and returns one `_band_traceback_python` result per band. The compiled
+    kernel traces when it loads, else `_band_traceback_python` does, band by
+    band; both give the same paths.
     """
     kernel = _native.load()
     if kernel is None:
-        return _band_traceback_python(
-            M, Ix, Iy, rows.tolist(), cols, offsets.tolist(), scoring, local
-        )
-    table = _fill_constants(scoring)[2]
-    path = kernel.traceback(
-        M, Ix, Iy, rows, cols, offsets, table,
-        scoring.gap_open + scoring.gap_extend, scoring.gap_extend, local,
+        codes, starts = rows.tolist(), offsets.tolist()
+        return [
+            _band_traceback_python(
+                M[:, g], Ix[:, g], Iy[:, g], codes, cols[g], starts, scoring, local
+            )
+            for g in range(len(cols))
+        ]
+    paths = kernel.traceback(
+        rows, cols, offsets, scoring.table, scoring.gap_open + scoring.gap_extend,
+        scoring.gap_extend, local, M, Ix, Iy,
     )
-    if path is None:
-        return None
-    score, i0, b0, i1, b1, rev_r, rev_c = path
-    return (
-        score, (i0, int(offsets[i0]) + b0), (i1, int(offsets[i1]) + b1),
-        _decode(rev_r), _decode(rev_c),
-    )
+    return [
+        None if path is None else (*path[:3], _decode(path[3]), _decode(path[4]))
+        for path in paths
+    ]
 
 
 def _band_traceback_python(
@@ -351,7 +346,7 @@ def _band_traceback_python(
     built, and the reference the tests compare it with.
     """
     width = M.shape[1]
-    sub = scoring.substitution_matrix().tolist()
+    sub = scoring.table.tolist()
     oe = scoring.gap_open + scoring.gap_extend
     e = scoring.gap_extend
     col = cols.item
@@ -423,7 +418,7 @@ def _global_band(ca: np.ndarray, cb: np.ndarray, radius: int, scoring: Scoring):
     clipped to the matrix, so at most n + 1 columns a row are stored, and
     a width of n + 1 is the full DP. Raises SizeCapExceededError before
     filling a band of more than DEFAULT_CELL_CAP cells. Returns starts and
-    the (m + 1, width) M, Ix and Iy arrays.
+    the (m + 1, 1, width) M, Ix and Iy arrays.
     """
     m, n = len(ca), len(cb)
     lo = min(0, n - m) - radius
@@ -442,14 +437,14 @@ def _global_band(ca: np.ndarray, cb: np.ndarray, radius: int, scoring: Scoring):
     top_y[0, 1:] = oe + scoring.gap_extend * np.arange(width - 1)
     top_x = np.full((1, width), _NEG, dtype=np.int32)
     M, Ix, Iy = band_fill(
-        ca, _global_columns(cb)[None, :], starts, width, scoring, (top_m, top_x, top_y)
+        ca, _global_columns(cb), starts, width, scoring, (top_m, top_x, top_y)
     )
-    return starts, M[:, 0], Ix[:, 0], Iy[:, 0]
+    return starts, M, Ix, Iy
 
 
 def _global_columns(cb: np.ndarray) -> np.ndarray:
-    """Column codes of a global band: column j consumes base j; column 0 none."""
-    return np.concatenate((np.array([OUTSIDE_CODE], dtype=np.uint8), cb))
+    """The (1, n + 1) column codes of a global band: column j consumes base j; column 0 none."""
+    return np.concatenate((np.array([OUTSIDE_CODE], dtype=np.uint8), cb))[None, :]
 
 
 def _outside_bound(m: int, n: int, radius: int, scoring: Scoring) -> int:
@@ -488,14 +483,14 @@ def global_align(
     radius = _FIRST_RADIUS
     starts, M, Ix, Iy = _global_band(ca, cb, radius, scoring)
     t = n - int(starts[m])
-    score = max(M.item(m, t), Ix.item(m, t), Iy.item(m, t))
+    score = max(M.item(m, 0, t), Ix.item(m, 0, t), Iy.item(m, 0, t))
     full_radius = (n - abs(n - m) + 1) // 2  # from here on the band stores whole rows
     while radius < full_radius and score <= _outside_bound(m, n, radius, scoring):
         radius += 1
     if radius != _FIRST_RADIUS:
         del M, Ix, Iy  # free the first band before the wider one is filled
         starts, M, Ix, Iy = _global_band(ca, cb, radius, scoring)
-    score, _, _, aligned_a, aligned_b = _band_traceback(
+    [(score, _, _, aligned_a, aligned_b)] = _band_traceback(
         M, Ix, Iy, ca, _global_columns(cb), starts, scoring, local=False
     )
     return AlignmentResult(score, aligned_a, aligned_b, 0, m, 0, n)
@@ -510,7 +505,7 @@ def banded_local_align(
     (i, j) with |i - j - diagonal| <= radius; None where no alignment in
     the band scores above 0. Side A of each record is the query, side B
     the subject. All bands go through one `band_fill`, one vectorised row
-    of every band per query base.
+    of every band per query base, and one `_band_traceback`.
     """
     width = 2 * radius + 1
     m = len(query)
@@ -525,11 +520,9 @@ def banded_local_align(
         if x_lo < x_hi:
             cols[g, x_lo:x_hi] = encode_bases(subject[x_lo - first : x_hi - first])
     M, Ix, Iy = band_fill(rows, cols, offsets, width, scoring, local=True)
+    paths = _band_traceback(M, Ix, Iy, rows, cols, offsets, scoring, local=True)
     out: list[AlignmentResult | None] = []
-    for g, (_, diag) in enumerate(bands):
-        path = _band_traceback(
-            M[:, g], Ix[:, g], Iy[:, g], rows, cols[g], offsets, scoring, local=True
-        )
+    for (_, diag), path in zip(bands, paths):
         if path is None:
             out.append(None)
             continue

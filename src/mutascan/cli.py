@@ -264,10 +264,8 @@ def main(argv: list[str] | None = None) -> int:
         args.train_config = _train_config(parser, args)
     try:
         return _COMMANDS[args.command](args)
-    except MutascanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # writing an output path the user named, such as train --out
+    except (MutascanError, OSError) as exc:
+        # OSError: writing an output path the user named, such as train --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

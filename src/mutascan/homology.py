@@ -136,12 +136,17 @@ def _window_codes(bases: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     return clean, codes[clean]
 
 
-@functools.lru_cache(maxsize=INDEX_MEMO_SIZE)
 def build_index(db: FastaFile, k: int = DEFAULT_K) -> KmerIndex:
     """Index every N-free length-k window of every subject.
 
-    Results are memoized by (db, k) (`INDEX_MEMO_SIZE`); errors are not.
+    Results are memoized by (db, k) (`INDEX_MEMO_SIZE`), however the call
+    spells k; errors are not.
     """
+    return _build_index(db, k)
+
+
+@functools.lru_cache(maxsize=INDEX_MEMO_SIZE)
+def _build_index(db: FastaFile, k: int) -> KmerIndex:
     if len(db) == 0:
         raise EmptyDatabaseError("database contains no sequences")
     _check_k(k)

@@ -180,6 +180,15 @@ def global_score_dp(
 _SW_NEG = np.int32(-(1 << 28))
 
 
+def substitution_matrix(match: int, mismatch: int) -> np.ndarray:
+    """5 x 5 int32 scores over the codes of A C G T N; any pair with N scores 0."""
+    sub = np.zeros((5, 5), dtype=np.int32)
+    for r in range(4):
+        for c in range(4):
+            sub[r, c] = match if r == c else mismatch
+    return sub
+
+
 def smith_waterman_score(
     query: str, subject: str, match: int, mismatch: int, gap_open: int, gap_extend: int
 ) -> int:
@@ -190,10 +199,7 @@ def smith_waterman_score(
     end on aligned columns; empty alignment scores 0.
     """
     code = {"A": 0, "C": 1, "G": 2, "T": 3, "N": 4}
-    sub = np.full((5, 5), mismatch, dtype=np.int32)
-    np.fill_diagonal(sub, match)
-    sub[4, :] = 0
-    sub[:, 4] = 0
+    sub = substitution_matrix(match, mismatch)
     ca = np.array([code[ch] for ch in query], dtype=np.intp)
     cb = np.array([code[ch] for ch in subject], dtype=np.intp)
     m, n = len(ca), len(cb)
@@ -234,8 +240,9 @@ def smith_waterman_score(
 # The package's earlier aligners, kept unchanged as references: a full-matrix
 # antidiagonal Gotoh fill with its traceback, and the pure-Python banded
 # Smith-Waterman that `search` ran once per seeded diagonal. The banded
-# kernel must reproduce their output exactly, tie order included. Only the
-# record types and the hit merge rules are taken from the package.
+# kernel must reproduce their output exactly, tie order included. They build
+# their own substitution matrix; only the record types and the hit merge
+# rules are taken from the package.
 
 _NEG = -(1 << 28)
 _M, _IX, _IY = 0, 1, 2
@@ -252,7 +259,7 @@ def _fill_matrices(ca: np.ndarray, cb: np.ndarray, scoring):
     m, n = len(ca), len(cb)
     oe = scoring.gap_open + scoring.gap_extend
     e = scoring.gap_extend
-    sub = scoring.substitution_matrix()
+    sub = substitution_matrix(scoring.match, scoring.mismatch)
 
     M = np.full((m + 1, n + 1), _NEG, dtype=np.int32)
     Ix = np.full((m + 1, n + 1), _NEG, dtype=np.int32)
@@ -297,7 +304,7 @@ def reference_global_align(a: str, b: str, scoring):
     M, Ix, Iy = _fill_matrices(ca, cb, scoring)
     oe = scoring.gap_open + scoring.gap_extend
     e = scoring.gap_extend
-    sub = scoring.substitution_matrix()
+    sub = substitution_matrix(scoring.match, scoring.mismatch)
 
     i, j = m, n
     finals = (int(M[i, j]), int(Ix[i, j]), int(Iy[i, j]))
@@ -356,7 +363,7 @@ def _banded_local_align(qb: str, sb: str, diagonal: int, params, radius: int = 1
     """
     m, n = len(qb), len(sb)
     width = 2 * radius + 1
-    sub = params.scoring().substitution_matrix()
+    sub = substitution_matrix(params.match_score, params.mismatch_score)
     code = {"A": 0, "C": 1, "G": 2, "T": 3, "N": 4}
     oe = params.gap_open + params.gap_extend
     e = params.gap_extend

@@ -1,16 +1,20 @@
 """Global affine-gap alignment, mutation calling, and mutation application."""
 
+import dataclasses
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mutascan import align as align_module
 from mutascan.align import (
+    _NEG,
     _global_band,
     DEFAULT_CELL_CAP,
+    OUTSIDE_CODE,
     AlignmentResult,
     EmptySequenceError,
     Mutation,
@@ -25,7 +29,8 @@ from mutascan.align import (
     encode_bases,
     global_align,
 )
-from mutascan.seqio import DnaSequence
+from mutascan.homology import SearchParams, build_index
+from mutascan.seqio import DnaSequence, FastaFile
 
 from oracles import (
     dna,
@@ -34,7 +39,9 @@ from oracles import (
     random_bases,
     reference_calls,
     reference_global_align,
+    reference_search,
     rescore_alignment,
+    substitution_matrix,
 )
 
 
@@ -282,8 +289,8 @@ def test_band_never_stores_more_than_the_full_matrix():
         for radius in (16, 64, 4096):
             starts, M, Ix, Iy = _global_band(ca, cb, radius, Scoring())
             assert M.shape == Ix.shape == Iy.shape
-            assert M.shape[0] == m + 1 and M.shape[1] <= n + 1
-            assert all(0 <= s <= n + 1 - M.shape[1] for s in starts)
+            assert M.shape[:2] == (m + 1, 1) and M.shape[2] <= n + 1
+            assert all(0 <= s <= n + 1 - M.shape[2] for s in starts)
 
 
 def test_global_align_fills_at_most_two_bands(monkeypatch):
@@ -303,6 +310,98 @@ def test_global_align_fills_at_most_two_bands(monkeypatch):
         fills.clear()
         assert _align(ref, other) == reference_global_align(ref, other, Scoring())
         assert 1 < len(fills) <= 2
+
+
+def _calls_of(names, fn, *args):
+    """Run `fn(*args)`, recording each call of `align.<name>` for `names` in order."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:
+            original = getattr(align_module, name)
+
+            def record(*a, name=name, original=original, **kw):
+                result = original(*a, **kw)
+                calls.append((name, a, result))
+                return result
+
+            mp.setattr(align_module, name, record)
+        fn(*args)
+    return calls
+
+
+def test_each_alignment_traces_its_last_fill_in_one_call(kernels):
+    rng = random.Random(18)
+    ref = random_bases(rng, 300)
+    edited = ref[:100] + "T" + ref[101:200] + ref[205:]
+    subject = random_bases(rng, 80) + ref[:150]
+    bands = [(subject, d) for d in (-80, -40, 0, 40)]
+    cases = [  # (alignment, its arguments, band_fill calls it makes)
+        (_align, (ref, edited), 1),
+        (_align, (ref, random_bases(rng, 300)), 2),  # the first band is too narrow
+        (banded_local_align, (ref[:150], bands, 16, Scoring()), 1),
+    ]
+    for kernel in kernels:
+        with kernel():
+            for fn, args, fills in cases:
+                calls = _calls_of(("band_fill", "_band_traceback"), fn, *args)
+                names = [name for name, _, _ in calls]
+                assert names == ["band_fill"] * fills + ["_band_traceback"]
+                _, _, filled = calls[-2]
+                _, traced, paths = calls[-1]
+                assert all(t is f for t, f in zip(traced[:3], filled))
+                assert len(paths) == filled[0].shape[1]  # one path per band
+
+
+def test_scoring_table_is_read_only():
+    table = Scoring().table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 99
+    with pytest.raises(ValueError):
+        np.add(table, 1, out=table)
+    assert table[0, 0] == Scoring().match
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 20), st.integers(-20, 0), st.integers(-20, 0), st.integers(-20, 0)
+)
+def test_scoring_table_matches_match_and_mismatch(match, mismatch, gap_open, gap_extend):
+    scoring = Scoring(match, mismatch, gap_open, gap_extend)
+    table = scoring.table
+    assert table.dtype == np.int32 and table.shape == (5, OUTSIDE_CODE + 1)
+    assert table is scoring.table  # built once per instance
+    want = np.full((5, OUTSIDE_CODE + 1), _NEG, dtype=np.int32)
+    want[:, :5] = substitution_matrix(match, mismatch)
+    assert np.array_equal(table, want)
+
+
+def test_scoring_fields_are_the_four_scores():
+    names = [f.name for f in dataclasses.fields(Scoring)]
+    assert names == ["match", "mismatch", "gap_open", "gap_extend"]
+    scoring = Scoring()
+    assert scoring.table is scoring.table  # built and kept, but not a field
+    assert dataclasses.asdict(scoring) == {
+        "match": 2, "mismatch": -1, "gap_open": -5, "gap_extend": -1,
+    }
+
+
+def test_oracles_never_read_the_package_table(monkeypatch):
+    rng = random.Random(19)
+    ref = random_bases(rng, 120)
+    patient = ref[:40] + "G" + ref[41:90] + ref[93:]
+    want_global = reference_global_align(ref, patient, Scoring())
+    query = DnaSequence("q", "", patient)
+    index = build_index(FastaFile((_seq(ref, "r"), _seq(ref[::-1], "s"))))
+    want_hits = reference_search(query, index, SearchParams())
+
+    def no_table(self):
+        raise AssertionError("an oracle read Scoring.table")
+
+    monkeypatch.setattr(Scoring, "table", property(no_table))
+    assert reference_global_align(ref, patient, Scoring()) == want_global
+    assert reference_search(query, index, SearchParams()) == want_hits
+    assert want_global.score > 0 and want_hits
 
 
 def test_alignment_invariants():

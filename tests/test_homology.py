@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mutascan.align import AlignmentResult
 from mutascan.homology import (
     _BATCH_GROUPS,
+    _build_index,
     BAND_RADIUS,
     DEFAULT_K,
     INDEX_MEMO_SIZE,
@@ -122,14 +123,23 @@ def test_build_index_errors_are_raised_on_every_call():
     for args, error in bad_calls:
         messages = []
         for _ in range(2):
-            misses = build_index.cache_info().misses
+            misses = _build_index.cache_info().misses
             with pytest.raises(error) as exc:
                 build_index(*args)
-            assert build_index.cache_info().misses == misses + 1  # not served from the memo
+            assert _build_index.cache_info().misses == misses + 1  # not served from the memo
             messages.append(str(exc.value))
             for i in range(INDEX_MEMO_SIZE + 1):  # other databases cycle the memo
                 build_index(_db(("s", "ACGT" * (i + 3))))
         assert messages[0] == messages[1]
+
+
+def test_index_memo_ignores_how_k_is_spelled():
+    db = _db(("a", random_bases(random.Random(20), 300)), ("b", "ACGT" * 40))
+    _build_index.cache_clear()
+    indexes = [build_index(db), build_index(db, DEFAULT_K), build_index(db, k=DEFAULT_K)]
+    info = _build_index.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    assert indexes[1] is indexes[0] and indexes[2] is indexes[0]
 
 
 @st.composite
@@ -335,11 +345,11 @@ def test_search_matches_reference_on_default_seeds(kernels, case):
 def test_memoized_index_searches_like_a_fresh_one(kernels, case):
     query, index, params = case
     db = FastaFile(index.subjects)  # equal to, not the same object as, the one indexed
-    hits = build_index.cache_info().hits
+    hits = _build_index.cache_info().hits
     cached = build_index(db, index.k)
     assert cached is index
-    assert build_index.cache_info().hits == hits + 1
-    fresh = build_index.__wrapped__(db, index.k)
+    assert _build_index.cache_info().hits == hits + 1
+    fresh = _build_index.__wrapped__(db, index.k)
     assert fresh is not cached
     for kernel in kernels:
         with kernel():

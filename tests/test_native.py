@@ -77,12 +77,20 @@ def _assert_same_fill(calls):
             assert np.array_equal(got, want)
 
 
-def _assert_same_traceback(calls):
-    for (M, Ix, Iy, rows, cols, offsets, scoring), kwargs in calls:
-        want = align._band_traceback_python(
-            M, Ix, Iy, rows.tolist(), cols, offsets.tolist(), scoring, **kwargs
+def _python_traceback(M, Ix, Iy, rows, cols, offsets, scoring, **kwargs):
+    """`_band_traceback_python` of every band of a `_band_traceback` call."""
+    return [
+        align._band_traceback_python(
+            M[:, g], Ix[:, g], Iy[:, g], rows.tolist(), cols[g], offsets.tolist(), scoring,
+            **kwargs,
         )
-        assert align._band_traceback(M, Ix, Iy, rows, cols, offsets, scoring, **kwargs) == want
+        for g in range(len(cols))
+    ]
+
+
+def _assert_same_traceback(calls):
+    for args, kwargs in calls:
+        assert align._band_traceback(*args, **kwargs) == _python_traceback(*args, **kwargs)
 
 
 @settings(max_examples=120, deadline=None)
@@ -113,7 +121,7 @@ def test_native_traceback_matches_python_on_global_bands(native, pair, swap, sco
 @given(dna("ACGTNN", 1, 150), _BANDS, st.integers(0, 16), _SCORINGS)
 def test_native_traceback_matches_python_on_local_batches(native, query, bands, radius, scoring):
     calls = _recorded("_band_traceback", banded_local_align, query, bands, radius, scoring)
-    assert len(calls) == len(bands)
+    assert len(calls) == 1 and len(calls[0][0][4]) == len(bands)  # one call traces every band
     _assert_same_traceback(calls)
 
 
@@ -227,7 +235,7 @@ def _fill_args(m=6, n=9, width=4, g=2):
     rows = rng.integers(0, 5, m).astype(np.uint8)
     cols = rng.integers(0, 6, (g, n)).astype(np.uint8)
     offsets = np.clip(np.arange(-1, m, dtype=np.int64), 0, n - width)
-    table = align._fill_constants(Scoring())[2]
+    table = Scoring().table
     arrays = [np.zeros((m + 1, g, width), dtype=np.int32) for _ in range(3)]
     return [rows, cols, offsets, table, -6, -1, False, *arrays]
 
@@ -267,51 +275,46 @@ def _traced_band(scoring=Scoring()):
     "index,bad",
     [
         (0, lambda a: a.astype(np.int64)),  # M dtype
-        (1, lambda a: np.asfortranarray(a)),  # Ix strides differ from M's
-        (2, lambda a: a[:, :-1]),  # Iy narrower than M
+        (1, lambda a: np.asfortranarray(a)),  # Ix not C-contiguous
+        (2, lambda a: a[:, :, :-1]),  # Iy narrower than M
         (3, lambda a: a.astype(np.int32)),  # rows dtype
         (3, lambda a: np.where(a == a[0], 6, a).astype(np.uint8)),  # row code 6
-        (4, lambda a: np.where(a == a[1], 6, a).astype(np.uint8)),  # column code 6
-        (4, lambda a: np.stack([a, a])),  # cols not one row
+        (4, lambda a: np.where(a == a[0, 1], 6, a).astype(np.uint8)),  # column code 6
+        (4, lambda a: np.concatenate([a, a])),  # cols a band more than M holds
         (5, lambda a: a.tolist()),  # offsets a list
         (5, lambda a: a[:-1]),  # offsets one short
     ],
 )
 def test_traceback_refuses_bad_arrays_before_calling_c(guarded, index, bad):
     args, kwargs = _traced_band()
-    M, Ix, Iy, rows, cols, offsets, scoring = args
-    table = align._fill_constants(scoring)[2]
-    checked = [M, Ix, Iy, rows, cols, offsets]
+    checked = args[:6]
     checked[index] = bad(checked[index])
+    M, Ix, Iy, rows, cols, offsets = checked
     with pytest.raises(ValueError):
-        guarded.traceback(*checked, table, -6, -1, False)
+        guarded.traceback(rows, cols, offsets, Scoring().table, -6, -1, False, M, Ix, Iy)
 
 
 def test_traceback_with_no_predecessor_raises(native):
     args, kwargs = _traced_band()
-    M, Ix, Iy, rows, cols, offsets, scoring = args
-    for a in (M, Ix, Iy):
+    for a in args[:3]:
         a[-1] += 1000  # the last row now scores above anything it could come from
     with pytest.raises(ValueError):
         align._band_traceback(*args, **kwargs)
     with pytest.raises(ValueError):
-        align._band_traceback_python(
-            M, Ix, Iy, rows.tolist(), cols, offsets.tolist(), scoring, **kwargs
-        )
+        _python_traceback(*args, **kwargs)
 
 
 def test_traceback_never_writes_past_its_capacity(native):
     args, _ = _traced_band()
     M, Ix, Iy, rows, cols, offsets, scoring = args
-    table = align._fill_constants(scoring)[2]
     cap, guard = 4, 16  # the path is 10 columns long
     out_r = np.full(cap + guard, 0xAB, dtype=np.uint8)
     out_c = np.full(cap + guard, 0xAB, dtype=np.uint8)
     ends = np.zeros(5, dtype=np.int64)
     n = native._trace(
         M.ctypes.data, Ix.ctypes.data, Iy.ctypes.data, M.strides[0] // 4, len(rows),
-        M.shape[1], rows.ctypes.data, cols.ctypes.data, len(cols), offsets.ctypes.data,
-        table.ctypes.data, -6, -1, False, cap, out_r.ctypes.data, out_c.ctypes.data,
+        M.shape[2], rows.ctypes.data, cols.ctypes.data, cols.shape[1], offsets.ctypes.data,
+        scoring.table.ctypes.data, -6, -1, False, cap, out_r.ctypes.data, out_c.ctypes.data,
         ends.ctypes.data,
     )
     assert n == -1

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mutascan import pipeline
 from mutascan.align import MutationKind, global_align
 from mutascan.errors import MutascanError
-from mutascan.homology import SearchParams, build_index
+from mutascan.homology import SearchParams, _build_index
 from mutascan.neural import (
     CorruptFileError,
     Label,
@@ -583,15 +583,15 @@ def test_each_database_is_indexed_once_per_content(corpus, tmp_path):
     rows = load_training_rows(corpus["training_data"])
     net, _ = train(NetworkTopology(), rows_to_samples(rows), GOLDEN_TRAIN)
     save_net(net, tmp_path / "model.json")
-    build_index.cache_clear()  # earlier tests may have indexed these databases
+    _build_index.cache_clear()  # earlier tests may have indexed these databases
     grown, texts = [], []
     for _ in range(2):
-        misses = build_index.cache_info().misses
+        misses = _build_index.cache_info().misses
         report = run_diagnosis(
             corpus["patient_clean"], corpus["manifest_fallback"],
             model_path=tmp_path / "model.json", work_dir=tmp_path / "wd",
         )
-        grown.append(build_index.cache_info().misses - misses)
+        grown.append(_build_index.cache_info().misses - misses)
         texts.append((tmp_path / "wd" / "report.json").read_text(encoding="utf-8"))
     consulted = len(report.rejected) + 1
     assert consulted == 2

@@ -9,6 +9,7 @@
 #include <stdint.h>
 
 #define NEG (-(1 << 28)) /* align._NEG */
+#define ROWS 5           /* table rows: A C G T N */
 #define CODES 6          /* table columns: A C G T N and the outside code */
 #define OUTSIDE 5        /* align.OUTSIDE_CODE */
 #define GAP '-'
@@ -18,43 +19,52 @@ static inline int32_t max32(int32_t a, int32_t b) { return a > b ? a : b; }
 /* Fill rows 1..m of M, Ix and Iy, each (m + 1, G, width) int32 in C order;
  * row 0 is already set. rows holds m codes 0..4, cols (G, ncols) codes
  * 0..5, offsets m + 1 window starts with 0 <= offsets[i] <= ncols - width
- * for i >= 1, and table the 5 x 6 scores of (row code, column code). */
-void band_fill_rows(const uint8_t *rows, int64_t m, const uint8_t *cols, int64_t G,
-                    int64_t ncols, const int64_t *offsets, int64_t width,
-                    const int32_t *table, int32_t oe, int32_t e, int32_t local,
-                    int32_t *M, int32_t *Ix, int32_t *Iy)
+ * for i >= 1, and table the 5 x 6 scores of (row code, column code).
+ * profile is scratch for ROWS * G * ncols int32: the score of every row
+ * code against every column, so a row's scores are one plain load a slot.
+ *
+ * Every loop over a row's slots but the Iy running max is branch-free and
+ * reads only the row above, so the compiler vectorizes it. */
+void band_fill_rows(const uint8_t *restrict rows, int64_t m, const uint8_t *restrict cols,
+                    int64_t G, int64_t ncols, const int64_t *restrict offsets, int64_t width,
+                    const int32_t *restrict table, int32_t oe, int32_t e, int32_t local,
+                    int32_t *M, int32_t *Ix, int32_t *Iy, int32_t *restrict profile)
 {
-    const int64_t plane = G * width;
+    const int64_t plane = G * width, columns = G * ncols;
     const int32_t ne = -e, iy_base = oe - e;
+    for (int r = 0; r < ROWS; r++)
+        for (int64_t x = 0; x < columns; x++)
+            profile[r * columns + x] = table[CODES * r + cols[x]];
     for (int64_t i = 1; i <= m; i++) {
-        const int32_t *sub = table + CODES * rows[i - 1];
-        const int diagonal = offsets[i] != offsets[i - 1];
+        /* Diagonal coordinates (the window moved): M reads the same slot of
+         * the row above and Ix the next, and Ix's last slot is unreachable.
+         * Column coordinates: M reads the previous slot and Ix the same, and
+         * M's first slot is unreachable. */
+        const int64_t step = offsets[i] != offsets[i - 1], lag = 1 - step;
         for (int64_t g = 0; g < G; g++) {
-            const uint8_t *c = cols + g * ncols + offsets[i];
+            const int32_t *restrict sub = profile + rows[i - 1] * columns + g * ncols + offsets[i];
             const int64_t here = i * plane + g * width;
-            const int32_t *pm = M + here - plane, *px = Ix + here - plane, *py = Iy + here - plane;
-            int32_t *cm = M + here, *cx = Ix + here, *cy = Iy + here;
-            if (diagonal) { /* M reads the same slot of the row above, Ix the next */
-                for (int64_t s = 0; s < width; s++) {
-                    int32_t best = max32(max32(pm[s], py[s]), px[s]);
-                    if (local)
-                        best = max32(best, 0);
-                    cm[s] = sub[c[s]] + best;
-                }
-                for (int64_t s = 0; s + 1 < width; s++)
-                    cx[s] = max32(max32(pm[s + 1], py[s + 1]) + oe, px[s + 1] + e);
-                cx[width - 1] = NEG;
-            } else { /* M reads the previous slot of the row above, Ix the same */
+            const int32_t *restrict pm = M + here - plane;
+            const int32_t *restrict px = Ix + here - plane;
+            const int32_t *restrict py = Iy + here - plane;
+            int32_t *restrict cm = M + here;
+            int32_t *restrict cx = Ix + here;
+            int32_t *restrict cy = Iy + here;
+            if (lag)
                 cm[0] = NEG;
-                for (int64_t s = 1; s < width; s++) {
-                    int32_t best = max32(max32(pm[s - 1], py[s - 1]), px[s - 1]);
-                    if (local)
-                        best = max32(best, 0);
-                    cm[s] = sub[c[s]] + best;
+            if (local) {
+                for (int64_t s = lag; s < width; s++) {
+                    const int32_t best = max32(max32(pm[s - lag], py[s - lag]), px[s - lag]);
+                    cm[s] = sub[s] + max32(best, 0);
                 }
-                for (int64_t s = 0; s < width; s++)
-                    cx[s] = max32(max32(pm[s], py[s]) + oe, px[s] + e);
+            } else {
+                for (int64_t s = lag; s < width; s++)
+                    cm[s] = sub[s] + max32(max32(pm[s - lag], py[s - lag]), px[s - lag]);
             }
+            for (int64_t s = 0; s < width - step; s++)
+                cx[s] = max32(max32(pm[s + step], py[s + step]) + oe, px[s + step] + e);
+            if (step)
+                cx[width - 1] = NEG;
             /* Iy[s] = max over k < s of (H[k] - e*k) + oe - e + e*s, H = max(M, Ix) */
             int32_t run = max32(cm[0], cx[0]);
             cy[0] = NEG;
@@ -98,17 +108,20 @@ int64_t band_traceback(const int32_t *M, const int32_t *Ix, const int32_t *Iy,
     int64_t i, b, score, here[3], cand[3];
     int state = 0; /* 0 M, 1 Ix, 2 Iy: the preference order on ties */
     if (local) { /* the first maximum of M in row-major order */
-        int64_t bi = 0, bb = 0;
         int32_t best = M[0];
-        for (int64_t r = 0; r <= m; r++)
-            for (int64_t s = 0; s < width; s++)
-                if (M[r * rstride + s] > best) {
-                    best = M[r * rstride + s];
-                    bi = r;
-                    bb = s;
-                }
-        i = bi;
-        b = bb;
+        i = b = 0;
+        for (int64_t r = 0; r <= m; r++) {
+            const int32_t *row = M + r * rstride;
+            int32_t top = row[0];
+            for (int64_t s = 1; s < width; s++) /* branch-free, so it vectorizes */
+                top = max32(top, row[s]);
+            if (top > best) { /* only then find the row's first slot that holds it */
+                best = top;
+                i = r;
+                for (b = 0; row[b] != top; b++)
+                    ;
+            }
+        }
         cell(M, Ix, Iy, rstride, width, i, b, here);
         score = here[0];
         if (score <= 0)

@@ -1,9 +1,10 @@
 """The compiled banded kernel: `_band.c`, built on first use with the system `cc`.
 
-`load` compiles the C file with `cc -O2 -fwrapv -shared -fPIC` into a
+`load` compiles the C file with `cc -O3 -fwrapv -shared -fPIC` into a
 per-user cache directory, `$XDG_CACHE_HOME/mutascan` or else
 `~/.cache/mutascan`, and loads it with ctypes. The library's name holds the
-SHA-256 of the source and the platform, so a warm start spawns no process.
+SHA-256 of the source, the compiler command and the platform, so a warm
+start spawns no process and a change of flags builds a new library.
 A cache directory that another user owns, or that others may write to, is
 not used: the library is then built into a private temp directory for the
 process. With no compiler, a failed build or a failed load, `load` returns
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-_CC = ("cc", "-O2", "-fwrapv", "-shared", "-fPIC")
+_CC = ("cc", "-O3", "-fwrapv", "-shared", "-fPIC")
 _BUILD_TIMEOUT_S = 120
 # the C table: row codes A C G T N, column codes those and align.OUTSIDE_CODE
 _TABLE_SHAPE = (5, 6)
@@ -65,8 +66,7 @@ def _load(cache: Path | None) -> Kernel | None:
         return None
     try:
         source = resources.files(__package__).joinpath("_band.c").read_bytes()
-        key = hashlib.sha256(source + sysconfig.get_platform().encode()).hexdigest()[:16]
-        name = f"_band-{key}.so"
+        name = _library_name(source)
         if cache is not None and _private_dir(cache):
             if not (cache / name).is_file():
                 _build(source, cache / name)
@@ -80,6 +80,12 @@ def _load(cache: Path | None) -> Kernel | None:
     except (OSError, AttributeError, subprocess.SubprocessError):
         # OSError: no source or no cc, a failed write or load; AttributeError: a missing symbol
         return None
+
+
+def _library_name(source: bytes) -> str:
+    """The cache file name: a hash of the source, the compiler command and the platform."""
+    build = "\0".join(("", *_CC, sysconfig.get_platform())).encode()
+    return f"_band-{hashlib.sha256(source + build).hexdigest()[:16]}.so"
 
 
 def _private_dir(path: Path) -> bool:
@@ -159,7 +165,7 @@ class Kernel:
         lib = ctypes.CDLL(str(path))
         self._fill = lib.band_fill_rows
         self._fill.argtypes = [
-            _ptr, _i64, _ptr, _i64, _i64, _ptr, _i64, _ptr, _i32, _i32, _i32, _ptr, _ptr, _ptr
+            _ptr, _i64, _ptr, _i64, _i64, _ptr, _i64, _ptr, _i32, _i32, _i32, _ptr, _ptr, _ptr, _ptr
         ]
         self._fill.restype = None
         self._trace = lib.band_traceback
@@ -172,9 +178,11 @@ class Kernel:
     def fill_rows(self, rows, cols, offsets, table, oe: int, e: int, local: bool, M, Ix, Iy) -> None:
         """`align._fill_rows_numpy` in C: fill rows 1.. of M, Ix and Iy in place."""
         m, g, ncols, width = _check_bands(rows, cols, offsets, table, M, Ix, Iy)
+        profile = np.empty((_TABLE_SHAPE[0], g, ncols), dtype=np.int32)  # the C code's scratch
         self._fill(
             rows.ctypes.data, m, cols.ctypes.data, g, ncols, offsets.ctypes.data, width,
             table.ctypes.data, oe, e, local, M.ctypes.data, Ix.ctypes.data, Iy.ctypes.data,
+            profile.ctypes.data,
         )
 
     def traceback(self, rows, cols, offsets, table, oe: int, e: int, local: bool, M, Ix, Iy):

@@ -71,13 +71,15 @@ class Scoring:
     @functools.cached_property
     def table(self) -> np.ndarray:
         """Read-only 5 x 6 int32 scores of (row code, column code), built once: rows
-        A C G T N, columns those and OUTSIDE_CODE; N pairs 0, the outside _NEG."""
+        A C G T N, columns those and OUTSIDE_CODE; N pairs 0, the outside _NEG.
+
+        A view over immutable bytes, so no caller can make it writeable again:
+        the default `Scoring()` is shared by every alignment in the process."""
         table = np.full((5, OUTSIDE_CODE + 1), self.mismatch, dtype=np.int32)
         np.fill_diagonal(table, self.match)
         table[4, :] = table[:, 4] = 0
         table[:, OUTSIDE_CODE] = _NEG
-        table.flags.writeable = False
-        return table
+        return np.frombuffer(table.tobytes(), dtype=np.int32).reshape(table.shape)
 
 
 @dataclass(frozen=True)

@@ -95,8 +95,8 @@ class KmerIndex:
 
     Window i has code `codes[i]` and starts at offset `offsets[i]` of
     subject `subject_idx[i]`; `codes` is ascending, and windows with equal
-    codes come in no particular order. The arrays are read-only: one index
-    may be shared by every caller of `build_index`.
+    codes come in no particular order. The arrays are read-only views over
+    immutable bytes: one index may be shared by every caller of `build_index`.
     """
 
     k: int
@@ -156,9 +156,10 @@ def _build_index(db: FastaFile, k: int) -> KmerIndex:
     subject_idx = np.searchsorted(starts, positions, side="right") - 1
     order = np.argsort(codes)
     arrays = (codes[order], subject_idx[order], (positions - starts[subject_idx])[order])
-    for a in arrays:
-        a.flags.writeable = False
-    return KmerIndex(k, tuple(db.records), *arrays)
+    # views over immutable bytes: no caller can make a shared index writeable again
+    return KmerIndex(
+        k, tuple(db.records), *(np.frombuffer(a.tobytes(), dtype=a.dtype) for a in arrays)
+    )
 
 
 def _seed_diagonals(qb: str, index: KmerIndex) -> dict[tuple[int, int], int]:

@@ -359,6 +359,8 @@ def test_scoring_table_is_read_only():
         table[0, 0] = 99
     with pytest.raises(ValueError):
         np.add(table, 1, out=table)
+    with pytest.raises(ValueError):  # the flag is not merely advisory
+        table.flags.writeable = True
     assert table[0, 0] == Scoring().match
 
 

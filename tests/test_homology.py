@@ -359,6 +359,8 @@ def test_memoized_index_searches_like_a_fresh_one(kernels, case):
     for array in (cached.codes, cached.subject_idx, cached.offsets):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
+        with pytest.raises(ValueError):  # the flag is not merely advisory
+            array.flags.writeable = True
 
 
 def test_search_batches_many_diagonals_like_reference():

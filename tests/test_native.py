@@ -125,14 +125,79 @@ def test_native_traceback_matches_python_on_local_batches(native, query, bands, 
     _assert_same_traceback(calls)
 
 
+def _first_max_cells(M):
+    """Every (row, slot) of a (rows, width) band's M that holds its maximum."""
+    return list(zip(*np.nonzero(M == M.max())))
+
+
+@st.composite
+def _motif_batches(draw):
+    """A query of one repeated motif and bands whose subjects repeat it too, so the
+    M maximum of a band often repeats within a row and across rows."""
+    motif = draw(dna("ACGT", 1, 4))
+    query = motif * draw(st.integers(2, 12))
+    bands = []
+    for _ in range(draw(st.integers(1, 5))):
+        flank = draw(dna("ACGT", 1, 6))
+        subject = flank + motif * draw(st.integers(1, 16)) + flank
+        bands.append((subject, draw(st.integers(-12, 12))))
+    return query, bands
+
+
+@settings(max_examples=80, deadline=None)
+@given(_motif_batches(), st.integers(0, 10), _SCORINGS)
+def test_native_local_start_matches_python_on_repeated_maxima(native, batch, radius, scoring):
+    query, bands = batch
+    _assert_same_traceback(
+        _recorded("_band_traceback", banded_local_align, query, bands, radius, scoring)
+    )
+
+
+def test_native_local_start_is_the_first_of_repeated_maxima(native):
+    motif = "ACG"
+    query = motif * 8
+    bands = [("TT" + motif * 12 + "TT", -2), ("GG" + motif * 3 + "GG", -2)]
+    [(args, kwargs)] = _recorded("_band_traceback", banded_local_align, query, bands, 6, Scoring())
+    M = args[0]
+    long, short = _first_max_cells(M[:, 0]), _first_max_cells(M[:, 1])
+    assert len({i for i, _ in long}) < len(long)  # the maximum repeats within a row
+    assert len({i for i, _ in short}) > 1  # and across rows
+    got = align._band_traceback(*args, **kwargs)
+    assert got == _python_traceback(*args, **kwargs)
+    offsets = args[5]
+    for path, cells in zip(got, (long, short)):
+        i, b = cells[0]  # nonzero lists cells in row-major order
+        assert path[2] == (i, offsets[i] + b)
+
+
+def test_native_global_fill_keeps_cells_below_neg(native):
+    """A global-mode band with row 0 left unreachable holds M cells whose three
+    predecessors all lie below _NEG; flooring global mode at _NEG would change them."""
+    rows, cb = encode_bases("ACGTTGCA"), encode_bases("TTGCAACGTA")
+    cols = align._global_columns(cb)
+    width = 5
+    offsets = np.clip(np.arange(len(rows) + 1, dtype=np.int64) - 2, 0, cols.shape[1] - width)
+    args = (rows, cols, offsets, width, Scoring())
+    M, Ix, Iy = _numpy(align.band_fill, *args)
+    below = [
+        (i, s)
+        for i in range(1, len(rows) + 1)
+        for s in range(width)
+        if 0 <= (p := s - 1 + int(offsets[i] != offsets[i - 1])) < width
+        and max(M[i - 1, 0, p], Ix[i - 1, 0, p], Iy[i - 1, 0, p]) < align._NEG
+    ]
+    assert below
+    _assert_same_fill([(args, {})])
+
+
 # --- loader ---------------------------------------------------------------------
 
 
 def _library_name():
-    """The cache file name: the SHA-256 of the C source and the platform."""
+    """The cache file name: the SHA-256 of the C source, the compiler command and the platform."""
     source = importlib.resources.files("mutascan").joinpath("_band.c").read_bytes()
-    key = hashlib.sha256(source + sysconfig.get_platform().encode()).hexdigest()[:16]
-    return f"_band-{key}.so"
+    build = "\0".join(("", *_native._CC, sysconfig.get_platform())).encode()
+    return f"_band-{hashlib.sha256(source + build).hexdigest()[:16]}.so"
 
 
 @pytest.mark.parametrize("case", ["no cc", "failing cc", "unloadable library"])
@@ -211,8 +276,16 @@ def test_warm_load_starts_no_process(native, tmp_path, monkeypatch):
     assert kernel is not None and kernel.path.parent == cache
 
 
-def test_cache_key_is_source_and_platform(native, tmp_path):
+def test_cache_key_is_source_flags_and_platform(native, tmp_path):
     assert _native._load(tmp_path).path.name == _library_name()
+
+
+def test_changed_compiler_flags_build_a_new_library(native, tmp_path, monkeypatch):
+    built = _native._load(tmp_path).path.name
+    monkeypatch.setattr(_native, "_CC", (*_native._CC, "-g0"))
+    rebuilt = _native._load(tmp_path)
+    assert rebuilt is not None and rebuilt.path.name == _library_name() != built
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([built, rebuilt.path.name])
 
 
 # --- checks before each C call ---------------------------------------------------

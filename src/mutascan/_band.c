@@ -1,10 +1,12 @@
 /* Banded three-state affine-gap (Gotoh) fill and traceback for mutascan.align.
  *
- * band_fill_rows mirrors align._fill_rows_numpy and band_traceback mirrors
- * align._band_traceback_python, value for value; their docstrings describe
- * the band layout. Build with -fwrapv: int32 sums then wrap as numpy's do.
- * The Python caller (mutascan._native) checks every array's dtype, shape
- * and strides, every code and every row window before a call.
+ * band_align, the one exported function, fills every band and traces each
+ * back to its start. band_fill_rows mirrors align._fill_rows_numpy and
+ * band_traceback mirrors align._band_traceback_python, value for value;
+ * their docstrings describe the band layout. Build with -fwrapv: int32 sums
+ * then wrap as numpy's do. The Python caller (mutascan._native) checks
+ * every array's dtype, shape and strides, every code and every row window
+ * before the call.
  */
 #include <stdint.h>
 
@@ -13,6 +15,7 @@
 #define CODES 6          /* table columns: A C G T N and the outside code */
 #define OUTSIDE 5        /* align.OUTSIDE_CODE */
 #define GAP '-'
+#define ENDS 6           /* entries of band_align's ends per band */
 
 static inline int32_t max32(int32_t a, int32_t b) { return a > b ? a : b; }
 
@@ -25,10 +28,11 @@ static inline int32_t max32(int32_t a, int32_t b) { return a > b ? a : b; }
  *
  * Every loop over a row's slots but the Iy running max is branch-free and
  * reads only the row above, so the compiler vectorizes it. */
-void band_fill_rows(const uint8_t *restrict rows, int64_t m, const uint8_t *restrict cols,
-                    int64_t G, int64_t ncols, const int64_t *restrict offsets, int64_t width,
-                    const int32_t *restrict table, int32_t oe, int32_t e, int32_t local,
-                    int32_t *M, int32_t *Ix, int32_t *Iy, int32_t *restrict profile)
+static void band_fill_rows(const uint8_t *restrict rows, int64_t m, const uint8_t *restrict cols,
+                           int64_t G, int64_t ncols, const int64_t *restrict offsets,
+                           int64_t width, const int32_t *restrict table, int32_t oe, int32_t e,
+                           int32_t local, int32_t *M, int32_t *Ix, int32_t *Iy,
+                           int32_t *restrict profile)
 {
     const int64_t plane = G * width, columns = G * ncols;
     const int32_t ne = -e, iy_base = oe - e;
@@ -99,11 +103,11 @@ static inline void cell(const int32_t *M, const int32_t *Ix, const int32_t *Iy,
  * Returns the path length; 0 when local and no cell scores above 0; -1
  * when a step finds no predecessor, a move leaves the matrix, or the path
  * would pass cap columns. */
-int64_t band_traceback(const int32_t *M, const int32_t *Ix, const int32_t *Iy,
-                       int64_t rstride, int64_t m, int64_t width, const uint8_t *rows,
-                       const uint8_t *cols, int64_t ncols, const int64_t *offsets,
-                       const int32_t *table, int64_t oe, int64_t e, int32_t local,
-                       int64_t cap, uint8_t *out_r, uint8_t *out_c, int64_t *ends)
+static int64_t band_traceback(const int32_t *M, const int32_t *Ix, const int32_t *Iy,
+                              int64_t rstride, int64_t m, int64_t width, const uint8_t *rows,
+                              const uint8_t *cols, int64_t ncols, const int64_t *offsets,
+                              const int32_t *table, int64_t oe, int64_t e, int32_t local,
+                              int64_t cap, uint8_t *out_r, uint8_t *out_c, int64_t *ends)
 {
     int64_t i, b, score, here[3], cand[3];
     int state = 0; /* 0 M, 1 Ix, 2 Iy: the preference order on ties */
@@ -201,4 +205,33 @@ int64_t band_traceback(const int32_t *M, const int32_t *Ix, const int32_t *Iy,
     ends[1] = i;
     ends[2] = b;
     return n;
+}
+
+/* Fill rows 1..m of the G bands (band_fill_rows' arguments, row 0 already
+ * set) and trace each band's best path back to its start.
+ *
+ * Band g writes its path's codes to row g of the (G, cap) out_r and out_c
+ * and (score, start row, start slot, end row, end slot, length) to row g of
+ * the (G, ENDS) ends; length 0 means local and no cell scores above 0, and
+ * the other entries of that row are then unset. Returns 0, or -1 when a
+ * band's traceback fails as band_traceback says; the bands after it are
+ * then not traced. */
+int64_t band_align(const uint8_t *rows, int64_t m, const uint8_t *cols, int64_t G, int64_t ncols,
+                   const int64_t *offsets, int64_t width, const int32_t *table, int32_t oe,
+                   int32_t e, int32_t local, int32_t *M, int32_t *Ix, int32_t *Iy,
+                   int32_t *profile, int64_t cap, uint8_t *out_r, uint8_t *out_c, int64_t *ends)
+{
+    band_fill_rows(rows, m, cols, G, ncols, offsets, width, table, oe, e, local, M, Ix, Iy,
+                   profile);
+    for (int64_t g = 0; g < G; g++) {
+        int64_t *band_ends = ends + g * ENDS;
+        const int64_t n = band_traceback(M + g * width, Ix + g * width, Iy + g * width,
+                                         G * width, m, width, rows, cols + g * ncols, ncols,
+                                         offsets, table, oe, e, local, cap, out_r + g * cap,
+                                         out_c + g * cap, band_ends);
+        if (n < 0)
+            return -1;
+        band_ends[ENDS - 1] = n;
+    }
+    return 0;
 }

@@ -10,9 +10,9 @@ not used: the library is then built into a private temp directory for the
 process. With no compiler, a failed build or a failed load, `load` returns
 None and `align` runs its numpy fill and Python traceback instead.
 
-ctypes checks no bounds, so `Kernel` checks every array before each call:
-dtype, C order, shape, codes and row windows. Both calls take the same
-arguments, all G bands at once, and share one check.
+ctypes checks no bounds, so `Kernel` checks every array before its one C
+call, which fills and traces all G bands at once: dtype, C order, shape,
+codes and row windows.
 """
 
 from __future__ import annotations
@@ -158,64 +158,43 @@ def _check_bands(rows, cols, offsets, table, M, Ix, Iy) -> tuple[int, int, int, 
 
 
 class Kernel:
-    """The loaded library; each method checks its arrays once, then calls the C code."""
+    """The loaded library: `band_align` checks its arrays once, then makes one C call."""
 
     def __init__(self, path: Path):
         self.path = path
-        lib = ctypes.CDLL(str(path))
-        self._fill = lib.band_fill_rows
-        self._fill.argtypes = [
-            _ptr, _i64, _ptr, _i64, _i64, _ptr, _i64, _ptr, _i32, _i32, _i32, _ptr, _ptr, _ptr, _ptr
+        self._align = ctypes.CDLL(str(path)).band_align
+        self._align.argtypes = [
+            _ptr, _i64, _ptr, _i64, _i64, _ptr, _i64, _ptr, _i32, _i32, _i32, _ptr, _ptr, _ptr,
+            _ptr, _i64, _ptr, _ptr, _ptr,
         ]
-        self._fill.restype = None
-        self._trace = lib.band_traceback
-        self._trace.argtypes = [
-            _ptr, _ptr, _ptr, _i64, _i64, _i64, _ptr, _ptr, _i64, _ptr, _ptr,
-            _i64, _i64, _i32, _i64, _ptr, _ptr, _ptr,
-        ]
-        self._trace.restype = _i64
+        self._align.restype = _i64
 
-    def fill_rows(self, rows, cols, offsets, table, oe: int, e: int, local: bool, M, Ix, Iy) -> None:
-        """`align._fill_rows_numpy` in C: fill rows 1.. of M, Ix and Iy in place."""
-        m, g, ncols, width = _check_bands(rows, cols, offsets, table, M, Ix, Iy)
-        profile = np.empty((_TABLE_SHAPE[0], g, ncols), dtype=np.int32)  # the C code's scratch
-        self._fill(
-            rows.ctypes.data, m, cols.ctypes.data, g, ncols, offsets.ctypes.data, width,
-            table.ctypes.data, oe, e, local, M.ctypes.data, Ix.ctypes.data, Iy.ctypes.data,
-            profile.ctypes.data,
-        )
+    def band_align(self, rows, cols, offsets, table, oe: int, e: int, local: bool, M, Ix, Iy):
+        """`align._fill_rows_numpy`, then `align._band_traceback_python` for each band, in C.
 
-    def traceback(self, rows, cols, offsets, table, oe: int, e: int, local: bool, M, Ix, Iy):
-        """`align._band_traceback_python` in C for each band, on `fill_rows`'s arguments.
-
-        Returns one path a band: None when local and no cell scores above 0,
-        else (score, start (row, column), end (row, column), row codes, column
-        codes), the codes as bytes, last first. Raises ValueError where the
-        Python traceback would fail: a cell on the path has no predecessor.
+        Fills rows 1.. of M, Ix and Iy in place and returns one path a band:
+        None when local and no cell scores above 0, else (score, start (row,
+        column), end (row, column), row codes, column codes), the codes as
+        bytes, last first. Raises ValueError where the Python traceback would
+        fail: a cell on a path has no predecessor.
         """
         m, g, ncols, width = _check_bands(rows, cols, offsets, table, M, Ix, Iy)
+        profile = np.empty((_TABLE_SHAPE[0], g, ncols), dtype=np.int32)  # the C code's scratch
         cap = m + ncols  # each step consumes a row, a column or both
-        out_r = np.empty(cap, dtype=np.uint8)
-        out_c = np.empty(cap, dtype=np.uint8)
-        ends = np.zeros(5, dtype=np.int64)
-        pm, px, py, pc = M.ctypes.data, Ix.ctypes.data, Iy.ctypes.data, cols.ctypes.data
-        band_bytes = width * M.itemsize  # from a row of one band to the same row of the next
+        out_r = np.empty((g, cap), dtype=np.uint8)
+        out_c = np.empty((g, cap), dtype=np.uint8)
+        ends = np.empty((g, 6), dtype=np.int64)  # score, start row, slot, end row, slot, length
+        failed = self._align(
+            rows.ctypes.data, m, cols.ctypes.data, g, ncols, offsets.ctypes.data, width,
+            table.ctypes.data, oe, e, local, M.ctypes.data, Ix.ctypes.data, Iy.ctypes.data,
+            profile.ctypes.data, cap, out_r.ctypes.data, out_c.ctypes.data, ends.ctypes.data,
+        )
+        if failed:
+            raise ValueError("native traceback found no predecessor for a cell on the path")
         paths = []
-        for band in range(g):
-            at = band * band_bytes
-            n = self._trace(
-                pm + at, px + at, py + at, g * width, m, width, rows.ctypes.data,
-                pc + band * ncols, ncols, offsets.ctypes.data, table.ctypes.data, oe, e, local,
-                cap, out_r.ctypes.data, out_c.ctypes.data, ends.ctypes.data,
-            )
-            if n < 0:
-                raise ValueError("native traceback found no predecessor for a cell on the path")
-            if n == 0:
-                paths.append(None)
-                continue
-            score, i0, b0, i1, b1 = ends.tolist()
-            paths.append((
+        for (score, i0, b0, i1, b1, n), r, c in zip(ends.tolist(), out_r, out_c):
+            paths.append(None if n == 0 else (
                 score, (i0, offsets.item(i0) + b0), (i1, offsets.item(i1) + b1),
-                out_r[:n].tobytes(), out_c[:n].tobytes(),
+                r[:n].tobytes(), c[:n].tobytes(),
             ))
         return paths

@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 DEFAULT_CELL_CAP = 25_000_000  # cells of one global band: 3 int32 arrays, 300 MB
 
 _NEG = -(1 << 28)  # unreachable; far below any score, far above int32 overflow
-OUTSIDE_CODE = 5  # band_fill column code outside the sequence; scores as unreachable
+OUTSIDE_CODE = 5  # _band_align column code outside the sequence; scores as unreachable
 _FIRST_RADIUS = 16  # global_align's first band half-width
 
 # traceback states, preference order on ties
@@ -189,7 +189,7 @@ _CODE_TABLE = bytes.maketrans(b"ACGTN", bytes([0, 1, 2, 3, 4]))
 _BASE_TABLE = bytes.maketrans(bytes([0, 1, 2, 3, 4]), b"ACGTN")
 
 
-def band_fill(
+def _band_align(
     rows: np.ndarray,
     cols: np.ndarray,
     offsets: np.ndarray,
@@ -197,8 +197,8 @@ def band_fill(
     scoring: Scoring,
     top: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     local: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Banded three-state affine-gap fill (Gotoh), one row of every band at a time.
+) -> list:
+    """Banded three-state affine-gap alignment (Gotoh) of every band: fill, then trace.
 
     `rows` holds the base codes down the matrix. Each of the G bands stores
     `width` cells per row; row i (1-based) of band g scores against the
@@ -212,9 +212,11 @@ def band_fill(
 
     `top` is row 0 of (M, Ix, Iy), each (G, width); None leaves row 0
     unreachable. Local mode floors the M predecessor at 0, so an alignment
-    may start anywhere. Returns M, Ix and Iy as (len(rows) + 1, G, width)
-    int32 arrays. The rows are filled by the compiled kernel when it loads,
-    else by `_fill_rows_numpy`; both give the same values.
+    may start anywhere. The (len(rows) + 1, G, width) int32 M, Ix and Iy
+    stay inside this call; it returns one `_band_traceback_python` path per
+    band. The compiled kernel fills and traces when it loads, else
+    `_fill_rows_numpy` and `_band_traceback_python` do; both give the same
+    paths.
     """
     shape = (len(rows) + 1, cols.shape[0], width)
     M = np.empty(shape, dtype=np.int32)
@@ -227,17 +229,25 @@ def band_fill(
     args = (scoring.table, scoring.gap_open + scoring.gap_extend, scoring.gap_extend, local)
     kernel = _native.load()
     if kernel is None:
-        _fill_rows_numpy(rows, cols, offsets.tolist(), *args, M, Ix, Iy)
-    else:
-        kernel.fill_rows(rows, cols, offsets, *args, M, Ix, Iy)
-    return M, Ix, Iy
+        codes, starts = rows.tolist(), offsets.tolist()
+        _fill_rows_numpy(rows, cols, starts, *args, M, Ix, Iy)
+        return [
+            _band_traceback_python(
+                M[:, g], Ix[:, g], Iy[:, g], codes, cols[g], starts, scoring, local
+            )
+            for g in range(len(cols))
+        ]
+    return [
+        None if path is None else (*path[:3], _decode(path[3]), _decode(path[4]))
+        for path in kernel.band_align(rows, cols, offsets, *args, M, Ix, Iy)
+    ]
 
 
 def _fill_rows_numpy(
     rows: np.ndarray, cols: np.ndarray, offsets: list[int], table: np.ndarray,
     oe: int, e: int, local: bool, M: np.ndarray, Ix: np.ndarray, Iy: np.ndarray,
 ) -> None:
-    """Fill rows 1.. of `band_fill`'s M, Ix and Iy with one numpy step per row.
+    """Fill rows 1.. of `_band_align`'s M, Ix and Iy with one numpy step per row.
 
     The fallback where the compiled kernel cannot be built, and the
     reference the tests compare it with.
@@ -293,41 +303,11 @@ def _fill_rows_numpy(
         add(tmp_head, iy_add, out=tails_y[i])
 
 
-def _band_traceback(
-    M: np.ndarray, Ix: np.ndarray, Iy: np.ndarray, rows: np.ndarray,
-    cols: np.ndarray, offsets: np.ndarray, scoring: Scoring, local: bool,
-) -> list:
-    """Trace the best path of every band filled by `band_fill` back to its start.
-
-    Takes `band_fill`'s arguments and its (len(rows) + 1, G, width) result,
-    and returns one `_band_traceback_python` result per band. The compiled
-    kernel traces when it loads, else `_band_traceback_python` does, band by
-    band; both give the same paths.
-    """
-    kernel = _native.load()
-    if kernel is None:
-        codes, starts = rows.tolist(), offsets.tolist()
-        return [
-            _band_traceback_python(
-                M[:, g], Ix[:, g], Iy[:, g], codes, cols[g], starts, scoring, local
-            )
-            for g in range(len(cols))
-        ]
-    paths = kernel.traceback(
-        rows, cols, offsets, scoring.table, scoring.gap_open + scoring.gap_extend,
-        scoring.gap_extend, local, M, Ix, Iy,
-    )
-    return [
-        None if path is None else (*path[:3], _decode(path[3]), _decode(path[4]))
-        for path in paths
-    ]
-
-
 def _band_traceback_python(
     M: np.ndarray, Ix: np.ndarray, Iy: np.ndarray, rows: list[int],
     cols: np.ndarray, offsets: list[int], scoring: Scoring, local: bool,
 ):
-    """Trace the best path of one band filled by `band_fill` back to its start.
+    """Trace the best path of one band filled by `_band_align` back to its start.
 
     M, Ix and Iy are the band's (len(rows) + 1, width) values. Cell (i, b)
     lies in row i and column x = offsets[i] + b and consumes the row code
@@ -414,13 +394,13 @@ def _decode(rev_codes) -> str:
 
 
 def _global_band(ca: np.ndarray, cb: np.ndarray, radius: int, scoring: Scoring):
-    """Fill the band of diagonals [min(0, n-m) - radius, max(0, n-m) + radius].
+    """Align in the band of diagonals [min(0, n-m) - radius, max(0, n-m) + radius].
 
     Row i keeps the `width` columns starting at starts[i]; the window is
     clipped to the matrix, so at most n + 1 columns a row are stored, and
     a width of n + 1 is the full DP. Raises SizeCapExceededError before
-    filling a band of more than DEFAULT_CELL_CAP cells. Returns starts and
-    the (m + 1, 1, width) M, Ix and Iy arrays.
+    filling a band of more than DEFAULT_CELL_CAP cells. Returns the band's
+    one `_band_align` path.
     """
     m, n = len(ca), len(cb)
     lo = min(0, n - m) - radius
@@ -438,10 +418,8 @@ def _global_band(ca: np.ndarray, cb: np.ndarray, radius: int, scoring: Scoring):
     top_y = np.full((1, width), _NEG, dtype=np.int32)
     top_y[0, 1:] = oe + scoring.gap_extend * np.arange(width - 1)
     top_x = np.full((1, width), _NEG, dtype=np.int32)
-    M, Ix, Iy = band_fill(
-        ca, _global_columns(cb), starts, width, scoring, (top_m, top_x, top_y)
-    )
-    return starts, M, Ix, Iy
+    [path] = _band_align(ca, _global_columns(cb), starts, width, scoring, (top_m, top_x, top_y))
+    return path
 
 
 def _global_columns(cb: np.ndarray) -> np.ndarray:
@@ -483,18 +461,13 @@ def global_align(
     ca = encode_bases(a.bases)
     cb = encode_bases(b.bases)
     radius = _FIRST_RADIUS
-    starts, M, Ix, Iy = _global_band(ca, cb, radius, scoring)
-    t = n - int(starts[m])
-    score = max(M.item(m, 0, t), Ix.item(m, 0, t), Iy.item(m, 0, t))
+    path = _global_band(ca, cb, radius, scoring)
     full_radius = (n - abs(n - m) + 1) // 2  # from here on the band stores whole rows
-    while radius < full_radius and score <= _outside_bound(m, n, radius, scoring):
+    while radius < full_radius and path[0] <= _outside_bound(m, n, radius, scoring):
         radius += 1
     if radius != _FIRST_RADIUS:
-        del M, Ix, Iy  # free the first band before the wider one is filled
-        starts, M, Ix, Iy = _global_band(ca, cb, radius, scoring)
-    [(score, _, _, aligned_a, aligned_b)] = _band_traceback(
-        M, Ix, Iy, ca, _global_columns(cb), starts, scoring, local=False
-    )
+        path = _global_band(ca, cb, radius, scoring)
+    score, _, _, aligned_a, aligned_b = path
     return AlignmentResult(score, aligned_a, aligned_b, 0, m, 0, n)
 
 
@@ -506,8 +479,8 @@ def banded_local_align(
     Smith-Waterman with affine gaps (Gotoh), restricted to the DP cells
     (i, j) with |i - j - diagonal| <= radius; None where no alignment in
     the band scores above 0. Side A of each record is the query, side B
-    the subject. All bands go through one `band_fill`, one vectorised row
-    of every band per query base, and one `_band_traceback`.
+    the subject. All bands go through one `_band_align` call: one
+    vectorised row of every band per query base, then one path per band.
     """
     width = 2 * radius + 1
     m = len(query)
@@ -521,8 +494,7 @@ def banded_local_align(
         x_hi = min(cols.shape[1], first + len(subject))
         if x_lo < x_hi:
             cols[g, x_lo:x_hi] = encode_bases(subject[x_lo - first : x_hi - first])
-    M, Ix, Iy = band_fill(rows, cols, offsets, width, scoring, local=True)
-    paths = _band_traceback(M, Ix, Iy, rows, cols, offsets, scoring, local=True)
+    paths = _band_align(rows, cols, offsets, width, scoring, local=True)
     out: list[AlignmentResult | None] = []
     for (_, diag), path in zip(bands, paths):
         if path is None:

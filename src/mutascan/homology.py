@@ -74,12 +74,16 @@ class SearchParams:
             raise ValueError("max_hits must be at least 1")
 
     def scoring(self) -> Scoring:
-        return Scoring(
-            match=self.match_score,
-            mismatch=self.mismatch_score,
-            gap_open=self.gap_open,
-            gap_extend=self.gap_extend,
-        )
+        """The fixed scoring system: one instance, so every search reads one score table."""
+        return _SEARCH_SCORING
+
+
+_SEARCH_SCORING = Scoring(
+    match=SearchParams.match_score,
+    mismatch=SearchParams.mismatch_score,
+    gap_open=SearchParams.gap_open,
+    gap_extend=SearchParams.gap_extend,
+)
 
 
 def _check_k(k: int) -> None:

@@ -439,7 +439,8 @@ def load_net(path: str | Path) -> Network:
             )
         )
         return Network(topology, weights, biases, train_config=cfg)
-    except (KeyError, TypeError, ValueError, DimensionMismatchError) as exc:
+    # OverflowError: numpy's float64 of an integer past its range
+    except (KeyError, TypeError, ValueError, OverflowError, DimensionMismatchError) as exc:
         raise CorruptFileError(f"model file {path} is malformed: {exc}") from exc
 
 

@@ -287,10 +287,12 @@ def test_band_never_stores_more_than_the_full_matrix():
         ca = encode_bases(random_bases(rng, m))
         cb = encode_bases(random_bases(rng, n))
         for radius in (16, 64, 4096):
-            starts, M, Ix, Iy = _global_band(ca, cb, radius, Scoring())
-            assert M.shape == Ix.shape == Iy.shape
-            assert M.shape[:2] == (m + 1, 1) and M.shape[2] <= n + 1
-            assert all(0 <= s <= n + 1 - M.shape[2] for s in starts)
+            [((rows, cols, starts, width, *_), _)] = _band_align_calls(
+                _global_band, ca, cb, radius, Scoring()
+            )
+            # _band_align stores (len(rows) + 1, len(cols), width) cells a matrix
+            assert len(rows) == m and cols.shape == (1, n + 1) and width <= n + 1
+            assert all(0 <= s <= n + 1 - width for s in starts)
 
 
 def test_global_align_fills_at_most_two_bands(monkeypatch):
@@ -312,19 +314,18 @@ def test_global_align_fills_at_most_two_bands(monkeypatch):
         assert 1 < len(fills) <= 2
 
 
-def _calls_of(names, fn, *args):
-    """Run `fn(*args)`, recording each call of `align.<name>` for `names` in order."""
+def _band_align_calls(fn, *args):
+    """Run `fn(*args)`, recording the (args, paths) of each `align._band_align` call in order."""
     calls = []
+    original = align_module._band_align
+
+    def record(*a, **kw):
+        paths = original(*a, **kw)
+        calls.append((a, paths))
+        return paths
+
     with pytest.MonkeyPatch.context() as mp:
-        for name in names:
-            original = getattr(align_module, name)
-
-            def record(*a, name=name, original=original, **kw):
-                result = original(*a, **kw)
-                calls.append((name, a, result))
-                return result
-
-            mp.setattr(align_module, name, record)
+        mp.setattr(align_module, "_band_align", record)
         fn(*args)
     return calls
 
@@ -335,7 +336,7 @@ def test_each_alignment_traces_its_last_fill_in_one_call(kernels):
     edited = ref[:100] + "T" + ref[101:200] + ref[205:]
     subject = random_bases(rng, 80) + ref[:150]
     bands = [(subject, d) for d in (-80, -40, 0, 40)]
-    cases = [  # (alignment, its arguments, band_fill calls it makes)
+    cases = [  # (alignment, its arguments, _band_align calls it makes)
         (_align, (ref, edited), 1),
         (_align, (ref, random_bases(rng, 300)), 2),  # the first band is too narrow
         (banded_local_align, (ref[:150], bands, 16, Scoring()), 1),
@@ -343,13 +344,10 @@ def test_each_alignment_traces_its_last_fill_in_one_call(kernels):
     for kernel in kernels:
         with kernel():
             for fn, args, fills in cases:
-                calls = _calls_of(("band_fill", "_band_traceback"), fn, *args)
-                names = [name for name, _, _ in calls]
-                assert names == ["band_fill"] * fills + ["_band_traceback"]
-                _, _, filled = calls[-2]
-                _, traced, paths = calls[-1]
-                assert all(t is f for t, f in zip(traced[:3], filled))
-                assert len(paths) == filled[0].shape[1]  # one path per band
+                calls = _band_align_calls(fn, *args)
+                assert len(calls) == fills  # each call fills and traces its bands
+                for (rows, cols, *_), paths in calls:
+                    assert len(paths) == len(cols)  # one path per band
 
 
 def test_scoring_table_is_read_only():
@@ -477,13 +475,13 @@ def test_size_cap(monkeypatch):
     assert apply_mutations(_seq(ref), muts).bases == patient
 
     widths = []
-    band_fill = align_module.band_fill
+    band_align = align_module._band_align
 
-    def recording_fill(rows, cols, offsets, width, *args, **kwargs):
+    def recording_align(rows, cols, offsets, width, *args, **kwargs):
         widths.append(width)
-        return band_fill(rows, cols, offsets, width, *args, **kwargs)
+        return band_align(rows, cols, offsets, width, *args, **kwargs)
 
-    monkeypatch.setattr(align_module, "band_fill", recording_fill)
+    monkeypatch.setattr(align_module, "_band_align", recording_align)
     with pytest.raises(SizeCapExceededError):
         _align("A" * 5001, "C" * 5001)
     assert widths == [33]  # the 5,002 x 5,002 full matrix is never filled

@@ -224,9 +224,8 @@ def test_predict_bad_feature_names_the_line(tmp_path, capsys, trained_model, row
     assert "Traceback" not in err
 
 
-def test_predict_with_an_overflowing_model_config_exits_1(tmp_path, capsys, trained_model):
-    doc = json.loads(trained_model.read_text(encoding="utf-8"))
-    doc["train_config"]["learning_rate"] = 10**400  # float() of it overflows
+def _assert_predict_refuses_model(tmp_path, capsys, doc):
+    """`predict` with model document `doc` exits 1 with one "malformed" error line."""
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc), encoding="utf-8")
     feats = tmp_path / "feats.jsonl"
@@ -235,6 +234,22 @@ def test_predict_with_an_overflowing_model_config_exits_1(tmp_path, capsys, trai
     err = capsys.readouterr().err
     assert err.startswith(f"error: model file {model} is malformed: ")
     assert "Traceback" not in err
+
+
+def test_predict_with_an_overflowing_model_config_exits_1(tmp_path, capsys, trained_model):
+    doc = json.loads(trained_model.read_text(encoding="utf-8"))
+    doc["train_config"]["learning_rate"] = 10**400  # float() of it overflows
+    _assert_predict_refuses_model(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize("field", ["weights", "biases"])
+def test_predict_with_an_overflowing_weight_or_bias_exits_1(tmp_path, capsys, trained_model, field):
+    doc = json.loads(trained_model.read_text(encoding="utf-8"))
+    output_layer = doc[field][-1]  # weights [[w, w, w, w]], biases [b]
+    if field == "weights":
+        output_layer = output_layer[0]
+    output_layer[0] = 10**400  # numpy's float64 of it overflows
+    _assert_predict_refuses_model(tmp_path, capsys, doc)
 
 
 def test_non_ascii_fasta_exits_1_naming_the_file(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mutascan import homology
 from mutascan.align import AlignmentResult
 from mutascan.homology import (
     _BATCH_GROUPS,
@@ -252,6 +253,23 @@ def test_search_is_deterministic():
     index = build_index(db)
     first = search(_query(query), index)
     assert search(_query(query), index) == first
+
+
+def test_searches_share_one_score_table(monkeypatch):
+    tables = []
+    original = homology.banded_local_align
+
+    def record(query, bands, radius, scoring):
+        tables.append(scoring.table)
+        return original(query, bands, radius, scoring)
+
+    monkeypatch.setattr(homology, "banded_local_align", record)
+    rng = random.Random(41)
+    subject = random_bases(rng, 300)
+    index = build_index(_db(("a", subject)))
+    for params in (SearchParams(), SearchParams(max_hits=5)):
+        assert search(_query(subject[40:160]), index, params)
+    assert len(tables) == 2 and tables[0] is tables[1]
 
 
 def test_ambiguous_query_windows_are_skipped_not_fatal():

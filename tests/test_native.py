@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.resources
+import inspect
 import random
 import subprocess
 import sysconfig
@@ -44,17 +45,17 @@ def _numpy(fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
-def _recorded(name, fn, *args):
-    """Every (args, kwargs) that `fn(*args)` passes to `align.<name>`."""
+def _recorded(fn, *args):
+    """Every (args, kwargs) that `fn(*args)` passes to `align._band_align`."""
     calls = []
-    original = getattr(align, name)
+    original = align._band_align
 
     def record(*a, **kw):
         calls.append((a, kw))
         return original(*a, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(align, name, record)
+        mp.setattr(align, "_band_align", record)
         fn(*args)
     return calls
 
@@ -68,29 +69,53 @@ def _global_pair():
     )
 
 
-def _assert_same_fill(calls):
-    for args, kwargs in calls:
-        native = align.band_fill(*args, **kwargs)
-        reference = _numpy(align.band_fill, *args, **kwargs)
-        for got, want in zip(native, reference):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got, want)
+def _native_run(native, args, kwargs):
+    """Run `_band_align(*args, **kwargs)` on the compiled kernel; return the
+    (M, Ix, Iy) it filled and its paths."""
+    filled = []
+    original = native.band_align
+
+    def spy(*a):
+        filled.append(a[-3:])
+        return original(*a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(native, "band_align", spy)
+        paths = align._band_align(*args, **kwargs)
+    [matrices] = filled
+    return matrices, paths
 
 
-def _python_traceback(M, Ix, Iy, rows, cols, offsets, scoring, **kwargs):
-    """`_band_traceback_python` of every band of a `_band_traceback` call."""
+def _python_traceback(M, Ix, Iy, rows, cols, offsets, scoring, local):
+    """`_band_traceback_python` of every band of (len(rows) + 1, G, width) matrices."""
     return [
         align._band_traceback_python(
-            M[:, g], Ix[:, g], Iy[:, g], rows.tolist(), cols[g], offsets.tolist(), scoring,
-            **kwargs,
+            M[:, g], Ix[:, g], Iy[:, g], rows.tolist(), cols[g], offsets.tolist(), scoring, local
         )
         for g in range(len(cols))
     ]
 
 
-def _assert_same_traceback(calls):
+def _assert_native_matches_oracles(native, calls):
+    """The C fill of each `_band_align` call equals `_fill_rows_numpy`'s, and its
+    paths equal `_band_traceback_python`'s on those matrices."""
+    signature = inspect.signature(align._band_align)
     for args, kwargs in calls:
-        assert align._band_traceback(*args, **kwargs) == _python_traceback(*args, **kwargs)
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        rows, cols, offsets, _, scoring, _, local = bound.arguments.values()
+        filled, paths = _native_run(native, args, kwargs)
+        reference = [a.copy() for a in filled]
+        for a in reference:
+            a[1:] = 12345  # rows 1.. are the fill's to write
+        oe, e = scoring.gap_open + scoring.gap_extend, scoring.gap_extend
+        align._fill_rows_numpy(
+            rows, cols, offsets.tolist(), scoring.table, oe, e, local, *reference
+        )
+        for got, want in zip(filled, reference):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert paths == _python_traceback(*filled, rows, cols, offsets, scoring, local)
 
 
 @settings(max_examples=120, deadline=None)
@@ -98,15 +123,19 @@ def _assert_same_traceback(calls):
 def test_native_fill_matches_numpy(native, pair, swap, radius, scoring):
     a, b = pair[::-1] if swap else pair
     ca, cb = encode_bases(a), encode_bases(b)
-    _assert_same_fill(_recorded("band_fill", align._global_band, ca, cb, radius, scoring))
+    _assert_native_matches_oracles(native, _recorded(align._global_band, ca, cb, radius, scoring))
     bands = [(a, d) for d in (-radius, 0, len(b) - len(a), radius)]
-    _assert_same_fill(_recorded("band_fill", banded_local_align, b, bands, radius % 17, scoring))
+    _assert_native_matches_oracles(
+        native, _recorded(banded_local_align, b, bands, radius % 17, scoring)
+    )
 
 
 @settings(max_examples=80, deadline=None)
 @given(dna("ACGTNN", 1, 150), _BANDS, st.integers(0, 16), _SCORINGS)
 def test_native_fill_matches_numpy_on_local_batches(native, query, bands, radius, scoring):
-    _assert_same_fill(_recorded("band_fill", banded_local_align, query, bands, radius, scoring))
+    _assert_native_matches_oracles(
+        native, _recorded(banded_local_align, query, bands, radius, scoring)
+    )
 
 
 @settings(max_examples=120, deadline=None)
@@ -114,15 +143,15 @@ def test_native_fill_matches_numpy_on_local_batches(native, query, bands, radius
 def test_native_traceback_matches_python_on_global_bands(native, pair, swap, scoring):
     a, b = pair[::-1] if swap else pair
     seqs = DnaSequence("a", "", a), DnaSequence("b", "", b)
-    _assert_same_traceback(_recorded("_band_traceback", global_align, *seqs, scoring))
+    _assert_native_matches_oracles(native, _recorded(global_align, *seqs, scoring))
 
 
 @settings(max_examples=80, deadline=None)
 @given(dna("ACGTNN", 1, 150), _BANDS, st.integers(0, 16), _SCORINGS)
 def test_native_traceback_matches_python_on_local_batches(native, query, bands, radius, scoring):
-    calls = _recorded("_band_traceback", banded_local_align, query, bands, radius, scoring)
-    assert len(calls) == 1 and len(calls[0][0][4]) == len(bands)  # one call traces every band
-    _assert_same_traceback(calls)
+    calls = _recorded(banded_local_align, query, bands, radius, scoring)
+    assert len(calls) == 1 and len(calls[0][0][1]) == len(bands)  # one call traces every band
+    _assert_native_matches_oracles(native, calls)
 
 
 def _first_max_cells(M):
@@ -148,8 +177,8 @@ def _motif_batches(draw):
 @given(_motif_batches(), st.integers(0, 10), _SCORINGS)
 def test_native_local_start_matches_python_on_repeated_maxima(native, batch, radius, scoring):
     query, bands = batch
-    _assert_same_traceback(
-        _recorded("_band_traceback", banded_local_align, query, bands, radius, scoring)
+    _assert_native_matches_oracles(
+        native, _recorded(banded_local_align, query, bands, radius, scoring)
     )
 
 
@@ -157,14 +186,13 @@ def test_native_local_start_is_the_first_of_repeated_maxima(native):
     motif = "ACG"
     query = motif * 8
     bands = [("TT" + motif * 12 + "TT", -2), ("GG" + motif * 3 + "GG", -2)]
-    [(args, kwargs)] = _recorded("_band_traceback", banded_local_align, query, bands, 6, Scoring())
-    M = args[0]
+    [(args, kwargs)] = _recorded(banded_local_align, query, bands, 6, Scoring())
+    (M, Ix, Iy), got = _native_run(native, args, kwargs)
     long, short = _first_max_cells(M[:, 0]), _first_max_cells(M[:, 1])
     assert len({i for i, _ in long}) < len(long)  # the maximum repeats within a row
     assert len({i for i, _ in short}) > 1  # and across rows
-    got = align._band_traceback(*args, **kwargs)
-    assert got == _python_traceback(*args, **kwargs)
-    offsets = args[5]
+    rows, cols, offsets = args[:3]
+    assert got == _python_traceback(M, Ix, Iy, rows, cols, offsets, Scoring(), True)
     for path, cells in zip(got, (long, short)):
         i, b = cells[0]  # nonzero lists cells in row-major order
         assert path[2] == (i, offsets[i] + b)
@@ -177,8 +205,12 @@ def test_native_global_fill_keeps_cells_below_neg(native):
     cols = align._global_columns(cb)
     width = 5
     offsets = np.clip(np.arange(len(rows) + 1, dtype=np.int64) - 2, 0, cols.shape[1] - width)
-    args = (rows, cols, offsets, width, Scoring())
-    M, Ix, Iy = _numpy(align.band_fill, *args)
+    shape, args = (len(rows) + 1, 1, width), (Scoring().table, -6, -1, False)
+    M, Ix, Iy = (np.full(shape, align._NEG, dtype=np.int32) for _ in range(3))
+    align._fill_rows_numpy(rows, cols, offsets.tolist(), *args, M, Ix, Iy)
+    native_fill = [np.full(shape, align._NEG, dtype=np.int32) for _ in range(3)]
+    with pytest.raises(ValueError):  # the traceback, after the fill, finds no start
+        native.band_align(rows, cols, offsets, *args, *native_fill)
     below = [
         (i, s)
         for i in range(1, len(rows) + 1)
@@ -187,7 +219,8 @@ def test_native_global_fill_keeps_cells_below_neg(native):
         and max(M[i - 1, 0, p], Ix[i - 1, 0, p], Iy[i - 1, 0, p]) < align._NEG
     ]
     assert below
-    _assert_same_fill([(args, {})])
+    for got, want in zip(native_fill, (M, Ix, Iy)):
+        assert np.array_equal(got, want)
 
 
 # --- loader ---------------------------------------------------------------------
@@ -293,17 +326,19 @@ def test_changed_compiler_flags_build_a_new_library(native, tmp_path, monkeypatc
 
 @pytest.fixture
 def guarded(native):
-    """A kernel whose C functions fail the test if called."""
+    """A kernel whose C function fails the test if called."""
     kernel = _native.Kernel(native.path)
 
     def not_reached(*args):
         raise AssertionError("the C function was called")
 
-    kernel._fill = kernel._trace = not_reached
+    kernel._align = not_reached
     return kernel
 
 
-def _fill_args(m=6, n=9, width=4, g=2):
+def _kernel_args(m=6, n=9, width=4, g=2):
+    """`Kernel.band_align` arguments for g random bands: rows, cols, offsets,
+    table, oe, e, local, M, Ix, Iy."""
     rng = np.random.default_rng(5)
     rows = rng.integers(0, 5, m).astype(np.uint8)
     cols = rng.integers(0, 6, (g, n)).astype(np.uint8)
@@ -331,17 +366,11 @@ def _fill_args(m=6, n=9, width=4, g=2):
     ],
 )
 def test_fill_refuses_bad_arrays_before_calling_c(guarded, index, bad):
-    args = _fill_args()
+    """The arrays the fill reads and writes, indexed as `_kernel_args` orders them."""
+    args = _kernel_args()
     args[index] = bad(args[index])
     with pytest.raises(ValueError):
-        guarded.fill_rows(*args)
-
-
-def _traced_band(scoring=Scoring()):
-    """Arguments of the global traceback of a short pair."""
-    a, b = DnaSequence("a", "", "ACGTTGCAAC"), DnaSequence("b", "", "ACGTGCAACG")
-    [(args, kwargs)] = _recorded("_band_traceback", global_align, a, b, scoring)
-    return list(args), kwargs
+        guarded.band_align(*args)
 
 
 @pytest.mark.parametrize(
@@ -359,39 +388,54 @@ def _traced_band(scoring=Scoring()):
     ],
 )
 def test_traceback_refuses_bad_arrays_before_calling_c(guarded, index, bad):
-    args, kwargs = _traced_band()
-    checked = args[:6]
+    """The arrays the traceback walks, indexed as M, Ix, Iy, rows, cols, offsets."""
+    rows, cols, offsets, table, oe, e, local, M, Ix, Iy = _kernel_args()
+    checked = [M, Ix, Iy, rows, cols, offsets]
     checked[index] = bad(checked[index])
     M, Ix, Iy, rows, cols, offsets = checked
     with pytest.raises(ValueError):
-        guarded.traceback(rows, cols, offsets, Scoring().table, -6, -1, False, M, Ix, Iy)
+        guarded.band_align(rows, cols, offsets, table, oe, e, local, M, Ix, Iy)
 
 
 def test_traceback_with_no_predecessor_raises(native):
-    args, kwargs = _traced_band()
-    for a in args[:3]:
-        a[-1] += 1000  # the last row now scores above anything it could come from
+    a, b = DnaSequence("a", "", "ACGTTGCAAC"), DnaSequence("b", "", "ACGTGCAACG")
+    [(args, kwargs)] = _recorded(global_align, a, b, Scoring())
+    top_m, top_x, top_y = args[5]
+    top_y = top_y.copy()
+    top_y[:, 2:] += 1000  # Iy of row 0 is no longer oe + e*k: slot 2 does not follow slot 1
+    bad = (*args[:5], (top_m, top_x, top_y))
     with pytest.raises(ValueError):
-        align._band_traceback(*args, **kwargs)
+        align._band_align(*bad)
     with pytest.raises(ValueError):
-        _python_traceback(*args, **kwargs)
+        _numpy(align._band_align, *bad)
 
 
 def test_traceback_never_writes_past_its_capacity(native):
-    args, _ = _traced_band()
-    M, Ix, Iy, rows, cols, offsets, scoring = args
-    cap, guard = 4, 16  # the path is 10 columns long
-    out_r = np.full(cap + guard, 0xAB, dtype=np.uint8)
-    out_c = np.full(cap + guard, 0xAB, dtype=np.uint8)
-    ends = np.zeros(5, dtype=np.int64)
-    n = native._trace(
-        M.ctypes.data, Ix.ctypes.data, Iy.ctypes.data, M.strides[0] // 4, len(rows),
-        M.shape[2], rows.ctypes.data, cols.ctypes.data, cols.shape[1], offsets.ctypes.data,
-        scoring.table.ctypes.data, -6, -1, False, cap, out_r.ctypes.data, out_c.ctypes.data,
-        ends.ctypes.data,
-    )
-    assert n == -1
-    assert (out_r[cap:] == 0xAB).all() and (out_c[cap:] == 0xAB).all()
+    query = "ACGTTGCAACGT"
+    far = 10 * len(query)  # a diagonal whose band holds no subject base: no path
+    g, cap, guard = 3, 4, 16  # the path is 12 columns long
+    for band in range(g):
+        bands = [(query, 0 if k == band else far) for k in range(g)]
+        [(args, _)] = _recorded(banded_local_align, query, bands, 2, Scoring())
+        rows, cols, offsets, width, scoring = args
+        ncols = cols.shape[1]
+        M, Ix, Iy = (np.full((len(rows) + 1, g, width), align._NEG, dtype=np.int32) for _ in "MXY")
+        profile = np.empty((5, g, ncols), dtype=np.int32)
+        out_r = np.full(g * cap + guard, 0xAB, dtype=np.uint8)
+        out_c = np.full(g * cap + guard, 0xAB, dtype=np.uint8)
+        ends = np.zeros((g, 6), dtype=np.int64)
+        status = native._align(
+            rows.ctypes.data, len(rows), cols.ctypes.data, g, ncols, offsets.ctypes.data, width,
+            scoring.table.ctypes.data, -6, -1, True, M.ctypes.data, Ix.ctypes.data,
+            Iy.ctypes.data, profile.ctypes.data, cap, out_r.ctypes.data, out_c.ctypes.data,
+            ends.ctypes.data,
+        )
+        assert status == -1
+        row = slice(band * cap, (band + 1) * cap)
+        for out in (out_r, out_c):
+            assert (out[row] != 0xAB).any()  # the band wrote its own row
+            out[row] = 0xAB
+            assert (out == 0xAB).all()  # and nothing before it or after it
 
 
 # --- packaging ------------------------------------------------------------------

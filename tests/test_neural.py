@@ -481,6 +481,8 @@ def test_load_rejects_corrupt_files(tmp_path):
         {"train_config": {**good["train_config"], "seed": True}},
         {"train_config": {**good["train_config"], "learning_rate": 10**400}},
         {"train_config": {**good["train_config"], "momentum": False}},
+        {"weights": [[[10**400] * 10] + good["weights"][0][1:], good["weights"][1]]},
+        {"biases": [good["biases"][0], [10**400]]},  # numpy's float64() overflows
     ):
         path.write_text(json.dumps({**good, **edit}), encoding="utf-8")
         with pytest.raises(CorruptFileError):

@@ -8,7 +8,7 @@ start spawns no process and a change of flags builds a new library.
 A cache directory that another user owns, or that others may write to, is
 not used: the library is then built into a private temp directory for the
 process. With no compiler, a failed build or a failed load, `load` returns
-None and `align` runs its numpy fill and Python traceback instead.
+None and `align` runs `_band_align_numpy` instead.
 
 ctypes checks no bounds, so `Kernel` checks every array before its one C
 call, which fills and traces all G bands at once: dtype, C order, shape,
@@ -170,13 +170,10 @@ class Kernel:
         self._align.restype = _i64
 
     def band_align(self, rows, cols, offsets, table, oe: int, e: int, local: bool, M, Ix, Iy):
-        """`align._fill_rows_numpy`, then `align._band_traceback_python` for each band, in C.
+        """`align._band_align_numpy` in C: the same arguments, fill and paths.
 
-        Fills rows 1.. of M, Ix and Iy in place and returns one path a band:
-        None when local and no cell scores above 0, else (score, start (row,
-        column), end (row, column), row codes, column codes), the codes as
-        bytes, last first. Raises ValueError where the Python traceback would
-        fail: a cell on a path has no predecessor.
+        Raises ValueError where the Python traceback would fail: a cell on a
+        path has no predecessor.
         """
         m, g, ncols, width = _check_bands(rows, cols, offsets, table, M, Ix, Iy)
         profile = np.empty((_TABLE_SHAPE[0], g, ncols), dtype=np.int32)  # the C code's scratch

@@ -195,7 +195,6 @@ def _band_align(
     offsets: np.ndarray,
     width: int,
     scoring: Scoring,
-    top: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     local: bool = False,
 ) -> list:
     """Banded three-state affine-gap alignment (Gotoh) of every band: fill, then trace.
@@ -210,36 +209,44 @@ def _band_align(
     previous slot and Ix the same slot. Iy is an exact integer running-max
     scan along the row. Cells outside the stored windows are unreachable.
 
-    `top` is row 0 of (M, Ix, Iy), each (G, width); None leaves row 0
-    unreachable. Local mode floors the M predecessor at 0, so an alignment
-    may start anywhere. The (len(rows) + 1, G, width) int32 M, Ix and Iy
-    stay inside this call; it returns one `_band_traceback_python` path per
-    band. The compiled kernel fills and traces when it loads, else
-    `_fill_rows_numpy` and `_band_traceback_python` do; both give the same
-    paths.
+    Row 0 follows from the mode. Local mode leaves it unreachable and floors
+    the M predecessor at 0, so an alignment may start anywhere. A global
+    band has offsets[0] == 0: M is 0 at slot 0 and Iy at slot s >= 1 opens
+    a gap of s columns. The (len(rows) + 1, G, width) int32 M, Ix and Iy
+    stay inside this call, which returns one decoded path per band. The
+    compiled kernel fills and traces when it loads, else `_band_align_numpy`
+    does, on one argument list; both give the same paths.
     """
     shape = (len(rows) + 1, cols.shape[0], width)
     M = np.empty(shape, dtype=np.int32)
     Ix = np.empty(shape, dtype=np.int32)
     Iy = np.empty(shape, dtype=np.int32)
-    if top is None:
-        M[0] = Ix[0] = Iy[0] = _NEG
-    else:
-        M[0], Ix[0], Iy[0] = top
-    args = (scoring.table, scoring.gap_open + scoring.gap_extend, scoring.gap_extend, local)
+    M[0] = Ix[0] = Iy[0] = _NEG
+    oe, e = scoring.gap_open + scoring.gap_extend, scoring.gap_extend
+    if not local:
+        M[0, :, 0] = 0
+        Iy[0, :, 1:] = oe + e * np.arange(width - 1)
     kernel = _native.load()
-    if kernel is None:
-        codes, starts = rows.tolist(), offsets.tolist()
-        _fill_rows_numpy(rows, cols, starts, *args, M, Ix, Iy)
-        return [
-            _band_traceback_python(
-                M[:, g], Ix[:, g], Iy[:, g], codes, cols[g], starts, scoring, local
-            )
-            for g in range(len(cols))
-        ]
+    band_align = _band_align_numpy if kernel is None else kernel.band_align
     return [
         None if path is None else (*path[:3], _decode(path[3]), _decode(path[4]))
-        for path in kernel.band_align(rows, cols, offsets, *args, M, Ix, Iy)
+        for path in band_align(rows, cols, offsets, scoring.table, oe, e, local, M, Ix, Iy)
+    ]
+
+
+def _band_align_numpy(
+    rows: np.ndarray, cols: np.ndarray, offsets: np.ndarray, table: np.ndarray,
+    oe: int, e: int, local: bool, M: np.ndarray, Ix: np.ndarray, Iy: np.ndarray,
+) -> list:
+    """`_native.Kernel.band_align` in numpy: `_fill_rows_numpy`, then `_band_traceback_python`
+    on each band. The fallback where the compiled kernel cannot be built, and its oracle."""
+    codes, starts = rows.tolist(), offsets.tolist()
+    _fill_rows_numpy(rows, cols, starts, table, oe, e, local, M, Ix, Iy)
+    return [
+        _band_traceback_python(
+            M[:, g], Ix[:, g], Iy[:, g], codes, cols[g], starts, table, oe, e, local
+        )
+        for g in range(len(cols))
     ]
 
 
@@ -305,7 +312,7 @@ def _fill_rows_numpy(
 
 def _band_traceback_python(
     M: np.ndarray, Ix: np.ndarray, Iy: np.ndarray, rows: list[int],
-    cols: np.ndarray, offsets: list[int], scoring: Scoring, local: bool,
+    cols: np.ndarray, offsets: list[int], table: np.ndarray, oe: int, e: int, local: bool,
 ):
     """Trace the best path of one band filled by `_band_align` back to its start.
 
@@ -323,14 +330,11 @@ def _band_traceback_python(
     then M, Ix, Iy. Global mode starts at the last row's last column, stops
     at row 0, column 0, and prefers M, then Ix, then Iy. Returns None when
     no local path scores above 0, else (score, (row, column) of the cell the
-    path leaves from, (row, column) of its last cell, aligned row bases,
-    aligned column bases). The fallback where the compiled kernel cannot be
-    built, and the reference the tests compare it with.
+    path leaves from, (row, column) of its last cell, row codes, column
+    codes), the codes as bytes, last first, _GAP marking a gap.
     """
     width = M.shape[1]
-    sub = scoring.table.tolist()
-    oe = scoring.gap_open + scoring.gap_extend
-    e = scoring.gap_extend
+    sub = table.tolist()
     col = cols.item
     m_at, x_at, y_at = M.item, Ix.item, Iy.item
 
@@ -385,12 +389,12 @@ def _band_traceback_python(
         if i == 0 and b == origin and not local:
             break
         state = candidates.index(target)
-    return score, (i, offsets[i] + b), end, _decode(rev_r), _decode(rev_c)
+    return score, (i, offsets[i] + b), end, bytes(rev_r), bytes(rev_c)
 
 
-def _decode(rev_codes) -> str:
-    """Bases for codes collected last to first (a list or a uint8 array); _GAP decodes to '-'."""
-    return bytes(rev_codes)[::-1].translate(_BASE_TABLE).decode("ascii")
+def _decode(rev_codes: bytes) -> str:
+    """Bases for codes collected last to first; _GAP decodes to '-'."""
+    return rev_codes[::-1].translate(_BASE_TABLE).decode("ascii")
 
 
 def _global_band(ca: np.ndarray, cb: np.ndarray, radius: int, scoring: Scoring):
@@ -412,13 +416,7 @@ def _global_band(ca: np.ndarray, cb: np.ndarray, radius: int, scoring: Scoring):
             f"above the {DEFAULT_CELL_CAP}-cell cap"
         )
     starts = np.clip(np.arange(m + 1, dtype=np.int64) + lo, 0, n + 1 - width)
-    oe = scoring.gap_open + scoring.gap_extend
-    top_m = np.full((1, width), _NEG, dtype=np.int32)
-    top_m[0, 0] = 0
-    top_y = np.full((1, width), _NEG, dtype=np.int32)
-    top_y[0, 1:] = oe + scoring.gap_extend * np.arange(width - 1)
-    top_x = np.full((1, width), _NEG, dtype=np.int32)
-    [path] = _band_align(ca, _global_columns(cb), starts, width, scoring, (top_m, top_x, top_y))
+    [path] = _band_align(ca, _global_columns(cb), starts, width, scoring)
     return path
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -48,14 +49,17 @@ from .seqstats import (
 )
 
 
-def _int_in_range(low: int, high: int | None = None):
-    """argparse type: an integer in [low, high], so bad values exit 2 as usage errors."""
+def _in_range(kind: type, low, high=None):
+    """argparse type: an int or a finite float in [low, high], so bad values exit 2
+    as usage errors."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} {text!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         if high is not None and value > high:
@@ -75,17 +79,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="base counts, GC%%/AT%%, and the GC gate verdict")
     p.add_argument("fasta", help="FASTA file to analyze")
-    p.add_argument("--target", type=float, default=GC_GATE_TARGET,
-                   help="gate target GC%% (default 38.0)")
-    p.add_argument("--tolerance", type=float, default=GC_GATE_TOLERANCE,
-                   help="gate tolerance in GC%% points (default 2.0)")
+    p.add_argument("--target", type=_in_range(float, 0, 100), default=GC_GATE_TARGET,
+                   help="gate target GC%% (0 to 100, default 38.0)")
+    p.add_argument("--tolerance", type=_in_range(float, 0), default=GC_GATE_TOLERANCE,
+                   help="gate tolerance in GC%% points (at least 0, default 2.0)")
 
     p = sub.add_parser("search", help="rank database subjects by local similarity")
     p.add_argument("--db", required=True, help="database FASTA file")
     p.add_argument("--query", required=True, help="query FASTA file (first record)")
-    p.add_argument("--k", type=_int_in_range(MIN_K, MAX_K), default=SearchParams().k,
+    p.add_argument("--k", type=_in_range(int, MIN_K, MAX_K), default=SearchParams().k,
                    help=f"seed length ({MIN_K} to {MAX_K})")
-    p.add_argument("--max-hits", type=_int_in_range(1), default=SearchParams().max_hits,
+    p.add_argument("--max-hits", type=_in_range(int, 1), default=SearchParams().max_hits,
                    help="hits to report (at least 1)")
     p.add_argument("--json", action="store_true",
                    help="also print one JSON object per hit")
@@ -93,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("align", help="global alignment and mutation calls")
     p.add_argument("--ref", required=True, help="reference FASTA (first record)")
     p.add_argument("--alt", required=True, help="patient FASTA (first record)")
-    p.add_argument("--width", type=_int_in_range(1), default=60,
+    p.add_argument("--width", type=_in_range(int, 1), default=60,
                    help="alignment wrap width (at least 1)")
     p.add_argument("--json", action="store_true",
                    help="print one JSON object per mutation instead of text")

@@ -19,8 +19,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .align import Mutation, MutationKind, mutation_from_dict
-from .errors import MutascanError
+from .align import Mutation, MutationKind, apply_mutations, mutation_from_dict
+from .errors import MutascanError, PositionOutOfRangeError
 from .protein import EffectKind, classify_effect
 from .seqio import DnaSequence, read_text, write_text_atomic
 from .seqstats import windowed_gc
@@ -519,7 +519,8 @@ def rows_to_samples(
 
     Descriptor-only rows are classified and encoded against `ref` and its
     CDS; without a reference they are rejected, since the encoding needs
-    sequence context.
+    sequence context. A descriptor that leaves `ref` or names bases `ref`
+    does not hold is a CorruptFileError.
     """
     samples: list[tuple[FeatureVector, int]] = []
     for row in rows:
@@ -533,7 +534,8 @@ def rows_to_samples(
             )
         try:
             mut = mutation_from_dict(row.mutation)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            apply_mutations(ref, [mut])  # its range and reference-base checks
+        except (KeyError, TypeError, ValueError, OverflowError, PositionOutOfRangeError) as exc:
             raise CorruptFileError(f"row {row.id}: bad mutation descriptor: {exc}") from exc
         effect = classify_effect(mut, ref, cds_start, cds_end)
         samples.append((encode(replace(mut, effect=effect), ref), row.label))

@@ -103,17 +103,24 @@ def test_search_max_hits_below_1_is_a_usage_error(corpus, capsys):
         (["train", "--max-epochs", "0"], "max epochs must be at least 1"),
         (["train", "--seed", "-1"], "seed must be non-negative"),
         (["align", "--width", "0"], "--width: must be at least 1"),
+        (["stats", "--target", "nan"], "--target: must be finite, got nan"),
+        (["stats", "--target", "inf"], "--target: must be finite, got inf"),
+        (["stats", "--target", "200"], "--target: must be at most 100, got 200.0"),
+        (["stats", "--tolerance", "-5"], "--tolerance: must be at least 0, got -5.0"),
+        (["stats", "--tolerance", "nan"], "--tolerance: must be finite, got nan"),
     ],
 )
 def test_bad_flag_value_is_a_usage_error(corpus, tmp_path, capsys, flags, message):
     files = {
         "train": ["--data", str(corpus["training_data"]), "--out", str(tmp_path / "m.json")],
         "align": ["--ref", str(corpus["db_ncbi"]), "--alt", str(corpus["patient_clean"])],
+        "stats": [str(corpus["db_ncbi"])],
     }
     with pytest.raises(SystemExit) as exc:
         main(flags[:1] + files[flags[0]] + flags[1:])
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert message in err and out == ""
     assert not (tmp_path / "m.json").exists()
 
 

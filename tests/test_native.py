@@ -2,10 +2,10 @@
 
 import hashlib
 import importlib.resources
-import inspect
 import random
 import subprocess
 import sysconfig
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,24 +38,22 @@ def native():
     return kernel
 
 
-def _numpy(fn, *args, **kwargs):
-    """`fn(*args, **kwargs)` with the loader reporting no compiled kernel."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_native, "load", lambda: None)
-        return fn(*args, **kwargs)
+def _copy(args):
+    """A copy of a `Kernel.band_align` argument list that the kernel may fill."""
+    return [a.copy() if isinstance(a, np.ndarray) else a for a in args]
 
 
-def _recorded(fn, *args):
-    """Every (args, kwargs) that `fn(*args)` passes to `align._band_align`."""
+def _kernel_calls(fn, *args):
+    """Every argument list that `fn(*args)` hands the kernel, as it was before the fill:
+    a stand-in kernel keeps a copy of each, then runs the numpy fallback."""
     calls = []
-    original = align._band_align
 
-    def record(*a, **kw):
-        calls.append((a, kw))
-        return original(*a, **kw)
+    def band_align(*a):
+        calls.append(_copy(a))
+        return align._band_align_numpy(*a)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(align, "_band_align", record)
+        mp.setattr(_native, "load", lambda: SimpleNamespace(band_align=band_align))
         fn(*args)
     return calls
 
@@ -69,53 +67,22 @@ def _global_pair():
     )
 
 
-def _native_run(native, args, kwargs):
-    """Run `_band_align(*args, **kwargs)` on the compiled kernel; return the
-    (M, Ix, Iy) it filled and its paths."""
-    filled = []
-    original = native.band_align
-
-    def spy(*a):
-        filled.append(a[-3:])
-        return original(*a)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(native, "band_align", spy)
-        paths = align._band_align(*args, **kwargs)
-    [matrices] = filled
-    return matrices, paths
-
-
-def _python_traceback(M, Ix, Iy, rows, cols, offsets, scoring, local):
-    """`_band_traceback_python` of every band of (len(rows) + 1, G, width) matrices."""
-    return [
-        align._band_traceback_python(
-            M[:, g], Ix[:, g], Iy[:, g], rows.tolist(), cols[g], offsets.tolist(), scoring, local
-        )
-        for g in range(len(cols))
-    ]
-
-
-def _assert_native_matches_oracles(native, calls):
-    """The C fill of each `_band_align` call equals `_fill_rows_numpy`'s, and its
-    paths equal `_band_traceback_python`'s on those matrices."""
-    signature = inspect.signature(align._band_align)
-    for args, kwargs in calls:
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        rows, cols, offsets, _, scoring, _, local = bound.arguments.values()
-        filled, paths = _native_run(native, args, kwargs)
-        reference = [a.copy() for a in filled]
-        for a in reference:
-            a[1:] = 12345  # rows 1.. are the fill's to write
-        oe, e = scoring.gap_open + scoring.gap_extend, scoring.gap_extend
-        align._fill_rows_numpy(
-            rows, cols, offsets.tolist(), scoring.table, oe, e, local, *reference
-        )
-        for got, want in zip(filled, reference):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got, want)
-        assert paths == _python_traceback(*filled, rows, cols, offsets, scoring, local)
+def _assert_native_matches_numpy(native, calls):
+    """`native.band_align` and `align._band_align_numpy`, each on copies of every
+    argument list, fill the same M, Ix and Iy and return the same paths; returns
+    the C kernel's (M, Ix, Iy) and paths of the last list."""
+    for args in calls:
+        runs = []
+        for band_align, unwritten in ((native.band_align, 12345), (align._band_align_numpy, -1)):
+            copy = _copy(args)
+            for a in copy[-3:]:
+                a[1:] = unwritten  # rows 1.. are the fill's to write
+            runs.append((copy[-3:], band_align(*copy)))
+        (got, got_paths), (want, want_paths) = runs
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert got_paths == want_paths
+    return runs[0]
 
 
 @settings(max_examples=120, deadline=None)
@@ -123,18 +90,18 @@ def _assert_native_matches_oracles(native, calls):
 def test_native_fill_matches_numpy(native, pair, swap, radius, scoring):
     a, b = pair[::-1] if swap else pair
     ca, cb = encode_bases(a), encode_bases(b)
-    _assert_native_matches_oracles(native, _recorded(align._global_band, ca, cb, radius, scoring))
+    _assert_native_matches_numpy(native, _kernel_calls(align._global_band, ca, cb, radius, scoring))
     bands = [(a, d) for d in (-radius, 0, len(b) - len(a), radius)]
-    _assert_native_matches_oracles(
-        native, _recorded(banded_local_align, b, bands, radius % 17, scoring)
+    _assert_native_matches_numpy(
+        native, _kernel_calls(banded_local_align, b, bands, radius % 17, scoring)
     )
 
 
 @settings(max_examples=80, deadline=None)
 @given(dna("ACGTNN", 1, 150), _BANDS, st.integers(0, 16), _SCORINGS)
 def test_native_fill_matches_numpy_on_local_batches(native, query, bands, radius, scoring):
-    _assert_native_matches_oracles(
-        native, _recorded(banded_local_align, query, bands, radius, scoring)
+    _assert_native_matches_numpy(
+        native, _kernel_calls(banded_local_align, query, bands, radius, scoring)
     )
 
 
@@ -143,15 +110,15 @@ def test_native_fill_matches_numpy_on_local_batches(native, query, bands, radius
 def test_native_traceback_matches_python_on_global_bands(native, pair, swap, scoring):
     a, b = pair[::-1] if swap else pair
     seqs = DnaSequence("a", "", a), DnaSequence("b", "", b)
-    _assert_native_matches_oracles(native, _recorded(global_align, *seqs, scoring))
+    _assert_native_matches_numpy(native, _kernel_calls(global_align, *seqs, scoring))
 
 
 @settings(max_examples=80, deadline=None)
 @given(dna("ACGTNN", 1, 150), _BANDS, st.integers(0, 16), _SCORINGS)
 def test_native_traceback_matches_python_on_local_batches(native, query, bands, radius, scoring):
-    calls = _recorded(banded_local_align, query, bands, radius, scoring)
-    assert len(calls) == 1 and len(calls[0][0][1]) == len(bands)  # one call traces every band
-    _assert_native_matches_oracles(native, calls)
+    calls = _kernel_calls(banded_local_align, query, bands, radius, scoring)
+    assert len(calls) == 1 and len(calls[0][1]) == len(bands)  # one call traces every band
+    _assert_native_matches_numpy(native, calls)
 
 
 def _first_max_cells(M):
@@ -177,8 +144,8 @@ def _motif_batches(draw):
 @given(_motif_batches(), st.integers(0, 10), _SCORINGS)
 def test_native_local_start_matches_python_on_repeated_maxima(native, batch, radius, scoring):
     query, bands = batch
-    _assert_native_matches_oracles(
-        native, _recorded(banded_local_align, query, bands, radius, scoring)
+    _assert_native_matches_numpy(
+        native, _kernel_calls(banded_local_align, query, bands, radius, scoring)
     )
 
 
@@ -186,13 +153,12 @@ def test_native_local_start_is_the_first_of_repeated_maxima(native):
     motif = "ACG"
     query = motif * 8
     bands = [("TT" + motif * 12 + "TT", -2), ("GG" + motif * 3 + "GG", -2)]
-    [(args, kwargs)] = _recorded(banded_local_align, query, bands, 6, Scoring())
-    (M, Ix, Iy), got = _native_run(native, args, kwargs)
+    calls = _kernel_calls(banded_local_align, query, bands, 6, Scoring())
+    (M, _, _), got = _assert_native_matches_numpy(native, calls)
     long, short = _first_max_cells(M[:, 0]), _first_max_cells(M[:, 1])
     assert len({i for i, _ in long}) < len(long)  # the maximum repeats within a row
     assert len({i for i, _ in short}) > 1  # and across rows
-    rows, cols, offsets = args[:3]
-    assert got == _python_traceback(M, Ix, Iy, rows, cols, offsets, Scoring(), True)
+    offsets = calls[0][2]
     for path, cells in zip(got, (long, short)):
         i, b = cells[0]  # nonzero lists cells in row-major order
         assert path[2] == (i, offsets[i] + b)
@@ -352,62 +318,46 @@ def _kernel_args(m=6, n=9, width=4, g=2):
     "index,bad",
     [
         (0, lambda a: a.astype(np.int64)),  # rows dtype
+        (0, lambda a: np.where(a == a[0], 5, a).astype(np.uint8)),  # row code 5
+        pytest.param(0, lambda a: a.astype(np.int32), id="rows int32"),
+        pytest.param(0, lambda a: np.where(a == a[0], 6, a).astype(np.uint8), id="row code 6"),
         (1, lambda a: np.asfortranarray(a)),  # cols not C-contiguous
         (1, lambda a: a[:, :-1]),  # cols a strided view
+        (1, lambda a: np.where(a == a[0, 0], 6, a).astype(np.uint8)),  # column code 6
+        pytest.param(
+            1, lambda a: np.where(a == a[0, 1], 6, a).astype(np.uint8), id="column code 6 at [0, 1]"
+        ),
+        pytest.param(1, lambda a: np.concatenate([a, a]), id="cols a band more than M holds"),
         (2, lambda a: a.astype(np.int32)),  # offsets dtype
         (2, lambda a: a[:-1]),  # offsets one short
+        pytest.param(2, lambda a: np.append(a, a[-1]), id="offsets one long"),
         (2, lambda a: a + 6),  # a row window past the columns
         (2, lambda a: a - 2),  # a row window before column 0
-        (0, lambda a: np.where(a == a[0], 5, a).astype(np.uint8)),  # row code 5
-        (1, lambda a: np.where(a == a[0, 0], 6, a).astype(np.uint8)),  # column code 6
+        pytest.param(2, lambda a: a.tolist(), id="offsets a list"),
         (7, lambda a: a[:-1]),  # M one row short
+        pytest.param(7, lambda a: a.astype(np.int64), id="M int64"),
         (8, lambda a: a.astype(np.int64)),  # Ix dtype
+        pytest.param(8, lambda a: np.asfortranarray(a), id="Ix not C-contiguous"),
         (9, lambda a: a[:, ::-1]),  # Iy with negative strides
+        pytest.param(9, lambda a: a[:, :, :-1], id="Iy narrower than M"),
     ],
 )
 def test_fill_refuses_bad_arrays_before_calling_c(guarded, index, bad):
-    """The arrays the fill reads and writes, indexed as `_kernel_args` orders them."""
+    """Every array of the one `Kernel.band_align` call, indexed as `_kernel_args`
+    orders the arguments, is checked before C fills and traces the bands."""
     args = _kernel_args()
     args[index] = bad(args[index])
     with pytest.raises(ValueError):
         guarded.band_align(*args)
 
 
-@pytest.mark.parametrize(
-    "index,bad",
-    [
-        (0, lambda a: a.astype(np.int64)),  # M dtype
-        (1, lambda a: np.asfortranarray(a)),  # Ix not C-contiguous
-        (2, lambda a: a[:, :, :-1]),  # Iy narrower than M
-        (3, lambda a: a.astype(np.int32)),  # rows dtype
-        (3, lambda a: np.where(a == a[0], 6, a).astype(np.uint8)),  # row code 6
-        (4, lambda a: np.where(a == a[0, 1], 6, a).astype(np.uint8)),  # column code 6
-        (4, lambda a: np.concatenate([a, a])),  # cols a band more than M holds
-        (5, lambda a: a.tolist()),  # offsets a list
-        (5, lambda a: a[:-1]),  # offsets one short
-    ],
-)
-def test_traceback_refuses_bad_arrays_before_calling_c(guarded, index, bad):
-    """The arrays the traceback walks, indexed as M, Ix, Iy, rows, cols, offsets."""
-    rows, cols, offsets, table, oe, e, local, M, Ix, Iy = _kernel_args()
-    checked = [M, Ix, Iy, rows, cols, offsets]
-    checked[index] = bad(checked[index])
-    M, Ix, Iy, rows, cols, offsets = checked
-    with pytest.raises(ValueError):
-        guarded.band_align(rows, cols, offsets, table, oe, e, local, M, Ix, Iy)
-
-
 def test_traceback_with_no_predecessor_raises(native):
     a, b = DnaSequence("a", "", "ACGTTGCAAC"), DnaSequence("b", "", "ACGTGCAACG")
-    [(args, kwargs)] = _recorded(global_align, a, b, Scoring())
-    top_m, top_x, top_y = args[5]
-    top_y = top_y.copy()
-    top_y[:, 2:] += 1000  # Iy of row 0 is no longer oe + e*k: slot 2 does not follow slot 1
-    bad = (*args[:5], (top_m, top_x, top_y))
-    with pytest.raises(ValueError):
-        align._band_align(*bad)
-    with pytest.raises(ValueError):
-        _numpy(align._band_align, *bad)
+    [args] = _kernel_calls(global_align, a, b, Scoring())
+    args[-1][0, :, 2:] += 1000  # Iy of row 0 is no longer oe + e*k: slot 2 does not follow slot 1
+    for band_align in (native.band_align, align._band_align_numpy):
+        with pytest.raises(ValueError):
+            band_align(*_copy(args))
 
 
 def test_traceback_never_writes_past_its_capacity(native):
@@ -416,17 +366,16 @@ def test_traceback_never_writes_past_its_capacity(native):
     g, cap, guard = 3, 4, 16  # the path is 12 columns long
     for band in range(g):
         bands = [(query, 0 if k == band else far) for k in range(g)]
-        [(args, _)] = _recorded(banded_local_align, query, bands, 2, Scoring())
-        rows, cols, offsets, width, scoring = args
-        ncols = cols.shape[1]
-        M, Ix, Iy = (np.full((len(rows) + 1, g, width), align._NEG, dtype=np.int32) for _ in "MXY")
+        [args] = _kernel_calls(banded_local_align, query, bands, 2, Scoring())
+        rows, cols, offsets, table, oe, e, local, M, Ix, Iy = args
+        ncols, width = cols.shape[1], M.shape[2]
         profile = np.empty((5, g, ncols), dtype=np.int32)
         out_r = np.full(g * cap + guard, 0xAB, dtype=np.uint8)
         out_c = np.full(g * cap + guard, 0xAB, dtype=np.uint8)
         ends = np.zeros((g, 6), dtype=np.int64)
         status = native._align(
             rows.ctypes.data, len(rows), cols.ctypes.data, g, ncols, offsets.ctypes.data, width,
-            scoring.table.ctypes.data, -6, -1, True, M.ctypes.data, Ix.ctypes.data,
+            table.ctypes.data, oe, e, local, M.ctypes.data, Ix.ctypes.data,
             Iy.ctypes.data, profile.ctypes.data, cap, out_r.ctypes.data, out_c.ctypes.data,
             ends.ctypes.data,
         )

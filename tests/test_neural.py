@@ -680,6 +680,9 @@ def test_rows_to_samples_descriptor_path(tmp_path):
         {"position": 4, "kind": "substitution", "ref": "C", "alt": "X"},
         {"position": 4, "kind": "substitution", "ref": "c", "alt": "t"},
         {"position": 4, "kind": "insertion", "alt": ["T"]},
+        {"position": 4, "kind": "substitution", "ref": "A", "alt": "G"},  # base 4 is C
+        {"position": 9, "kind": "deletion", "ref": "GTTTT"},  # runs past base 12
+        {"position": 40, "kind": "substitution", "ref": "A", "alt": "G"},  # outside the reference
     ):
         _write_rows(path, [json.dumps({"id": "m2", "gene": "g", "label": 1, "mutation": bad})])
         with pytest.raises(CorruptFileError, match="row m2: bad mutation descriptor"):

@@ -1,11 +1,15 @@
-/* Banded three-state affine-gap (Gotoh) fill and traceback for mutascan.align.
+/* The two compiled kernels of mutascan: banded Gotoh alignment and k-mer seeding.
  *
- * band_align, the one exported function, fills every band and traces each
- * back to its start. band_fill_rows mirrors align._fill_rows_numpy and
- * band_traceback mirrors align._band_traceback_python, value for value;
- * their docstrings describe the band layout. Build with -fwrapv: int32 sums
- * then wrap as numpy's do. The Python caller (mutascan._native) checks
- * every array's dtype, shape and strides, every code and every row window
+ * band_align fills every band of a banded three-state affine-gap (Gotoh)
+ * alignment and traces each back to its start. band_fill_rows mirrors
+ * align._fill_rows_numpy and band_traceback mirrors
+ * align._band_traceback_python, value for value; their docstrings describe
+ * the band layout. seed_diagonals finds a query's k-mer seeds in a
+ * homology.KmerIndex and counts them per (subject, diagonal), as
+ * homology._seed_diagonals_numpy does. Without a compiler both run as those
+ * numpy and Python functions instead. Build with -fwrapv: int32 sums then
+ * wrap as numpy's do. The Python caller (mutascan._native) checks every
+ * array's dtype, shape and strides, every code, every row window and k
  * before the call.
  */
 #include <stdint.h>
@@ -234,4 +238,154 @@ int64_t band_align(const uint8_t *rows, int64_t m, const uint8_t *cols, int64_t 
         band_ends[ENDS - 1] = n;
     }
     return 0;
+}
+
+/* ---- k-mer seeding ---------------------------------------------------- */
+
+#define NCODE 4       /* the base code of N: a window that holds one is not a seed */
+#define DIGIT_BITS 11 /* radix digit; a 2,048-entry count table fits on the stack */
+#define DIGITS (1 << DIGIT_BITS)
+#define BATCH 16      /* binary searches run in lockstep */
+
+/* For each of the nb codes x, the first of the n ascending codes that
+ * equals it, in at; where none does, codes[at] differs (or n is 0).
+ * While x is present its first entry stays among the n entries from at,
+ * since a probe below x lies before it, so at ends on it and the usual
+ * last step of a lower bound is not needed. The nb searches probe in
+ * lockstep, so their loads overlap rather than wait on each other. Each
+ * step is a multiply, not a branch: a conditional step compiles to a jump
+ * that mispredicts on half the probes. */
+static void first_entries(const uint64_t *codes, int64_t n, const uint64_t *x, int64_t *at,
+                          int nb)
+{
+    for (int b = 0; b < nb; b++)
+        at[b] = 0;
+    for (; n > 1; n -= n / 2) {
+        const int64_t half = n / 2;
+        for (int b = 0; b < nb; b++)
+            at[b] += (int64_t)(codes[at[b] + half - 1] < x[b]) * half;
+    }
+}
+
+/* Stable sort of n keys below 2^bits by DIGIT_BITS-bit digits, least
+ * significant first, ping-ponging between a and b. Returns the buffer that
+ * holds the sorted keys. */
+static uint64_t *radix_sort(uint64_t *a, uint64_t *b, int64_t n, int bits)
+{
+    for (int shift = 0; shift < bits; shift += DIGIT_BITS) {
+        int64_t count[DIGITS] = {0};
+        for (int64_t i = 0; i < n; i++)
+            count[(a[i] >> shift) & (DIGITS - 1)]++;
+        int64_t at = 0;
+        for (int d = 0; d < DIGITS; d++) {
+            const int64_t c = count[d];
+            count[d] = at;
+            at += c;
+        }
+        for (int64_t i = 0; i < n; i++)
+            b[count[(a[i] >> shift) & (DIGITS - 1)]++] = a[i];
+        uint64_t *t = a;
+        a = b;
+        b = t;
+    }
+    return a;
+}
+
+/* Count the k-mer seeds of a query per (subject, diagonal).
+ *
+ * query holds n base codes 0..4 (A C G T N) and 1 <= k <= 32. The index's
+ * W windows have ascending 2-bit codes in codes, window w starting at
+ * offsets[w] of subject subject_idx[w]. A query window that starts at q
+ * and holds no N seeds every index window of its code, on diagonal
+ * q - offsets[w].
+ *
+ * Writes the number of seeds to *total. When it is above cap, returns 0
+ * and writes nothing else: call again with a larger cap. Otherwise work,
+ * 3 x cap int64, ends with the G groups in ascending (subject, diagonal)
+ * order: subject in work[0..G), diagonal in work[cap..cap + G) and seed
+ * count in work[2 cap..2 cap + G); returns G. Returns -1 when a seed's
+ * subject is negative or its key, subject * span + diagonal - low (span
+ * and low taken over the seeds' diagonals), would not fit an int64; no
+ * key is formed then. */
+int64_t seed_diagonals(const uint8_t *query, int64_t n, int64_t k, const uint64_t *codes,
+                       const int64_t *subject_idx, const int64_t *offsets, int64_t W,
+                       int64_t cap, int64_t *work, int64_t *total)
+{
+    /* k = 32 keeps all 64 bits: 1 << 64 is undefined, a shift by 0 is not */
+    const uint64_t mask = ~(uint64_t)0 >> (64 - 2 * k);
+    int64_t *diag = work, *subj = work + cap, *seeds = work + 2 * cap;
+    int64_t t = 0, low = INT64_MAX, high = INT64_MIN, top = 0, bad = 0;
+    uint64_t code = 0;
+    int64_t clean = 0; /* N-free bases ending at j */
+    uint64_t x[BATCH];
+    int64_t qs[BATCH], at[BATCH];
+    int nb = 0;
+    for (int64_t j = 0; j < n; j++) {
+        const uint8_t b = query[j];
+        clean = b == NCODE ? 0 : clean + 1;
+        code = ((code << 2) | (uint64_t)(b & 3)) & mask;
+        if (clean >= k) {
+            x[nb] = code;
+            qs[nb++] = j - k + 1;
+        }
+        if (nb < BATCH && j < n - 1)
+            continue;
+        first_entries(codes, W, x, at, nb);
+        for (int i = 0; i < nb; i++) {
+            const int64_t lo = at[i], q = qs[i];
+            int64_t hi = lo;
+            while (hi < W && codes[hi] == x[i])
+                hi++;
+            if (t + (hi - lo) > cap) { /* count on, write nothing */
+                t += hi - lo;
+                continue;
+            }
+            for (int64_t w = lo; w < hi; w++, t++) {
+                const int64_t s = subject_idx[w];
+                int64_t d;
+                bad |= __builtin_sub_overflow(q, offsets[w], &d) | (s < 0);
+                diag[t] = d;
+                subj[t] = s;
+                low = d < low ? d : low;
+                high = d > high ? d : high;
+                top = s > top ? s : top;
+            }
+        }
+        nb = 0;
+    }
+    *total = t;
+    if (t > cap || t == 0)
+        return 0;
+    /* keys up to top * span + span - 1 must fit an int64 */
+    uint64_t span; /* high - low first: never negative, as high >= low */
+    if (bad || __builtin_sub_overflow(high, low, &span) || span > (uint64_t)INT64_MAX ||
+        (uint64_t)top > ((uint64_t)INT64_MAX - span) / (span + 1))
+        return -1;
+    span += 1;
+    uint64_t *keys = (uint64_t *)diag, *spare = (uint64_t *)subj;
+    for (int64_t i = 0; i < t; i++)
+        keys[i] = (uint64_t)subj[i] * span + (uint64_t)(diag[i] - low);
+    const uint64_t largest = (uint64_t)top * span + span - 1;
+    int bits = 0;
+    while (bits < 64 && largest >> bits)
+        bits++;
+    uint64_t *sorted = radix_sort(keys, spare, t, bits);
+    /* Count each run of equal keys into seeds and keep its key at sorted[g],
+     * then decode the G keys in place: key i is read before work[i] and
+     * work[cap + i] are written, and sorted is one of those two rows. */
+    int64_t g = 0;
+    for (int64_t i = 0; i < t; g++) {
+        int64_t j = i + 1;
+        while (j < t && sorted[j] == sorted[i])
+            j++;
+        seeds[g] = j - i;
+        sorted[g] = sorted[i];
+        i = j;
+    }
+    for (int64_t i = 0; i < g; i++) {
+        const uint64_t key = sorted[i];
+        work[i] = (int64_t)(key / span);
+        work[cap + i] = (int64_t)(key % span) + low;
+    }
+    return g;
 }

@@ -1,4 +1,9 @@
-"""The compiled banded kernel: `_band.c`, built on first use with the system `cc`.
+"""The compiled kernels: `_band.c`, built on first use with the system `cc`.
+
+The one library exports two functions. `band_align` fills and traces
+banded alignments, in place of `align._band_align_numpy`; `seed_diagonals`
+finds and counts a query's k-mer seeds, in place of
+`homology._seed_diagonals_numpy`.
 
 `load` compiles the C file with `cc -O3 -fwrapv -shared -fPIC` into a
 per-user cache directory, `$XDG_CACHE_HOME/mutascan` or else
@@ -8,11 +13,10 @@ start spawns no process and a change of flags builds a new library.
 A cache directory that another user owns, or that others may write to, is
 not used: the library is then built into a private temp directory for the
 process. With no compiler, a failed build or a failed load, `load` returns
-None and `align` runs `_band_align_numpy` instead.
+None, and `align` and `homology` run their numpy versions instead.
 
-ctypes checks no bounds, so `Kernel` checks every array before its one C
-call, which fills and traces all G bands at once: dtype, C order, shape,
-codes and row windows.
+ctypes checks no bounds, so each `Kernel` method checks every argument
+before it calls C: dtype, C order, shape, codes, row windows and k.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ _CC = ("cc", "-O3", "-fwrapv", "-shared", "-fPIC")
 _BUILD_TIMEOUT_S = 120
 # the C table: row codes A C G T N, column codes those and align.OUTSIDE_CODE
 _TABLE_SHAPE = (5, 6)
+# homology.MIN_K and MAX_K: a k-mer's 2-bit code fills at most a uint64
+_K_RANGE = (4, 32)
 
 _ptr, _i64, _i32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int32
 
@@ -157,17 +163,65 @@ def _check_bands(rows, cols, offsets, table, M, Ix, Iy) -> tuple[int, int, int, 
     return m, g, ncols, width
 
 
+def _check_seeds(query, k, codes, subject_idx, offsets) -> None:
+    """Refuse a query or index the C code would misread."""
+    _check("query", query, np.uint8, (np.size(query),))
+    if query.size and int(query.max()) > 4:
+        raise ValueError(f"base code {int(query.max())} above 4")
+    if type(k) is not int or not _K_RANGE[0] <= k <= _K_RANGE[1]:
+        raise ValueError(f"k must be an int from {_K_RANGE[0]} to {_K_RANGE[1]}, not {k!r}")
+    windows = (np.size(codes),)
+    _check("codes", codes, np.uint64, windows)
+    _check("subject_idx", subject_idx, np.int64, windows)
+    _check("offsets", offsets, np.int64, windows)
+
+
 class Kernel:
-    """The loaded library: `band_align` checks its arrays once, then makes one C call."""
+    """The loaded library: each method checks its arguments once, then calls C."""
 
     def __init__(self, path: Path):
         self.path = path
-        self._align = ctypes.CDLL(str(path)).band_align
+        library = ctypes.CDLL(str(path))
+        self._align = library.band_align
         self._align.argtypes = [
             _ptr, _i64, _ptr, _i64, _i64, _ptr, _i64, _ptr, _i32, _i32, _i32, _ptr, _ptr, _ptr,
             _ptr, _i64, _ptr, _ptr, _ptr,
         ]
         self._align.restype = _i64
+        self._seed = library.seed_diagonals
+        self._seed.argtypes = [_ptr, _i64, _i64, _ptr, _ptr, _ptr, _i64, _i64, _ptr, _ptr]
+        self._seed.restype = _i64
+
+    def seed_diagonals(self, query, k: int, codes, subject_idx, offsets) -> dict:
+        """`homology._seed_diagonals_numpy` in C, on the query's base codes and a
+        `KmerIndex`'s k, codes, subject_idx and offsets: the same seed count per
+        (subject, diagonal), keys in the same ascending order.
+
+        One C call finds, sorts and counts the seeds in a buffer sized for
+        two seeds a query window plus 64. A query with more seeds, as in
+        repeats, makes that call count them only, and a second call seeds
+        into a buffer that holds them all. Raises ValueError when a seed's
+        subject is negative or its (subject, diagonal) key would not fit an
+        int64: that range depends on the seeds found, so the C call checks
+        it after collecting them and before it forms a key.
+        """
+        _check_seeds(query, k, codes, subject_idx, offsets)
+        n, w = len(query), len(codes)
+        total = np.zeros(1, dtype=np.int64)
+        cap = 2 * max(n - k + 1, 0) + 64
+        while True:
+            work = np.empty((3, cap), dtype=np.int64)
+            groups = self._seed(
+                query.ctypes.data, n, k, codes.ctypes.data, subject_idx.ctypes.data,
+                offsets.ctypes.data, w, cap, work.ctypes.data, total.ctypes.data,
+            )
+            if total.item() <= cap:
+                break
+            cap = total.item()
+        if groups < 0:
+            raise ValueError("a seed's (subject, diagonal) key does not fit an int64")
+        subjects, diagonals, seeds = work[:, :groups].tolist()
+        return dict(zip(zip(subjects, diagonals), seeds))
 
     def band_align(self, rows, cols, offsets, table, oe: int, e: int, local: bool, M, Ix, Iy):
         """`align._band_align_numpy` in C: the same arguments, fill and paths.

@@ -2,13 +2,14 @@
 
 The index packs every N-free k-mer window of the database into a 2-bit
 code (so k is at most 32) and sorts the codes. The search pipeline:
-collect exact k-mer seed matches by binary search of the query's codes,
-group them by diagonal (query offset minus subject offset), then run a
-banded gapped local alignment around each seeded diagonal, filled in
-batches by `align.banded_local_align`. Per-subject alignments merge into
-one ranked hit carrying the classic report columns (max score, total
-score, query cover, E-value, max identity). Only the forward strand is
-searched.
+collect exact k-mer seed matches by binary search of the query's codes
+and count them per diagonal (query offset minus subject offset), in one
+call of the compiled kernel or else in numpy (`_seed_diagonals_numpy`),
+then run a banded gapped local alignment around each seeded diagonal,
+filled in batches by `align.banded_local_align`. Per-subject alignments
+merge into one ranked hit carrying the classic report columns (max
+score, total score, query cover, E-value, max identity). Only the
+forward strand is searched.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import _native
 from .align import AlignmentResult, Scoring, banded_local_align, encode_bases
 from .errors import MutascanError
 from .seqio import DnaSequence, FastaFile
@@ -167,6 +169,20 @@ def _build_index(db: FastaFile, k: int) -> KmerIndex:
 
 
 def _seed_diagonals(qb: str, index: KmerIndex) -> dict[tuple[int, int], int]:
+    """Seed count per (subject, diagonal), keys in ascending order.
+
+    The compiled kernel seeds when it loads, else `_seed_diagonals_numpy`
+    does; both give the same dict in the same key order.
+    """
+    kernel = _native.load()
+    if kernel is None:
+        return _seed_diagonals_numpy(qb, index)
+    return kernel.seed_diagonals(
+        encode_bases(qb), index.k, index.codes, index.subject_idx, index.offsets
+    )
+
+
+def _seed_diagonals_numpy(qb: str, index: KmerIndex) -> dict[tuple[int, int], int]:
     """Seed count per (subject, diagonal), keys in ascending order."""
     q_offsets, q_codes = _window_codes(qb, index.k)
     lo = np.searchsorted(index.codes, q_codes, side="left")

@@ -12,6 +12,7 @@ gradient-descent trainer, kept unchanged.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -531,6 +532,13 @@ def reference_search(query, index, params):
 
 
 # --- mutation calls from aligned strings -------------------------------------
+
+
+def reference_identity(aligned_a: str, aligned_b: str) -> float:
+    """The package's earlier `AlignmentResult.identity_percent`, kept unchanged: the
+    percentage of columns that hold the same character on both sides."""
+    a, b = aligned_a, aligned_b
+    return 100.0 * sum(map(operator.eq, a, b)) / len(a) if a else 0.0
 
 
 def reference_calls(aligned_a: str, aligned_b: str):

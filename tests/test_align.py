@@ -39,6 +39,7 @@ from oracles import (
     random_bases,
     reference_calls,
     reference_global_align,
+    reference_identity,
     reference_search,
     rescore_alignment,
     substitution_matrix,
@@ -441,6 +442,19 @@ def test_identity_100_iff_equal():
         res = _align(a, b)
         assert (res.identity_percent == 100.0) == (a == b)
     assert _align("ACGT", "ACGT").identity_percent == 100.0
+
+
+_COLUMNS = st.sampled_from([x + y for x in "ACGTN-" for y in "ACGTN-" if x + y != "--"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COLUMNS, max_size=60))
+def test_identity_equals_the_column_count_gaps_included(columns):
+    a, b = "".join(c[0] for c in columns), "".join(c[1] for c in columns)
+    res = AlignmentResult(0, a, b, 0, 0, 0, 0)
+    got = res.identity_percent
+    assert type(got) is float and got == reference_identity(a, b)
+    assert res.identity_percent is got  # counted once per alignment
 
 
 def test_alignment_is_deterministic():

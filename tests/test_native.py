@@ -1,4 +1,5 @@
-"""The compiled banded kernel against the numpy fill and Python traceback it mirrors."""
+"""The compiled kernels against the numpy and Python code they mirror: the band
+fill and traceback, and the k-mer seeding of a search."""
 
 import hashlib
 import importlib.resources
@@ -13,12 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mutascan import _native
-from mutascan import align
+from mutascan import align, homology
 from mutascan.align import Scoring, banded_local_align, encode_bases, global_align
 from mutascan.homology import SearchParams, build_index, search
 from mutascan.seqio import DnaSequence, FastaFile
 
-from oracles import dna, random_bases
+from oracles import dna, random_bases, seed_diagonal_counts
 
 _SCORINGS = st.sampled_from(
     [
@@ -189,6 +190,106 @@ def test_native_global_fill_keeps_cells_below_neg(native):
         assert np.array_equal(got, want)
 
 
+# --- seeding --------------------------------------------------------------------
+
+
+def _index(subjects, k):
+    db = FastaFile(tuple(DnaSequence(f"s{i}", "", b) for i, b in enumerate(subjects)))
+    return build_index(db, k)
+
+
+def _assert_seeds_agree(native, query, subjects, index):
+    """The kernel, `_seed_diagonals` (which runs it) and `_seed_diagonals_numpy` return
+    equal dicts with the same key order, and the enumeration oracle the same counts;
+    returns the dict."""
+    got = native.seed_diagonals(
+        encode_bases(query), index.k, index.codes, index.subject_idx, index.offsets
+    )
+    assert list(got.items()) == list(homology._seed_diagonals_numpy(query, index).items())
+    assert list(homology._seed_diagonals(query, index).items()) == list(got.items())
+    assert list(got.items()) == sorted(seed_diagonal_counts(query, subjects, index.k).items())
+    return got
+
+
+@st.composite
+def _seed_cases(draw):
+    """k, subjects (N-rich ones and ones shorter than k among them) and a query that
+    holds pieces of the subjects, so long seeds occur too."""
+    k = draw(st.sampled_from([4, 11, 32]))
+    letters = draw(st.sampled_from(["ACGT", "ACGTN", "ACGTNNNN", "AAN"]))
+    subjects = draw(
+        st.lists(dna(letters, 1, k - 1) | dna(letters, k, 3 * k), min_size=1, max_size=6)
+    )
+    pieces = []
+    for _ in range(draw(st.integers(0, 4))):
+        source = draw(st.sampled_from(subjects))
+        start = draw(st.integers(0, len(source)))
+        pieces += [source[start : draw(st.integers(start, len(source)))], draw(dna("ACGTN", 0, 4))]
+    return k, subjects, "".join(pieces) + draw(dna(letters, k, 2 * k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_seed_cases())
+def test_native_seeding_matches_numpy_and_the_oracle(native, case):
+    k, subjects, query = case
+    _assert_seeds_agree(native, query, subjects, _index(subjects, k))
+
+
+@pytest.mark.parametrize(
+    "k,subjects,query",
+    [
+        (4, ["CCCCCCCC", "GGGGNGGG"], "AAAATTTT"),  # no shared k-mer
+        (11, ["ACGTNACGTNACGT"], "ACGTNACGTNACGT"),  # every window holds an N
+        (32, ["ACGT" * 7, "A"], "ACGT" * 10),  # every subject shorter than k: an empty index
+        (4, ["NNNNNN"], "NNNNNNNN"),
+    ],
+)
+def test_native_seeding_with_no_seed_is_empty(native, k, subjects, query):
+    assert _assert_seeds_agree(native, query, subjects, _index(subjects, k)) == {}
+
+
+def test_native_seeding_at_k_32_keeps_every_bit(native):
+    """At k = 32 the code mask keeps all 64 bits: windows that differ only in their
+    first base, the code's top two bits, are different seeds."""
+    tail = random_bases(random.Random(32), 40)
+    subjects = ["T" + tail, "A" + tail, "G" + tail]
+    query = "T" + tail[:31] + "NN" + "G" + tail
+    got = _assert_seeds_agree(native, query, subjects, _index(subjects, 32))
+    assert got == {(0, 0): 1, (0, 34): 9, (1, 34): 9, (2, 34): 10}
+
+
+def test_native_seeding_grows_its_buffer_for_repeats(native, monkeypatch):
+    """A poly-A query against a poly-A database at k = 4 has far more seeds than two a
+    query window, so the first C call only counts them and a second one seeds."""
+    subjects = ["A" * 300, "A" * 150 + "N" + "A" * 50]
+    index = _index(subjects, 4)
+    calls = []
+    seed = native._seed
+    kernel = _native.Kernel(native.path)
+    monkeypatch.setattr(kernel, "_seed", lambda *a: calls.append(a[7]) or seed(*a))
+    query = "A" * 120
+    got = _assert_seeds_agree(kernel, query, subjects, index)
+    windows = len(query) - 3
+    assert sum(got.values()) == windows * (297 + 147 + 47)
+    assert len(calls) == 2 and calls[0] < sum(got.values()) == calls[1]
+
+
+@pytest.mark.parametrize(
+    "array,bad",
+    [
+        ("subject_idx", lambda a: a - 1),  # a negative subject
+        ("offsets", lambda a: a + np.iinfo(np.int64).min),  # a diagonal past int64
+        ("subject_idx", lambda a: a + 2**62),  # subject x span past int64
+    ],
+)
+def test_native_seeding_refuses_keys_that_do_not_fit_int64(native, array, bad):
+    index = _index(["ACGTACGTTGCA", "TTGCAACGTACG"], 4)
+    arrays = {"codes": index.codes, "subject_idx": index.subject_idx, "offsets": index.offsets}
+    arrays[array] = bad(arrays[array])
+    with pytest.raises(ValueError):
+        native.seed_diagonals(encode_bases("ACGTACGTTGCAACGTACG"), 4, **arrays)
+
+
 # --- loader ---------------------------------------------------------------------
 
 
@@ -229,14 +330,18 @@ def test_without_a_working_kernel_numpy_runs_and_agrees(tmp_path, monkeypatch, c
     assert sorted(cache.iterdir()) == before  # a failed build leaves no file behind
 
     ran = []
-    for name in ("_fill_rows_numpy", "_band_traceback_python"):
-        original = getattr(align, name)
+    for module, name in (
+        (align, "_fill_rows_numpy"),
+        (align, "_band_traceback_python"),
+        (homology, "_seed_diagonals_numpy"),
+    ):
+        original = getattr(module, name)
         monkeypatch.setattr(
-            align, name, lambda *a, name=name, fn=original, **kw: ran.append(name) or fn(*a, **kw)
+            module, name, lambda *a, name=name, fn=original, **kw: ran.append(name) or fn(*a, **kw)
         )
     monkeypatch.setattr(_native, "load", lambda: _native._load(cache))
     assert results() == expected
-    assert set(ran) == {"_fill_rows_numpy", "_band_traceback_python"}
+    assert set(ran) == {"_fill_rows_numpy", "_band_traceback_python", "_seed_diagonals_numpy"}
 
 
 @pytest.mark.parametrize("mode", [0o770, 0o707, 0o777])
@@ -298,7 +403,7 @@ def guarded(native):
     def not_reached(*args):
         raise AssertionError("the C function was called")
 
-    kernel._align = not_reached
+    kernel._align = kernel._seed = not_reached
     return kernel
 
 
@@ -349,6 +454,43 @@ def test_fill_refuses_bad_arrays_before_calling_c(guarded, index, bad):
     args[index] = bad(args[index])
     with pytest.raises(ValueError):
         guarded.band_align(*args)
+
+
+def _seed_args():
+    """`Kernel.seed_diagonals` arguments: query, k, codes, subject_idx, offsets."""
+    index = _index(["ACGTACGTTGCANNACGT", "TTGCAACGTACG"], 4)
+    return [encode_bases("ACGTACGTTGCAACGNTACG"), 4, index.codes, index.subject_idx, index.offsets]
+
+
+@pytest.mark.parametrize(
+    "index,bad",
+    [
+        pytest.param(0, lambda a: a.astype(np.int64), id="query int64"),
+        pytest.param(0, lambda a: np.where(a == a[0], 5, a).astype(np.uint8), id="base code 5"),
+        pytest.param(0, lambda a: a.reshape(4, -1), id="query 2-D"),
+        pytest.param(0, lambda a: a[::2], id="query a strided view"),
+        pytest.param(0, lambda a: a.tobytes(), id="query bytes"),
+        pytest.param(1, lambda k: 3, id="k 3"),
+        pytest.param(1, lambda k: 33, id="k 33"),
+        pytest.param(1, lambda k: 4.0, id="k a float"),
+        pytest.param(1, lambda k: np.int64(4), id="k a numpy int"),
+        pytest.param(2, lambda a: a.astype(np.int64), id="codes int64"),
+        pytest.param(2, lambda a: a[:-1], id="codes one short"),
+        pytest.param(2, lambda a: a.tolist(), id="codes a list"),
+        pytest.param(3, lambda a: a.astype(np.int32), id="subject_idx int32"),
+        pytest.param(3, lambda a: np.append(a, 0), id="subject_idx one long"),
+        pytest.param(4, lambda a: a.astype(np.uint64), id="offsets uint64"),
+        pytest.param(4, lambda a: np.stack([a, a], axis=1)[:, 0], id="offsets a strided view"),
+        pytest.param(4, lambda a: a[:-1], id="offsets one short"),
+    ],
+)
+def test_seeding_refuses_bad_arguments_before_calling_c(guarded, index, bad):
+    """Every argument of the one `Kernel.seed_diagonals` call, indexed as `_seed_args`
+    orders them, is checked before C seeds the query."""
+    args = _seed_args()
+    args[index] = bad(args[index])
+    with pytest.raises(ValueError):
+        guarded.seed_diagonals(*args)
 
 
 def test_traceback_with_no_predecessor_raises(native):

@@ -17,9 +17,10 @@ from .align import Scoring, call_mutations, global_align, mutation_to_dict
 from .corpus import make_synthetic_corpus
 from .errors import MutascanError
 from .homology import (
+    DEFAULT_K,
+    DEFAULT_MAX_HITS,
     MAX_K,
     MIN_K,
-    SearchParams,
     build_index,
     format_hit_table,
     hit_to_dict,
@@ -87,9 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="rank database subjects by local similarity")
     p.add_argument("--db", required=True, help="database FASTA file")
     p.add_argument("--query", required=True, help="query FASTA file (first record)")
-    p.add_argument("--k", type=_in_range(int, MIN_K, MAX_K), default=SearchParams().k,
+    p.add_argument("--k", type=_in_range(int, MIN_K, MAX_K), default=DEFAULT_K,
                    help=f"seed length ({MIN_K} to {MAX_K})")
-    p.add_argument("--max-hits", type=_in_range(int, 1), default=SearchParams().max_hits,
+    p.add_argument("--max-hits", type=_in_range(int, 1), default=DEFAULT_MAX_HITS,
                    help="hits to report (at least 1)")
     p.add_argument("--json", action="store_true",
                    help="also print one JSON object per hit")
@@ -155,9 +156,7 @@ def _cmd_stats(args) -> int:
 def _cmd_search(args) -> int:
     db = read_fasta_path(args.db)
     query = read_fasta_path(args.query).records[0]
-    params = SearchParams(k=args.k, max_hits=args.max_hits)
-    index = build_index(db, params.k)
-    hits = search(query, index, params)
+    hits = search(query, build_index(db, args.k), args.max_hits)
     print(format_hit_table(hits), end="")
     if args.json:
         for h in hits:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .seqio import DnaSequence, FastaFile
 DEFAULT_K = 11
 MIN_K = 4
 MAX_K = 32  # 2 bits a base in a uint64 code
+DEFAULT_MAX_HITS = 20
 BAND_RADIUS = 16
 # seeded diagonals filled together; one batch stores at most
 # 3 x 32 x 33 int32 cells per query row
@@ -51,48 +51,21 @@ class QueryTooShortError(HomologyError):
     pass
 
 
-@dataclass(frozen=True)
-class SearchParams:
-    """Seed length and hit cap for `search`.
-
-    The scoring system is fixed, and the Karlin-Altschul lambda and K of
-    `e_value` were fitted to it, so neither is a field: changing one
-    score without refitting both constants would give wrong E-values.
-    """
-
-    k: int = DEFAULT_K
-    max_hits: int = 20
-
-    match_score: ClassVar[int] = 1
-    mismatch_score: ClassVar[int] = -3
-    gap_open: ClassVar[int] = -5
-    gap_extend: ClassVar[int] = -2
-    karlin_lambda: ClassVar[float] = 1.374
-    karlin_k: ClassVar[float] = 0.711
-
-    def __post_init__(self):
-        _check_k(self.k)
-        if self.max_hits < 1:
-            raise ValueError("max_hits must be at least 1")
-
-    def scoring(self) -> Scoring:
-        """The fixed scoring system: one instance, so every search reads one score table."""
-        return _SEARCH_SCORING
+# The search's scoring is fixed, and the Karlin-Altschul lambda and K of
+# `e_value` were fitted to it, so none of them is a parameter: changing one
+# score without refitting both constants would give wrong E-values.
+SEARCH_SCORING = Scoring(match=1, mismatch=-3, gap_open=-5, gap_extend=-2)
+KARLIN_LAMBDA = 1.374
+KARLIN_K = 0.711
 
 
-_SEARCH_SCORING = Scoring(
-    match=SearchParams.match_score,
-    mismatch=SearchParams.mismatch_score,
-    gap_open=SearchParams.gap_open,
-    gap_extend=SearchParams.gap_extend,
-)
-
-
-def _check_k(k: int) -> None:
-    if k < MIN_K:
-        raise ValueError(f"k must be at least {MIN_K}")
-    if k > MAX_K:
-        raise ValueError(f"k must be at most {MAX_K}, the longest 2-bit k-mer code")
+def _check_int(name: str, value, low: int, high: int | None = None) -> None:
+    if type(value) is not int:  # bool is an int; 11.0 == 11 would share a memo entry
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,9 +118,11 @@ def _window_codes(bases: str, k: int) -> tuple[np.ndarray, np.ndarray]:
 def build_index(db: FastaFile, k: int = DEFAULT_K) -> KmerIndex:
     """Index every N-free length-k window of every subject.
 
-    Results are memoized by (db, k) (`INDEX_MEMO_SIZE`), however the call
-    spells k; errors are not.
+    k is checked first, so a bad k raises before the memo is read. Results
+    are memoized by (db, k) (`INDEX_MEMO_SIZE`), however the call spells k;
+    errors are not.
     """
+    _check_int("k", k, MIN_K, MAX_K)
     return _build_index(db, k)
 
 
@@ -155,7 +130,6 @@ def build_index(db: FastaFile, k: int = DEFAULT_K) -> KmerIndex:
 def _build_index(db: FastaFile, k: int) -> KmerIndex:
     if len(db) == 0:
         raise EmptyDatabaseError("database contains no sequences")
-    _check_k(k)
     # joined with N, so no N-free window spans two subjects
     positions, codes = _window_codes("N".join(s.bases for s in db), k)
     starts = np.cumsum([0] + [len(s) + 1 for s in db.records[:-1]])
@@ -218,22 +192,21 @@ def _select_non_overlapping(alns: list[AlignmentResult]) -> list[AlignmentResult
     return kept
 
 
-def e_value(max_score: int, query_len: int, db_len: int, params: SearchParams) -> float:
+def e_value(max_score: int, query_len: int, db_len: int) -> float:
     """Karlin-Altschul expectation: E = K * m * n * exp(-lambda * S)."""
-    return params.karlin_k * query_len * db_len * math.exp(
-        -params.karlin_lambda * max_score
-    )
+    return KARLIN_K * query_len * db_len * math.exp(-KARLIN_LAMBDA * max_score)
 
 
 def search(
-    query: DnaSequence, index: KmerIndex, params: SearchParams = SearchParams()
+    query: DnaSequence, index: KmerIndex, max_hits: int = DEFAULT_MAX_HITS
 ) -> list[HomologyHit]:
     """Rank database subjects by local similarity to the query.
 
     Hits sort by max score descending, subject id ascending on ties, and
-    the list truncates to params.max_hits. Seeds use the index's k (the
-    window size the index was built with).
+    the list truncates to max_hits. Seeds use the index's k (the window
+    size the index was built with).
     """
+    _check_int("max_hits", max_hits, 1)
     k = index.k
     qb = query.bases
     if len(qb) < k:
@@ -243,12 +216,12 @@ def search(
     keys = list(_seed_diagonals(qb, index))
 
     # (c) one banded gapped local alignment per seeded diagonal, in batches
-    scoring = params.scoring()
     per_subject: dict[int, list[AlignmentResult]] = {}
     for lo in range(0, len(keys), _BATCH_GROUPS):
         batch = keys[lo : lo + _BATCH_GROUPS]
         bands = [(index.subjects[si].bases, diag) for si, diag in batch]
-        for (si, _), aln in zip(batch, banded_local_align(qb, bands, BAND_RADIUS, scoring)):
+        alns = banded_local_align(qb, bands, BAND_RADIUS, SEARCH_SCORING)
+        for (si, _), aln in zip(batch, alns):
             if aln is not None:
                 per_subject.setdefault(si, []).append(aln)
 
@@ -265,7 +238,7 @@ def search(
                 max_score=best.score,
                 total_score=sum(a.score for a in kept),
                 query_cover=100.0 * covered / len(qb),
-                e_value=e_value(best.score, len(qb), db_len, params),
+                e_value=e_value(best.score, len(qb), db_len),
                 max_ident=best.identity_percent,
                 best_alignment=best,
             )
@@ -273,7 +246,7 @@ def search(
 
     # (e) rank and truncate
     hits.sort(key=lambda h: (-h.max_score, h.subject_id))
-    return hits[: params.max_hits]
+    return hits[:max_hits]
 
 
 def hit_to_dict(h: HomologyHit) -> dict:

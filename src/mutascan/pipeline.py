@@ -28,8 +28,8 @@ from .align import (
 from .corpus import make_synthetic_corpus  # re-exported: perfbench imports it from here
 from .errors import MutascanError
 from .homology import (
+    DEFAULT_K,
     HomologyHit,
-    SearchParams,
     build_index,
     format_hit_table,
     hit_to_dict,
@@ -140,11 +140,15 @@ class DiagnosisReport:
     rejected: tuple[RejectedReference, ...]
     alignment: AlignmentResult
     mutations: tuple[Mutation, ...]
-    malignant_candidates: tuple[Mutation, ...]
     classifications: tuple[CandidateCall, ...]
     overall_label: Label
     tool_versions: dict
     config: dict
+
+    @property
+    def malignant_candidates(self) -> tuple[Mutation, ...]:
+        """The classified mutations in call order, so they always agree with the calls."""
+        return tuple(c.mutation for c in self.classifications)
 
 
 def load_manifest(path: str | Path) -> DatabaseManifest:
@@ -206,8 +210,9 @@ def adopt_reference(
 ) -> tuple[AdoptedReference, list[RejectedReference]]:
     """Adopt the first database whose top hit passes the GC gate.
 
-    Each database is searched with the default `SearchParams` and its top
-    hit gated at GC_GATE_TARGET +/- GC_GATE_TOLERANCE percent GC.
+    Each database is indexed at DEFAULT_K and searched for the default
+    number of hits, and its top hit is gated at GC_GATE_TARGET +/-
+    GC_GATE_TOLERANCE percent GC.
     Databases are consulted strictly in manifest priority order; every
     database consulted before the acceptance is recorded as a rejection
     with its gate verdict (or a no-hits note). Raises NoDatabaseAccepted
@@ -347,7 +352,6 @@ def run_diagnosis(
         rejected=tuple(rejected),
         alignment=alignment,
         mutations=tuple(mutations),
-        malignant_candidates=tuple(candidates),
         classifications=tuple(calls),
         overall_label=overall,
         tool_versions={"mutascan": __version__},
@@ -355,7 +359,7 @@ def run_diagnosis(
             "gate_target": GC_GATE_TARGET,
             "gate_tolerance": GC_GATE_TOLERANCE,
             "threshold": RISK_THRESHOLD,
-            "search_k": SearchParams().k,
+            "search_k": DEFAULT_K,
             "scoring": asdict(Scoring()),
             "model": str(wd / "model.json"),  # a loaded model's info names its own file
             **model_info,

@@ -12,6 +12,7 @@ import functools
 import io
 import os
 import re
+import secrets
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -210,21 +211,26 @@ def write_text_atomic(path, text: str, encoding: str = "utf-8") -> None:
 def write_texts_atomic(texts: dict, encoding: str = "utf-8") -> None:
     """Write each text of a {path: text} map whole, and all of them or none.
 
-    Every text first goes to a temp file in its path's directory. Only when
-    all are written, and no path is a directory, do the temp files replace
-    their paths, in the map's order. If anything fails before that, the
-    temp files are removed and every earlier file is left as it was; a
-    rename that fails after others succeeded leaves those replaced. An
-    `OSError` names the path, not its temp file.
+    Every text first goes to a temp file in its path's directory, under a
+    fresh name created exclusively, so writers of one path never share a
+    temp file, whether threads or processes. Only when all are written,
+    and no path is a directory, do the temp files replace their paths, in
+    the map's order. If anything fails before that, the temp files are
+    removed and every earlier file is left as it was; a rename that fails
+    after others succeeded leaves those replaced. An `OSError` names the
+    path, not its temp file.
     """
     staged: list[tuple[Path, Path]] = []  # (temp file, path)
     path = None
     try:
         for path, text in texts.items():
             path = Path(path)
-            tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"  # `/` and `.` have no name
+            # `/` and `.` have no name
+            tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
+            # 0o666 under the umask, the mode open(path, "w") gives, not mkstemp's 0o600
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append((tmp, path))
-            with open(tmp, "w", encoding=encoding, newline="") as fh:
+            with open(fd, "w", encoding=encoding, newline="") as fh:
                 fh.write(text)
         for _, path in staged:
             if path.is_dir():  # os.replace would fail on it after earlier renames
@@ -233,7 +239,7 @@ def write_texts_atomic(texts: dict, encoding: str = "utf-8") -> None:
             os.replace(tmp, path)
     except BaseException as exc:
         for tmp, _ in staged:
-            with contextlib.suppress(OSError):  # renamed, absent, or its directory never existed
+            with contextlib.suppress(OSError):  # already renamed
                 tmp.unlink()
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, str(path)) from exc

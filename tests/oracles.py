@@ -354,7 +354,7 @@ class _LocalAlignment:
     aligned_s: str
 
 
-def _banded_local_align(qb: str, sb: str, diagonal: int, params, radius: int = 16):
+def _banded_local_align(qb: str, sb: str, diagonal: int, scoring, radius: int = 16):
     """Best gapped local alignment within a diagonal band of the given radius.
 
     Smith-Waterman with affine gaps (Gotoh), restricted to DP cells (i, j)
@@ -364,10 +364,10 @@ def _banded_local_align(qb: str, sb: str, diagonal: int, params, radius: int = 1
     """
     m, n = len(qb), len(sb)
     width = 2 * radius + 1
-    sub = substitution_matrix(params.match_score, params.mismatch_score)
+    sub = substitution_matrix(scoring.match, scoring.mismatch)
     code = {"A": 0, "C": 1, "G": 2, "T": 3, "N": 4}
-    oe = params.gap_open + params.gap_extend
-    e = params.gap_extend
+    oe = scoring.gap_open + scoring.gap_extend
+    e = scoring.gap_extend
 
     lo_row = max(1, 1 + diagonal - radius)
     hi_row = min(m, n + diagonal + radius)
@@ -481,21 +481,21 @@ def _banded_local_align(qb: str, sb: str, diagonal: int, params, radius: int = 1
     )
 
 
-def reference_search(query, index, params):
+def reference_search(query, index, max_hits):
     """Seed-and-extend search running `_banded_local_align` once per diagonal.
 
     Seeds, diagonal groups, hit merging and ranking follow the package's
     documented rules; returns a list of the package's HomologyHit.
     """
     from mutascan.align import AlignmentResult
-    from mutascan.homology import HomologyHit, e_value
+    from mutascan.homology import SEARCH_SCORING, HomologyHit, e_value
 
     qb = query.bases
     groups = seed_diagonal_counts(qb, [s.bases for s in index.subjects], index.k)
 
     per_subject: dict[int, list[_LocalAlignment]] = {}
     for si, diag in sorted(groups):
-        aln = _banded_local_align(qb, index.subjects[si].bases, diag, params)
+        aln = _banded_local_align(qb, index.subjects[si].bases, diag, SEARCH_SCORING)
         if aln is not None:
             per_subject.setdefault(si, []).append(aln)
 
@@ -522,13 +522,13 @@ def reference_search(query, index, params):
                 max_score=best.score,
                 total_score=sum(a.score for a in kept),
                 query_cover=100.0 * covered / len(qb),
-                e_value=e_value(best.score, len(qb), db_len, params),
+                e_value=e_value(best.score, len(qb), db_len),
                 max_ident=best_result.identity_percent,
                 best_alignment=best_result,
             )
         )
     hits.sort(key=lambda h: (-h.max_score, h.subject_id))
-    return hits[: params.max_hits]
+    return hits[:max_hits]
 
 
 # --- mutation calls from aligned strings -------------------------------------

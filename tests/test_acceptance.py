@@ -16,7 +16,7 @@ import pytest
 
 from mutascan.align import Scoring, apply_mutations, call_mutations, global_align
 from mutascan.cli import main as cli_main
-from mutascan.homology import SearchParams, build_index, search
+from mutascan.homology import SEARCH_SCORING, build_index, search
 from mutascan.neural import (
     Network,
     NetworkTopology,
@@ -149,12 +149,11 @@ def test_criterion_04_mutation_round_trip():
 def test_criterion_05_homology_soundness_and_completeness():
     with _Timer(5, "homology soundness + completeness", budget_s=60.0):
         rng = random.Random(1005)
-        params = SearchParams()
+        s = SEARCH_SCORING
 
         def oracle(query, subject):
             return smith_waterman_score(
-                query, subject, params.match_score, params.mismatch_score,
-                params.gap_open, params.gap_extend,
+                query, subject, s.match, s.mismatch, s.gap_open, s.gap_extend
             )
 
         for db_round in range(5):
@@ -173,7 +172,7 @@ def test_criterion_05_homology_soundness_and_completeness():
                 qlen = rng.randint(60, 150)
                 start = rng.randint(0, len(sbases) - qlen)
                 query = sbases[start : start + qlen]
-                hits = search(_seq(query, "q"), index, params)
+                hits = search(_seq(query, "q"), index)
                 mine = [h for h in hits if h.subject_id == sid]
                 assert mine, f"exact substring of {sid} not found"
                 top = mine[0]
@@ -186,9 +185,9 @@ def test_criterion_05_homology_soundness_and_completeness():
                 qlen = rng.randint(60, 150)
                 start = rng.randint(0, len(sbases) - qlen)
                 query = _engineer_edits(rng, sbases[start : start + qlen], max_edits=8)
-                if len(query) < params.k:
+                if len(query) < index.k:
                     continue
-                hits = search(_seq(query, "q"), index, params)
+                hits = search(_seq(query, "q"), index)
                 for h in hits:
                     assert h.max_score <= oracle(query, by_id[h.subject_id])
 

@@ -29,7 +29,7 @@ from mutascan.align import (
     encode_bases,
     global_align,
 )
-from mutascan.homology import SearchParams, build_index
+from mutascan.homology import DEFAULT_MAX_HITS, build_index
 from mutascan.seqio import DnaSequence, FastaFile
 
 from oracles import (
@@ -394,14 +394,14 @@ def test_oracles_never_read_the_package_table(monkeypatch):
     want_global = reference_global_align(ref, patient, Scoring())
     query = DnaSequence("q", "", patient)
     index = build_index(FastaFile((_seq(ref, "r"), _seq(ref[::-1], "s"))))
-    want_hits = reference_search(query, index, SearchParams())
+    want_hits = reference_search(query, index, DEFAULT_MAX_HITS)
 
     def no_table(self):
         raise AssertionError("an oracle read Scoring.table")
 
     monkeypatch.setattr(Scoring, "table", property(no_table))
     assert reference_global_align(ref, patient, Scoring()) == want_global
-    assert reference_search(query, index, SearchParams()) == want_hits
+    assert reference_search(query, index, DEFAULT_MAX_HITS) == want_hits
     assert want_global.score > 0 and want_hits
 
 

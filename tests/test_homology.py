@@ -1,25 +1,30 @@
 """K-mer indexing, seed-and-extend search, and hit-table rendering."""
 
+import inspect
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mutascan import homology
-from mutascan.align import AlignmentResult
+from mutascan.align import AlignmentResult, Scoring
 from mutascan.homology import (
     _BATCH_GROUPS,
     _build_index,
     BAND_RADIUS,
     DEFAULT_K,
+    DEFAULT_MAX_HITS,
     INDEX_MEMO_SIZE,
+    KARLIN_K,
+    KARLIN_LAMBDA,
     MAX_K,
+    SEARCH_SCORING,
     EmptyDatabaseError,
     HomologyHit,
     QueryTooShortError,
-    SearchParams,
     _seed_diagonals,
     build_index,
     e_value,
@@ -50,25 +55,44 @@ def _query(bases):
 
 
 def test_default_parameters():
-    p = SearchParams()
-    assert (p.k, p.match_score, p.mismatch_score) == (11, 1, -3)
-    assert (p.gap_open, p.gap_extend) == (-5, -2)
-    assert (p.karlin_lambda, p.karlin_k) == (1.374, 0.711)
-    assert p.max_hits == 20
-    assert DEFAULT_K == 11
-    assert BAND_RADIUS == 16
+    assert SEARCH_SCORING == Scoring(match=1, mismatch=-3, gap_open=-5, gap_extend=-2)
+    assert (KARLIN_LAMBDA, KARLIN_K) == (1.374, 0.711)
+    assert (DEFAULT_K, DEFAULT_MAX_HITS, BAND_RADIUS) == (11, 20, 16)
+    assert inspect.signature(build_index).parameters["k"].default == DEFAULT_K
+    assert inspect.signature(search).parameters["max_hits"].default == DEFAULT_MAX_HITS
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        SearchParams(k=3)
-    with pytest.raises(ValueError):
-        SearchParams(k=33)
-    SearchParams(k=MAX_K)
-    with pytest.raises(TypeError):
-        SearchParams(match_score=0)
-    with pytest.raises(ValueError):
-        SearchParams(max_hits=0)
+def _refuse_to_seed(qb, index):
+    raise AssertionError("seeded before max_hits was checked")
+
+
+def test_params_validation(monkeypatch):
+    db = _db(("a", "ACGT" * 10))
+    for k in (3, MAX_K + 1):
+        with pytest.raises(ValueError):
+            build_index(db, k)
+    assert build_index(db, MAX_K).k == MAX_K
+    index = build_index(db)
+    monkeypatch.setattr(homology, "_seed_diagonals", _refuse_to_seed)
+    for max_hits in (0, -1):
+        with pytest.raises(ValueError, match="max_hits must be at least 1"):
+            search(_query("ACGT" * 5), index, max_hits)
+
+
+_NOT_INTS = [11.0, 2.5, True, False, "11", None, np.int64(11)]
+
+
+@pytest.mark.parametrize("value", _NOT_INTS, ids=lambda v: f"{type(v).__name__}-{v}")
+def test_k_and_max_hits_must_be_ints(monkeypatch, value):
+    db = _db(("a", random_bases(random.Random(21), 200)))
+    index = build_index(db, 11)  # memoized: 11.0 == 11 must not find it
+    info = _build_index.cache_info()
+    with pytest.raises(ValueError, match="k must be an int"):
+        build_index(db, value)
+    assert _build_index.cache_info() == info  # refused before the memo is read
+    monkeypatch.setattr(homology, "_seed_diagonals", _refuse_to_seed)
+    with pytest.raises(ValueError, match="max_hits must be an int"):
+        search(_query(db.records[0].bases[:50]), index, value)
 
 
 def _postings_of(index):
@@ -117,17 +141,17 @@ def test_build_index_validation():
 
 
 def test_build_index_errors_are_raised_on_every_call():
-    bad_calls = [
-        ((FastaFile(()),), EmptyDatabaseError),
-        ((_db(("a", "ACGTACGT")), 3), ValueError),
+    bad_calls = [  # a bad k is refused before the memo is read
+        ((FastaFile(()),), EmptyDatabaseError, 1),
+        ((_db(("a", "ACGTACGT")), 3), ValueError, 0),
     ]
-    for args, error in bad_calls:
+    for args, error, lookups in bad_calls:
         messages = []
         for _ in range(2):
             misses = _build_index.cache_info().misses
             with pytest.raises(error) as exc:
                 build_index(*args)
-            assert _build_index.cache_info().misses == misses + 1  # not served from the memo
+            assert _build_index.cache_info().misses == misses + lookups  # not served from the memo
             messages.append(str(exc.value))
             for i in range(INDEX_MEMO_SIZE + 1):  # other databases cycle the memo
                 build_index(_db(("s", "ACGT" * (i + 3))))
@@ -183,7 +207,7 @@ def test_exact_substring_is_a_perfect_hit():
     assert top.max_score == len(query)
     assert top.max_ident == 100.0
     assert top.query_cover == 100.0
-    assert top.e_value == e_value(len(query), len(query), index.total_length, SearchParams())
+    assert top.e_value == e_value(len(query), len(query), index.total_length)
     assert top.best_alignment.aligned_a == query
 
 
@@ -196,7 +220,7 @@ def test_no_shared_kmer_means_no_hits():
 
 def test_exactness_on_planted_substrings():
     rng = random.Random(33)
-    params = SearchParams()
+    s = SEARCH_SCORING
     for _ in range(20):
         subject = random_bases(rng, rng.randint(150, 300))
         start = rng.randint(0, len(subject) - 60)
@@ -204,15 +228,14 @@ def test_exactness_on_planted_substrings():
         index = build_index(_db(("s", subject)))
         hits = search(_query(query), index)
         want = smith_waterman_score(
-            query, subject, params.match_score, params.mismatch_score,
-            params.gap_open, params.gap_extend,
+            query, subject, s.match, s.mismatch, s.gap_open, s.gap_extend
         )
         assert hits and hits[0].max_score == want == len(query)
 
 
 def test_reported_scores_never_exceed_full_local_optimum():
     rng = random.Random(34)
-    params = SearchParams()
+    s = SEARCH_SCORING
     for _ in range(20):
         subject = random_bases(rng, 250)
         query = list(subject[40:180])
@@ -229,16 +252,14 @@ def test_reported_scores_never_exceed_full_local_optimum():
         index = build_index(_db(("s", subject)))
         hits = search(_query(query), index)
         optimum = smith_waterman_score(
-            query, subject, params.match_score, params.mismatch_score,
-            params.gap_open, params.gap_extend,
+            query, subject, s.match, s.mismatch, s.gap_open, s.gap_extend
         )
         for h in hits:
             assert h.max_score <= optimum
             # the reported alignment really scores what the hit claims
             assert h.max_score == rescore_alignment(
                 h.best_alignment.aligned_a, h.best_alignment.aligned_b,
-                params.match_score, params.mismatch_score,
-                params.gap_open, params.gap_extend,
+                s.match, s.mismatch, s.gap_open, s.gap_extend,
             )
             assert h.total_score >= h.max_score
             assert 0.0 <= h.query_cover <= 100.0
@@ -267,9 +288,9 @@ def test_searches_share_one_score_table(monkeypatch):
     rng = random.Random(41)
     subject = random_bases(rng, 300)
     index = build_index(_db(("a", subject)))
-    for params in (SearchParams(), SearchParams(max_hits=5)):
-        assert search(_query(subject[40:160]), index, params)
-    assert len(tables) == 2 and tables[0] is tables[1]
+    for max_hits in (DEFAULT_MAX_HITS, 5):
+        assert search(_query(subject[40:160]), index, max_hits)
+    assert len(tables) == 2 and tables[0] is tables[1] is SEARCH_SCORING.table
 
 
 def test_ambiguous_query_windows_are_skipped_not_fatal():
@@ -296,7 +317,7 @@ def test_max_hits_truncation():
     seqs = [(f"s{i}", shared) for i in range(6)]
     index = build_index(_db(*seqs))
     assert len(search(_query(shared), index)) == 6
-    assert len(search(_query(shared), index, SearchParams(max_hits=3))) == 3
+    assert len(search(_query(shared), index, 3)) == 3
 
 
 def test_single_shared_kmer_yields_a_hit():
@@ -334,34 +355,33 @@ def _search_case(draw, k, min_subject, max_subject, min_query, max_query):
         query = "".join(query)
     else:
         query = draw(dna(alphabet, min_query, max_query))
-    params = SearchParams(k=k, max_hits=draw(st.integers(1, 25)))
     index = build_index(_db(*((f"s{i}", b) for i, b in enumerate(subjects))), k)
-    return _query(query), index, params
+    return _query(query), index, draw(st.integers(1, 25))
 
 
 @settings(max_examples=40, deadline=None)
 @given(_search_case(k=4, min_subject=20, max_subject=150, min_query=20, max_query=60))
 def test_search_matches_reference_on_k4_databases(kernels, case):
     # k = 4 seeds many chance diagonals per query, often several batches
-    query, index, params = case
+    query, index, max_hits = case
     for kernel in kernels:
         with kernel():
-            assert search(query, index, params) == reference_search(query, index, params)
+            assert search(query, index, max_hits) == reference_search(query, index, max_hits)
 
 
 @settings(max_examples=30, deadline=None)
 @given(_search_case(k=11, min_subject=1, max_subject=400, min_query=11, max_query=200))
 def test_search_matches_reference_on_default_seeds(kernels, case):
-    query, index, params = case
+    query, index, max_hits = case
     for kernel in kernels:
         with kernel():
-            assert search(query, index, params) == reference_search(query, index, params)
+            assert search(query, index, max_hits) == reference_search(query, index, max_hits)
 
 
 @settings(max_examples=30, deadline=None)
 @given(_search_case(k=11, min_subject=1, max_subject=400, min_query=11, max_query=200))
 def test_memoized_index_searches_like_a_fresh_one(kernels, case):
-    query, index, params = case
+    query, index, max_hits = case
     db = FastaFile(index.subjects)  # equal to, not the same object as, the one indexed
     hits = _build_index.cache_info().hits
     cached = build_index(db, index.k)
@@ -371,9 +391,9 @@ def test_memoized_index_searches_like_a_fresh_one(kernels, case):
     assert fresh is not cached
     for kernel in kernels:
         with kernel():
-            want = reference_search(query, fresh, params)
-            assert search(query, cached, params) == want
-            assert search(query, fresh, params) == want
+            want = reference_search(query, fresh, max_hits)
+            assert search(query, cached, max_hits) == want
+            assert search(query, fresh, max_hits) == want
     for array in (cached.codes, cached.subject_idx, cached.offsets):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
@@ -385,21 +405,18 @@ def test_search_batches_many_diagonals_like_reference():
     rng = random.Random(40)
     subjects = [(f"s{i}", random_bases(rng, rng.randint(100, 300), "ACGTN")) for i in range(4)]
     query = _query(random_bases(rng, 70))
-    params = SearchParams(k=4, max_hits=50)
-    index = build_index(_db(*subjects), params.k)
-    diagonals = seed_diagonal_counts(query.bases, [b for _, b in subjects], params.k)
+    index = build_index(_db(*subjects), 4)
+    diagonals = seed_diagonal_counts(query.bases, [b for _, b in subjects], 4)
     assert len(diagonals) > 2 * _BATCH_GROUPS
-    assert search(query, index, params) == reference_search(query, index, params)
+    assert search(query, index, 50) == reference_search(query, index, 50)
 
 
 def test_e_value_definition_and_monotonicity():
-    params = SearchParams()
-    assert e_value(30, 100, 1000, params) == pytest.approx(
-        0.711 * 100 * 1000 * math.exp(-1.374 * 30)
-    )
+    for score, m, n in ((30, 100, 1000), (0, 1, 1), (120, 1234, 987_654), (700, 2000, 40)):
+        assert e_value(score, m, n) == 0.711 * m * n * math.exp(-1.374 * score)  # bit for bit
     last = float("inf")
     for score in range(10, 300, 7):
-        e = e_value(score, 150, 2000, params)
+        e = e_value(score, 150, 2000)
         assert e < last
         last = e
 

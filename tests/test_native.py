@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from mutascan import _native
 from mutascan import align, homology
 from mutascan.align import Scoring, banded_local_align, encode_bases, global_align
-from mutascan.homology import SearchParams, build_index, search
+from mutascan.homology import SEARCH_SCORING, build_index, search
 from mutascan.seqio import DnaSequence, FastaFile
 
 from oracles import dna, random_bases, seed_diagonal_counts
@@ -24,7 +24,7 @@ from oracles import dna, random_bases, seed_diagonal_counts
 _SCORINGS = st.sampled_from(
     [
         Scoring(),
-        SearchParams().scoring(),
+        SEARCH_SCORING,
         Scoring(match=3, mismatch=-2, gap_open=-4, gap_extend=-3),
         Scoring(match=1, mismatch=0, gap_open=0, gap_extend=0),  # ties everywhere
     ]

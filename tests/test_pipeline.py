@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mutascan import pipeline
 from mutascan.align import MutationKind, global_align
 from mutascan.errors import MutascanError
-from mutascan.homology import SearchParams, _build_index
+from mutascan.homology import _build_index, search
 from mutascan.neural import (
     CorruptFileError,
     Label,
@@ -491,7 +491,7 @@ def test_diagnosis_settings_are_constants():
     )
     assert parameters(adopt_reference) == ("patient", "manifest")
     assert parameters(global_align) == ("a", "b", "scoring")
-    assert tuple(f.name for f in dataclasses.fields(SearchParams)) == ("k", "max_hits")
+    assert parameters(search) == ("query", "index", "max_hits")
 
 
 def test_reports_are_byte_identical_across_runs(corpus, trained_model, tmp_path):

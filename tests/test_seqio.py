@@ -1,6 +1,8 @@
 """FASTA parsing, validation, and writing."""
 
+import os
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,37 @@ def test_failed_atomic_write_names_the_target_and_leaves_no_temp_file(tmp_path, 
     assert list((tmp_path / "a-directory").iterdir()) == []
     if target.startswith("no/"):
         assert isinstance(exc.value, FileNotFoundError)  # the errno subclass survives
+
+
+def test_threads_writing_one_path_never_share_a_temp_file(tmp_path):
+    path = tmp_path / "out.txt"
+    texts = ["a" * 2_000_000, "b" * 3_000_000]
+    errors = []
+
+    def write_repeatedly(text):
+        for _ in range(50):
+            try:
+                write_text_atomic(path, text)
+            except OSError as exc:
+                errors.append(exc)
+
+    threads = [threading.Thread(target=write_repeatedly, args=(t,)) for t in texts]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert errors == []
+    assert path.read_text() in texts
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_atomic_write_gives_the_mode_open_gives(tmp_path):
+    write_text_atomic(tmp_path / "atomic.txt", "text\n")
+    with open(tmp_path / "plain.txt", "w") as fh:
+        fh.write("text\n")
+    modes = [os.stat(tmp_path / name).st_mode for name in ("atomic.txt", "plain.txt")]
+    assert modes[0] == modes[1]
 
 
 # --- fuzzing ------------------------------------------------------------------

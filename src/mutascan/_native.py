@@ -109,7 +109,7 @@ def _private_dir(path: Path) -> bool:
 
 
 def _build(source: bytes, lib: Path) -> None:
-    """Compile `source` into `lib` whole or not at all, as `seqio.write_text_atomic` writes.
+    """Compile `source` into `lib` whole or not at all, as `seqio.write_texts_atomic` writes.
 
     The temp file's name is unique, so builds racing in other processes or
     threads never write the same file; the last rename wins.

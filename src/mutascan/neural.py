@@ -22,7 +22,7 @@ import numpy as np
 from .align import Mutation, MutationKind, apply_mutations, mutation_from_dict
 from .errors import MutascanError, PositionOutOfRangeError
 from .protein import EffectKind, classify_effect
-from .seqio import DnaSequence, read_text, write_text_atomic
+from .seqio import DnaSequence, read_text, write_texts_atomic
 from .seqstats import windowed_gc
 
 MODEL_FORMAT = "mutascan-model"
@@ -128,8 +128,10 @@ class TrainConfig:
 
 
 def _real(name: str, value) -> float:
-    """A config value as a float for its range checks; the field keeps the value as given."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # bool is an int
+    """A number read from a file or given as a config value, as a float: any real
+    number but a bool, never a numeric string. A config field keeps the value as given."""
+    # bool is an int; int and float come before the ABC, which is ten times slower to check
+    if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
         return float(value)
@@ -393,7 +395,7 @@ def encode(mut: Mutation, ref: DnaSequence) -> FeatureVector:
 
 def save_net(net: Network, path: str | Path) -> None:
     """Write the network as versioned JSON; floats keep full precision."""
-    write_text_atomic(path, net_to_json(net))
+    write_texts_atomic({path: net_to_json(net)})
 
 
 def net_to_json(net: Network) -> str:
@@ -423,8 +425,8 @@ def load_net(path: str | Path) -> Network:
         )
     try:
         topology = NetworkTopology(tuple(doc["topology"]))
-        weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
-        biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
+        weights = [_parameters("weight", w) for w in doc["weights"]]
+        biases = [_parameters("bias", b) for b in doc["biases"]]
         cfg_doc = doc.get("train_config")
         cfg = (
             None
@@ -439,9 +441,15 @@ def load_net(path: str | Path) -> Network:
             )
         )
         return Network(topology, weights, biases, train_config=cfg)
-    # OverflowError: numpy's float64 of an integer past its range
-    except (KeyError, TypeError, ValueError, OverflowError, DimensionMismatchError) as exc:
+    except (KeyError, TypeError, ValueError, DimensionMismatchError) as exc:
         raise CorruptFileError(f"model file {path} is malformed: {exc}") from exc
+
+
+def _parameters(name: str, values) -> np.ndarray:
+    """A layer's weights or biases from nested JSON arrays, each entry a JSON number."""
+    for v in np.asarray(values, dtype=object).ravel():  # a ragged array has lists as entries
+        _real(name, v)
+    return np.asarray(values, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -473,10 +481,13 @@ def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
 
 
 def parse_features(values, where: str) -> FeatureVector:
-    """The feature vector of a row's JSON `features` array; `where` is file:line."""
+    """The feature vector of a row's JSON `features` array, each entry a JSON number;
+    `where` is file:line."""
     try:
-        return FeatureVector(tuple(float(v) for v in values))
-    except (TypeError, ValueError, OverflowError) as exc:
+        if not isinstance(values, list):
+            raise ValueError(f"features must be an array, not a JSON {type(values).__name__}")
+        return FeatureVector(tuple(_real("a feature", v) for v in values))
+    except ValueError as exc:
         raise CorruptFileError(f"{where}: bad row: {exc}") from exc
 
 

@@ -164,8 +164,8 @@ def load_manifest(path: str | Path) -> DatabaseManifest:
     if not doc["databases"]:
         raise ManifestError("manifest lists no databases")
     for key in ("training_data", "model"):
-        if not isinstance(doc.get(key), (str, type(None))):
-            raise ManifestError(f"manifest {path}: '{key}' must be a path")
+        if not isinstance(doc.get(key), (str, type(None))) or doc.get(key) == "":
+            raise ManifestError(f"manifest {path}: '{key}' must be a non-empty path")
 
     base = path.parent
     entries: list[DatabaseEntry] = []
@@ -200,8 +200,8 @@ def load_manifest(path: str | Path) -> DatabaseManifest:
     model = doc.get("model")
     return DatabaseManifest(
         tuple(entries),
-        base / training if training else None,
-        base / model if model else None,
+        None if training is None else base / training,
+        None if model is None else base / model,
     )
 
 
@@ -279,7 +279,7 @@ def _obtain_network(
 
     Writes nothing; the info of a network trained here names no model file.
     """
-    chosen = Path(model_path) if model_path else manifest.model_path
+    chosen = manifest.model_path if model_path is None else Path(model_path)
     if chosen is not None:
         return load_net(chosen), {"model": str(chosen), "trained_here": False}
     if manifest.training_data_path is None:

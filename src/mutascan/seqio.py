@@ -203,11 +203,6 @@ def read_fasta_path(path) -> FastaFile:
     return parse_fasta(read_text(path, FastaParseError, encoding="ascii"))
 
 
-def write_text_atomic(path, text: str, encoding: str = "utf-8") -> None:
-    """Write `text` to `path` whole or not at all; see `write_texts_atomic`."""
-    write_texts_atomic({path: text}, encoding)
-
-
 def write_texts_atomic(texts: dict, encoding: str = "utf-8") -> None:
     """Write each text of a {path: text} map whole, and all of them or none.
 
@@ -247,4 +242,4 @@ def write_texts_atomic(texts: dict, encoding: str = "utf-8") -> None:
 
 
 def write_fasta_path(file: FastaFile, path, width: int = DEFAULT_LINE_WIDTH) -> None:
-    write_text_atomic(path, write_fasta(file, width), encoding="ascii")
+    write_texts_atomic({path: write_fasta(file, width)}, encoding="ascii")

@@ -220,6 +220,14 @@ def test_predict_non_json_line_names_the_line(tmp_path, capsys, trained_model):
         json.dumps([2.0] + [0.5] * 9),  # outside [0, 1]
         json.dumps({"features": ["x"] * 10}),
         json.dumps({"features": 5}),
+        # JSON that is not an array of numbers, each of which predict scored before
+        pytest.param(json.dumps({"features": "0101010101"}), id="a string of ten digits"),
+        pytest.param(json.dumps([True] * 10), id="booleans"),
+        pytest.param(json.dumps({"features": ["0.5"] * 10}), id="numeric strings"),
+        pytest.param(
+            json.dumps({"features": {f"0.{i}": 1 for i in range(10)}}),
+            id="an object with ten numeric keys",
+        ),
     ],
 )
 def test_predict_bad_feature_names_the_line(tmp_path, capsys, trained_model, row):
@@ -256,6 +264,19 @@ def test_predict_with_an_overflowing_weight_or_bias_exits_1(tmp_path, capsys, tr
     if field == "weights":
         output_layer = output_layer[0]
     output_layer[0] = 10**400  # numpy's float64 of it overflows
+    _assert_predict_refuses_model(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize("field", ["weights", "biases"])
+@pytest.mark.parametrize("value", ["0.25", True], ids=["a numeric string", "true"])
+def test_predict_with_a_weight_or_bias_not_a_json_number_exits_1(
+    tmp_path, capsys, trained_model, field, value
+):
+    doc = json.loads(trained_model.read_text(encoding="utf-8"))
+    output_layer = doc[field][-1]  # weights [[w, w, w, w]], biases [b]
+    if field == "weights":
+        output_layer = output_layer[0]
+    output_layer[0] = value  # loaded as 0.25 and 1.0 before
     _assert_predict_refuses_model(tmp_path, capsys, doc)
 
 

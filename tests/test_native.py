@@ -59,12 +59,20 @@ def _kernel_calls(fn, *args):
     return calls
 
 
-_BANDS = st.lists(st.tuples(dna("ACGTNN", 1, 150), st.integers(-60, 60)), min_size=1, max_size=6)
+# up to a full search batch: 32 bands, as many as `homology.search` aligns in one call
+_BANDS = st.lists(st.tuples(dna("ACGTNN", 1, 300), st.integers(-300, 300)), min_size=1, max_size=32)
+
+
+def _lose_bases(a, rng):
+    """`a` and a copy of it that lost about one base in 20: a path near the diagonal."""
+    return a, "".join(c for c in a if rng.random() > 0.05) or "A"
 
 
 def _global_pair():
-    return st.tuples(dna("ACGTNNNN", 1, 150), dna("ACGTNNNN", 1, 150)) | st.tuples(
-        dna("ACGTN", 1, 1), dna("ACGTN", 1, 90)
+    return (
+        st.tuples(dna("ACGTNNNN", 1, 300), dna("ACGTNNNN", 1, 300))
+        | st.tuples(dna("ACGTN", 1, 1), dna("ACGTN", 1, 90))
+        | st.builds(_lose_bases, dna("ACGTN", 1, 300), st.randoms(use_true_random=False))
     )
 
 
@@ -99,7 +107,7 @@ def test_native_fill_matches_numpy(native, pair, swap, radius, scoring):
 
 
 @settings(max_examples=80, deadline=None)
-@given(dna("ACGTNN", 1, 150), _BANDS, st.integers(0, 16), _SCORINGS)
+@given(dna("ACGTNN", 1, 300), _BANDS, st.integers(0, 16), _SCORINGS)
 def test_native_fill_matches_numpy_on_local_batches(native, query, bands, radius, scoring):
     _assert_native_matches_numpy(
         native, _kernel_calls(banded_local_align, query, bands, radius, scoring)
@@ -115,7 +123,7 @@ def test_native_traceback_matches_python_on_global_bands(native, pair, swap, sco
 
 
 @settings(max_examples=80, deadline=None)
-@given(dna("ACGTNN", 1, 150), _BANDS, st.integers(0, 16), _SCORINGS)
+@given(dna("ACGTNN", 1, 300), _BANDS, st.integers(0, 16), _SCORINGS)
 def test_native_traceback_matches_python_on_local_batches(native, query, bands, radius, scoring):
     calls = _kernel_calls(banded_local_align, query, bands, radius, scoring)
     assert len(calls) == 1 and len(calls[0][1]) == len(bands)  # one call traces every band
@@ -213,19 +221,19 @@ def _assert_seeds_agree(native, query, subjects, index):
 
 @st.composite
 def _seed_cases(draw):
-    """k, subjects (N-rich ones and ones shorter than k among them) and a query that
-    holds pieces of the subjects, so long seeds occur too."""
+    """k, subjects (N-rich ones and ones shorter than k among them) and a query of
+    random bases around pieces of the subjects, so long seeds occur too."""
     k = draw(st.sampled_from([4, 11, 32]))
-    letters = draw(st.sampled_from(["ACGT", "ACGTN", "ACGTNNNN", "AAN"]))
+    letters = draw(st.sampled_from(["ACGT", "ACGTN", "ACGTNNNN", "AAN", "ACGT" * 8 + "N", "AN"]))
     subjects = draw(
-        st.lists(dna(letters, 1, k - 1) | dna(letters, k, 3 * k), min_size=1, max_size=6)
+        st.lists(dna(letters, 1, k - 1) | dna(letters, k, 200), min_size=1, max_size=8)
     )
-    pieces = []
+    pieces = [draw(dna(letters, 0, 40))]
     for _ in range(draw(st.integers(0, 4))):
         source = draw(st.sampled_from(subjects))
         start = draw(st.integers(0, len(source)))
         pieces += [source[start : draw(st.integers(start, len(source)))], draw(dna("ACGTN", 0, 4))]
-    return k, subjects, "".join(pieces) + draw(dna(letters, k, 2 * k))
+    return k, subjects, "".join(pieces) + draw(dna(letters, k, 200))
 
 
 @settings(max_examples=200, deadline=None)

@@ -586,6 +586,41 @@ def test_load_training_rows_checks_labels_and_features(tmp_path):
         assert f"{path}:2:" in str(exc.value)
 
 
+_NOT_NUMBER_FEATURES = {  # each of these loaded as ten features before
+    "a string of ten digits": "0101010101",
+    "booleans": [True] * 10,
+    "one boolean": [0.5] * 9 + [False],
+    "numeric strings": ["0.5"] * 10,
+    "an object with ten numeric keys": {f"0.{i}": 1 for i in range(10)},
+}
+
+
+@pytest.mark.parametrize(
+    "features", _NOT_NUMBER_FEATURES.values(), ids=_NOT_NUMBER_FEATURES.keys()
+)
+def test_load_training_rows_refuses_features_that_are_not_json_numbers(tmp_path, features):
+    path = tmp_path / "rows.jsonl"
+    good = {"id": "a", "gene": "g", "features": [0.5] * 10, "label": 1}
+    _write_rows(path, [json.dumps(good), json.dumps({**good, "features": features})])
+    with pytest.raises(CorruptFileError) as exc:
+        load_training_rows(path)
+    assert str(exc.value).startswith(f"{path}:2: bad row: ")
+
+
+@pytest.mark.parametrize("field", ["weights", "biases"])
+@pytest.mark.parametrize("value", ["0.25", True], ids=["a numeric string", "true"])
+def test_load_net_refuses_parameters_that_are_not_json_numbers(tmp_path, field, value):
+    path = tmp_path / "model.json"
+    save_net(zero_network(NetworkTopology()), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    first_layer = doc[field][0]  # weights [[w] * 10] * 4, biases [b] * 4
+    (first_layer[0] if field == "weights" else first_layer)[0] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(CorruptFileError) as exc:
+        load_net(path)
+    assert str(exc.value).startswith(f"model file {path} is malformed: ")
+
+
 _TRAINING_ROW = st.fixed_dictionaries(
     {},
     optional={

@@ -124,6 +124,17 @@ def test_load_manifest_rejects_mistyped_fields(tmp_path):
             load_manifest(path)
 
 
+@pytest.mark.parametrize("key", ["training_data", "model"])
+def test_load_manifest_refuses_an_empty_path(tmp_path, key):
+    """An empty path is an error, as an empty 'fasta' path is, and never "no file"."""
+    (tmp_path / "db.fasta").write_text(">r\nACGTACGTACGTACGT\n", encoding="utf-8")
+    path = tmp_path / "m.json"
+    doc = {"databases": [{"name": "x", "fasta": "db.fasta"}], key: ""}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ManifestError, match=f"'{key}' must be a non-empty path"):
+        load_manifest(path)
+
+
 _MANIFEST_ENTRY = st.fixed_dictionaries(
     {},
     optional={
@@ -396,6 +407,17 @@ def test_missing_model_and_training_data(corpus, tmp_path):
         run_diagnosis(
             corpus["patient_clean"], stripped, work_dir=tmp_path / "wd"
         )
+
+
+def test_an_empty_model_path_is_an_error_not_no_model(corpus, tmp_path):
+    """`--model ""` fails to load; it does not fall back to the manifest's training data."""
+    wd = tmp_path / "wd"
+    with pytest.raises(CorruptFileError):
+        run_diagnosis(
+            corpus["patient_mutated"], corpus["manifest"], model_path="", work_dir=wd,
+            train_config=FAST_TRAIN,
+        )
+    assert not wd.exists()
 
 
 def _snapshot(directory):

@@ -21,7 +21,7 @@ from mutascan.seqio import (
     read_fasta_path,
     read_text,
     write_fasta,
-    write_text_atomic,
+    write_texts_atomic,
 )
 
 from oracles import random_fasta_text
@@ -165,7 +165,7 @@ def test_failed_atomic_write_names_the_target_and_leaves_no_temp_file(tmp_path, 
     (tmp_path / "a-directory").mkdir()
     path = tmp_path / target
     with pytest.raises(OSError) as exc:
-        write_text_atomic(path, "text\n")
+        write_texts_atomic({path: "text\n"})
     assert exc.value.filename == str(path)
     assert str(path) in str(exc.value) and ".tmp" not in str(exc.value)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory"]
@@ -182,7 +182,7 @@ def test_threads_writing_one_path_never_share_a_temp_file(tmp_path):
     def write_repeatedly(text):
         for _ in range(50):
             try:
-                write_text_atomic(path, text)
+                write_texts_atomic({path: text})
             except OSError as exc:
                 errors.append(exc)
 
@@ -198,7 +198,7 @@ def test_threads_writing_one_path_never_share_a_temp_file(tmp_path):
 
 
 def test_atomic_write_gives_the_mode_open_gives(tmp_path):
-    write_text_atomic(tmp_path / "atomic.txt", "text\n")
+    write_texts_atomic({tmp_path / "atomic.txt": "text\n"})
     with open(tmp_path / "plain.txt", "w") as fh:
         fh.write("text\n")
     modes = [os.stat(tmp_path / name).st_mode for name in ("atomic.txt", "plain.txt")]

@@ -5,11 +5,11 @@
  * align._fill_rows_numpy and band_traceback mirrors
  * align._band_traceback_python, value for value; their docstrings describe
  * the band layout. seed_diagonals finds a query's k-mer seeds in a
- * homology.KmerIndex and counts them per (subject, diagonal), as
+ * homology.KmerIndex and lists the (subject, diagonal) pairs they seed, as
  * homology._seed_diagonals_numpy does. Without a compiler both run as those
  * numpy and Python functions instead. Build with -fwrapv: int32 sums then
  * wrap as numpy's do. The Python caller (mutascan._native) checks every
- * array's dtype, shape and strides, every code, every row window and k
+ * array's dtype, shape and C order, every code, every row window and k
  * before the call.
  */
 #include <stdint.h>
@@ -291,7 +291,7 @@ static uint64_t *radix_sort(uint64_t *a, uint64_t *b, int64_t n, int bits)
     return a;
 }
 
-/* Count the k-mer seeds of a query per (subject, diagonal).
+/* The (subject, diagonal) pairs that a query's k-mer seeds fall on.
  *
  * query holds n base codes 0..4 (A C G T N) and 1 <= k <= 32. The index's
  * W windows have ascending 2-bit codes in codes, window w starting at
@@ -301,19 +301,18 @@ static uint64_t *radix_sort(uint64_t *a, uint64_t *b, int64_t n, int bits)
  *
  * Writes the number of seeds to *total. When it is above cap, returns 0
  * and writes nothing else: call again with a larger cap. Otherwise work,
- * 3 x cap int64, ends with the G groups in ascending (subject, diagonal)
- * order: subject in work[0..G), diagonal in work[cap..cap + G) and seed
- * count in work[2 cap..2 cap + G); returns G. Returns -1 when a seed's
- * subject is negative or its key, subject * span + diagonal - low (span
- * and low taken over the seeds' diagonals), would not fit an int64; no
- * key is formed then. */
+ * 2 x cap int64, ends with the G pairs in ascending order: subject in
+ * work[0..G) and diagonal in work[cap..cap + G); returns G. Returns -1
+ * when a seed's subject is negative or its key, subject * span +
+ * diagonal - low (span and low taken over the seeds' diagonals), would
+ * not fit an int64; no key is formed then. */
 int64_t seed_diagonals(const uint8_t *query, int64_t n, int64_t k, const uint64_t *codes,
                        const int64_t *subject_idx, const int64_t *offsets, int64_t W,
                        int64_t cap, int64_t *work, int64_t *total)
 {
     /* k = 32 keeps all 64 bits: 1 << 64 is undefined, a shift by 0 is not */
     const uint64_t mask = ~(uint64_t)0 >> (64 - 2 * k);
-    int64_t *diag = work, *subj = work + cap, *seeds = work + 2 * cap;
+    int64_t *diag = work, *subj = work + cap;
     int64_t t = 0, low = INT64_MAX, high = INT64_MIN, top = 0, bad = 0;
     uint64_t code = 0;
     int64_t clean = 0; /* N-free bases ending at j */
@@ -370,18 +369,13 @@ int64_t seed_diagonals(const uint8_t *query, int64_t n, int64_t k, const uint64_
     while (bits < 64 && largest >> bits)
         bits++;
     uint64_t *sorted = radix_sort(keys, spare, t, bits);
-    /* Count each run of equal keys into seeds and keep its key at sorted[g],
-     * then decode the G keys in place: key i is read before work[i] and
-     * work[cap + i] are written, and sorted is one of those two rows. */
-    int64_t g = 0;
-    for (int64_t i = 0; i < t; g++) {
-        int64_t j = i + 1;
-        while (j < t && sorted[j] == sorted[i])
-            j++;
-        seeds[g] = j - i;
-        sorted[g] = sorted[i];
-        i = j;
-    }
+    /* Keep one key of each run of equal keys at sorted[g], then decode the
+     * G keys in place: key i is read before work[i] and work[cap + i] are
+     * written, and sorted is one of those two rows. */
+    int64_t g = 1;
+    for (int64_t i = 1; i < t; i++)
+        if (sorted[i] != sorted[g - 1])
+            sorted[g++] = sorted[i];
     for (int64_t i = 0; i < g; i++) {
         const uint64_t key = sorted[i];
         work[i] = (int64_t)(key / span);

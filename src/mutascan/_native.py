@@ -2,7 +2,7 @@
 
 The one library exports two functions. `band_align` fills and traces
 banded alignments, in place of `align._band_align_numpy`; `seed_diagonals`
-finds and counts a query's k-mer seeds, in place of
+lists the diagonals a query's k-mer seeds fall on, in place of
 `homology._seed_diagonals_numpy`.
 
 `load` compiles the C file with `cc -O3 -fwrapv -shared -fPIC` into a
@@ -192,12 +192,12 @@ class Kernel:
         self._seed.argtypes = [_ptr, _i64, _i64, _ptr, _ptr, _ptr, _i64, _i64, _ptr, _ptr]
         self._seed.restype = _i64
 
-    def seed_diagonals(self, query, k: int, codes, subject_idx, offsets) -> dict:
+    def seed_diagonals(self, query, k: int, codes, subject_idx, offsets) -> list:
         """`homology._seed_diagonals_numpy` in C, on the query's base codes and a
-        `KmerIndex`'s k, codes, subject_idx and offsets: the same seed count per
-        (subject, diagonal), keys in the same ascending order.
+        `KmerIndex`'s k, codes, subject_idx and offsets: the same ascending list
+        of seeded (subject, diagonal) pairs.
 
-        One C call finds, sorts and counts the seeds in a buffer sized for
+        One C call finds, sorts and dedupes the seeds in a buffer sized for
         two seeds a query window plus 64. A query with more seeds, as in
         repeats, makes that call count them only, and a second call seeds
         into a buffer that holds them all. Raises ValueError when a seed's
@@ -210,7 +210,7 @@ class Kernel:
         total = np.zeros(1, dtype=np.int64)
         cap = 2 * max(n - k + 1, 0) + 64
         while True:
-            work = np.empty((3, cap), dtype=np.int64)
+            work = np.empty((2, cap), dtype=np.int64)
             groups = self._seed(
                 query.ctypes.data, n, k, codes.ctypes.data, subject_idx.ctypes.data,
                 offsets.ctypes.data, w, cap, work.ctypes.data, total.ctypes.data,
@@ -220,8 +220,7 @@ class Kernel:
             cap = total.item()
         if groups < 0:
             raise ValueError("a seed's (subject, diagonal) key does not fit an int64")
-        subjects, diagonals, seeds = work[:, :groups].tolist()
-        return dict(zip(zip(subjects, diagonals), seeds))
+        return list(zip(*work[:, :groups].tolist()))
 
     def band_align(self, rows, cols, offsets, table, oe: int, e: int, local: bool, M, Ix, Iy):
         """`align._band_align_numpy` in C: the same arguments, fill and paths.

@@ -80,6 +80,8 @@ def make_synthetic_corpus(seed: int, out_dir: str | Path) -> dict[str, Path]:
     output for a fixed seed. The eight files are written all together or
     not at all, the manifests renamed into place last.
     """
+    if out_dir == "":  # Path("") is ".", the working directory
+        raise CorpusError("cannot write corpus to '': the path is empty")
     out = Path(out_dir)
     rng = random.Random(seed)
 

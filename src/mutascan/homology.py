@@ -3,8 +3,8 @@
 The index packs every N-free k-mer window of the database into a 2-bit
 code (so k is at most 32) and sorts the codes. The search pipeline:
 collect exact k-mer seed matches by binary search of the query's codes
-and count them per diagonal (query offset minus subject offset), in one
-call of the compiled kernel or else in numpy (`_seed_diagonals_numpy`),
+and list the diagonals (query offset minus subject offset) they fall on,
+in one call of the compiled kernel or else in numpy (`_seed_diagonals_numpy`),
 then run a banded gapped local alignment around each seeded diagonal,
 filled in batches by `align.banded_local_align`. Per-subject alignments
 merge into one ranked hit carrying the classic report columns (max
@@ -142,11 +142,11 @@ def _build_index(db: FastaFile, k: int) -> KmerIndex:
     )
 
 
-def _seed_diagonals(qb: str, index: KmerIndex) -> dict[tuple[int, int], int]:
-    """Seed count per (subject, diagonal), keys in ascending order.
+def _seed_diagonals(qb: str, index: KmerIndex) -> list[tuple[int, int]]:
+    """The seeded (subject, diagonal) pairs, ascending.
 
     The compiled kernel seeds when it loads, else `_seed_diagonals_numpy`
-    does; both give the same dict in the same key order.
+    does; both give the same list.
     """
     kernel = _native.load()
     if kernel is None:
@@ -156,14 +156,14 @@ def _seed_diagonals(qb: str, index: KmerIndex) -> dict[tuple[int, int], int]:
     )
 
 
-def _seed_diagonals_numpy(qb: str, index: KmerIndex) -> dict[tuple[int, int], int]:
-    """Seed count per (subject, diagonal), keys in ascending order."""
+def _seed_diagonals_numpy(qb: str, index: KmerIndex) -> list[tuple[int, int]]:
+    """The seeded (subject, diagonal) pairs, ascending."""
     q_offsets, q_codes = _window_codes(qb, index.k)
     lo = np.searchsorted(index.codes, q_codes, side="left")
     counts = np.searchsorted(index.codes, q_codes, side="right") - lo
     total = int(counts.sum())
     if total == 0:
-        return {}
+        return []
     # entry j of match run r is index window lo[r] + j
     run_start = np.cumsum(counts) - counts
     window = np.arange(total) - np.repeat(run_start - lo, counts)
@@ -171,13 +171,8 @@ def _seed_diagonals_numpy(qb: str, index: KmerIndex) -> dict[tuple[int, int], in
     diagonal = np.repeat(q_offsets, counts) - index.offsets[window]
     low = int(diagonal.min())
     span = int(diagonal.max()) - low + 1
-    keys, seeds = np.unique(subject * span + (diagonal - low), return_counts=True)
-    return {
-        (si, d + low): n
-        for si, d, n in zip(
-            (keys // span).tolist(), (keys % span).tolist(), seeds.tolist()
-        )
-    }
+    keys = np.unique(subject * span + (diagonal - low))
+    return list(zip((keys // span).tolist(), (keys % span + low).tolist()))
 
 
 def _select_non_overlapping(alns: list[AlignmentResult]) -> list[AlignmentResult]:
@@ -213,7 +208,7 @@ def search(
         raise QueryTooShortError(f"query length {len(qb)} is below k={k}")
 
     # (a) seed matches, (b) grouped by subject and diagonal
-    keys = list(_seed_diagonals(qb, index))
+    keys = _seed_diagonals(qb, index)
 
     # (c) one banded gapped local alignment per seeded diagonal, in batches
     per_subject: dict[int, list[AlignmentResult]] = {}

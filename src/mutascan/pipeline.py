@@ -153,8 +153,8 @@ class DiagnosisReport:
 
 def load_manifest(path: str | Path) -> DatabaseManifest:
     """Read and validate a manifest; paths resolve relative to its directory."""
+    text = read_text(path, ManifestError)  # before Path(): Path("") is "."
     path = Path(path)
-    text = read_text(path, ManifestError)
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError: an int past the digit limit
@@ -279,9 +279,9 @@ def _obtain_network(
 
     Writes nothing; the info of a network trained here names no model file.
     """
-    chosen = manifest.model_path if model_path is None else Path(model_path)
-    if chosen is not None:
-        return load_net(chosen), {"model": str(chosen), "trained_here": False}
+    chosen = manifest.model_path if model_path is None else model_path
+    if chosen is not None:  # load_net refuses "", which Path() would make "."
+        return load_net(chosen), {"model": str(Path(chosen)), "trained_here": False}
     if manifest.training_data_path is None:
         raise MissingModelAndTrainingDataError(
             "manifest names no model and no training data; supply --model "

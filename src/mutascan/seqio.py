@@ -187,8 +187,11 @@ def read_text(path, error: type[MutascanError], encoding: str = "utf-8") -> str:
     """The whole text of the file at `path`.
 
     A file that cannot be opened or read, or whose bytes are not `encoding`
-    text, raises `error` with a message naming the file.
+    text, raises `error` with a message naming the file; so does an empty
+    path, which names no file.
     """
+    if path == "":  # Path("") is ".": convert no path before this check
+        raise error("cannot read '': the path is empty")
     try:
         with open(path, "r", encoding=encoding) as fh:
             return fh.read()
@@ -213,8 +216,11 @@ def write_texts_atomic(texts: dict, encoding: str = "utf-8") -> None:
     the map's order. If anything fails before that, the temp files are
     removed and every earlier file is left as it was; a rename that fails
     after others succeeded leaves those replaced. An `OSError` names the
-    path, not its temp file.
+    path, not its temp file; an empty path raises one before anything is
+    written.
     """
+    if "" in texts:  # Path("") is ".", the working directory
+        raise FileNotFoundError(errno.ENOENT, "the path is empty", "")
     staged: list[tuple[Path, Path]] = []  # (temp file, path)
     path = None
     try:

@@ -108,6 +108,8 @@ def test_search_max_hits_below_1_is_a_usage_error(corpus, capsys):
         (["stats", "--target", "200"], "--target: must be at most 100, got 200.0"),
         (["stats", "--tolerance", "-5"], "--tolerance: must be at least 0, got -5.0"),
         (["stats", "--tolerance", "nan"], "--tolerance: must be finite, got nan"),
+        (["search", "--k", "abc"], "--k: invalid int 'abc'"),
+        (["stats", "--target", "x"], "--target: invalid float 'x'"),
     ],
 )
 def test_bad_flag_value_is_a_usage_error(corpus, tmp_path, capsys, flags, message):
@@ -115,6 +117,7 @@ def test_bad_flag_value_is_a_usage_error(corpus, tmp_path, capsys, flags, messag
         "train": ["--data", str(corpus["training_data"]), "--out", str(tmp_path / "m.json")],
         "align": ["--ref", str(corpus["db_ncbi"]), "--alt", str(corpus["patient_clean"])],
         "stats": [str(corpus["db_ncbi"])],
+        "search": ["--db", str(corpus["db_ncbi"]), "--query", str(corpus["patient_clean"])],
     }
     with pytest.raises(SystemExit) as exc:
         main(flags[:1] + files[flags[0]] + flags[1:])
@@ -122,6 +125,43 @@ def test_bad_flag_value_is_a_usage_error(corpus, tmp_path, capsys, flags, messag
     out, err = capsys.readouterr()
     assert message in err and out == ""
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", ""],
+        ["search", "--db", "", "--query", "{patient}"],
+        ["search", "--db", "{db}", "--query", ""],
+        ["align", "--ref", "", "--alt", "{patient}"],
+        ["align", "--ref", "{db}", "--alt", ""],
+        ["train", "--data", "", "--out", "m.json"],
+        ["train", "--data", "{training}", "--out", "", "--max-epochs", "5"],
+        ["predict", "--model", "", "--features", "{training}"],
+        ["predict", "--model", "{model}", "--features", ""],
+        ["diagnose", "--patient", "", "--manifest", "{manifest}", "--model", "{model}"],
+        ["diagnose", "--patient", "{patient}", "--manifest", "", "--model", "{model}"],
+        ["diagnose", "--patient", "{patient}", "--manifest", "{manifest}", "--model", ""],
+        ["gen-corpus", "--out", ""],
+    ],
+    ids=lambda argv: " ".join(a or "''" for a in argv),
+)
+def test_an_empty_path_exits_1_naming_itself(
+    corpus, trained_model, tmp_path, monkeypatch, capsys, argv
+):
+    """An empty path is refused as itself, never read or written as ".", the
+    working directory that Path("") names."""
+    files = {
+        "patient": corpus["patient_mutated"], "db": corpus["db_ncbi"],
+        "training": corpus["training_data"], "manifest": corpus["manifest"],
+        "model": trained_model,
+    }
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("MUTASCAN_WORKDIR", "wd")
+    assert main([a.format(**files) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "''" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_to_a_missing_directory_names_the_target(corpus, tmp_path, capsys):

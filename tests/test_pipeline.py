@@ -567,6 +567,29 @@ def test_fallback_report_mentions_rejection(corpus, trained_model, tmp_path):
         render_report(report, "html")
 
 
+def test_report_names_a_database_without_hits(corpus, trained_model, tmp_path):
+    """A database that shares no 11-mer with the patient is rejected without a gate
+    verdict, and both reports say why."""
+    (tmp_path / "poly_c.fasta").write_text(">poly_c\n" + "C" * 300 + "\n", encoding="ascii")
+    doc = json.loads(corpus["manifest"].read_text(encoding="utf-8"))
+    for entry in doc["databases"]:
+        entry["fasta"] = str(corpus["manifest"].parent / entry["fasta"])
+    doc["databases"].insert(0, {"name": "poly_c", "fasta": "poly_c.fasta"})
+    (tmp_path / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+    run_diagnosis(
+        corpus["patient_mutated"],
+        tmp_path / "manifest.json",
+        model_path=trained_model,
+        work_dir=tmp_path / "wd",
+    )
+    text = (tmp_path / "wd" / "report.txt").read_text(encoding="utf-8").splitlines()
+    assert "  poly_c: rejected (no hits for the patient query)" in text
+    assert "  ncbi: adopted 'BRCA1_ref', GC 38.00% within 38% +/- 2%" in text
+    doc = json.loads((tmp_path / "wd" / "report.json").read_text(encoding="utf-8"))
+    first = doc["rejected_references"][0]
+    assert first["database_name"] == "poly_c" and first["gate_verdict"] is None
+
+
 # --- golden output --------------------------------------------------------------
 
 # SHA-256 of the seed-42 report.json with the work directory written as $WORK.

@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import __version__
-from .align import Scoring, call_mutations, global_align, mutation_to_dict
+from .align import call_mutations, global_align, mutation_to_dict
 from .corpus import make_synthetic_corpus
 from .errors import MutascanError
 from .homology import (
@@ -39,7 +40,7 @@ from .neural import (
     save_net,
     train,
 )
-from .pipeline import render_report, run_diagnosis
+from .pipeline import DEFAULT_WORKDIR, render_report, run_diagnosis
 from .seqio import read_fasta_path
 from .seqstats import (
     GC_GATE_TARGET,
@@ -167,7 +168,7 @@ def _cmd_search(args) -> int:
 def _cmd_align(args) -> int:
     ref = read_fasta_path(args.ref).records[0]
     alt = read_fasta_path(args.alt).records[0]
-    result = global_align(ref, alt, Scoring())
+    result = global_align(ref, alt)
     muts = call_mutations(result)
     if args.json:
         for m in muts:
@@ -223,7 +224,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    report = run_diagnosis(args.patient, args.manifest, model_path=args.model)
+    work_dir = os.environ.get("MUTASCAN_WORKDIR", DEFAULT_WORKDIR)  # run_diagnosis refuses ""
+    report = run_diagnosis(args.patient, args.manifest, model_path=args.model, work_dir=work_dir)
     print(render_report(report, "json" if args.json else "text"), end="")
     return 0
 

@@ -68,7 +68,6 @@ from .seqstats import (
 )
 
 DEFAULT_WORKDIR = "mutascan-work"
-WORKDIR_ENV_VAR = "MUTASCAN_WORKDIR"
 
 
 class PipelineError(MutascanError):
@@ -141,14 +140,21 @@ class DiagnosisReport:
     alignment: AlignmentResult
     mutations: tuple[Mutation, ...]
     classifications: tuple[CandidateCall, ...]
-    overall_label: Label
-    tool_versions: dict
-    config: dict
+    # the model that scored the candidates: "model" (its file), "trained_here"
+    # and, when trained here, "epochs_run", "final_mse" and "converged"
+    model: dict
 
     @property
     def malignant_candidates(self) -> tuple[Mutation, ...]:
         """The classified mutations in call order, so they always agree with the calls."""
         return tuple(c.mutation for c in self.classifications)
+
+    @property
+    def overall_label(self) -> Label:
+        """AtRisk when any candidate is; a risk label is a result, not an error."""
+        if any(c.label is Label.AT_RISK for c in self.classifications):
+            return Label.AT_RISK
+        return Label.NORMAL
 
 
 def load_manifest(path: str | Path) -> DatabaseManifest:
@@ -263,21 +269,17 @@ def adopt_reference(
     raise NoDatabaseAcceptedError(f"all databases rejected ({detail})")
 
 
-def resolve_workdir(work_dir: str | Path | None = None) -> Path:
-    if work_dir is not None:
-        return Path(work_dir)
-    return Path(os.environ.get(WORKDIR_ENV_VAR, DEFAULT_WORKDIR))
-
-
 def _obtain_network(
     manifest: DatabaseManifest,
     model_path: str | Path | None,
     adopted: AdoptedReference,
     train_config: TrainConfig,
+    trained_path: Path,
 ) -> tuple[Network, dict]:
     """Load the model if one is given, otherwise train from the manifest's data.
 
-    Writes nothing; the info of a network trained here names no model file.
+    Returns the network and its provenance. Writes nothing: a network trained
+    here is named by `trained_path`, where the caller saves it.
     """
     chosen = manifest.model_path if model_path is None else model_path
     if chosen is not None:  # load_net refuses "", which Path() would make "."
@@ -291,6 +293,7 @@ def _obtain_network(
     samples = rows_to_samples(rows, adopted.subject, adopted.cds_start, adopted.cds_end)
     net, report = train(NetworkTopology(), samples, train_config)
     return net, {
+        "model": str(trained_path),
         "trained_here": True,
         "epochs_run": report.epochs_run,
         "final_mse": report.final_mse,
@@ -300,9 +303,9 @@ def _obtain_network(
 
 def run_diagnosis(
     patient_path: str | Path,
-    manifest: DatabaseManifest | str | Path,
+    manifest_path: str | Path,
     model_path: str | Path | None = None,
-    work_dir: str | Path | None = None,
+    work_dir: str | Path = DEFAULT_WORKDIR,
     train_config: TrainConfig = TrainConfig(),
 ) -> DiagnosisReport:
     """Run the whole diagnosis, then write the work directory.
@@ -312,12 +315,13 @@ def run_diagnosis(
     fly, report.txt and report.json. Each goes to a temp file first, and
     none replaces its earlier version unless all were written and no target
     is a directory, so a diagnosis that fails, in writing or before, leaves
-    the work directory's files as they were. The overall label
-    is AtRisk when any malignant candidate scores at or above the
-    threshold; a risk label is a result, not an error.
+    the work directory's files as they were. An empty work directory is
+    refused before anything is read: Path("") would name ".".
     """
-    if not isinstance(manifest, DatabaseManifest):
-        manifest = load_manifest(manifest)
+    if work_dir == "":
+        raise IoFailureError("cannot write work directory '': the path is empty")
+    wd = Path(work_dir)
+    manifest = load_manifest(manifest_path)
     patient_file = read_fasta_path(patient_path)
     if len(patient_file) != 1:
         raise MultiRecordPatientFileError(
@@ -334,18 +338,12 @@ def run_diagnosis(
     ]
     candidates = [m for m in mutations if is_malignant_candidate(m.effect)]
 
-    net, model_info = _obtain_network(manifest, model_path, adopted, train_config)
+    net, model = _obtain_network(manifest, model_path, adopted, train_config, wd / "model.json")
     calls = []
     for m in candidates:
         label, score = classify(net, encode(m, ref))
         calls.append(CandidateCall(m, score, label))
-    overall = (
-        Label.AT_RISK
-        if any(c.label is Label.AT_RISK for c in calls)
-        else Label.NORMAL
-    )
 
-    wd = resolve_workdir(work_dir)
     report = DiagnosisReport(
         patient_id=patient.id,
         adopted=adopted,
@@ -353,17 +351,7 @@ def run_diagnosis(
         alignment=alignment,
         mutations=tuple(mutations),
         classifications=tuple(calls),
-        overall_label=overall,
-        tool_versions={"mutascan": __version__},
-        config={
-            "gate_target": GC_GATE_TARGET,
-            "gate_tolerance": GC_GATE_TOLERANCE,
-            "threshold": RISK_THRESHOLD,
-            "search_k": DEFAULT_K,
-            "scoring": asdict(Scoring()),
-            "model": str(wd / "model.json"),  # a loaded model's info names its own file
-            **model_info,
-        },
+        model=model,
     )
     text, doc = render_report(report, "text"), render_report(report, "json")
     combined_patient = patient
@@ -373,7 +361,7 @@ def run_diagnosis(
         )
 
     files = {wd / "combined.fasta": write_fasta(FastaFile((ref, combined_patient)))}
-    if model_info["trained_here"]:
+    if model["trained_here"]:
         files[wd / "model.json"] = net_to_json(net)
     files[wd / "report.txt"] = text
     files[wd / "report.json"] = doc
@@ -433,8 +421,15 @@ def report_to_dict(report: DiagnosisReport) -> dict:
         ],
         "overall_label": report.overall_label.value,
         "display": report.overall_label.display,
-        "tool_versions": report.tool_versions,
-        "config": report.config,
+        "tool_versions": {"mutascan": __version__},
+        "config": {  # the module constants the diagnosis ran with, then its model
+            "gate_target": GC_GATE_TARGET,
+            "gate_tolerance": GC_GATE_TOLERANCE,
+            "threshold": RISK_THRESHOLD,
+            "search_k": DEFAULT_K,
+            "scoring": asdict(Scoring()),
+            **report.model,
+        },
     }
 
 

@@ -366,6 +366,34 @@ def test_diagnose_missing_manifest_exits_1(corpus, tmp_path, monkeypatch, capsys
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "value,rc,written",
+    [(None, 0, ["mutascan-work"]), ("from-env", 0, ["from-env"]), ("", 1, [])],
+    ids=["unset", "set", "empty"],
+)
+def test_mutascan_workdir_chooses_the_work_directory(
+    corpus, trained_model, tmp_path, monkeypatch, capsys, value, rc, written
+):
+    """Unset, `diagnose` writes ./mutascan-work; set but empty, it is an error
+    naming '', not the working directory that Path("") names."""
+    monkeypatch.chdir(tmp_path)
+    if value is None:
+        monkeypatch.delenv("MUTASCAN_WORKDIR", raising=False)
+    else:
+        monkeypatch.setenv("MUTASCAN_WORKDIR", value)
+    argv = [
+        "diagnose", "--patient", str(corpus["patient_clean"]),
+        "--manifest", str(corpus["manifest"]), "--model", str(trained_model),
+    ]
+    assert main(argv) == rc
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
+    if rc:
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "''" in err and out == ""
+    else:
+        assert (tmp_path / written[0] / "report.json").exists()
+
+
 def test_gen_corpus_command(tmp_path, capsys):
     out_dir = tmp_path / "corpus"
     assert main(["gen-corpus", "--seed", "42", "--out", str(out_dir)]) == 0

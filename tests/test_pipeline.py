@@ -37,7 +37,6 @@ from mutascan.pipeline import (
     load_manifest,
     render_report,
     report_to_dict,
-    resolve_workdir,
     run_diagnosis,
 )
 from mutascan.protein import EffectKind
@@ -49,6 +48,22 @@ from oracles import json_values, plausible_or_any
 
 def _read(path):
     return parse_fasta(path.read_text(encoding="utf-8"))
+
+
+def _edited_manifest(corpus, tmp_path, edit):
+    """The seed-42 manifest with its databases named by absolute path, changed
+    by `edit(doc)` and written to tmp_path."""
+    doc = json.loads(corpus["manifest"].read_text(encoding="utf-8"))
+    for entry in doc["databases"]:
+        entry["fasta"] = str(corpus["manifest"].parent / entry["fasta"])
+    edit(doc)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _drop_training_data(doc):
+    del doc["training_data"]
 
 
 # --- manifest loading -------------------------------------------------------
@@ -252,12 +267,29 @@ def test_adoption_requires_cds_annotation(corpus):
 # --- work directory -----------------------------------------------------------
 
 
-def test_resolve_workdir_priority(monkeypatch, tmp_path):
-    monkeypatch.delenv("MUTASCAN_WORKDIR", raising=False)
-    assert resolve_workdir(None).name == "mutascan-work"
-    monkeypatch.setenv("MUTASCAN_WORKDIR", str(tmp_path / "env-dir"))
-    assert resolve_workdir(None) == tmp_path / "env-dir"
-    assert resolve_workdir(tmp_path / "arg-dir") == tmp_path / "arg-dir"
+def test_the_work_directory_is_an_argument_not_the_environment(
+    corpus, trained_model, tmp_path, monkeypatch
+):
+    """The library defaults to ./mutascan-work; MUTASCAN_WORKDIR is the CLI's."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("MUTASCAN_WORKDIR", str(tmp_path / "from-env"))
+    run_diagnosis(corpus["patient_clean"], corpus["manifest"], model_path=trained_model)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mutascan-work"]
+    assert (tmp_path / "mutascan-work" / "report.json").exists()
+
+
+def test_an_empty_work_directory_is_refused_before_any_work(
+    corpus, trained_model, tmp_path, monkeypatch
+):
+    """Path("") is ".", so an empty work directory would write into the working one."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(IoFailureError, match="cannot write work directory '': "):
+        run_diagnosis(
+            corpus["patient_mutated"], corpus["manifest"], model_path=trained_model, work_dir=""
+        )
+    with pytest.raises(IoFailureError, match="''"):  # refused before the inputs are read
+        run_diagnosis(tmp_path / "missing.fasta", tmp_path / "missing.json", work_dir="")
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- diagnosis ----------------------------------------------------------------
@@ -343,15 +375,6 @@ def test_failed_report_write_keeps_the_earlier_report(
     ]
 
 
-def test_workdir_env_variable_is_honored(corpus, trained_model, tmp_path, monkeypatch):
-    wd = tmp_path / "from-env"
-    monkeypatch.setenv("MUTASCAN_WORKDIR", str(wd))
-    run_diagnosis(
-        corpus["patient_clean"], corpus["manifest"], model_path=trained_model
-    )
-    assert (wd / "report.json").exists()
-
-
 def test_patient_id_collision_renamed_in_combined_fasta(corpus, trained_model, tmp_path):
     ref_text = corpus["db_ncbi"].read_text(encoding="utf-8")
     first = parse_fasta(ref_text).records[0]
@@ -389,20 +412,22 @@ def test_unreadable_fasta_is_a_mutascan_error_naming_the_file(
     (tmp_path / "a-directory").mkdir()
     (tmp_path / "latin1.fasta").write_bytes(b">r caf\xe9\nACGT\n")
     bad = tmp_path / name
-    patient, manifest = corpus["patient_clean"], load_manifest(corpus["manifest"])
-    if role == "patient":
-        patient = bad
-    else:  # a manifest read earlier, whose database has since become unreadable
-        entry = dataclasses.replace(manifest.databases[0], fasta_path=bad)
-        manifest = dataclasses.replace(manifest, databases=(entry,))
     with pytest.raises(MutascanError) as exc:
-        run_diagnosis(patient, manifest, model_path=trained_model, work_dir=tmp_path / "wd")
+        if role == "patient":
+            run_diagnosis(bad, corpus["manifest"], model_path=trained_model,
+                          work_dir=tmp_path / "wd")
+        else:  # a manifest read earlier, whose database has since become unreadable
+            manifest = load_manifest(corpus["manifest"])
+            entry = dataclasses.replace(manifest.databases[0], fasta_path=bad)
+            adopt_reference(
+                _read(corpus["patient_clean"]).records[0],
+                dataclasses.replace(manifest, databases=(entry,)),
+            )
     assert str(bad) in str(exc.value) and wording in str(exc.value)
 
 
 def test_missing_model_and_training_data(corpus, tmp_path):
-    m = load_manifest(corpus["manifest"])
-    stripped = DatabaseManifest(m.databases, None, None)
+    stripped = _edited_manifest(corpus, tmp_path, _drop_training_data)
     with pytest.raises(MissingModelAndTrainingDataError):
         run_diagnosis(
             corpus["patient_clean"], stripped, work_dir=tmp_path / "wd"
@@ -440,11 +465,11 @@ def test_failed_diagnosis_leaves_the_work_directory_unchanged(
         corpus["patient_mutated"], corpus["manifest"], model_path=trained_model, work_dir=wd
     )
     before = _snapshot(wd)
-    manifest, model = load_manifest(corpus["manifest"]), tmp_path / "corrupt.json"
+    manifest, model = corpus["manifest"], tmp_path / "corrupt.json"
     if failure == "corrupt model":
         model.write_text("{not json", encoding="utf-8")
     else:
-        manifest, model = DatabaseManifest(manifest.databases, None, None), None
+        manifest, model = _edited_manifest(corpus, tmp_path, _drop_training_data), None
     with pytest.raises(error):
         run_diagnosis(corpus["patient_clean"], manifest, model_path=model, work_dir=wd)
     assert _snapshot(wd) == before
@@ -497,10 +522,17 @@ def test_training_on_the_fly_writes_model(corpus, tmp_path):
         work_dir=wd,
         train_config=FAST_TRAIN,
     )
-    assert report.config["trained_here"] is True
-    assert report.config["converged"] is True
+    assert report.model["trained_here"] is True
+    assert report.model["converged"] is True
     assert (wd / "model.json").exists()
     assert report.overall_label is Label.AT_RISK
+    # the settings are written from the module constants, then the provenance
+    config = json.loads((wd / "report.json").read_text(encoding="utf-8"))["config"]
+    assert list(config) == [
+        "gate_target", "gate_tolerance", "threshold", "search_k", "scoring",
+        "model", "trained_here", "epochs_run", "final_mse", "converged",
+    ]
+    assert config["model"] == str(wd / "model.json")
 
 
 def test_diagnosis_settings_are_constants():
@@ -509,8 +541,14 @@ def test_diagnosis_settings_are_constants():
         return tuple(inspect.signature(fn).parameters)
 
     assert parameters(run_diagnosis) == (
-        "patient_path", "manifest", "model_path", "work_dir", "train_config",
+        "patient_path", "manifest_path", "model_path", "work_dir", "train_config",
     )
+    assert inspect.signature(run_diagnosis).parameters["work_dir"].default == "mutascan-work"
+    # and the report stores none of them, only what the diagnosis found
+    assert [f.name for f in dataclasses.fields(pipeline.DiagnosisReport)] == [
+        "patient_id", "adopted", "rejected", "alignment", "mutations", "classifications",
+        "model",
+    ]
     assert parameters(adopt_reference) == ("patient", "manifest")
     assert parameters(global_align) == ("a", "b", "scoring")
     assert parameters(search) == ("query", "index", "max_hits")
@@ -571,14 +609,13 @@ def test_report_names_a_database_without_hits(corpus, trained_model, tmp_path):
     """A database that shares no 11-mer with the patient is rejected without a gate
     verdict, and both reports say why."""
     (tmp_path / "poly_c.fasta").write_text(">poly_c\n" + "C" * 300 + "\n", encoding="ascii")
-    doc = json.loads(corpus["manifest"].read_text(encoding="utf-8"))
-    for entry in doc["databases"]:
-        entry["fasta"] = str(corpus["manifest"].parent / entry["fasta"])
-    doc["databases"].insert(0, {"name": "poly_c", "fasta": "poly_c.fasta"})
-    (tmp_path / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+    manifest = _edited_manifest(
+        corpus, tmp_path,
+        lambda doc: doc["databases"].insert(0, {"name": "poly_c", "fasta": "poly_c.fasta"}),
+    )
     run_diagnosis(
         corpus["patient_mutated"],
-        tmp_path / "manifest.json",
+        manifest,
         model_path=trained_model,
         work_dir=tmp_path / "wd",
     )

@@ -193,9 +193,9 @@ class Kernel:
         self._seed.restype = _i64
 
     def seed_diagonals(self, query, k: int, codes, subject_idx, offsets) -> list:
-        """`homology._seed_diagonals_numpy` in C, on the query's base codes and a
-        `KmerIndex`'s k, codes, subject_idx and offsets: the same ascending list
-        of seeded (subject, diagonal) pairs.
+        """`homology._seed_diagonals_numpy` in C: the same arguments, the query's
+        base codes and a `KmerIndex`'s k, codes, subject_idx and offsets, and the
+        same ascending list of seeded (subject, diagonal) pairs.
 
         One C call finds, sorts and dedupes the seeds in a buffer sized for
         two seeds a query window plus 64. A query with more seeds, as in

@@ -42,10 +42,6 @@ class AlignError(MutascanError):
     pass
 
 
-class EmptySequenceError(AlignError):
-    pass
-
-
 class SizeCapExceededError(AlignError):
     pass
 
@@ -458,9 +454,6 @@ def global_align(
     before it is filled.
     """
     m, n = len(a.bases), len(b.bases)
-    if m == 0 or n == 0:
-        raise EmptySequenceError("cannot align an empty sequence")
-
     ca = encode_bases(a.bases)
     cb = encode_bases(b.bases)
     radius = _FIRST_RADIUS

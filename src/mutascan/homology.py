@@ -100,9 +100,9 @@ class HomologyHit:
     best_alignment: AlignmentResult
 
 
-def _window_codes(bases: str, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets of the N-free length-k windows of `bases` and their 2-bit codes."""
-    symbols = encode_bases(bases)  # A, C, G, T -> 0..3, N -> 4
+def _window_codes(symbols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets of the N-free length-k windows of base codes `symbols` (`encode_bases`:
+    A, C, G, T -> 0..3, N -> 4) and their 2-bit codes."""
     n = len(symbols) - k + 1
     if n <= 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.uint64)
@@ -131,7 +131,7 @@ def _build_index(db: FastaFile, k: int) -> KmerIndex:
     if len(db) == 0:
         raise EmptyDatabaseError("database contains no sequences")
     # joined with N, so no N-free window spans two subjects
-    positions, codes = _window_codes("N".join(s.bases for s in db), k)
+    positions, codes = _window_codes(encode_bases("N".join(s.bases for s in db)), k)
     starts = np.cumsum([0] + [len(s) + 1 for s in db.records[:-1]])
     subject_idx = np.searchsorted(starts, positions, side="right") - 1
     order = np.argsort(codes)
@@ -146,29 +146,29 @@ def _seed_diagonals(qb: str, index: KmerIndex) -> list[tuple[int, int]]:
     """The seeded (subject, diagonal) pairs, ascending.
 
     The compiled kernel seeds when it loads, else `_seed_diagonals_numpy`
-    does; both give the same list.
+    does, on one argument list; both give the same list.
     """
     kernel = _native.load()
-    if kernel is None:
-        return _seed_diagonals_numpy(qb, index)
-    return kernel.seed_diagonals(
-        encode_bases(qb), index.k, index.codes, index.subject_idx, index.offsets
-    )
+    seed_diagonals = _seed_diagonals_numpy if kernel is None else kernel.seed_diagonals
+    return seed_diagonals(encode_bases(qb), index.k, index.codes, index.subject_idx, index.offsets)
 
 
-def _seed_diagonals_numpy(qb: str, index: KmerIndex) -> list[tuple[int, int]]:
-    """The seeded (subject, diagonal) pairs, ascending."""
-    q_offsets, q_codes = _window_codes(qb, index.k)
-    lo = np.searchsorted(index.codes, q_codes, side="left")
-    counts = np.searchsorted(index.codes, q_codes, side="right") - lo
+def _seed_diagonals_numpy(
+    query: np.ndarray, k: int, codes: np.ndarray, subject_idx: np.ndarray, offsets: np.ndarray
+) -> list[tuple[int, int]]:
+    """`_native.Kernel.seed_diagonals` in numpy: the same arguments and pairs.
+    The fallback where the compiled kernel cannot be built, and its oracle."""
+    q_offsets, q_codes = _window_codes(query, k)
+    lo = np.searchsorted(codes, q_codes, side="left")
+    counts = np.searchsorted(codes, q_codes, side="right") - lo
     total = int(counts.sum())
     if total == 0:
         return []
     # entry j of match run r is index window lo[r] + j
     run_start = np.cumsum(counts) - counts
     window = np.arange(total) - np.repeat(run_start - lo, counts)
-    subject = index.subject_idx[window]
-    diagonal = np.repeat(q_offsets, counts) - index.offsets[window]
+    subject = subject_idx[window]
+    diagonal = np.repeat(q_offsets, counts) - offsets[window]
     low = int(diagonal.min())
     span = int(diagonal.max()) - low + 1
     keys = np.unique(subject * span + (diagonal - low))

@@ -177,15 +177,6 @@ class Network:
         )
 
 
-def zero_network(topology: NetworkTopology) -> Network:
-    sizes = topology.layer_sizes
-    return Network(
-        topology,
-        [np.zeros((sizes[i + 1], sizes[i])) for i in range(len(sizes) - 1)],
-        [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)],
-    )
-
-
 def _layer_views(
     flat: np.ndarray, sizes: Sequence[int]
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -339,10 +330,10 @@ def train(
     return net, report
 
 
-def classify(net: Network, x, threshold: float = RISK_THRESHOLD) -> tuple[Label, float]:
-    """Label an input AtRisk when its score reaches the threshold (inclusive)."""
+def classify(net: Network, x) -> tuple[Label, float]:
+    """Label an input AtRisk when its score reaches `RISK_THRESHOLD` (inclusive)."""
     score = forward(net, x)
-    label = Label.AT_RISK if score >= threshold else Label.NORMAL
+    label = Label.AT_RISK if score >= RISK_THRESHOLD else Label.NORMAL
     return label, score
 
 

@@ -176,8 +176,15 @@ def load_manifest(path: str | Path) -> DatabaseManifest:
     base = path.parent
     entries: list[DatabaseEntry] = []
     for i, raw in enumerate(doc["databases"]):
-        if not (isinstance(raw, dict) and "name" in raw and isinstance(raw.get("fasta"), str)):
-            raise ManifestError(f"database entry {i} needs 'name' and a 'fasta' path")
+        if not (
+            isinstance(raw, dict)
+            and isinstance(raw.get("name"), str)
+            and raw["name"]
+            and isinstance(raw.get("fasta"), str)
+        ):
+            raise ManifestError(
+                f"database entry {i} needs a non-empty 'name' string and a 'fasta' path"
+            )
         fasta_path = base / raw["fasta"]
         if not os.path.isfile(fasta_path):  # False, not an error, for a name too long
             raise ManifestError(
@@ -200,7 +207,7 @@ def load_manifest(path: str | Path) -> DatabaseManifest:
                     f"database '{raw['name']}': bad CDS bounds for '{rec_id}'"
                 )
             cds[rec_id] = (bounds[0], bounds[1])
-        entries.append(DatabaseEntry(str(raw["name"]), fasta_path, cds))
+        entries.append(DatabaseEntry(raw["name"], fasta_path, cds))
 
     training = doc.get("training_data")
     model = doc.get("model")

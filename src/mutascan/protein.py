@@ -66,7 +66,7 @@ def translate_codon(codon: str) -> str:
     return CODON_TABLE[codon]
 
 
-def translate(dna: DnaSequence | str, frame: int = 0) -> str:
+def translate(bases: str, frame: int = 0) -> str:
     """Translate every complete codon starting at offset `frame` (0, 1, or 2).
 
     Stop codons render as '*' and do not terminate translation, so the full
@@ -74,7 +74,6 @@ def translate(dna: DnaSequence | str, frame: int = 0) -> str:
     """
     if frame not in (0, 1, 2):
         raise ValueError(f"frame must be 0, 1 or 2, got {frame}")
-    bases = dna.bases if isinstance(dna, DnaSequence) else dna
     out = []
     for i in range(frame, len(bases) - 2, 3):
         out.append(translate_codon(bases[i : i + 3]))
@@ -128,10 +127,9 @@ def classify_effect(
     for r, a in zip(ref_aa, alt_aa):
         if r != a and a == STOP:
             return ProteinEffect(EffectKind.NONSENSE, ref_aa=r)
-    for r, a in zip(ref_aa, alt_aa):
-        if r != a:
-            return ProteinEffect(EffectKind.MISSENSE, ref_aa=r, alt_aa=a)
-    return ProteinEffect(EffectKind.SILENT)
+    # the translations have one length and differ, so a changed amino acid exists
+    r, a = next((r, a) for r, a in zip(ref_aa, alt_aa) if r != a)
+    return ProteinEffect(EffectKind.MISSENSE, ref_aa=r, alt_aa=a)
 
 
 def is_malignant_candidate(effect: ProteinEffect) -> bool:

@@ -21,7 +21,7 @@ from .errors import MutascanError
 ALPHABET = frozenset("ACGTN")
 _INVALID_SYMBOL = re.compile(r"[^ACGTN]")
 
-DEFAULT_LINE_WIDTH = 60
+LINE_WIDTH = 60
 
 # Parsed texts kept per process, keyed on the text itself, so a caller that
 # reads the same file again gets the same `FastaFile` without a re-parse
@@ -166,20 +166,18 @@ def parse_fasta(text: str) -> FastaFile:
     return FastaFile(tuple(records))
 
 
-def write_fasta(file: FastaFile, width: int = DEFAULT_LINE_WIDTH) -> str:
-    """Serialize records as FASTA text, sequence wrapped at `width` columns.
+def write_fasta(file: FastaFile) -> str:
+    """Serialize records as FASTA text, sequence wrapped at `LINE_WIDTH` columns.
 
     The description is omitted from the header when empty. Output uses LF
     line endings and ends with a newline.
     """
-    if width < 1:
-        raise ValueError("width must be >= 1")
     out: list[str] = []
     for rec in file.records:
         header = f">{rec.id} {rec.description}" if rec.description else f">{rec.id}"
         out.append(header)
-        for i in range(0, len(rec.bases), width):
-            out.append(rec.bases[i : i + width])
+        for i in range(0, len(rec.bases), LINE_WIDTH):
+            out.append(rec.bases[i : i + LINE_WIDTH])
     return "\n".join(out) + "\n"
 
 
@@ -206,8 +204,8 @@ def read_fasta_path(path) -> FastaFile:
     return parse_fasta(read_text(path, FastaParseError, encoding="ascii"))
 
 
-def write_texts_atomic(texts: dict, encoding: str = "utf-8") -> None:
-    """Write each text of a {path: text} map whole, and all of them or none.
+def write_texts_atomic(texts: dict) -> None:
+    """Write each text of a {path: text} map as UTF-8, whole, and all of them or none.
 
     Every text first goes to a temp file in its path's directory, under a
     fresh name created exclusively, so writers of one path never share a
@@ -231,7 +229,7 @@ def write_texts_atomic(texts: dict, encoding: str = "utf-8") -> None:
             # 0o666 under the umask, the mode open(path, "w") gives, not mkstemp's 0o600
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append((tmp, path))
-            with open(fd, "w", encoding=encoding, newline="") as fh:
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         for _, path in staged:
             if path.is_dir():  # os.replace would fail on it after earlier renames
@@ -247,5 +245,5 @@ def write_texts_atomic(texts: dict, encoding: str = "utf-8") -> None:
         raise
 
 
-def write_fasta_path(file: FastaFile, path, width: int = DEFAULT_LINE_WIDTH) -> None:
-    write_texts_atomic({path: write_fasta(file, width)}, encoding="ascii")
+def write_fasta_path(file: FastaFile, path) -> None:
+    write_texts_atomic({path: write_fasta(file)})

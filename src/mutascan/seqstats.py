@@ -14,7 +14,7 @@ GC_GATE_TOLERANCE = 2.0
 GENE_BAND_LOW = 45.0
 GENE_BAND_HIGH = 50.0
 
-DEFAULT_GC_WINDOW = 21
+GC_WINDOW = 21
 
 
 class SeqstatsError(MutascanError):
@@ -102,19 +102,18 @@ def gc_gate(
     )
 
 
-def windowed_gc(seq: DnaSequence, center: int, window: int = DEFAULT_GC_WINDOW) -> float:
-    """GC fraction in a window around a 1-based position, clipped to bounds.
+def windowed_gc(seq: DnaSequence, center: int) -> float:
+    """GC fraction in the `GC_WINDOW` bases centred on a 1-based position,
+    clipped to the sequence.
 
     N is excluded from numerator and denominator; an all-N window returns
-    the neutral value 0.5. `window` must be an odd positive integer.
+    the neutral value 0.5.
     """
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be an odd positive integer, got {window}")
     if not 1 <= center <= len(seq.bases):
         raise PositionOutOfRangeError(
             f"center {center} outside [1, {len(seq.bases)}] for record {seq.id!r}"
         )
-    half = window // 2
+    half = GC_WINDOW // 2
     lo = max(0, center - 1 - half)
     hi = min(len(seq.bases), center + half)
     chunk = seq.bases[lo:hi]

@@ -2,7 +2,6 @@
 
 import dataclasses
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from mutascan.align import (
     DEFAULT_CELL_CAP,
     OUTSIDE_CODE,
     AlignmentResult,
-    EmptySequenceError,
     Mutation,
     MutationKind,
     OverlappingMutationsError,
@@ -463,16 +461,6 @@ def test_alignment_is_deterministic():
     first = _align(a, b)
     for _ in range(3):
         assert _align(a, b) == first
-
-
-def test_empty_sequence_rejected():
-    # DnaSequence itself refuses empty bases, so exercise the aligner's own
-    # guard with a minimal stand-in object.
-    fake = SimpleNamespace(id="x", bases="")
-    with pytest.raises(EmptySequenceError):
-        global_align(fake, _seq("ACGT"))
-    with pytest.raises(EmptySequenceError):
-        global_align(_seq("ACGT"), fake)
 
 
 def test_size_cap(monkeypatch):

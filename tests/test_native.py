@@ -40,21 +40,29 @@ def native():
 
 
 def _copy(args):
-    """A copy of a `Kernel.band_align` argument list that the kernel may fill."""
+    """A copy of a kernel argument list that the kernel may fill."""
     return [a.copy() if isinstance(a, np.ndarray) else a for a in args]
 
 
 def _kernel_calls(fn, *args):
-    """Every argument list that `fn(*args)` hands the kernel, as it was before the fill:
-    a stand-in kernel keeps a copy of each, then runs the numpy fallback."""
+    """Every argument list that `fn(*args)` hands the kernel's `band_align` or
+    `seed_diagonals`, as it was before the call: a stand-in kernel keeps a copy of
+    each, then runs the numpy fallback."""
     calls = []
 
-    def band_align(*a):
-        calls.append(_copy(a))
-        return align._band_align_numpy(*a)
+    def recording(fallback):
+        def call(*a):
+            calls.append(_copy(a))
+            return fallback(*a)
 
+        return call
+
+    kernel = SimpleNamespace(
+        band_align=recording(align._band_align_numpy),
+        seed_diagonals=recording(homology._seed_diagonals_numpy),
+    )
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_native, "load", lambda: SimpleNamespace(band_align=band_align))
+        mp.setattr(_native, "load", lambda: kernel)
         fn(*args)
     return calls
 
@@ -199,14 +207,13 @@ def _index(subjects, k):
 
 
 def _assert_seeds_agree(native, query, subjects, index):
-    """The kernel, `_seed_diagonals` (which runs it) and `_seed_diagonals_numpy` return
-    equal lists, the enumeration oracle's seeded (subject, diagonal) pairs in ascending
-    order; returns the list."""
-    got = native.seed_diagonals(
-        encode_bases(query), index.k, index.codes, index.subject_idx, index.offsets
-    )
-    assert got == homology._seed_diagonals_numpy(query, index)
-    assert homology._seed_diagonals(query, index) == got
+    """`native.seed_diagonals` and `homology._seed_diagonals_numpy`, each on a copy of
+    the one argument list `_seed_diagonals(query, index)` builds, return the
+    enumeration oracle's seeded (subject, diagonal) pairs in ascending order; returns
+    the list."""
+    [args] = _kernel_calls(homology._seed_diagonals, query, index)
+    got = native.seed_diagonals(*_copy(args))
+    assert got == homology._seed_diagonals_numpy(*_copy(args))
     assert got == sorted(seed_diagonal_counts(query, subjects, index.k))
     return got
 
@@ -456,9 +463,11 @@ def test_fill_refuses_bad_arrays_before_calling_c(guarded, index, bad):
 
 
 def _seed_args():
-    """`Kernel.seed_diagonals` arguments: query, k, codes, subject_idx, offsets."""
+    """The `Kernel.seed_diagonals` arguments `_seed_diagonals` builds: query, k, codes,
+    subject_idx, offsets."""
     index = _index(["ACGTACGTTGCANNACGT", "TTGCAACGTACG"], 4)
-    return [encode_bases("ACGTACGTTGCAACGNTACG"), 4, index.codes, index.subject_idx, index.offsets]
+    [args] = _kernel_calls(homology._seed_diagonals, "ACGTACGTTGCAACGNTACG", index)
+    return args
 
 
 @pytest.mark.parametrize(

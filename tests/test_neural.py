@@ -15,6 +15,7 @@ from mutascan.errors import MutascanError
 from mutascan.neural import (
     DISPLAY_AT_RISK,
     DISPLAY_NORMAL,
+    RISK_THRESHOLD,
     CorruptFileError,
     DimensionMismatchError,
     EmptyDatasetError,
@@ -36,7 +37,6 @@ from mutascan.neural import (
     save_net,
     train,
     _sigmoid,
-    zero_network,
 )
 from mutascan.protein import EffectKind, ProteinEffect, classify_effect
 from mutascan.seqio import DnaSequence
@@ -51,6 +51,16 @@ from oracles import (
     reference_train,
     sigmoid_scalar,
 )
+
+
+def _zero_network(topology):
+    """A network whose weights and biases are all 0: every input scores exactly 0.5."""
+    sizes = topology.layer_sizes
+    return Network(
+        topology,
+        [np.zeros((n_out, n_in)) for n_in, n_out in zip(sizes, sizes[1:])],
+        [np.zeros(n_out) for n_out in sizes[1:]],
+    )
 
 
 def _net_111(w1, b1, w2, b2):
@@ -132,7 +142,7 @@ def test_train_config_validation():
 
 
 def test_zero_network_outputs_exactly_half():
-    net = zero_network(NetworkTopology())
+    net = _zero_network(NetworkTopology())
     assert forward(net, [0.0] * 10) == 0.5
     assert forward(net, [1.0] * 10) == 0.5
 
@@ -181,7 +191,7 @@ def test_forward_matches_manual_composition():
 
 
 def test_forward_rejects_wrong_width():
-    net = zero_network(NetworkTopology())
+    net = _zero_network(NetworkTopology())
     with pytest.raises(DimensionMismatchError):
         forward(net, [0.0] * 3)
 
@@ -340,11 +350,13 @@ def test_corpus_training_matches_the_per_layer_reference(corpus):
 
 
 def test_classify_threshold_is_inclusive():
-    net = zero_network(NetworkTopology())  # always outputs exactly 0.5
+    net = _zero_network(NetworkTopology())  # always outputs exactly 0.5
     label, score = classify(net, [0.3] * 10)
-    assert score == 0.5
+    assert score == RISK_THRESHOLD == 0.5
     assert label is Label.AT_RISK
-    label, _ = classify(net, [0.3] * 10, threshold=0.500001)
+    net.biases[-1][:] = -1e-9  # the output falls just below 0.5
+    label, score = classify(net, [0.3] * 10)
+    assert score < 0.5
     assert label is Label.NORMAL
 
 
@@ -469,7 +481,7 @@ def test_load_rejects_corrupt_files(tmp_path):
     with pytest.raises(CorruptFileError):
         load_net(path)
 
-    net = zero_network(NetworkTopology())
+    net = _zero_network(NetworkTopology())
     net.train_config = TrainConfig()
     save_net(net, path)
     good = json.loads(path.read_text(encoding="utf-8"))
@@ -490,7 +502,7 @@ def test_load_rejects_corrupt_files(tmp_path):
 
 
 def test_load_rejects_other_versions(tmp_path):
-    net = zero_network(NetworkTopology((2, 2, 1)))
+    net = _zero_network(NetworkTopology((2, 2, 1)))
     path = tmp_path / "model.json"
     save_net(net, path)
     doc = json.loads(path.read_text(encoding="utf-8"))
@@ -611,7 +623,7 @@ def test_load_training_rows_refuses_features_that_are_not_json_numbers(tmp_path,
 @pytest.mark.parametrize("value", ["0.25", True], ids=["a numeric string", "true"])
 def test_load_net_refuses_parameters_that_are_not_json_numbers(tmp_path, field, value):
     path = tmp_path / "model.json"
-    save_net(zero_network(NetworkTopology()), path)
+    save_net(_zero_network(NetworkTopology()), path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     first_layer = doc[field][0]  # weights [[w] * 10] * 4, biases [b] * 4
     (first_layer[0] if field == "weights" else first_layer)[0] = value

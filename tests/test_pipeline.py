@@ -20,6 +20,7 @@ from mutascan.neural import (
     Label,
     NetworkTopology,
     TrainConfig,
+    classify,
     load_training_rows,
     rows_to_samples,
     save_net,
@@ -40,7 +41,15 @@ from mutascan.pipeline import (
     run_diagnosis,
 )
 from mutascan.protein import EffectKind
-from mutascan.seqio import DnaSequence, FastaFile, parse_fasta, write_fasta
+from mutascan.seqio import (
+    DnaSequence,
+    FastaFile,
+    parse_fasta,
+    write_fasta,
+    write_fasta_path,
+    write_texts_atomic,
+)
+from mutascan.seqstats import windowed_gc
 
 from conftest import FAST_TRAIN
 from oracles import json_values, plausible_or_any
@@ -150,6 +159,18 @@ def test_load_manifest_refuses_an_empty_path(tmp_path, key):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("name", [None, 5, 1.5, True, ["a"], {"a": 1}, ""])
+def test_load_manifest_refuses_a_name_that_is_not_a_non_empty_string(tmp_path, name):
+    """The name is printed in both reports and in NoDatabaseAcceptedError as written:
+    str() would make null the database "None" and ["a"] the database "['a']"."""
+    (tmp_path / "db.fasta").write_text(">r\nACGTACGTACGTACGT\n", encoding="utf-8")
+    path = tmp_path / "m.json"
+    doc = {"databases": [{"name": "x", "fasta": "db.fasta"}, {"name": name, "fasta": "db.fasta"}]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ManifestError, match="^database entry 1 needs a non-empty 'name' string"):
+        load_manifest(path)
+
+
 _MANIFEST_ENTRY = st.fixed_dictionaries(
     {},
     optional={
@@ -182,6 +203,7 @@ def test_any_json_manifest_loads_or_raises_a_mutascan_error(tmp_path_factory, do
     except MutascanError:
         return
     assert all(e.fasta_path.is_file() for e in manifest.databases)
+    assert all(type(e.name) is str and e.name for e in manifest.databases)
 
 
 def test_deep_json_manifest_is_a_manifest_error(tmp_path):
@@ -379,7 +401,7 @@ def test_patient_id_collision_renamed_in_combined_fasta(corpus, trained_model, t
     ref_text = corpus["db_ncbi"].read_text(encoding="utf-8")
     first = parse_fasta(ref_text).records[0]
     patient_path = tmp_path / "same-id.fasta"
-    patient_path.write_text(write_fasta(FastaFile((first,)), 60), encoding="utf-8")
+    patient_path.write_text(write_fasta(FastaFile((first,))), encoding="utf-8")
     wd = tmp_path / "wd"
     report = run_diagnosis(
         patient_path, corpus["manifest"], model_path=trained_model, work_dir=wd
@@ -552,6 +574,12 @@ def test_diagnosis_settings_are_constants():
     assert parameters(adopt_reference) == ("patient", "manifest")
     assert parameters(global_align) == ("a", "b", "scoring")
     assert parameters(search) == ("query", "index", "max_hits")
+    # values that only tests used to set are module constants
+    assert parameters(classify) == ("net", "x")
+    assert parameters(windowed_gc) == ("seq", "center")
+    assert parameters(write_fasta) == ("file",)
+    assert parameters(write_fasta_path) == ("file", "path")
+    assert parameters(write_texts_atomic) == ("texts",)
 
 
 def test_reports_are_byte_identical_across_runs(corpus, trained_model, tmp_path):

@@ -49,7 +49,6 @@ def test_ambiguous_codon_translates_to_x():
 
 def test_translate_basic():
     assert translate("ATGAAATAG") == "MK*"
-    assert translate(_seq("ATGAAATAG")) == "MK*"
 
 
 def test_translate_frames_and_partial_codons():

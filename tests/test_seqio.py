@@ -21,6 +21,7 @@ from mutascan.seqio import (
     read_fasta_path,
     read_text,
     write_fasta,
+    write_fasta_path,
     write_texts_atomic,
 )
 
@@ -264,18 +265,20 @@ def test_description_whitespace_preserved_after_first_gap():
 
 def test_write_minimal_record():
     f = FastaFile((DnaSequence("g1", "", "ACGT"),))
-    assert write_fasta(f, width=60) == ">g1\nACGT\n"
+    assert write_fasta(f) == ">g1\nACGT\n"
 
 
 def test_write_wraps_at_width():
-    f = FastaFile((DnaSequence("g1", "x", "ACGTA"),))
-    assert write_fasta(f, width=2) == ">g1 x\nAC\nGT\nA\n"
+    bases = "ACGTA" * 25  # 125 bases: two full lines of 60 and one of 5
+    f = FastaFile((DnaSequence("g1", "x", bases),))
+    assert write_fasta(f) == f">g1 x\n{bases[:60]}\n{bases[60:120]}\n{bases[120:]}\n"
 
 
-def test_write_rejects_bad_width():
-    f = FastaFile((DnaSequence("g1", "", "ACGT"),))
-    with pytest.raises(ValueError):
-        write_fasta(f, width=0)
+def test_write_fasta_path_writes_utf8(tmp_path):
+    path = tmp_path / "out.fasta"
+    f = FastaFile((DnaSequence("g1", "caf\u00e9", "ACGT"),))
+    write_fasta_path(f, path)
+    assert path.read_bytes() == ">g1 caf\u00e9\nACGT\n".encode("utf-8")
 
 
 def test_dna_sequence_validation():
@@ -301,20 +304,17 @@ def test_round_trip_seeded_files():
         text, truth = random_fasta_text(rng)
         parsed = parse_fasta(text)
         assert [(r.id, r.description, r.bases) for r in parsed] == truth
-        width = rng.randint(1, 120)
-        again = parse_fasta(write_fasta(parsed, width))
-        assert again == parsed
+        assert parse_fasta(write_fasta(parsed)) == parsed
 
 
 _ID = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=12)
-_BASES = st.text(alphabet="ACGTN", min_size=1, max_size=120)
+_BASES = st.text(alphabet="ACGTN", min_size=1, max_size=200)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     records=st.lists(st.tuples(_ID, _BASES), min_size=1, max_size=4, unique_by=lambda t: t[0]),
-    width=st.integers(min_value=1, max_value=90),
 )
-def test_round_trip_property(records, width):
+def test_round_trip_property(records):
     f = FastaFile(tuple(DnaSequence(i, "", b) for i, b in records))
-    assert parse_fasta(write_fasta(f, width)) == f
+    assert parse_fasta(write_fasta(f)) == f

@@ -101,13 +101,6 @@ def test_gate_parameters_override():
     assert wide.tolerance == 5.0
 
 
-def test_windowed_gc_rejects_bad_window():
-    seq = _seq("ACGTACGT")
-    for bad in (0, -1, 2, 4):
-        with pytest.raises(ValueError):
-            windowed_gc(seq, 1, bad)
-
-
 def test_windowed_gc_rejects_bad_center():
     seq = _seq("ACGT")
     with pytest.raises(PositionOutOfRangeError):
@@ -117,21 +110,22 @@ def test_windowed_gc_rejects_bad_center():
 
 
 def test_windowed_gc_basic_cases():
-    # window of 1 sees only the center base
-    assert windowed_gc(_seq("ACGT"), 2, 1) == 1.0
-    assert windowed_gc(_seq("ACGT"), 1, 1) == 0.0
-    # centered window
-    assert windowed_gc(_seq("AAGAA"), 3, 3) == pytest.approx(1 / 3)
-    # clipping at the left edge: window 5 at position 1 sees bases 1..3
-    assert windowed_gc(_seq("GGAAAAA"), 1, 5) == pytest.approx(2 / 3)
-    # clipping at the right edge
-    assert windowed_gc(_seq("AAAAAGG"), 7, 5) == pytest.approx(2 / 3)
+    seq = _seq("A" * 10 + "G" * 21 + "A" * 10)  # G at positions 11..31
+    # the window is 21 bases centred on the position
+    assert windowed_gc(seq, 21) == 1.0
+    assert windowed_gc(seq, 11) == pytest.approx(11 / 21)
+    assert windowed_gc(seq, 31) == pytest.approx(11 / 21)
+    # clipped at the left edge: position 1 sees bases 1..11
+    assert windowed_gc(seq, 1) == pytest.approx(1 / 11)
+    # clipped at the right edge: position 41 sees bases 31..41
+    assert windowed_gc(seq, 41) == pytest.approx(1 / 11)
 
 
 def test_windowed_gc_all_n_window_is_neutral():
-    assert windowed_gc(_seq("NNNNN"), 3, 3) == 0.5
+    assert windowed_gc(_seq("A" * 10 + "N" * 21 + "G" * 10), 21) == 0.5
+    assert windowed_gc(_seq("NNNNN"), 3) == 0.5
     # N inside a mixed window is excluded, not counted as AT
-    assert windowed_gc(_seq("GNA"), 2, 3) == 0.5
+    assert windowed_gc(_seq("GNA"), 2) == 0.5
 
 
 def test_windowed_gc_matches_oracle():
@@ -139,8 +133,7 @@ def test_windowed_gc_matches_oracle():
     for _ in range(100):
         bases = random_bases(rng, rng.randint(1, 80), "ACGTN")
         seq = _seq(bases)
-        center = rng.randint(1, len(bases))
-        window = rng.choice([1, 3, 5, 21, 41])
-        assert windowed_gc(seq, center, window) == pytest.approx(
-            window_gc_fraction(bases, center, window)
-        )
+        for center in range(1, len(bases) + 1):  # every center, those near either end too
+            assert windowed_gc(seq, center) == pytest.approx(
+                window_gc_fraction(bases, center, 21)
+            )

@@ -1,4 +1,5 @@
-/* The two compiled kernels of mutascan: banded Gotoh alignment and k-mer seeding.
+/* The three compiled kernels of mutascan: banded Gotoh alignment, k-mer
+ * seeding and classifier training.
  *
  * band_align fills every band of a banded three-state affine-gap (Gotoh)
  * alignment and traces each back to its start. band_fill_rows mirrors
@@ -6,13 +7,23 @@
  * align._band_traceback_python, value for value; their docstrings describe
  * the band layout. seed_diagonals finds a query's k-mer seeds in a
  * homology.KmerIndex and lists the (subject, diagonal) pairs they seed, as
- * homology._seed_diagonals_numpy does. Without a compiler both run as those
- * numpy and Python functions instead. Build with -fwrapv: int32 sums then
- * wrap as numpy's do. The Python caller (mutascan._native) checks every
- * array's dtype, shape and C order, every code, every row window and k
- * before the call.
+ * homology._seed_diagonals_numpy does. train_epochs runs full-batch
+ * gradient-descent epochs as neural._train_numpy does, bit for bit. Without
+ * a compiler all three run as those numpy and Python functions instead.
+ * Build with -fwrapv: int32 sums then wrap as numpy's do. Build with
+ * -ffp-contract=off: a * b + c then rounds twice, as in numpy, and is never
+ * fused where the base ISA has FMA. The Python caller (mutascan._native)
+ * checks every array's dtype, shape and C order, every code, every row
+ * window, k and the layer sizes before the call.
  */
+#include <float.h>
+#include <math.h>
 #include <stdint.h>
+#include <string.h>
+
+#if FLT_EVAL_METHOD != 0 /* x87: a double kept in an 80-bit register rounds differently */
+#error "training's fixed bits need each double operation rounded to double"
+#endif
 
 #define NEG (-(1 << 28)) /* align._NEG */
 #define ROWS 5           /* table rows: A C G T N */
@@ -382,4 +393,196 @@ int64_t seed_diagonals(const uint8_t *query, int64_t n, int64_t k, const uint64_
         work[cap + i] = (int64_t)(key % span) + low;
     }
     return g;
+}
+
+/* ---- training ---------------------------------------------------------- */
+
+/* The fixed exp: Cody-Waite reduction by ln 2, then the degree-12 Taylor
+ * polynomial in Horner form, then a scaling by 2^k. neural._fixed_exp and
+ * neural._exp_float spell the same operations in numpy and in Python. */
+#define EXP_LO (-746.0) /* exp(x) rounds to 0 at and below; clamping there keeps k an int */
+#define INV_LN2 0x1.71547652b82fep+0
+#define LN2_HI 0x1.62e42feep-1 /* the low 21 bits are 0, so k * LN2_HI is exact */
+#define LN2_LO 0x1.a39ef35793c76p-33
+#define TERMS 13 /* 1/0! .. 1/12!, each quotient rounded once, as Python's 1.0 / factorial(i) */
+
+static const double TAYLOR[TERMS] = {
+    1.0, 1.0, 1.0 / 2, 1.0 / 6, 1.0 / 24, 1.0 / 120, 1.0 / 720, 1.0 / 5040, 1.0 / 40320,
+    1.0 / 362880, 1.0 / 3628800, 1.0 / 39916800, 1.0 / 479001600,
+};
+
+/* 2^n for -1022 <= n <= 1023, built from its bits. */
+static double pow2(int64_t n)
+{
+    const uint64_t bits = (uint64_t)(n + 1023) << 52;
+    double d;
+    memcpy(&d, &bits, sizeof d);
+    return d;
+}
+
+/* exp(x) for x <= 0, and x itself for a nan, as np.exp returns them. A nan
+ * returns before any conversion, and the clamped x puts v in [-1076.3, 0.5],
+ * where a conversion to int64 is defined.
+ *
+ * The last step is ldexp(p, k) written out, so the library needs no libm:
+ * 2^k scales exactly while the result is normal, and a subnormal result
+ * is rounded once, by the product with 2^-64, as libm's ldexp rounds it. */
+static double fixed_exp(double x)
+{
+    if (x != x)
+        return x;
+    const double c = x < EXP_LO ? EXP_LO : x;
+    const double v = c * INV_LN2 + 0.5;
+    int64_t ki = (int64_t)v; /* rounds toward 0; floor(v) after the next line */
+    ki -= (double)ki > v;
+    const double k = (double)ki;
+    const double r = (c - k * LN2_HI) - k * LN2_LO;
+    double p = TAYLOR[TERMS - 1];
+    for (int i = TERMS - 2; i >= 0; i--)
+        p = p * r + TAYLOR[i];
+    return ki < -1000 ? p * pow2(ki + 64) * pow2(-64) : p * pow2(ki);
+}
+
+/* neural._sigmoid: exp(-|z|) never overflows, and one division serves both signs. */
+static double sigmoid(double z)
+{
+    const double e = fixed_exp(-fabs(z));
+    return (z >= 0 ? 1.0 : e) / (1.0 + e);
+}
+
+/* Every layer's activations for the S samples: layer l (l >= 1) is an
+ * (S, sizes[l]) block of acts, the blocks in layer order. A unit's input
+ * is summed one term at a time in index order, then its bias is added. */
+static void forward_all(const int64_t *sizes, int64_t layers, const double *x, int64_t S,
+                        const double *params, double *acts)
+{
+    const double *in = x, *w = params;
+    double *out = acts;
+    for (int64_t l = 1; l < layers; l++) {
+        const int64_t n_in = sizes[l - 1], n_out = sizes[l];
+        const double *b = w + n_out * n_in;
+        for (int64_t s = 0; s < S; s++) {
+            const double *a = in + s * n_in;
+            for (int64_t j = 0; j < n_out; j++) {
+                const double *wj = w + j * n_in;
+                double z = wj[0] * a[0];
+                for (int64_t i = 1; i < n_in; i++)
+                    z = z + wj[i] * a[i];
+                out[s * n_out + j] = sigmoid(z + b[j]);
+            }
+        }
+        in = out;
+        out += S * n_out;
+        w = b + n_out;
+    }
+}
+
+/* The gradient of scale * sum over samples and outputs of (out - t)^2,
+ * into grads (params' layout), from forward_all's acts. Every sum over
+ * samples runs in sample order and every sum over units in index order.
+ * delta is scratch for 2 * S * (the largest of sizes[1..]). */
+static void backward(const int64_t *sizes, int64_t layers, const double *x, const double *t,
+                     int64_t S, double scale, const double *params, const double *acts,
+                     double *grads, double *delta)
+{
+    int64_t widest = 0, at = 0, act_at = 0;
+    for (int64_t l = 1; l < layers; l++) {
+        widest = sizes[l] > widest ? sizes[l] : widest;
+        at += (sizes[l - 1] + 1) * sizes[l];
+        act_at += S * sizes[l];
+    }
+    double *cur = delta, *prev = delta + S * widest;
+    const double two_scale = 2.0 * scale;
+    int64_t n_out = sizes[layers - 1];
+    act_at -= S * n_out;
+    const double *out = acts + act_at;
+    for (int64_t y = 0; y < S * n_out; y++) {
+        const double o = out[y];
+        cur[y] = two_scale * (o - t[y]) * o * (1.0 - o);
+    }
+    for (int64_t l = layers - 1; l >= 1; l--) {
+        const int64_t n_in = sizes[l - 1];
+        at -= (n_in + 1) * n_out;
+        const double *w = params + at;
+        double *gw = grads + at, *gb = gw + n_out * n_in;
+        const double *in = x;
+        if (l > 1) {
+            act_at -= S * n_in;
+            in = acts + act_at;
+        }
+        for (int64_t j = 0; j < n_out; j++) {
+            for (int64_t i = 0; i < n_in; i++) {
+                double g = cur[j] * in[i];
+                for (int64_t s = 1; s < S; s++)
+                    g = g + cur[s * n_out + j] * in[s * n_in + i];
+                gw[j * n_in + i] = g;
+            }
+            double g = cur[j];
+            for (int64_t s = 1; s < S; s++)
+                g = g + cur[s * n_out + j];
+            gb[j] = g;
+        }
+        if (l > 1) {
+            for (int64_t s = 0; s < S; s++)
+                for (int64_t i = 0; i < n_in; i++) {
+                    const double *d = cur + s * n_out;
+                    double sum = d[0] * w[i];
+                    for (int64_t j = 1; j < n_out; j++)
+                        sum = sum + d[j] * w[j * n_in + i];
+                    const double a = in[s * n_in + i];
+                    prev[s * n_in + i] = sum * a * (1.0 - a);
+                }
+            double *swap = cur;
+            cur = prev;
+            prev = swap;
+        }
+        n_out = n_in;
+    }
+}
+
+/* Full-batch gradient descent with momentum, as neural._train_numpy runs it.
+ *
+ * sizes holds the layers >= 2 layer sizes, each >= 1; x is (S, sizes[0])
+ * and t (S, sizes[layers - 1]), S >= 1. params and vel hold P =
+ * sum of (sizes[l - 1] + 1) * sizes[l] values in the layout W0, b0, W1,
+ * b1, ..., and grads is scratch for P. acts is scratch for S times the sum
+ * of sizes[1..], delta for 2 * S * their maximum.
+ *
+ * Each epoch takes the gradient of the MSE at params, steps vel and params,
+ * and writes the new MSE to history. Stops after the first epoch whose MSE
+ * is at or below target_mse, or after epochs epochs; returns the number
+ * run. */
+int64_t train_epochs(const int64_t *sizes, int64_t layers, const double *x, const double *t,
+                     int64_t S, double lr, double momentum, double target_mse, int64_t epochs,
+                     double *params, double *vel, double *grads, double *acts, double *delta,
+                     double *history)
+{
+    int64_t P = 0, act_at = 0;
+    for (int64_t l = 1; l < layers; l++) {
+        P += (sizes[l - 1] + 1) * sizes[l];
+        act_at += S * sizes[l];
+    }
+    const int64_t outputs = S * sizes[layers - 1];
+    const double *out = acts + act_at - outputs;
+    const double scale = 1.0 / (double)S;
+    forward_all(sizes, layers, x, S, params, acts);
+    for (int64_t epoch = 0; epoch < epochs; epoch++) {
+        backward(sizes, layers, x, t, S, scale, params, acts, grads, delta);
+        for (int64_t p = 0; p < P; p++) {
+            const double v = vel[p] * momentum - lr * grads[p];
+            vel[p] = v;
+            params[p] = params[p] + v;
+        }
+        forward_all(sizes, layers, x, S, params, acts);
+        double sum = 0.0;
+        for (int64_t y = 0; y < outputs; y++) {
+            const double err = out[y] - t[y];
+            sum = sum + err * err; /* +0.0 + err * err is err * err, as err * err >= +0.0 */
+        }
+        const double mse = sum / (double)outputs;
+        history[epoch] = mse;
+        if (mse <= target_mse)
+            return epoch + 1;
+    }
+    return epochs;
 }

@@ -1,22 +1,24 @@
 """The compiled kernels: `_band.c`, built on first use with the system `cc`.
 
-The one library exports two functions. `band_align` fills and traces
+The one library exports three functions. `band_align` fills and traces
 banded alignments, in place of `align._band_align_numpy`; `seed_diagonals`
 lists the diagonals a query's k-mer seeds fall on, in place of
-`homology._seed_diagonals_numpy`.
+`homology._seed_diagonals_numpy`; `train_epochs` runs gradient-descent
+epochs, in place of `neural._train_numpy`, with the same bits.
 
-`load` compiles the C file with `cc -O3 -fwrapv -shared -fPIC` into a
-per-user cache directory, `$XDG_CACHE_HOME/mutascan` or else
+`load` compiles the C file with `cc -O3 -fwrapv -ffp-contract=off -shared
+-fPIC` into a per-user cache directory, `$XDG_CACHE_HOME/mutascan` or else
 `~/.cache/mutascan`, and loads it with ctypes. The library's name holds the
 SHA-256 of the source, the compiler command and the platform, so a warm
 start spawns no process and a change of flags builds a new library.
 A cache directory that another user owns, or that others may write to, is
 not used: the library is then built into a private temp directory for the
 process. With no compiler, a failed build or a failed load, `load` returns
-None, and `align` and `homology` run their numpy versions instead.
+None, and `align`, `homology` and `neural` run their numpy versions instead.
 
 ctypes checks no bounds, so each `Kernel` method checks every argument
-before it calls C: dtype, C order, shape, codes, row windows and k.
+before it calls C: dtype, C order, shape, codes, row windows, k and layer
+sizes.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import itertools
 import os
 import shutil
 import stat
@@ -36,14 +39,15 @@ from pathlib import Path
 
 import numpy as np
 
-_CC = ("cc", "-O3", "-fwrapv", "-shared", "-fPIC")
+# -ffp-contract=off: a * b + c stays two roundings, so training's bits do not depend on FMA
+_CC = ("cc", "-O3", "-fwrapv", "-ffp-contract=off", "-shared", "-fPIC")
 _BUILD_TIMEOUT_S = 120
 # the C table: row codes A C G T N, column codes those and align.OUTSIDE_CODE
 _TABLE_SHAPE = (5, 6)
 # homology.MIN_K and MAX_K: a k-mer's 2-bit code fills at most a uint64
 _K_RANGE = (4, 32)
 
-_ptr, _i64, _i32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int32
+_ptr, _i64, _i32, _f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int32, ctypes.c_double
 
 
 @functools.cache
@@ -176,6 +180,29 @@ def _check_seeds(query, k, codes, subject_idx, offsets) -> None:
     _check("offsets", offsets, np.int64, windows)
 
 
+def _check_training(sizes, inputs, targets, params, vel, history) -> tuple[int, int]:
+    """Refuse a network or dataset the C code would misread; return (S, P)."""
+    if (
+        not isinstance(sizes, tuple)
+        or len(sizes) < 2
+        or any(type(n) is not int or n < 1 for n in sizes)  # bool is an int
+    ):
+        raise ValueError(f"layer sizes must be a tuple of two or more positive ints, not {sizes!r}")
+    samples = inputs.shape[0] if isinstance(inputs, np.ndarray) and inputs.ndim == 2 else 0
+    if samples == 0:
+        raise ValueError("training needs inputs of shape (samples >= 1, input size)")
+    count = sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:]))
+    _check("inputs", inputs, np.float64, (samples, sizes[0]))
+    _check("targets", targets, np.float64, (samples, sizes[-1]))
+    _check("params", params, np.float64, (count,))
+    _check("vel", vel, np.float64, (count,))
+    _check("history", history, np.float64, (np.size(history),))
+    arrays = (inputs, targets, params, vel, history)
+    if any(np.may_share_memory(a, b) for a, b in itertools.combinations(arrays, 2)):
+        raise ValueError("inputs, targets, params, vel and history must not overlap")
+    return samples, count
+
+
 class Kernel:
     """The loaded library: each method checks its arguments once, then calls C."""
 
@@ -191,6 +218,38 @@ class Kernel:
         self._seed = library.seed_diagonals
         self._seed.argtypes = [_ptr, _i64, _i64, _ptr, _ptr, _ptr, _i64, _i64, _ptr, _ptr]
         self._seed.restype = _i64
+        self._train = library.train_epochs
+        self._train.argtypes = [
+            _ptr, _i64, _ptr, _ptr, _i64, _f64, _f64, _f64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr,
+            _ptr,
+        ]
+        self._train.restype = _i64
+
+    def train(
+        self, sizes: tuple, inputs, targets, learning_rate: float, momentum: float,
+        target_mse: float, params, vel, history,
+    ) -> int:
+        """`neural._train_numpy` in C: the same arguments, and the same bits in
+        `params`, `vel`, `history` and the returned epoch count.
+
+        `sizes` is the layer sizes, `inputs` (S, sizes[0]) and `targets`
+        (S, sizes[-1]) float64, `params` and `vel` the flat W0, b0, W1, b1, ...
+        buffers, which each epoch updates in place. Runs at most `len(history)`
+        epochs, writing each epoch's MSE to `history`, and stops after the
+        first at or below `target_mse`; returns the number run.
+        """
+        samples, count = _check_training(sizes, inputs, targets, params, vel, history)
+        layer_sizes = np.asarray(sizes, dtype=np.int64)
+        # the C code's scratch: gradients, and each non-input layer's activations and deltas
+        grads = np.empty(count)
+        acts = np.empty(samples * sum(sizes[1:]))
+        delta = np.empty(2 * samples * max(sizes[1:]))
+        return self._train(
+            layer_sizes.ctypes.data, len(sizes), inputs.ctypes.data,
+            targets.ctypes.data, samples, learning_rate, momentum, target_mse, len(history),
+            params.ctypes.data, vel.ctypes.data, grads.ctypes.data, acts.ctypes.data,
+            delta.ctypes.data, history.ctypes.data,
+        )
 
     def seed_diagonals(self, query, k: int, codes, subject_idx, offsets) -> list:
         """`homology._seed_diagonals_numpy` in C: the same arguments, the query's

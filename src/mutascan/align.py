@@ -218,10 +218,11 @@ def _band_align(
     compiled kernel fills and traces when it loads, else `_band_align_numpy`
     does, on one argument list; both give the same paths.
     """
-    shape = (len(rows) + 1, cols.shape[0], width)
-    M = np.empty(shape, dtype=np.int32)
-    Ix = np.empty(shape, dtype=np.int32)
-    Iy = np.empty(shape, dtype=np.int32)
+    # One block for all three: once glibc has freed it, its mmap threshold is the block's
+    # size and its trim threshold twice that, so the next call takes it from the heap.
+    # Three blocks of a third the size coalesce past that trim threshold, and were mapped
+    # and faulted in again on every call.
+    M, Ix, Iy = np.empty((3, len(rows) + 1, cols.shape[0], width), dtype=np.int32)
     M[0] = Ix[0] = Iy[0] = _NEG
     oe, e = scoring.gap_open + scoring.gap_extend, scoring.gap_extend
     if not local:

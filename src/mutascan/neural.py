@@ -5,6 +5,15 @@ layer, full-batch gradient descent on mean squared error with momentum,
 seeded uniform weight initialization, zero-initialized biases. The default
 topology is 10-4-1 (ten mutation features, four hidden units, one risk
 output). Models persist as versioned JSON and round-trip bit-exactly.
+
+Training and scoring run one fixed sequence of IEEE operations, so a model
+and its scores have the same bits whatever SIMD extensions the CPU has and
+whether or not a compiler is found.
+The sigmoid's exp(-|z|) is built from floor, +, * and ldexp only
+(`_fixed_exp`); a unit's input is summed one term at a time in index order,
+then its bias is added; gradients are summed over samples in sample order.
+`train` runs the epochs in the compiled kernel (`_native.Kernel.train`) or,
+without one, in `_train_numpy`, which spells the same operations in numpy.
 """
 
 from __future__ import annotations
@@ -12,13 +21,16 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
+from functools import reduce
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import _native
 from .align import Mutation, MutationKind, apply_mutations, mutation_from_dict
 from .errors import MutascanError, PositionOutOfRangeError
 from .protein import EffectKind, classify_effect
@@ -30,6 +42,18 @@ MODEL_VERSION = 1
 
 # a candidate scoring at or above this is labelled AtRisk
 RISK_THRESHOLD = 0.5
+
+# epochs per kernel call: no buffer grows with max_epochs, and Ctrl-C lands between calls
+_CHUNK_EPOCHS = 65_536
+
+# The fixed exp's constants, as `_band.c` spells them: exp(x) rounds to 0 at
+# and below _EXP_LO; ln 2 split for the Cody-Waite reduction, the high part
+# with its low 21 bits 0; and 1/0! .. 1/12!, each correctly rounded.
+_EXP_LO = -746.0
+_INV_LN2 = float.fromhex("0x1.71547652b82fep+0")
+_LN2_HI = float.fromhex("0x1.62e42feep-1")
+_LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
+_TAYLOR = tuple(1.0 / math.factorial(i) for i in range(13))
 
 DISPLAY_AT_RISK = "highly risk of breast cancer"
 DISPLAY_NORMAL = "Normal"
@@ -202,11 +226,49 @@ def _init_network(topology: NetworkTopology, cfg: TrainConfig) -> tuple[Network,
     return Network(topology, weights, biases, train_config=cfg), params
 
 
+def _fixed_exp(x: np.ndarray) -> np.ndarray:
+    """exp(x) for x <= 0, and a nan as np.exp returns it, from floor, +, * and ldexp.
+
+    Cody-Waite reduction by ln 2, x = k ln 2 + r with |r| <= ln 2 / 2, then
+    the degree-12 Taylor polynomial of e^r in Horner form, then ldexp(p, k):
+    the operations of `_band.c`'s fixed_exp, so the bits do not depend on
+    numpy's SIMD dispatch. Clamping at _EXP_LO, where exp rounds to 0,
+    keeps k an int; a nan is put back in at the end.
+    """
+    c = np.fmax(x, _EXP_LO)  # fmax gives _EXP_LO for a nan, so no nan becomes an int
+    k = np.floor(c * _INV_LN2 + 0.5)
+    r = (c - k * _LN2_HI) - k * _LN2_LO
+    p = np.full_like(r, _TAYLOR[-1])
+    for coefficient in _TAYLOR[-2::-1]:
+        p *= r
+        p += coefficient
+    return np.where(np.isnan(x), x, np.ldexp(p, k.astype(np.int32)))
+
+
+def _exp_float(x: float) -> float:
+    """`_fixed_exp` on one Python float, with the same operations and bits."""
+    if x != x:
+        return x
+    c = x if x > _EXP_LO else _EXP_LO
+    k = math.floor(c * _INV_LN2 + 0.5)
+    r = (c - k * _LN2_HI) - k * _LN2_LO
+    p = _TAYLOR[-1]
+    for coefficient in _TAYLOR[-2::-1]:
+        p = p * r + coefficient
+    return math.ldexp(p, k)
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) never overflows; one division serves both signs' split forms,
     # 1 / (1 + e) for z >= 0 and e / (1 + e) below
-    e = np.exp(-np.abs(z))
+    e = _fixed_exp(-np.abs(z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _sigmoid_float(z: float) -> float:
+    """`_sigmoid` on one Python float, with the same operations and bits."""
+    e = _exp_float(-abs(z))
+    return (1.0 if z >= 0 else e) / (1.0 + e)
 
 
 def _as_input(x, width: int) -> np.ndarray:
@@ -220,17 +282,33 @@ def _as_input(x, width: int) -> np.ndarray:
     return arr
 
 
-def _forward_all(net: Network, batch: np.ndarray) -> list[np.ndarray]:
+def _forward_all(weights, biases, batch: np.ndarray) -> list[np.ndarray]:
+    """Every layer's activations for a batch of inputs, the inputs first.
+
+    A unit's input is summed one term at a time in index order, then its
+    bias is added; `np.add.accumulate` keeps that order where `@` would not.
+    """
     acts = [batch]
-    for w, b in zip(net.weights, net.biases):
-        acts.append(_sigmoid(acts[-1] @ w.T + b))
+    for w, b in zip(weights, biases):
+        terms = acts[-1][:, np.newaxis, :] * w  # (samples, units, inputs)
+        acts.append(_sigmoid(np.add.accumulate(terms, axis=2)[:, :, -1] + b))
     return acts
 
 
 def forward(net: Network, x) -> float:
-    """Propagate one input through the network; output strictly in (0, 1)."""
-    arr = _as_input(x, net.topology.input_size)
-    return float(_forward_all(net, arr[np.newaxis, :])[-1][0, 0])
+    """Propagate one input through the network; output strictly in (0, 1).
+
+    Plain Python floats in `_forward_all`'s order, with the same bits: a
+    score is the same whether the network was trained here or loaded, and
+    one input costs less than numpy's per-call overhead would.
+    """
+    acts = _as_input(x, net.topology.input_size).tolist()
+    for w, b in zip(net.weights, net.biases):
+        acts = [
+            _sigmoid_float(reduce(operator.add, map(operator.mul, row, acts)) + bias)
+            for row, bias in zip(w.tolist(), b.tolist())
+        ]
+    return acts[0]
 
 
 def gradient(net: Network, sample: tuple) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -241,16 +319,16 @@ def gradient(net: Network, sample: tuple) -> tuple[list[np.ndarray], list[np.nda
     """
     x, target = sample
     arr = _as_input(x, net.topology.input_size)
-    acts = _forward_all(net, arr[np.newaxis, :])
+    acts = _forward_all(net.weights, net.biases, arr[np.newaxis, :])
     t = np.asarray([[float(target)]])
     d_weights = [np.empty_like(w) for w in net.weights]
     d_biases = [np.empty_like(b) for b in net.biases]
-    _backward(net, acts, t, 1.0, d_weights, d_biases)
+    _backward(net.weights, acts, t, 1.0, d_weights, d_biases)
     return d_weights, d_biases
 
 
 def _backward(
-    net: Network,
+    weights: list[np.ndarray],
     acts: list[np.ndarray],
     targets: np.ndarray,
     scale: float,
@@ -260,16 +338,57 @@ def _backward(
     """Reverse pass for E = scale * sum_samples (output - target)^2.
 
     Writes each layer's partials into `d_weights` and `d_biases`, arrays
-    shaped like the network's parameters.
+    shaped like the network's parameters. Sums over samples run in sample
+    order, and a unit's back-propagated sum in index order.
     """
     out = acts[-1]
     delta = 2.0 * scale * (out - targets) * out * (1.0 - out)
-    for layer in range(len(net.weights) - 1, -1, -1):
-        np.matmul(delta.T, acts[layer], out=d_weights[layer])
-        np.add.reduce(delta, axis=0, out=d_biases[layer])
+    for layer in range(len(weights) - 1, -1, -1):
+        a = acts[layer]
+        terms = delta[:, :, np.newaxis] * a[:, np.newaxis, :]  # (samples, units, inputs)
+        d_weights[layer][...] = np.add.accumulate(terms, axis=0)[-1]
+        d_biases[layer][...] = np.add.accumulate(delta, axis=0)[-1]
         if layer > 0:
-            a = acts[layer]
-            delta = (delta @ net.weights[layer]) * a * (1.0 - a)
+            terms = delta[:, :, np.newaxis] * weights[layer]
+            delta = np.add.accumulate(terms, axis=1)[:, -1, :] * a * (1.0 - a)
+
+
+def _train_numpy(
+    sizes: tuple[int, ...],
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    learning_rate: float,
+    momentum: float,
+    target_mse: float,
+    params: np.ndarray,
+    vel: np.ndarray,
+    history: np.ndarray,
+) -> int:
+    """`_native.Kernel.train` in numpy: the same arguments, and the same bits in
+    `params`, `vel`, `history` and the returned epoch count. The fallback where
+    the compiled kernel cannot be built, and its oracle.
+
+    Runs at most `len(history)` epochs of momentum descent on the flat
+    W0, b0, W1, b1, ... buffers `params` and `vel`, writing each epoch's
+    post-update MSE to `history`; stops after the first at or below
+    `target_mse` and returns the number run.
+    """
+    weights, biases = _layer_views(params, sizes)
+    grads = np.empty_like(params)
+    d_weights, d_biases = _layer_views(grads, sizes)
+    scale = 1.0 / len(inputs)
+    acts = _forward_all(weights, biases, inputs)
+    for epoch in range(len(history)):
+        _backward(weights, acts, targets, scale, d_weights, d_biases)
+        vel *= momentum
+        vel -= learning_rate * grads
+        params += vel
+        acts = _forward_all(weights, biases, inputs)
+        err = acts[-1] - targets
+        history[epoch] = mse = np.add.accumulate((err * err).ravel())[-1] / err.size
+        if mse <= target_mse:
+            return epoch + 1
+    return len(history)
 
 
 def train(
@@ -282,40 +401,29 @@ def train(
     MSE = (1/S) * sum over samples of (output - target)^2; the history
     records the post-update MSE of every epoch, so the report's curve is
     exactly what a monitoring plot would show. Deterministic for a fixed
-    seed, dataset, and config.
+    seed, dataset, and config, and the same bits on either kernel.
 
-    The parameters, their gradients and their velocities each live in one
-    flat buffer with the same layout, so the momentum step is four
-    whole-buffer operations. Every element goes through the same IEEE
-    operations as a per-layer update, so the result is the same to the bit.
+    The epochs run in the compiled kernel where it loads, else in
+    `_train_numpy`, at most `_CHUNK_EPOCHS` a call.
     """
     if len(data) == 0:
         raise EmptyDatasetError("training data is empty")
     width = topology.input_size
-    batch = np.stack([_as_input(x, width) for x, _ in data])
+    inputs = np.stack([_as_input(x, width) for x, _ in data])
     targets = np.asarray([[float(t)] for _, t in data])
 
     net, params = _init_network(topology, cfg)
-    grads = np.empty_like(params)
-    d_weights, d_biases = _layer_views(grads, topology.layer_sizes)
     vel = np.zeros_like(params)
-    step = np.empty_like(params)
-    scale = 1.0 / len(data)
+    kernel = _native.load()
+    train_epochs = _train_numpy if kernel is None else kernel.train
+    rates = (float(cfg.learning_rate), float(cfg.momentum), float(cfg.target_mse))
 
     history: list[float] = []
-    acts = _forward_all(net, batch)
-    for _ in range(cfg.max_epochs):
-        _backward(net, acts, targets, scale, d_weights, d_biases)
-        vel *= cfg.momentum
-        np.multiply(cfg.learning_rate, grads, out=step)
-        vel -= step
-        params += vel
-        acts = _forward_all(net, batch)
-        err = acts[-1] - targets
-        # np.mean's sum and division, without its Python wrapper
-        mse = float(np.add.reduce(err * err, axis=None) / err.size)
-        history.append(mse)
-        if mse <= cfg.target_mse:
+    while True:
+        chunk = np.empty(min(_CHUNK_EPOCHS, cfg.max_epochs - len(history)))
+        run = train_epochs(topology.layer_sizes, inputs, targets, *rates, params, vel, chunk)
+        history += chunk[:run].tolist()
+        if history[-1] <= cfg.target_mse or len(history) == cfg.max_epochs:
             break
 
     # the caller's network owns its arrays; the training buffers stay private

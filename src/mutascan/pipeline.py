@@ -185,6 +185,10 @@ def load_manifest(path: str | Path) -> DatabaseManifest:
             raise ManifestError(
                 f"database entry {i} needs a non-empty 'name' string and a 'fasta' path"
             )
+        if not raw["name"].isprintable():  # a line break would split its line of report.txt
+            raise ManifestError(
+                f"database entry {i}: name {raw['name']!r} holds a character that is not printable"
+            )
         fasta_path = base / raw["fasta"]
         if not os.path.isfile(fasta_path):  # False, not an error, for a name too long
             raise ManifestError(

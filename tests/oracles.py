@@ -6,7 +6,8 @@ sharing no code or algorithmic structure with the package under test. The
 exceptions are the differential references for the banded kernel, for
 mutation calling and for training: the package's earlier full-matrix and
 per-diagonal aligners, its column-walk call derivation and its per-layer
-gradient-descent trainer, kept unchanged.
+gradient-descent trainer, kept unchanged, and the fixed-operation trainer
+spelled in plain Python floats.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from hypothesis import strategies as st
@@ -717,6 +719,121 @@ def reference_train(topology, data, cfg):
         if mse <= cfg.target_mse:
             break
 
+    report = TrainReport(
+        epochs_run=len(history),
+        final_mse=history[-1],
+        converged=history[-1] <= cfg.target_mse,
+        history=tuple(history),
+    )
+    return net, report
+
+
+# --- neural training: the fixed sequence of IEEE operations, in plain floats
+
+# exp(x) rounds to 0 at and below this; ln 2 in Cody-Waite parts; 1/0! .. 1/12!
+_EXP_LO = -746.0
+_INV_LN2 = float.fromhex("0x1.71547652b82fep+0")
+_LN2_HI = float.fromhex("0x1.62e42feep-1")
+_LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
+_TAYLOR = [1.0 / math.factorial(i) for i in range(13)]
+
+
+def fixed_exp_scalar(x: float) -> float:
+    """exp(x) for x <= 0 (a nan returned as is): x = k ln 2 + r, e^r by its
+    degree-12 Taylor polynomial in Horner form, then ldexp by k."""
+    if math.isnan(x):
+        return x
+    x = max(x, _EXP_LO)
+    k = math.floor(x * _INV_LN2 + 0.5)
+    r = (x - k * _LN2_HI) - k * _LN2_LO
+    p = _TAYLOR[12]
+    for i in range(11, -1, -1):
+        p = p * r + _TAYLOR[i]
+    return math.ldexp(p, k)
+
+
+def fixed_sigmoid_scalar(z: float) -> float:
+    e = fixed_exp_scalar(-abs(z))
+    return (1.0 if z >= 0 else e) / (1.0 + e)
+
+
+def _sum_in_order(terms):
+    """((t0 + t1) + t2) + ...: the builtin sum compensates its rounding from Python 3.12."""
+    return reduce(operator.add, terms)
+
+
+def reference_fixed_train(topology, data, cfg):
+    """`neural.train`'s fixed sequence of operations, one Python float at a time.
+
+    A unit's input is its terms summed in index order, then its bias; every
+    gradient is summed over samples in sample order; the MSE sums samples in
+    order. Returns (Network, TrainReport), as `neural.train` does; the
+    trainer must match it bit for bit.
+    """
+    from mutascan.neural import Network, TrainReport
+
+    sizes = topology.layer_sizes
+    rng = np.random.default_rng(cfg.seed)
+    lo, hi = cfg.init_range
+    pairs = list(zip(sizes, sizes[1:]))
+    weights = [rng.uniform(lo, hi, size=(n_out, n_in)).tolist() for n_in, n_out in pairs]
+    biases = [[0.0] * n_out for n_out in sizes[1:]]
+    vel_w = [[[0.0] * n_in for _ in range(n_out)] for n_in, n_out in pairs]
+    vel_b = [[0.0] * n_out for n_out in sizes[1:]]
+    inputs = [[float(v) for v in getattr(x, "values", x)] for x, _ in data]
+    targets = [float(t) for _, t in data]
+    lr, momentum, scale = float(cfg.learning_rate), float(cfg.momentum), 1.0 / len(data)
+
+    def forward_all():
+        acts = [inputs]
+        for w, b in zip(weights, biases):
+            acts.append([
+                [fixed_sigmoid_scalar(_sum_in_order([wi * ai for wi, ai in zip(row, a)]) + bj)
+                 for row, bj in zip(w, b)]
+                for a in acts[-1]
+            ])
+        return acts
+
+    def step(value, velocity, grad):
+        velocity = velocity * momentum - lr * grad
+        return value + velocity, velocity
+
+    history: list[float] = []
+    acts = forward_all()
+    for _ in range(cfg.max_epochs):
+        delta = [
+            [2.0 * scale * (o - t) * o * (1.0 - o) for o in out] for out, t in zip(acts[-1], targets)
+        ]
+        for layer in range(len(weights) - 1, -1, -1):
+            a, w = acts[layer], weights[layer]
+            d_w = [
+                [_sum_in_order([d[j] * x[i] for d, x in zip(delta, a)]) for i in range(len(row))]
+                for j, row in enumerate(w)
+            ]
+            d_b = [_sum_in_order([d[j] for d in delta]) for j in range(len(w))]
+            if layer > 0:
+                delta = [
+                    [_sum_in_order([d[j] * w[j][i] for j in range(len(w))]) * x[i] * (1.0 - x[i])
+                     for i in range(len(x))]
+                    for d, x in zip(delta, a)
+                ]
+            for j in range(len(w)):
+                for i in range(len(w[j])):
+                    w[j][i], vel_w[layer][j][i] = step(w[j][i], vel_w[layer][j][i], d_w[j][i])
+                biases[layer][j], vel_b[layer][j] = step(biases[layer][j], vel_b[layer][j], d_b[j])
+        acts = forward_all()
+        squares = [(o - t) * (o - t) for out, t in zip(acts[-1], targets) for o in out]
+        mse = _sum_in_order(squares) / len(squares)
+        history.append(mse)
+        if mse <= cfg.target_mse:
+            break
+
+    net = Network(
+        topology,
+        [np.array(w) for w in weights],
+        [np.array(b) for b in biases],
+        train_config=cfg,
+    )
     report = TrainReport(
         epochs_run=len(history),
         final_mse=history[-1],

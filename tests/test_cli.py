@@ -366,6 +366,28 @@ def test_diagnose_missing_manifest_exits_1(corpus, tmp_path, monkeypatch, capsys
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["nc\nbi", "a\rb", "a\x00b"], ids=["line feed", "return", "nul"])
+def test_diagnose_with_an_unprintable_database_name_exits_1_and_writes_nothing(
+    corpus, trained_model, tmp_path, monkeypatch, capsys, name
+):
+    doc = json.loads(corpus["manifest"].read_text(encoding="utf-8"))
+    for db in doc["databases"]:
+        db["fasta"] = str(corpus["manifest"].parent / db["fasta"])
+    doc["databases"][0]["name"] = name
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setenv("MUTASCAN_WORKDIR", str(tmp_path / "wd"))
+    rc = main(
+        [
+            "diagnose", "--patient", str(corpus["patient_mutated"]),
+            "--manifest", str(manifest), "--model", str(trained_model),
+        ]
+    )
+    assert rc == 1
+    assert "database entry 0: name" in capsys.readouterr().err
+    assert not (tmp_path / "wd").exists()
+
+
 @pytest.mark.parametrize(
     "value,rc,written",
     [(None, 0, ["mutascan-work"]), ("from-env", 0, ["from-env"]), ("", 1, [])],

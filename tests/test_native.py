@@ -1,5 +1,5 @@
 """The compiled kernels against the numpy and Python code they mirror: the band
-fill and traceback, and the k-mer seeding of a search."""
+fill and traceback, the k-mer seeding of a search, and the training epochs."""
 
 import hashlib
 import importlib.resources
@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mutascan import _native
-from mutascan import align, homology
+from mutascan import align, homology, neural
 from mutascan.align import Scoring, banded_local_align, encode_bases, global_align
 from mutascan.homology import SEARCH_SCORING, build_index, search
+from mutascan.neural import NetworkTopology, TrainConfig, train
 from mutascan.seqio import DnaSequence, FastaFile
 
 from oracles import dna, random_bases, seed_diagonal_counts
@@ -313,10 +314,14 @@ def test_without_a_working_kernel_numpy_runs_and_agrees(tmp_path, monkeypatch, c
     db = FastaFile((DnaSequence("r", "", ref), DnaSequence("s", "", ref[::-1])))
     query = DnaSequence("p", "", patient)
 
+    xor = [([0.0, 0.0], 0.0), ([0.0, 1.0], 1.0), ([1.0, 0.0], 1.0), ([1.0, 1.0], 0.0)]
+
     def results():
+        net, report = train(NetworkTopology((2, 4, 1)), xor, TrainConfig(max_epochs=50))
         return (
             global_align(db.records[0], query),
             search(query, build_index(db, 11)),
+            (report, [w.tolist() for w in net.weights + net.biases]),
         )
 
     expected = results()
@@ -340,6 +345,7 @@ def test_without_a_working_kernel_numpy_runs_and_agrees(tmp_path, monkeypatch, c
         (align, "_fill_rows_numpy"),
         (align, "_band_traceback_python"),
         (homology, "_seed_diagonals_numpy"),
+        (neural, "_train_numpy"),
     ):
         original = getattr(module, name)
         monkeypatch.setattr(
@@ -347,7 +353,9 @@ def test_without_a_working_kernel_numpy_runs_and_agrees(tmp_path, monkeypatch, c
         )
     monkeypatch.setattr(_native, "load", lambda: _native._load(cache))
     assert results() == expected
-    assert set(ran) == {"_fill_rows_numpy", "_band_traceback_python", "_seed_diagonals_numpy"}
+    assert set(ran) == {
+        "_fill_rows_numpy", "_band_traceback_python", "_seed_diagonals_numpy", "_train_numpy",
+    }
 
 
 @pytest.mark.parametrize("mode", [0o770, 0o707, 0o777])
@@ -409,7 +417,7 @@ def guarded(native):
     def not_reached(*args):
         raise AssertionError("the C function was called")
 
-    kernel._align = kernel._seed = not_reached
+    kernel._align = kernel._seed = kernel._train = not_reached
     return kernel
 
 
@@ -499,6 +507,88 @@ def test_seeding_refuses_bad_arguments_before_calling_c(guarded, index, bad):
     args[index] = bad(args[index])
     with pytest.raises(ValueError):
         guarded.seed_diagonals(*args)
+
+
+def _train_args(samples=5, sizes=(3, 4, 2, 1)):
+    """`Kernel.train` arguments, as `neural.train` hands them: sizes, inputs, targets,
+    learning rate, momentum, target MSE, params, vel, history."""
+    rng = np.random.default_rng(9)
+    count = sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:]))
+    return [
+        sizes, rng.uniform(0, 1, (samples, sizes[0])), rng.uniform(0, 1, (samples, sizes[-1])),
+        0.5, 0.9, 1e-9, rng.uniform(-1, 1, count), np.zeros(count), np.empty(20),
+    ]
+
+
+@pytest.mark.parametrize(
+    "index,bad",
+    [
+        pytest.param(0, list, id="sizes a list"),
+        pytest.param(0, lambda s: s[:1], id="one layer"),
+        pytest.param(0, lambda s: (s[0], 0, *s[2:]), id="an empty layer"),
+        pytest.param(0, lambda s: (s[0], True, *s[2:]), id="a bool size"),
+        pytest.param(0, lambda s: (s[0], np.int64(4), *s[2:]), id="a numpy int size"),
+        pytest.param(0, lambda s: (s[0], 5, *s[2:]), id="sizes that do not fit params"),
+        pytest.param(0, lambda s: (s[0], 2**70, *s[2:]), id="a size past int64"),
+        pytest.param(1, lambda a: a.astype(np.float32), id="inputs float32"),
+        pytest.param(1, lambda a: np.asfortranarray(a), id="inputs not C-contiguous"),
+        pytest.param(1, lambda a: a[:, :-1], id="inputs one column short"),
+        pytest.param(1, lambda a: a[:0], id="no samples"),
+        pytest.param(1, lambda a: a[0], id="inputs 1-D"),
+        pytest.param(1, lambda a: a.tolist(), id="inputs a list"),
+        pytest.param(2, lambda a: a[:-1], id="targets one sample short"),
+        pytest.param(2, lambda a: a.ravel(), id="targets 1-D"),
+        pytest.param(2, lambda a: a.astype(np.int64), id="targets int64"),
+        pytest.param(6, lambda a: a[:-1], id="params one short"),
+        pytest.param(6, lambda a: a[::-1], id="params with a negative stride"),
+        pytest.param(6, lambda a: a.astype(np.float32), id="params float32"),
+        pytest.param(7, lambda a: np.append(a, 0.0), id="vel one long"),
+        pytest.param(7, lambda a: np.zeros((len(a), 2))[:, 0], id="vel a strided view"),
+        pytest.param(8, lambda a: a.reshape(4, 5), id="history 2-D"),
+        pytest.param(8, lambda a: a[::2], id="history a strided view"),
+    ],
+)
+def test_training_refuses_bad_arguments_before_calling_c(guarded, index, bad):
+    """Every argument of the one `Kernel.train` call, indexed as `_train_args`
+    orders them, is checked before C trains."""
+    args = _train_args()
+    args[index] = bad(args[index])
+    with pytest.raises(ValueError):
+        guarded.train(*args)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [(6, 7), (6, 8), (7, 8), (1, 8), (2, 6)],
+    ids=["params, vel", "params, history", "vel, history", "inputs, history", "targets, params"],
+)
+def test_training_refuses_overlapping_buffers(guarded, pair):
+    args = _train_args()
+    shared = np.zeros(100)
+    for i, at in zip(pair, (0, 1)):  # the second starts one float on from the first
+        args[i] = shared[at : at + args[i].size].reshape(args[i].shape)
+    with pytest.raises(ValueError, match="must not overlap"):
+        guarded.train(*args)
+
+
+def test_training_writes_no_further_than_its_history(native):
+    for train_epochs in (native.train, neural._train_numpy):
+        args = _train_args()
+        buffer = np.full(30, 7.0)
+        args[-1] = buffer[5:25]  # 20 epochs, none at or below the target
+        assert train_epochs(*args) == 20
+        assert (buffer[:5] == 7.0).all() and (buffer[25:] == 7.0).all()
+        assert (buffer[5:25] != 7.0).all()
+
+
+def test_training_kernel_matches_numpy_on_wide_layers(native):
+    """`neural.train` hands the kernel 10-4-1; here every layer has several units."""
+    runs = []
+    for train_epochs in (native.train, neural._train_numpy):
+        args = _train_args(samples=7, sizes=(3, 6, 5, 2))
+        runs.append((train_epochs(*args), *args[6:]))
+    assert runs[0][0] == runs[1][0] == 20
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(runs[0][1:], runs[1][1:]))
 
 
 def test_traceback_with_no_predecessor_raises(native):

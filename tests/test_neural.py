@@ -1,5 +1,6 @@
 """Feed-forward classifier: forward pass, gradients, training, persistence."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mutascan import neural
 from mutascan.align import Mutation, MutationKind
 from mutascan.errors import MutascanError
 from mutascan.neural import (
@@ -36,7 +38,9 @@ from mutascan.neural import (
     rows_to_samples,
     save_net,
     train,
+    _fixed_exp,
     _sigmoid,
+    _sigmoid_float,
 )
 from mutascan.protein import EffectKind, ProteinEffect, classify_effect
 from mutascan.seqio import DnaSequence
@@ -44,9 +48,11 @@ from mutascan.seqstats import windowed_gc
 
 from oracles import (
     finite_difference_gradients,
+    fixed_sigmoid_scalar,
     json_values,
     plausible_or_any,
     random_bases,
+    reference_fixed_train,
     reference_sigmoid,
     reference_train,
     sigmoid_scalar,
@@ -154,27 +160,23 @@ def test_forward_single_chain_matches_scalar_sigmoid():
     assert forward(net, [0.0]) == pytest.approx(0.6224593312018546, abs=1e-12)
 
 
-def test_sigmoid_is_bit_identical_to_the_masked_split_form():
-    def split_sigmoid(z):
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
-
-    edges = [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, 36.7, -36.7, 745.2, -745.2]
-    rng = np.random.default_rng(3)
-    z = np.concatenate([edges, rng.normal(0.0, 20.0, 1990)]).reshape(-1, 4)
-    assert _sigmoid(z).tobytes() == split_sigmoid(z).tobytes()
-
-
-def test_sigmoid_is_bit_identical_to_the_two_division_form():
+def test_sigmoid_is_bit_identical_to_the_plain_float_form():
     tiny = 5e-324  # the smallest subnormal
-    edges = np.array([math.inf, -math.inf, math.nan, -math.nan, tiny, -tiny, 745.2, -745.2])
-    assert _sigmoid(edges).tobytes() == reference_sigmoid(edges).tobytes()
-    batch = np.random.default_rng(11).normal(0.0, 8.0, (18, 4))
-    assert _sigmoid(batch).tobytes() == reference_sigmoid(batch).tobytes()
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, tiny, -tiny, 800.0, -800.0]
+    z = edges + np.random.default_rng(3).normal(0.0, 20.0, 2000).tolist()
+    want = np.array([fixed_sigmoid_scalar(v) for v in z])
+    assert _sigmoid(np.array(z)).tobytes() == want.tobytes()
+    assert np.array([_sigmoid_float(v) for v in z]).tobytes() == want.tobytes()
+    # at the edges the fixed exp gives np.exp's sigmoid exactly
+    assert _sigmoid(np.array(edges)).tobytes() == reference_sigmoid(np.array(edges)).tobytes()
+
+
+def test_fixed_exp_is_within_3_ulp_of_numpy_exp():
+    x = -np.linspace(0.0, 708.0, 1_000_001)  # exp(-708) is still a normal float
+    got, want = _fixed_exp(x), np.exp(x)
+    assert (np.abs(got - want) <= 3 * np.spacing(want)).all()
+    special = np.array([-math.inf, math.nan, -746.0, -800.0])
+    assert _fixed_exp(special).tobytes() == np.exp(special).tobytes()
 
 
 def test_forward_matches_manual_composition():
@@ -336,17 +338,68 @@ def _training_case(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(case=_training_case())
-def test_training_matches_the_per_layer_reference(case):
+def test_training_matches_the_per_layer_reference(kernels, case):
     topology, data, cfg = case
-    _assert_same_training(train(topology, data, cfg), reference_train(topology, data, cfg))
+    want = reference_fixed_train(topology, data, cfg)
+    for kernel in kernels:
+        with kernel():
+            _assert_same_training(train(topology, data, cfg), want)
 
 
-def test_corpus_training_matches_the_per_layer_reference(corpus):
+# SHA-256 of the seed-42 corpus's model.json at MSE 1e-5: the same bits on every machine
+GOLDEN_MODEL_1E5_SHA256 = "400377f2efda2df169f9d5403e4d255866e4474133888767e0e73eb3b5f2ed61"
+
+
+def test_corpus_training_matches_the_per_layer_reference(kernels, corpus):
     samples = rows_to_samples(load_training_rows(corpus["training_data"]))
     cfg = TrainConfig(target_mse=1e-5)
-    got = train(NetworkTopology(), samples, cfg)
-    assert got[1].converged and got[1].epochs_run == 11_504
-    _assert_same_training(got, reference_train(NetworkTopology(), samples, cfg))
+    want = reference_fixed_train(NetworkTopology(), samples, cfg)
+    assert want[1].converged and want[1].epochs_run == 11_504
+    model_json = net_to_json(want[0]).encode("utf-8")
+    assert hashlib.sha256(model_json).hexdigest() == GOLDEN_MODEL_1E5_SHA256
+    for kernel in kernels:
+        with kernel():
+            _assert_same_training(train(NetworkTopology(), samples, cfg), want)
+
+
+def test_corpus_training_keeps_the_matmul_trainers_epochs_and_weights(corpus):
+    """The fixed order of operations moves the weights by rounding only: the
+    corpus crosses each MSE at the same epoch as under numpy's `@` and `np.exp`."""
+    samples = rows_to_samples(load_training_rows(corpus["training_data"]))
+    cfg = TrainConfig(target_mse=1e-6)
+    net, report = train(NetworkTopology(), samples, cfg)
+    ref_net, ref_report = reference_train(NetworkTopology(), samples, cfg)
+    for history in (report.history, ref_report.history):
+        crossed = [next(i for i, mse in enumerate(history, 1) if mse <= t) for t in (1e-4, 1e-5, 1e-6)]
+        assert crossed == [1_361, 11_504, 102_227]
+    assert report.epochs_run == ref_report.epochs_run == 102_227
+    for got, want in zip(net.weights + net.biases, ref_net.weights + ref_net.biases):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_training_allocates_nothing_by_max_epochs(kernels):
+    xor = [([0.0, 0.0], 0.0), ([0.0, 1.0], 1.0), ([1.0, 0.0], 1.0), ([1.0, 1.0], 0.0)]
+    cfg = TrainConfig(target_mse=0.3, max_epochs=10**15)  # a buffer of 10**15 floats is 8 PB
+    for kernel in kernels:
+        with kernel():
+            _, report = train(NetworkTopology((2, 4, 1)), xor, cfg)
+        assert report.converged and report.epochs_run < 100
+
+
+@pytest.mark.parametrize(
+    "target,chunk,epochs",
+    [(1e-3, 7, 40), (0.2, 11, 33)],
+    ids=["to the cap", "converged on the last epoch of a call"],
+)
+def test_training_runs_past_one_kernel_call(kernels, monkeypatch, target, chunk, epochs):
+    monkeypatch.setattr(neural, "_CHUNK_EPOCHS", chunk)
+    data = [([0.2, 0.9], 1.0), ([0.8, 0.1], 0.0), ([0.5, 0.5], 1.0)]
+    cfg = TrainConfig(target_mse=target, max_epochs=40)
+    want = reference_fixed_train(NetworkTopology((2, 3, 1)), data, cfg)
+    assert want[1].epochs_run == epochs
+    for kernel in kernels:
+        with kernel():
+            _assert_same_training(train(NetworkTopology((2, 3, 1)), data, cfg), want)
 
 
 def test_classify_threshold_is_inclusive():

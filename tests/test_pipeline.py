@@ -171,6 +171,17 @@ def test_load_manifest_refuses_a_name_that_is_not_a_non_empty_string(tmp_path, n
         load_manifest(path)
 
 
+@pytest.mark.parametrize("name", ["nc\nbi", "a\rb", "a\x00b"], ids=["line feed", "return", "nul"])
+def test_load_manifest_refuses_a_name_that_is_not_printable(tmp_path, name):
+    """`report.txt` writes each database's name on its own line."""
+    (tmp_path / "db.fasta").write_text(">r\nACGTACGTACGTACGT\n", encoding="utf-8")
+    path = tmp_path / "m.json"
+    doc = {"databases": [{"name": "x", "fasta": "db.fasta"}, {"name": name, "fasta": "db.fasta"}]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ManifestError, match="^database entry 1: name .* not printable"):
+        load_manifest(path)
+
+
 _MANIFEST_ENTRY = st.fixed_dictionaries(
     {},
     optional={
@@ -203,7 +214,7 @@ def test_any_json_manifest_loads_or_raises_a_mutascan_error(tmp_path_factory, do
     except MutascanError:
         return
     assert all(e.fasta_path.is_file() for e in manifest.databases)
-    assert all(type(e.name) is str and e.name for e in manifest.databases)
+    assert all(type(e.name) is str and e.name and e.name.isprintable() for e in manifest.databases)
 
 
 def test_deep_json_manifest_is_a_manifest_error(tmp_path):

@@ -180,6 +180,11 @@ def _check_seeds(query, k, codes, subject_idx, offsets) -> None:
     _check("offsets", offsets, np.int64, windows)
 
 
+def param_count(sizes) -> int:
+    """The length of the flat W0, b0, W1, b1, ... buffer for these layer sizes."""
+    return sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:]))
+
+
 def _check_training(sizes, inputs, targets, params, vel, history) -> tuple[int, int]:
     """Refuse a network or dataset the C code would misread; return (S, P)."""
     if (
@@ -191,7 +196,7 @@ def _check_training(sizes, inputs, targets, params, vel, history) -> tuple[int, 
     samples = inputs.shape[0] if isinstance(inputs, np.ndarray) and inputs.ndim == 2 else 0
     if samples == 0:
         raise ValueError("training needs inputs of shape (samples >= 1, input size)")
-    count = sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:]))
+    count = param_count(sizes)
     _check("inputs", inputs, np.float64, (samples, sizes[0]))
     _check("targets", targets, np.float64, (samples, sizes[-1]))
     _check("params", params, np.float64, (count,))

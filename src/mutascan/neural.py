@@ -171,7 +171,7 @@ class TrainReport:
     history: tuple[float, ...]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Network:
     topology: NetworkTopology
     weights: list[np.ndarray]  # per layer pair, shape (to_size, from_size)
@@ -212,18 +212,6 @@ def _layer_views(
         biases.append(flat[at : at + n_out])
         at += n_out
     return weights, biases
-
-
-def _init_network(topology: NetworkTopology, cfg: TrainConfig) -> tuple[Network, np.ndarray]:
-    """A seeded network whose parameters are views into the returned flat buffer."""
-    rng = np.random.default_rng(cfg.seed)
-    lo, hi = cfg.init_range
-    sizes = topology.layer_sizes
-    params = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:])))
-    weights, biases = _layer_views(params, sizes)
-    for w in weights:
-        w[...] = rng.uniform(lo, hi, size=w.shape)
-    return Network(topology, weights, biases, train_config=cfg), params
 
 
 def _fixed_exp(x: np.ndarray) -> np.ndarray:
@@ -353,6 +341,7 @@ def _backward(
             delta = np.add.accumulate(terms, axis=1)[:, -1, :] * a * (1.0 - a)
 
 
+@np.errstate(all="ignore")  # a diverging run is `train`'s error, as in the C kernel
 def _train_numpy(
     sizes: tuple[int, ...],
     inputs: np.ndarray,
@@ -404,15 +393,19 @@ def train(
     seed, dataset, and config, and the same bits on either kernel.
 
     The epochs run in the compiled kernel where it loads, else in
-    `_train_numpy`, at most `_CHUNK_EPOCHS` a call.
+    `_train_numpy`, at most `_CHUNK_EPOCHS` a call; a run that ends with
+    a parameter not finite raises NeuralError.
     """
     if len(data) == 0:
         raise EmptyDatasetError("training data is empty")
-    width = topology.input_size
-    inputs = np.stack([_as_input(x, width) for x, _ in data])
+    sizes = topology.layer_sizes
+    inputs = np.stack([_as_input(x, sizes[0]) for x, _ in data])
     targets = np.asarray([[float(t)] for _, t in data])
 
-    net, params = _init_network(topology, cfg)
+    params = np.zeros(_native.param_count(sizes))
+    rng = np.random.default_rng(cfg.seed)
+    for w in _layer_views(params, sizes)[0]:
+        w[...] = rng.uniform(*cfg.init_range, size=w.shape)
     vel = np.zeros_like(params)
     kernel = _native.load()
     train_epochs = _train_numpy if kernel is None else kernel.train
@@ -421,14 +414,16 @@ def train(
     history: list[float] = []
     while True:
         chunk = np.empty(min(_CHUNK_EPOCHS, cfg.max_epochs - len(history)))
-        run = train_epochs(topology.layer_sizes, inputs, targets, *rates, params, vel, chunk)
+        run = train_epochs(sizes, inputs, targets, *rates, params, vel, chunk)
         history += chunk[:run].tolist()
         if history[-1] <= cfg.target_mse or len(history) == cfg.max_epochs:
             break
 
-    # the caller's network owns its arrays; the training buffers stay private
-    net.weights = [w.copy() for w in net.weights]
-    net.biases = [b.copy() for b in net.biases]
+    try:  # the caller's network owns a copy; the training buffers stay private
+        net = Network(topology, *_layer_views(params.copy(), sizes), train_config=cfg)
+    except ValueError as exc:  # a parameter is not finite
+        epochs, mse = len(history), history[-1]
+        raise NeuralError(f"training diverged after {epochs} epochs, final MSE {mse:.3e}") from exc
     report = TrainReport(
         epochs_run=len(history),
         final_mse=history[-1],
@@ -562,15 +557,16 @@ class TrainingRow:
     id: str
     gene: str
     label: int
-    features: tuple[float, ...] | None = None
+    features: FeatureVector | None = None
     mutation: dict | None = field(default=None)
 
 
 def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
     """(1-based line number, value) for each non-blank line of a JSON-lines file."""
     text = read_text(path, CorruptFileError)
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+    # "\n" only: splitlines also breaks at U+2028 and U+0085, which JSON strings may hold
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip(" \t\r"):  # JSON whitespace
             continue
         try:
             obj = json.loads(line)
@@ -600,9 +596,7 @@ def load_training_rows(path: str | Path) -> list[TrainingRow]:
                 id=str(obj["id"]),
                 gene=str(obj["gene"]),
                 label=obj["label"],
-                features=parse_features(obj["features"], where).values
-                if "features" in obj
-                else None,
+                features=parse_features(obj["features"], where) if "features" in obj else None,
                 mutation=obj.get("mutation"),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -635,7 +629,7 @@ def rows_to_samples(
     samples: list[tuple[FeatureVector, int]] = []
     for row in rows:
         if row.features is not None:
-            samples.append((FeatureVector(row.features), row.label))
+            samples.append((row.features, row.label))
             continue
         if ref is None or cds_start is None or cds_end is None:
             raise NeuralError(

@@ -85,12 +85,13 @@ def classify_effect(
 ) -> ProteinEffect:
     """Classify a mutation's protein effect against a single contiguous CDS.
 
-    Mutations positioned outside [cds_start, cds_end] are NonCoding. Indels
-    are Frameshift unless their length is a multiple of 3 (then Missense
-    with amino acids unset). Substitutions compare reference codons against
-    mutated codons: unchanged protein is Silent, a new stop is Nonsense,
-    anything else Missense. A substitution spanning several codons is judged
-    over all affected complete codons inside the CDS.
+    A substitution or deletion is coding when its reference span meets
+    [cds_start, cds_end]; an insertion after base p when cds_start <= p <
+    cds_end. Anything else is NonCoding. Indels are Frameshift unless their
+    length is a multiple of 3 (then Missense with amino acids unset).
+    Substitutions compare reference codons against mutated codons: unchanged
+    protein is Silent, a new stop is Nonsense, anything else Missense. A
+    substitution is judged over the complete CDS codons its in-CDS bases touch.
     """
     if not 1 <= cds_start <= cds_end <= len(ref.bases):
         raise ValueError(
@@ -103,7 +104,11 @@ def classify_effect(
             f"mutation position {pos} outside reference of length {max_pos}"
         )
 
-    if not cds_start <= pos <= cds_end:
+    if mut.kind is MutationKind.INSERTION:
+        coding = cds_start <= pos < cds_end
+    else:
+        coding = pos <= cds_end and pos + len(mut.ref_bases) > cds_start
+    if not coding:
         return ProteinEffect(EffectKind.NON_CODING)
 
     if mut.kind in (MutationKind.INSERTION, MutationKind.DELETION):
@@ -113,12 +118,12 @@ def classify_effect(
         return ProteinEffect(EffectKind.MISSENSE)  # in-frame indel, AAs unset
 
     cds = ref.bases[cds_start - 1 : cds_end]
-    offset = pos - cds_start
-    mutated = cds[:offset] + mut.alt_bases + cds[offset + len(mut.alt_bases) :]
-    mutated = mutated[: len(cds)]  # ignore substituted bases past the CDS end
+    offset = pos - cds_start  # negative when the substitution starts before the CDS
+    lo, hi = max(offset, 0), min(offset + len(mut.alt_bases), len(cds))  # its bases in the CDS
+    mutated = cds[:lo] + mut.alt_bases[lo - offset : hi - offset] + cds[hi:]
 
-    first_codon = offset // 3
-    last_codon = min((offset + len(mut.alt_bases) - 1) // 3, len(cds) // 3 - 1)
+    first_codon = lo // 3
+    last_codon = min((hi - 1) // 3, len(cds) // 3 - 1)
     ref_aa = translate(cds[first_codon * 3 : (last_codon + 1) * 3])
     alt_aa = translate(mutated[first_codon * 3 : (last_codon + 1) * 3])
 

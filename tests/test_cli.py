@@ -174,6 +174,16 @@ def test_train_to_a_missing_directory_names_the_target(corpus, tmp_path, capsys)
     )
 
 
+def test_diverged_training_exits_1_and_writes_no_model(corpus, tmp_path, capsys):
+    out = tmp_path / "m.json"
+    argv = ["train", "--data", str(corpus["training_data"]), "--out", str(out),
+            "--lr", "1.7e308", "--momentum", "0.99", "--max-epochs", "300"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: training diverged after 300 epochs")
+    assert captured.out == "" and not out.exists()
+
+
 def test_search_json_output(corpus, capsys):
     rc = main(
         [
@@ -251,6 +261,16 @@ def test_predict_non_json_line_names_the_line(tmp_path, capsys, trained_model):
     feats.write_text(json.dumps([0.5] * 10) + "\nnot json\n", encoding="utf-8")
     assert main(["predict", "--model", str(trained_model), "--features", str(feats)]) == 1
     assert f"error: {feats}:2: invalid JSON: " in capsys.readouterr().err
+
+
+def test_predict_reads_a_line_separator_inside_an_id(tmp_path, capsys, trained_model):
+    feats = tmp_path / "feats.jsonl"
+    row = json.dumps({"id": "a\u2028b", "features": [0.5] * 10}, ensure_ascii=False)
+    feats.write_text(row + "\n{broken\n", encoding="utf-8")
+    assert main(["predict", "--model", str(trained_model), "--features", str(feats)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("a\u2028b\t") and out.count("\n") == 1
+    assert err.startswith(f"error: {feats}:2: invalid JSON: ")
 
 
 @pytest.mark.parametrize(

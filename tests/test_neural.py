@@ -1,5 +1,6 @@
 """Feed-forward classifier: forward pass, gradients, training, persistence."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -59,13 +60,14 @@ from oracles import (
 )
 
 
-def _zero_network(topology):
+def _zero_network(topology, train_config=None):
     """A network whose weights and biases are all 0: every input scores exactly 0.5."""
     sizes = topology.layer_sizes
     return Network(
         topology,
         [np.zeros((n_out, n_in)) for n_in, n_out in zip(sizes, sizes[1:])],
         [np.zeros(n_out) for n_out in sizes[1:]],
+        train_config=train_config,
     )
 
 
@@ -262,6 +264,31 @@ def test_train_rejects_empty_and_mismatched_data():
         train(NetworkTopology(), [])
     with pytest.raises(DimensionMismatchError):
         train(NetworkTopology(), [([0.0, 1.0], 1)])
+
+
+def test_diverged_training_is_an_error(kernels, corpus):
+    samples = rows_to_samples(load_training_rows(corpus["training_data"]))
+    cfg = TrainConfig(learning_rate=1.7e308, momentum=0.99, max_epochs=300)
+    for kernel in kernels:
+        with kernel(), pytest.raises(NeuralError, match="diverged after 300 epochs"):
+            train(NetworkTopology(), samples, cfg)
+
+
+def test_train_returns_the_one_network_it_checked(monkeypatch):
+    checked, check = [], Network.__post_init__
+    monkeypatch.setattr(
+        Network, "__post_init__", lambda net: checked.append((net, net_to_json(net))) or check(net)
+    )
+    net, _ = train(NetworkTopology((2, 3, 1)), [([0.2, 0.9], 1.0)], TrainConfig(max_epochs=5))
+    [(got, text)] = checked  # one construction, holding the trained parameters
+    assert got is net and text == net_to_json(net)
+
+
+def test_network_fields_cannot_be_reassigned():
+    net = _zero_network(NetworkTopology())
+    for f in dataclasses.fields(Network):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(net, f.name, getattr(net, f.name))
 
 
 def test_zero_init_half_targets_is_a_fixed_point():
@@ -534,8 +561,7 @@ def test_load_rejects_corrupt_files(tmp_path):
     with pytest.raises(CorruptFileError):
         load_net(path)
 
-    net = _zero_network(NetworkTopology())
-    net.train_config = TrainConfig()
+    net = _zero_network(NetworkTopology(), TrainConfig())
     save_net(net, path)
     good = json.loads(path.read_text(encoding="utf-8"))
     load_net(path)
@@ -588,7 +614,7 @@ def test_load_training_rows(tmp_path):
     )
     rows = load_training_rows(path)
     assert [r.id for r in rows] == ["a", "b"]
-    assert rows[0].features == tuple([0.1] * 10)
+    assert rows[0].features.values == tuple([0.1] * 10)
     assert rows[1].features is None and rows[1].mutation["position"] == 4
 
 
@@ -613,6 +639,19 @@ def test_load_training_rows_reports_line_numbers(tmp_path):
         load_training_rows(path)
     path.write_text("", encoding="utf-8")
     with pytest.raises(EmptyDatasetError):
+        load_training_rows(path)
+
+
+def test_json_lines_split_only_at_newline(tmp_path):
+    """U+2028, U+2029 and U+0085 may stand unescaped in a JSON string; CRLF still ends a line."""
+    path = tmp_path / "rows.jsonl"
+    row = {"id": "a\u2028b\u2029c\x85d", "gene": "g", "features": [0.1] * 10, "label": 1}
+    path.write_text(json.dumps(row, ensure_ascii=False) + "\r\n", encoding="utf-8", newline="")
+    [got] = load_training_rows(path)
+    assert got.id == row["id"]
+    bad = json.dumps({**row, "label": 3})
+    _write_rows(path, [json.dumps(row, ensure_ascii=False), "", bad])
+    with pytest.raises(CorruptFileError, match=r":3: label must be 0 or 1"):
         load_training_rows(path)
 
 

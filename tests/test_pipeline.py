@@ -19,6 +19,7 @@ from mutascan.neural import (
     CorruptFileError,
     Label,
     NetworkTopology,
+    NeuralError,
     TrainConfig,
     classify,
     load_training_rows,
@@ -475,6 +476,14 @@ def test_an_empty_model_path_is_an_error_not_no_model(corpus, tmp_path):
             corpus["patient_mutated"], corpus["manifest"], model_path="", work_dir=wd,
             train_config=FAST_TRAIN,
         )
+    assert not wd.exists()
+
+
+def test_diverged_training_on_the_fly_writes_nothing(corpus, tmp_path):
+    wd = tmp_path / "wd"
+    cfg = TrainConfig(learning_rate=1.7e308, momentum=0.99, max_epochs=300)
+    with pytest.raises(NeuralError, match="diverged"):
+        run_diagnosis(corpus["patient_mutated"], corpus["manifest"], work_dir=wd, train_config=cfg)
     assert not wd.exists()
 
 

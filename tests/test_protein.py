@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mutascan.align import Mutation, MutationKind
 from mutascan.protein import (
@@ -142,6 +144,58 @@ def test_insertion_before_first_base_is_non_coding():
     ref = _seq("ATGCAAGGG")
     ins = Mutation(0, MutationKind.INSERTION, "", "T")
     assert classify_effect(ins, ref, 1, 9).kind is EffectKind.NON_CODING
+
+
+# ATG at 13-15, TAA at 28-30
+EDGE_REF = "ACGT" * 3 + "ATGAAACCCGGGTTTTAA" + "ACGT" * 3
+
+
+@pytest.mark.parametrize(
+    "mut,want",
+    [
+        (_sub(12, "TA", "GT"), "Missense(M->L)"),  # ATG -> TTG
+        (Mutation(12, MutationKind.DELETION, "TA", ""), "Frameshift"),
+        (Mutation(30, MutationKind.INSERTION, "", "A"), "NonCoding"),  # after the stop's last base
+        (Mutation(12, MutationKind.INSERTION, "", "A"), "NonCoding"),  # before the ATG
+        (Mutation(29, MutationKind.INSERTION, "", "A"), "Frameshift"),
+        (_sub(30, "AA", "GG"), "Silent"),  # TAA -> TAG
+        (_sub(11, "GT", "AC"), "NonCoding"),
+    ],
+    ids=lambda v: v.describe() if isinstance(v, Mutation) else v,
+)
+def test_variants_at_the_cds_edges(mut, want):
+    assert classify_effect(mut, _seq(EDGE_REF), 13, 30).describe() == want
+
+
+@st.composite
+def _variant_and_cds(draw):
+    n = draw(st.integers(1, 30))
+    bases = draw(st.text("ACGT", min_size=n, max_size=n))
+    cds_start = draw(st.integers(1, n))
+    cds_end = draw(st.integers(cds_start, n))
+    kind = draw(st.sampled_from(MutationKind))
+    if kind is MutationKind.INSERTION:
+        mut = Mutation(draw(st.integers(0, n)), kind, "", draw(st.text("ACGT", min_size=1)))
+    else:
+        pos = draw(st.integers(1, n))
+        ref = bases[pos - 1 : pos - 1 + draw(st.integers(1, n - pos + 1))]
+        alt = "" if kind is MutationKind.DELETION else draw(
+            st.text("ACGT", min_size=len(ref), max_size=len(ref))
+        )
+        mut = Mutation(pos, kind, ref, alt)
+    return _seq(bases), cds_start, cds_end, mut
+
+
+@given(case=_variant_and_cds())
+def test_non_coding_iff_the_variant_misses_the_cds(case):
+    ref, cds_start, cds_end, mut = case
+    if mut.kind is MutationKind.INSERTION:
+        misses = not cds_start <= mut.position < cds_end
+    else:
+        last = mut.position + len(mut.ref_bases) - 1
+        misses = last < cds_start or mut.position > cds_end
+    kind = classify_effect(mut, ref, cds_start, cds_end).kind
+    assert (kind is EffectKind.NON_CODING) == misses
 
 
 def test_position_and_cds_validation():

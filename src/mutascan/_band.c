@@ -21,7 +21,10 @@
 #include <stdint.h>
 #include <string.h>
 
-#if FLT_EVAL_METHOD != 0 /* x87: a double kept in an 80-bit register rounds differently */
+/* 0, 1 and C23's 16, 32 and 64 round each double operation to double; x87's 2
+ * keeps a double in an 80-bit register, where it rounds differently */
+#if FLT_EVAL_METHOD != 0 && FLT_EVAL_METHOD != 1 && FLT_EVAL_METHOD != 16 && \
+    FLT_EVAL_METHOD != 32 && FLT_EVAL_METHOD != 64
 #error "training's fixed bits need each double operation rounded to double"
 #endif
 
@@ -397,63 +400,71 @@ int64_t seed_diagonals(const uint8_t *query, int64_t n, int64_t k, const uint64_
 
 /* ---- training ---------------------------------------------------------- */
 
-/* The fixed exp: Cody-Waite reduction by ln 2, then the degree-12 Taylor
- * polynomial in Horner form, then a scaling by 2^k. neural._fixed_exp and
- * neural._exp_float spell the same operations in numpy and in Python. */
-#define EXP_LO (-746.0) /* exp(x) rounds to 0 at and below; clamping there keeps k an int */
+/* Samples are the lanes of a V, and each operation on a V acts on each lane
+ * alone, so every sample sees the IEEE operations of neural._train_numpy in
+ * its order. Only element-wise work is vectorized: every sum over samples
+ * runs one sample at a time, in sample order. */
+typedef double V __attribute__((vector_size(16)));
+typedef int64_t VI __attribute__((vector_size(16)));
+#define LANES 2 /* doubles in a V; _native._LANES */
+
+static inline V load(const double *p) { V v; memcpy(&v, p, sizeof v); return v; }
+static inline void store(double *p, V v) { memcpy(p, &v, sizeof v); }
+static inline V splat(double d) { return (V){d, d}; }
+/* Each lane from a where mask is all ones, else from b. */
+static inline V select(VI mask, V a, V b) { return (V)((mask & (VI)a) | (~mask & (VI)b)); }
+
+/* The fixed exp's constants, as neural._fixed_exp and neural._exp_float spell
+ * them: exp(x) rounds to 0 at and below EXP_LO; ln 2 split for the Cody-Waite
+ * reduction; and 1/0! .. 1/12!, each quotient rounded once, as Python's
+ * 1.0 / factorial(i). */
+#define EXP_LO (-746.0)
 #define INV_LN2 0x1.71547652b82fep+0
 #define LN2_HI 0x1.62e42feep-1 /* the low 21 bits are 0, so k * LN2_HI is exact */
 #define LN2_LO 0x1.a39ef35793c76p-33
-#define TERMS 13 /* 1/0! .. 1/12!, each quotient rounded once, as Python's 1.0 / factorial(i) */
+#define ROUND 0x1.8p52 /* (v + ROUND) - ROUND is v rounded to an integer, for |v| < 2^51 */
+#define TERMS 13
 
 static const double TAYLOR[TERMS] = {
     1.0, 1.0, 1.0 / 2, 1.0 / 6, 1.0 / 24, 1.0 / 120, 1.0 / 720, 1.0 / 5040, 1.0 / 40320,
     1.0 / 362880, 1.0 / 3628800, 1.0 / 39916800, 1.0 / 479001600,
 };
 
-/* 2^n for -1022 <= n <= 1023, built from its bits. */
-static double pow2(int64_t n)
-{
-    const uint64_t bits = (uint64_t)(n + 1023) << 52;
-    double d;
-    memcpy(&d, &bits, sizeof d);
-    return d;
-}
-
-/* exp(x) for x <= 0, and x itself for a nan, as np.exp returns them. A nan
- * returns before any conversion, and the clamped x puts v in [-1076.3, 0.5],
- * where a conversion to int64 is defined.
+/* neural._sigmoid of the n values at z, n a multiple of LANES, in place:
+ * (z >= 0 ? 1 : e) / (1 + e) with e = exp(-|z|), which never overflows.
  *
- * The last step is ldexp(p, k) written out, so the library needs no libm:
- * 2^k scales exactly while the result is normal, and a subnormal result
- * is rounded once, by the product with 2^-64, as libm's ldexp rounds it. */
-static double fixed_exp(double x)
+ * The exp is neural._fixed_exp in SSE2 operations. Cody-Waite reduction
+ * -|z| = k ln 2 + r, clamped at EXP_LO, so v is in [-1076.3, 0.5]; floor(v)
+ * is v rounded to an integer, less 1 where that rounded up, and its int64
+ * lanes are the low bits of v + ROUND. Then the degree-12 Taylor polynomial
+ * in Horner form, then ldexp(p, k) written out: 2^k scales exactly while the
+ * result is normal, and a subnormal result is rounded once, by the product
+ * with 2^-64, as libm's ldexp rounds it. A nan lane computes garbage and is
+ * put back at the end. */
+static void sigmoid_layer(double *z, int64_t n)
 {
-    if (x != x)
-        return x;
-    const double c = x < EXP_LO ? EXP_LO : x;
-    const double v = c * INV_LN2 + 0.5;
-    int64_t ki = (int64_t)v; /* rounds toward 0; floor(v) after the next line */
-    ki -= (double)ki > v;
-    const double k = (double)ki;
-    const double r = (c - k * LN2_HI) - k * LN2_LO;
-    double p = TAYLOR[TERMS - 1];
-    for (int i = TERMS - 2; i >= 0; i--)
-        p = p * r + TAYLOR[i];
-    return ki < -1000 ? p * pow2(ki + 64) * pow2(-64) : p * pow2(ki);
+    for (int64_t y = 0; y < n; y += LANES) {
+        const V zv = load(z + y), x = (V)((VI)zv | (VI)splat(-0.0)); /* -|z|: the sign bit set */
+        const V c = select((VI)(x < EXP_LO), splat(EXP_LO), x);
+        const V v = c * INV_LN2 + 0.5, big = v + ROUND, rounded = big - ROUND;
+        const VI up = (VI)(rounded > v); /* -1 where v rounded up */
+        const V k = rounded - (V)(up & (VI)splat(1.0));
+        const VI ki = (VI)big - (VI)splat(ROUND) + up;
+        const V r = (c - k * LN2_HI) - k * LN2_LO;
+        V p = splat(TAYLOR[TERMS - 1]);
+        for (int i = TERMS - 2; i >= 0; i--)
+            p = p * r + TAYLOR[i];
+        const VI low = (VI)(k < -1000.0);
+        const V scaled = p * (V)((ki + (low & 64) + 1023) << 52);
+        const V e = select((VI)(x != x), x, select(low, scaled * 0x1p-64, scaled));
+        store(z + y, select((VI)(zv >= 0.0), splat(1.0), e) / (1.0 + e));
+    }
 }
 
-/* neural._sigmoid: exp(-|z|) never overflows, and one division serves both signs. */
-static double sigmoid(double z)
-{
-    const double e = fixed_exp(-fabs(z));
-    return (z >= 0 ? 1.0 : e) / (1.0 + e);
-}
-
-/* Every layer's activations for the S samples: layer l (l >= 1) is an
- * (S, sizes[l]) block of acts, the blocks in layer order. A unit's input
- * is summed one term at a time in index order, then its bias is added. */
-static void forward_all(const int64_t *sizes, int64_t layers, const double *x, int64_t S,
+/* Every layer's activations: layer l (l >= 1) is a (sizes[l], stride) block
+ * of acts, the blocks in layer order, from the (sizes[0], stride) inputs x.
+ * A unit's input is w0 * a0, then + wi * ai in index order, then + b. */
+static void forward_all(const int64_t *sizes, int64_t layers, const double *x, int64_t stride,
                         const double *params, double *acts)
 {
     const double *in = x, *w = params;
@@ -461,44 +472,45 @@ static void forward_all(const int64_t *sizes, int64_t layers, const double *x, i
     for (int64_t l = 1; l < layers; l++) {
         const int64_t n_in = sizes[l - 1], n_out = sizes[l];
         const double *b = w + n_out * n_in;
-        for (int64_t s = 0; s < S; s++) {
-            const double *a = in + s * n_in;
-            for (int64_t j = 0; j < n_out; j++) {
-                const double *wj = w + j * n_in;
-                double z = wj[0] * a[0];
+        for (int64_t j = 0; j < n_out; j++) {
+            const double *wj = w + j * n_in;
+            for (int64_t s = 0; s < stride; s += LANES) {
+                V z = wj[0] * load(in + s);
                 for (int64_t i = 1; i < n_in; i++)
-                    z = z + wj[i] * a[i];
-                out[s * n_out + j] = sigmoid(z + b[j]);
+                    z = z + wj[i] * load(in + i * stride + s);
+                store(out + j * stride + s, z + b[j]);
             }
         }
+        sigmoid_layer(out, n_out * stride);
         in = out;
-        out += S * n_out;
+        out += n_out * stride;
         w = b + n_out;
     }
 }
 
-/* The gradient of scale * sum over samples and outputs of (out - t)^2,
- * into grads (params' layout), from forward_all's acts. Every sum over
- * samples runs in sample order and every sum over units in index order.
- * delta is scratch for 2 * S * (the largest of sizes[1..]). */
+/* The gradient of scale * sum over the S samples and the outputs of
+ * (out - t)^2, into grads (params' layout), from forward_all's acts; t is
+ * (sizes[layers - 1], stride). Every sum over samples runs in sample order
+ * and every sum over units in index order. delta is scratch for 2 * stride
+ * * (the largest of sizes[1..]). */
 static void backward(const int64_t *sizes, int64_t layers, const double *x, const double *t,
-                     int64_t S, double scale, const double *params, const double *acts,
-                     double *grads, double *delta)
+                     int64_t S, int64_t stride, double scale, const double *params,
+                     const double *acts, double *grads, double *delta)
 {
     int64_t widest = 0, at = 0, act_at = 0;
     for (int64_t l = 1; l < layers; l++) {
         widest = sizes[l] > widest ? sizes[l] : widest;
         at += (sizes[l - 1] + 1) * sizes[l];
-        act_at += S * sizes[l];
+        act_at += stride * sizes[l];
     }
-    double *cur = delta, *prev = delta + S * widest;
+    double *cur = delta, *prev = delta + stride * widest;
     const double two_scale = 2.0 * scale;
     int64_t n_out = sizes[layers - 1];
-    act_at -= S * n_out;
+    act_at -= stride * n_out;
     const double *out = acts + act_at;
-    for (int64_t y = 0; y < S * n_out; y++) {
-        const double o = out[y];
-        cur[y] = two_scale * (o - t[y]) * o * (1.0 - o);
+    for (int64_t y = 0; y < stride * n_out; y += LANES) {
+        const V o = load(out + y);
+        store(cur + y, two_scale * (o - load(t + y)) * o * (1.0 - o));
     }
     for (int64_t l = layers - 1; l >= 1; l--) {
         const int64_t n_in = sizes[l - 1];
@@ -507,30 +519,31 @@ static void backward(const int64_t *sizes, int64_t layers, const double *x, cons
         double *gw = grads + at, *gb = gw + n_out * n_in;
         const double *in = x;
         if (l > 1) {
-            act_at -= S * n_in;
+            act_at -= stride * n_in;
             in = acts + act_at;
         }
         for (int64_t j = 0; j < n_out; j++) {
+            const double *d = cur + j * stride;
             for (int64_t i = 0; i < n_in; i++) {
-                double g = cur[j] * in[i];
+                const double *a = in + i * stride;
+                double g = d[0] * a[0];
                 for (int64_t s = 1; s < S; s++)
-                    g = g + cur[s * n_out + j] * in[s * n_in + i];
+                    g = g + d[s] * a[s];
                 gw[j * n_in + i] = g;
             }
-            double g = cur[j];
+            double g = d[0];
             for (int64_t s = 1; s < S; s++)
-                g = g + cur[s * n_out + j];
+                g = g + d[s];
             gb[j] = g;
         }
         if (l > 1) {
-            for (int64_t s = 0; s < S; s++)
-                for (int64_t i = 0; i < n_in; i++) {
-                    const double *d = cur + s * n_out;
-                    double sum = d[0] * w[i];
+            for (int64_t i = 0; i < n_in; i++)
+                for (int64_t s = 0; s < stride; s += LANES) {
+                    V sum = load(cur + s) * w[i];
                     for (int64_t j = 1; j < n_out; j++)
-                        sum = sum + d[j] * w[j * n_in + i];
-                    const double a = in[s * n_in + i];
-                    prev[s * n_in + i] = sum * a * (1.0 - a);
+                        sum = sum + load(cur + j * stride + s) * w[j * n_in + i];
+                    const V a = load(in + i * stride + s);
+                    store(prev + i * stride + s, sum * a * (1.0 - a));
                 }
             double *swap = cur;
             cur = prev;
@@ -542,46 +555,49 @@ static void backward(const int64_t *sizes, int64_t layers, const double *x, cons
 
 /* Full-batch gradient descent with momentum, as neural._train_numpy runs it.
  *
- * sizes holds the layers >= 2 layer sizes, each >= 1; x is (S, sizes[0])
- * and t (S, sizes[layers - 1]), S >= 1. params and vel hold P =
- * sum of (sizes[l - 1] + 1) * sizes[l] values in the layout W0, b0, W1,
- * b1, ..., and grads is scratch for P. acts is scratch for S times the sum
- * of sizes[1..], delta for 2 * S * their maximum.
+ * sizes holds the layers >= 2 layer sizes, each >= 1. x (sizes[0], stride)
+ * and t (sizes[layers - 1], stride) are feature-major: one row a unit, the
+ * S >= 1 samples in its first S columns, stride >= S a multiple of LANES and
+ * the padding columns never summed. params and vel hold P = sum of
+ * (sizes[l - 1] + 1) * sizes[l] values in the layout W0, b0, W1, b1, ...,
+ * and grads is scratch for P. acts is scratch for stride times the sum of
+ * sizes[1..], delta for 2 * stride * their maximum.
  *
  * Each epoch takes the gradient of the MSE at params, steps vel and params,
  * and writes the new MSE to history. Stops after the first epoch whose MSE
- * is at or below target_mse, or after epochs epochs; returns the number
- * run. */
+ * is at or below target_mse or not finite, or after epochs epochs; returns
+ * the number run. */
 int64_t train_epochs(const int64_t *sizes, int64_t layers, const double *x, const double *t,
-                     int64_t S, double lr, double momentum, double target_mse, int64_t epochs,
-                     double *params, double *vel, double *grads, double *acts, double *delta,
-                     double *history)
+                     int64_t S, int64_t stride, double lr, double momentum, double target_mse,
+                     int64_t epochs, double *params, double *vel, double *grads, double *acts,
+                     double *delta, double *history)
 {
     int64_t P = 0, act_at = 0;
     for (int64_t l = 1; l < layers; l++) {
         P += (sizes[l - 1] + 1) * sizes[l];
-        act_at += S * sizes[l];
+        act_at += stride * sizes[l];
     }
-    const int64_t outputs = S * sizes[layers - 1];
-    const double *out = acts + act_at - outputs;
+    const int64_t n_out = sizes[layers - 1];
+    const double *out = acts + act_at - stride * n_out;
     const double scale = 1.0 / (double)S;
-    forward_all(sizes, layers, x, S, params, acts);
+    forward_all(sizes, layers, x, stride, params, acts);
     for (int64_t epoch = 0; epoch < epochs; epoch++) {
-        backward(sizes, layers, x, t, S, scale, params, acts, grads, delta);
+        backward(sizes, layers, x, t, S, stride, scale, params, acts, grads, delta);
         for (int64_t p = 0; p < P; p++) {
             const double v = vel[p] * momentum - lr * grads[p];
             vel[p] = v;
             params[p] = params[p] + v;
         }
-        forward_all(sizes, layers, x, S, params, acts);
+        forward_all(sizes, layers, x, stride, params, acts);
         double sum = 0.0;
-        for (int64_t y = 0; y < outputs; y++) {
-            const double err = out[y] - t[y];
-            sum = sum + err * err; /* +0.0 + err * err is err * err, as err * err >= +0.0 */
-        }
-        const double mse = sum / (double)outputs;
+        for (int64_t s = 0; s < S; s++)
+            for (int64_t j = 0; j < n_out; j++) {
+                const double err = out[j * stride + s] - t[j * stride + s];
+                sum = sum + err * err; /* +0.0 + err * err is err * err, as err * err >= +0.0 */
+            }
+        const double mse = sum / (double)(S * n_out);
         history[epoch] = mse;
-        if (mse <= target_mse)
+        if (mse <= target_mse || !isfinite(mse))
             return epoch + 1;
     }
     return epochs;

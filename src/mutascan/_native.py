@@ -46,6 +46,8 @@ _BUILD_TIMEOUT_S = 120
 _TABLE_SHAPE = (5, 6)
 # homology.MIN_K and MAX_K: a k-mer's 2-bit code fills at most a uint64
 _K_RANGE = (4, 32)
+# training's samples per vector (LANES in the C code): the sample stride is a multiple
+_LANES = 2
 
 _ptr, _i64, _i32, _f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int32, ctypes.c_double
 
@@ -225,8 +227,8 @@ class Kernel:
         self._seed.restype = _i64
         self._train = library.train_epochs
         self._train.argtypes = [
-            _ptr, _i64, _ptr, _ptr, _i64, _f64, _f64, _f64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr,
-            _ptr,
+            _ptr, _i64, _ptr, _ptr, _i64, _i64, _f64, _f64, _f64, _i64, _ptr, _ptr, _ptr, _ptr,
+            _ptr, _ptr,
         ]
         self._train.restype = _i64
 
@@ -241,19 +243,26 @@ class Kernel:
         (S, sizes[-1]) float64, `params` and `vel` the flat W0, b0, W1, b1, ...
         buffers, which each epoch updates in place. Runs at most `len(history)`
         epochs, writing each epoch's MSE to `history`, and stops after the
-        first at or below `target_mse`; returns the number run.
+        first at or below `target_mse` or not finite; returns the number run.
         """
         samples, count = _check_training(sizes, inputs, targets, params, vel, history)
         layer_sizes = np.asarray(sizes, dtype=np.int64)
-        # the C code's scratch: gradients, and each non-input layer's activations and deltas
+        # the C code's scratch: feature-major inputs and targets, one row of `stride`
+        # samples a unit, zero-padded to whole vectors; gradients; and each non-input
+        # layer's activations and deltas in the same layout
+        stride = -(-samples // _LANES) * _LANES
+        x = np.zeros((sizes[0], stride))
+        x[:, :samples] = inputs.T
+        t = np.zeros((sizes[-1], stride))
+        t[:, :samples] = targets.T
         grads = np.empty(count)
-        acts = np.empty(samples * sum(sizes[1:]))
-        delta = np.empty(2 * samples * max(sizes[1:]))
+        acts = np.empty(stride * sum(sizes[1:]))
+        delta = np.empty(2 * stride * max(sizes[1:]))
         return self._train(
-            layer_sizes.ctypes.data, len(sizes), inputs.ctypes.data,
-            targets.ctypes.data, samples, learning_rate, momentum, target_mse, len(history),
-            params.ctypes.data, vel.ctypes.data, grads.ctypes.data, acts.ctypes.data,
-            delta.ctypes.data, history.ctypes.data,
+            layer_sizes.ctypes.data, len(sizes), x.ctypes.data, t.ctypes.data, samples, stride,
+            learning_rate, momentum, target_mse, len(history), params.ctypes.data,
+            vel.ctypes.data, grads.ctypes.data, acts.ctypes.data, delta.ctypes.data,
+            history.ctypes.data,
         )
 
     def seed_diagonals(self, query, k: int, codes, subject_idx, offsets) -> list:

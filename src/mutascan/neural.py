@@ -173,6 +173,10 @@ class TrainReport:
 
 @dataclass(frozen=True, eq=False)
 class Network:
+    """A checked network. Its weight and bias arrays are read-only copies of
+    those given, views over immutable bytes that no caller can make writeable
+    again, so no one can write a parameter the checks did not see."""
+
     topology: NetworkTopology
     weights: list[np.ndarray]  # per layer pair, shape (to_size, from_size)
     biases: list[np.ndarray]  # per non-input layer, shape (to_size,)
@@ -190,6 +194,12 @@ class Network:
                 )
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError("network parameters must be finite")
+        for name in ("weights", "biases"):
+            frozen = [
+                np.frombuffer(np.asarray(a, dtype=np.float64).tobytes()).reshape(a.shape)
+                for a in getattr(self, name)
+            ]
+            object.__setattr__(self, name, frozen)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Network):
@@ -219,9 +229,9 @@ def _fixed_exp(x: np.ndarray) -> np.ndarray:
 
     Cody-Waite reduction by ln 2, x = k ln 2 + r with |r| <= ln 2 / 2, then
     the degree-12 Taylor polynomial of e^r in Horner form, then ldexp(p, k):
-    the operations of `_band.c`'s fixed_exp, so the bits do not depend on
-    numpy's SIMD dispatch. Clamping at _EXP_LO, where exp rounds to 0,
-    keeps k an int; a nan is put back in at the end.
+    the operations of the exp in `_band.c`'s sigmoid_layer, so the bits do
+    not depend on numpy's SIMD dispatch. Clamping at _EXP_LO, where exp
+    rounds to 0, keeps k an int; a nan is put back in at the end.
     """
     c = np.fmax(x, _EXP_LO)  # fmax gives _EXP_LO for a nan, so no nan becomes an int
     k = np.floor(c * _INV_LN2 + 0.5)
@@ -360,7 +370,7 @@ def _train_numpy(
     Runs at most `len(history)` epochs of momentum descent on the flat
     W0, b0, W1, b1, ... buffers `params` and `vel`, writing each epoch's
     post-update MSE to `history`; stops after the first at or below
-    `target_mse` and returns the number run.
+    `target_mse` or not finite and returns the number run.
     """
     weights, biases = _layer_views(params, sizes)
     grads = np.empty_like(params)
@@ -375,7 +385,7 @@ def _train_numpy(
         acts = _forward_all(weights, biases, inputs)
         err = acts[-1] - targets
         history[epoch] = mse = np.add.accumulate((err * err).ravel())[-1] / err.size
-        if mse <= target_mse:
+        if mse <= target_mse or not math.isfinite(mse):
             return epoch + 1
     return len(history)
 
@@ -393,8 +403,9 @@ def train(
     seed, dataset, and config, and the same bits on either kernel.
 
     The epochs run in the compiled kernel where it loads, else in
-    `_train_numpy`, at most `_CHUNK_EPOCHS` a call; a run that ends with
-    a parameter not finite raises NeuralError.
+    `_train_numpy`, at most `_CHUNK_EPOCHS` a call. A run stops at its
+    first MSE that is not finite; a run that ends there, or with a
+    parameter not finite, raises NeuralError.
     """
     if len(data) == 0:
         raise EmptyDatasetError("training data is empty")
@@ -416,14 +427,17 @@ def train(
         chunk = np.empty(min(_CHUNK_EPOCHS, cfg.max_epochs - len(history)))
         run = train_epochs(sizes, inputs, targets, *rates, params, vel, chunk)
         history += chunk[:run].tolist()
-        if history[-1] <= cfg.target_mse or len(history) == cfg.max_epochs:
+        mse = history[-1]
+        if mse <= cfg.target_mse or not math.isfinite(mse) or len(history) == cfg.max_epochs:
             break
 
-    try:  # the caller's network owns a copy; the training buffers stay private
-        net = Network(topology, *_layer_views(params.copy(), sizes), train_config=cfg)
+    diverged = f"training diverged after {len(history)} epochs, final MSE {mse:.3e}"
+    if not math.isfinite(mse):
+        raise NeuralError(diverged)
+    try:  # the network copies the buffer: the caller's and the training buffers stay apart
+        net = Network(topology, *_layer_views(params, sizes), train_config=cfg)
     except ValueError as exc:  # a parameter is not finite
-        epochs, mse = len(history), history[-1]
-        raise NeuralError(f"training diverged after {epochs} epochs, final MSE {mse:.3e}") from exc
+        raise NeuralError(diverged) from exc
     report = TrainReport(
         epochs_run=len(history),
         final_mse=history[-1],

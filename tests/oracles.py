@@ -629,20 +629,21 @@ def sigmoid_scalar(z: float) -> float:
 def finite_difference_gradients(loss_fn, arrays: list[np.ndarray], h: float = 1e-5):
     """Central finite differences of loss_fn over every entry of `arrays`.
 
-    loss_fn takes no arguments and reads the (mutated) arrays; entries are
-    restored exactly after probing.
+    loss_fn takes a list shaped like `arrays`: writable copies of them with
+    one entry moved by h either way, restored exactly after probing.
     """
+    probe = [np.array(a, dtype=np.float64) for a in arrays]
     grads = []
-    for arr in arrays:
+    for arr in probe:
         g = np.zeros_like(arr)
         flat = arr.reshape(-1)
         gflat = g.reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + h
-            up = loss_fn()
+            up = loss_fn(probe)
             flat[idx] = orig - h
-            down = loss_fn()
+            down = loss_fn(probe)
             flat[idx] = orig
             gflat[idx] = (up - down) / (2.0 * h)
         grads.append(g)

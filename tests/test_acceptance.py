@@ -230,8 +230,10 @@ def test_criterion_07_gradient_check():
             net, x, t = _random_case(rng, force_default=(case % 5 == 0))
             dw, db = gradient(net, (x, t))
 
-            def loss():
-                return (forward(net, x) - t) ** 2
+            def loss(params):
+                layers = len(net.weights)
+                probe = Network(net.topology, params[:layers], params[layers:])
+                return (forward(probe, x) - t) ** 2
 
             fd = finite_difference_gradients(loss, net.weights + net.biases, h=1e-5)
             for analytic, numeric in zip(dw + db, fd):

@@ -174,14 +174,17 @@ def test_train_to_a_missing_directory_names_the_target(corpus, tmp_path, capsys)
     )
 
 
-def test_diverged_training_exits_1_and_writes_no_model(corpus, tmp_path, capsys):
+def test_diverged_training_exits_1_and_writes_no_model(kernels, corpus, tmp_path, capsys):
+    """The MSE is nan from epoch 57 on, and the run stops there on both kernels."""
     out = tmp_path / "m.json"
     argv = ["train", "--data", str(corpus["training_data"]), "--out", str(out),
-            "--lr", "1.7e308", "--momentum", "0.99", "--max-epochs", "300"]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: training diverged after 300 epochs")
-    assert captured.out == "" and not out.exists()
+            "--lr", "1.7e308", "--momentum", "0.99"]
+    for kernel in kernels:
+        with kernel():
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: training diverged after 57 epochs, final MSE nan\n"
+        assert captured.out == "" and not out.exists()
 
 
 def test_search_json_output(corpus, capsys):

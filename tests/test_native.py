@@ -3,6 +3,7 @@ fill and traceback, the k-mer seeding of a search, and the training epochs."""
 
 import hashlib
 import importlib.resources
+import math
 import random
 import subprocess
 import sysconfig
@@ -589,6 +590,96 @@ def test_training_kernel_matches_numpy_on_wide_layers(native):
         runs.append((train_epochs(*args), *args[6:]))
     assert runs[0][0] == runs[1][0] == 20
     assert all(a.tobytes() == b.tobytes() for a, b in zip(runs[0][1:], runs[1][1:]))
+
+
+# --- training's sample lanes ------------------------------------------------------
+
+
+def _train_both(native, make_args):
+    """(epochs run, params, vel, the history written) from the kernel and from numpy,
+    each on its own `make_args()`."""
+    runs = []
+    for train_epochs in (native.train, neural._train_numpy):
+        args = make_args()
+        epochs = train_epochs(*args)
+        runs.append((epochs, args[6], args[7], args[8][:epochs]))
+    return runs
+
+
+def _same_training_bits(run, other):
+    """The epoch count, then `params`, `vel` and the history bit for bit, except that
+    a nan matches any nan: IEEE leaves a nan's sign and payload to the hardware."""
+    (epochs, *arrays), (other_epochs, *others) = run, other
+    if epochs != other_epochs:
+        return False
+    for a, b in zip(arrays, others):
+        nan = np.isnan(a)
+        if not (nan == np.isnan(b)).all() or a[~nan].tobytes() != b[~nan].tobytes():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("samples", range(1, 4 * _native._LANES + 2))
+def test_training_kernel_matches_numpy_at_every_sample_count(native, samples):
+    """Samples are the C code's vector lanes, the last vector padded: every count up
+    to past four vectors, on layers none of whose widths is a multiple of the lanes."""
+    runs = _train_both(native, lambda: _train_args(samples=samples, sizes=(5, 3, 7, 1)))
+    assert runs[0][0] == 20
+    assert _same_training_bits(*runs)
+
+
+def _floor_point(v):
+    """A z for which the fixed exp of -|z| floors v = -|z| / ln 2 + 0.5, as it rounds:
+    a whole v, or a half-integer, a tie for the round trip through 0x1.8p52."""
+    inv_ln2 = float.fromhex("0x1.71547652b82fep+0")
+    z = (0.5 - v) * math.log(2)
+    for step in range(8):
+        for candidate in (z + step * math.ulp(z), z - step * math.ulp(z)):
+            if -candidate * inv_ln2 + 0.5 == v:
+                return candidate
+    raise AssertionError(f"no z near {z} floors {v}")
+
+
+# v from -1001 down scales by 2^(k + 64), then by 2^-64
+_FLOOR_POINTS = [
+    _floor_point(v)
+    for v in (-2, -5, -10, -1000, -1074, -1075)
+    + (-0.5, -1.5, -4.5, -9.5, -998.5, -999.5, -1000.5, -1073.5, -1074.5)
+]
+_DEEP = [693.4, 693.5, 708.0, 708.4, 709.0, 709.8, 720.0, 740.0, 745.0, 745.2, 745.9, 746.0]
+# inputs (x0, x1) that the one unit's weights (1, 1e308) and bias -0.0 turn into z:
+# x1 = -0.0 keeps z = x0 (even -0.0), and x1 = +-2 overflows to +-inf
+_EDGES = (
+    [(z, -0.0) for z in [0.0, -0.0, 5e-324, -5e-324, 800.0, -800.0, math.nan]]
+    + [(-0.0, 2.0), (-0.0, -2.0)]
+    + [(z, -0.0) for magnitude in _FLOOR_POINTS + _DEEP for z in (magnitude, -magnitude)]
+)
+
+
+def _edge_args(edges):
+    """`Kernel.train` arguments for a 2-1 net whose pre-activation is each edge's z,
+    target 1: then a tiny output o makes the bias's first step exactly o."""
+    inputs = np.array(edges, dtype=np.float64).reshape(-1, 2)
+    targets = np.ones((len(inputs), 1))
+    params = np.array([1.0, 1e308, -0.0])
+    return [(2, 1), inputs, targets, 0.5, 0.9, -1.0, params, np.zeros(3), np.empty(3)]
+
+
+@pytest.mark.parametrize("edge", _EDGES, ids=lambda e: f"{e[0]!r},{e[1]!r}")
+def test_training_kernel_matches_numpy_at_the_exps_edges(native, edge):
+    """One sample a run, so each pre-activation's sigmoid shows in the bits; the
+    fixed exp meets +-0, +-inf, nan, floor ties, subnormal and zero results there."""
+    runs = _train_both(native, lambda: _edge_args([edge]))
+    assert runs[0][0] == (1 if math.isnan(edge[0]) else 3)  # a nan MSE stops the run
+    assert _same_training_bits(*runs)
+
+
+def test_training_kernel_matches_numpy_with_the_edges_in_one_batch(native):
+    """Every finite edge in one batch: the lanes of a vector take different branches."""
+    edges = [e for e in _EDGES if not math.isnan(e[0])]
+    runs = _train_both(native, lambda: _edge_args(edges))
+    assert runs[0][0] == 3
+    assert _same_training_bits(*runs)
 
 
 def test_traceback_with_no_predecessor_raises(native):

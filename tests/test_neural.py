@@ -251,8 +251,9 @@ def test_gradient_matches_finite_differences():
         t = rng.choice([0.0, 1.0])
         dw, db = gradient(net, (x, t))
 
-        def loss():
-            return (forward(net, x) - t) ** 2
+        def loss(params):
+            layers = len(net.weights)
+            return (forward(Network(net.topology, params[:layers], params[layers:]), x) - t) ** 2
 
         fd = finite_difference_gradients(loss, net.weights + net.biases)
         for got, want in zip(dw + db, fd):
@@ -267,10 +268,12 @@ def test_train_rejects_empty_and_mismatched_data():
 
 
 def test_diverged_training_is_an_error(kernels, corpus):
+    """The corpus's MSE is nan from epoch 57 on: both kernels stop there, not at
+    the default 500,000 epochs."""
     samples = rows_to_samples(load_training_rows(corpus["training_data"]))
-    cfg = TrainConfig(learning_rate=1.7e308, momentum=0.99, max_epochs=300)
+    cfg = TrainConfig(learning_rate=1.7e308, momentum=0.99)
     for kernel in kernels:
-        with kernel(), pytest.raises(NeuralError, match="diverged after 300 epochs"):
+        with kernel(), pytest.raises(NeuralError, match="diverged after 57 epochs, final MSE nan"):
             train(NetworkTopology(), samples, cfg)
 
 
@@ -289,6 +292,19 @@ def test_network_fields_cannot_be_reassigned():
     for f in dataclasses.fields(Network):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(net, f.name, getattr(net, f.name))
+
+
+def test_network_parameters_cannot_be_written():
+    weights, biases = [np.zeros((4, 10)), np.zeros((1, 4))], [np.zeros(4), np.zeros(1)]
+    net = Network(NetworkTopology(), weights, biases)
+    weights[0][0, 0] = biases[1][0] = math.nan  # the caller's arrays are not the network's
+    trained, _ = train(NetworkTopology((2, 3, 1)), [([0.2, 0.9], 1.0)], TrainConfig(max_epochs=5))
+    for a in net.weights + net.biases + trained.weights + trained.biases:
+        with pytest.raises(ValueError):
+            a[...] = math.nan
+        with pytest.raises(ValueError):
+            a.flags.writeable = True
+    assert forward(net, [0.3] * 10) == 0.5
 
 
 def test_zero_init_half_targets_is_a_fixed_point():
@@ -434,7 +450,7 @@ def test_classify_threshold_is_inclusive():
     label, score = classify(net, [0.3] * 10)
     assert score == RISK_THRESHOLD == 0.5
     assert label is Label.AT_RISK
-    net.biases[-1][:] = -1e-9  # the output falls just below 0.5
+    net = dataclasses.replace(net, biases=[net.biases[0], np.array([-1e-9])])  # just below 0.5
     label, score = classify(net, [0.3] * 10)
     assert score < 0.5
     assert label is Label.NORMAL

@@ -116,8 +116,9 @@ static inline void cell(const int32_t *M, const int32_t *Ix, const int32_t *Iy,
  *
  * M, Ix and Iy hold rows 0..m of width slots, rstride elements apart.
  * Candidate scores are compared in int64, as Python compares its ints.
- * Writes the path's row and column codes, last column first, to out_r and
- * out_c, and (score, start row, start slot, end row, end slot) to ends.
+ * Writes the path's row codes, last column first, to out[0..cap) and its
+ * column codes to out[cap..2 cap), and (score, start row, start column,
+ * end row, end column) to ends, a cell's column being offsets[i] + b.
  * Returns the path length; 0 when local and no cell scores above 0; -1
  * when a step finds no predecessor, a move leaves the matrix, or the path
  * would pass cap columns. */
@@ -125,7 +126,7 @@ static int64_t band_traceback(const int32_t *M, const int32_t *Ix, const int32_t
                               int64_t rstride, int64_t m, int64_t width, const uint8_t *rows,
                               const uint8_t *cols, int64_t ncols, const int64_t *offsets,
                               const int32_t *table, int64_t oe, int64_t e, int32_t local,
-                              int64_t cap, uint8_t *out_r, uint8_t *out_c, int64_t *ends)
+                              int64_t cap, uint8_t *out, int64_t *ends)
 {
     int64_t i, b, score, here[3], cand[3];
     int state = 0; /* 0 M, 1 Ix, 2 Iy: the preference order on ties */
@@ -160,7 +161,7 @@ static int64_t band_traceback(const int32_t *M, const int32_t *Ix, const int32_t
             }
     }
     ends[3] = i;
-    ends[4] = b;
+    ends[4] = offsets[i] + b;
     const int64_t origin = -offsets[0];
     int64_t n = 0;
     for (;;) {
@@ -172,8 +173,8 @@ static int64_t band_traceback(const int32_t *M, const int32_t *Ix, const int32_t
             if (i < 1 || x < 0 || x >= ncols || cols[x] >= OUTSIDE)
                 return -1;
             const uint8_t r = rows[i - 1], c = cols[x];
-            out_r[n] = r;
-            out_c[n++] = c;
+            out[n] = r;
+            out[cap + n++] = c;
             target = here[0] - table[CODES * r + c];
             b += offsets[i] - offsets[i - 1] - 1;
             i -= 1;
@@ -186,8 +187,8 @@ static int64_t band_traceback(const int32_t *M, const int32_t *Ix, const int32_t
         } else if (state == 1) {
             if (i < 1)
                 return -1;
-            out_r[n] = rows[i - 1];
-            out_c[n++] = GAP;
+            out[n] = rows[i - 1];
+            out[cap + n++] = GAP;
             target = here[1];
             b += offsets[i] - offsets[i - 1];
             i -= 1;
@@ -199,8 +200,8 @@ static int64_t band_traceback(const int32_t *M, const int32_t *Ix, const int32_t
             const int64_t x = offsets[i] + b;
             if (x < 0 || x >= ncols)
                 return -1;
-            out_r[n] = GAP;
-            out_c[n++] = cols[x];
+            out[n] = GAP;
+            out[cap + n++] = cols[x];
             target = here[2];
             b -= 1;
             cell(M, Ix, Iy, rstride, width, i, b, here);
@@ -221,32 +222,35 @@ static int64_t band_traceback(const int32_t *M, const int32_t *Ix, const int32_t
     }
     ends[0] = score;
     ends[1] = i;
-    ends[2] = b;
+    ends[2] = offsets[i] + b;
     return n;
 }
 
-/* Fill rows 1..m of the G bands (band_fill_rows' arguments, row 0 already
- * set) and trace each band's best path back to its start.
+/* Fill rows 1..m of the G bands and trace each band's best path back to
+ * its start. cells is the (3, m + 1, G, width) int32 block of M, Ix and Iy
+ * in C order, row 0 already set; the other arguments are band_fill_rows'.
  *
- * Band g writes its path's codes to row g of the (G, cap) out_r and out_c
- * and (score, start row, start slot, end row, end slot, length) to row g of
- * the (G, ENDS) ends; length 0 means local and no cell scores above 0, and
- * the other entries of that row are then unset. Returns 0, or -1 when a
- * band's traceback fails as band_traceback says; the bands after it are
- * then not traced. */
+ * Band g writes its path's row codes and column codes to row g of the
+ * (G, 2, cap) out and (score, start row, start column, end row, end column,
+ * length) to row g of the (G, ENDS) ends; length 0 means local and no cell
+ * scores above 0, and the other entries of that row are then unset.
+ * Returns 0, or -1 when a band's traceback fails as band_traceback says;
+ * the bands after it are then not traced. */
 int64_t band_align(const uint8_t *rows, int64_t m, const uint8_t *cols, int64_t G, int64_t ncols,
                    const int64_t *offsets, int64_t width, const int32_t *table, int32_t oe,
-                   int32_t e, int32_t local, int32_t *M, int32_t *Ix, int32_t *Iy,
-                   int32_t *profile, int64_t cap, uint8_t *out_r, uint8_t *out_c, int64_t *ends)
+                   int32_t e, int32_t local, int32_t *cells, int32_t *profile, int64_t cap,
+                   uint8_t *out, int64_t *ends)
 {
+    const int64_t block = (m + 1) * G * width;
+    int32_t *M = cells, *Ix = cells + block, *Iy = cells + 2 * block;
     band_fill_rows(rows, m, cols, G, ncols, offsets, width, table, oe, e, local, M, Ix, Iy,
                    profile);
     for (int64_t g = 0; g < G; g++) {
         int64_t *band_ends = ends + g * ENDS;
         const int64_t n = band_traceback(M + g * width, Ix + g * width, Iy + g * width,
                                          G * width, m, width, rows, cols + g * ncols, ncols,
-                                         offsets, table, oe, e, local, cap, out_r + g * cap,
-                                         out_c + g * cap, band_ends);
+                                         offsets, table, oe, e, local, cap, out + 2 * g * cap,
+                                         band_ends);
         if (n < 0)
             return -1;
         band_ends[ENDS - 1] = n;

@@ -147,17 +147,16 @@ def _check(name: str, a: np.ndarray, dtype, shape: tuple) -> None:
         raise ValueError(f"{name} must be C-contiguous")
 
 
-def _check_bands(rows, cols, offsets, table, M, Ix, Iy) -> tuple[int, int, int, int]:
+def _check_bands(rows, cols, offsets, table, cells) -> tuple[int, int, int, int]:
     """Refuse bands the C code would misread; return (m, G, ncols, width)."""
     m = len(rows)
     g, ncols = cols.shape if cols.ndim == 2 else (0, 0)
-    width = M.shape[-1] if M.ndim == 3 else 0
+    width = cells.shape[-1] if cells.ndim == 4 else 0
     _check("rows", rows, np.uint8, (m,))
     _check("cols", cols, np.uint8, (g, ncols))
     _check("offsets", offsets, np.int64, (m + 1,))
     _check("table", table, np.int32, _TABLE_SHAPE)
-    for name, a in (("M", M), ("Ix", Ix), ("Iy", Iy)):
-        _check(name, a, np.int32, (m + 1, g, width))
+    _check("cells", cells, np.int32, (3, m + 1, g, width))
     if width < 1:
         raise ValueError("a band needs at least one slot a row")
     if rows.size and int(rows.max()) >= _TABLE_SHAPE[0]:
@@ -218,8 +217,8 @@ class Kernel:
         library = ctypes.CDLL(str(path))
         self._align = library.band_align
         self._align.argtypes = [
-            _ptr, _i64, _ptr, _i64, _i64, _ptr, _i64, _ptr, _i32, _i32, _i32, _ptr, _ptr, _ptr,
-            _ptr, _i64, _ptr, _ptr, _ptr,
+            _ptr, _i64, _ptr, _i64, _i64, _ptr, _i64, _ptr, _i32, _i32, _i32, _ptr, _ptr, _i64,
+            _ptr, _ptr,
         ]
         self._align.restype = _i64
         self._seed = library.seed_diagonals
@@ -295,29 +294,25 @@ class Kernel:
             raise ValueError("a seed's (subject, diagonal) key does not fit an int64")
         return list(zip(*work[:, :groups].tolist()))
 
-    def band_align(self, rows, cols, offsets, table, oe: int, e: int, local: bool, M, Ix, Iy):
+    def band_align(self, rows, cols, offsets, table, oe: int, e: int, local: bool, cells):
         """`align._band_align_numpy` in C: the same arguments, fill and paths.
 
         Raises ValueError where the Python traceback would fail: a cell on a
         path has no predecessor.
         """
-        m, g, ncols, width = _check_bands(rows, cols, offsets, table, M, Ix, Iy)
+        m, g, ncols, width = _check_bands(rows, cols, offsets, table, cells)
         profile = np.empty((_TABLE_SHAPE[0], g, ncols), dtype=np.int32)  # the C code's scratch
         cap = m + ncols  # each step consumes a row, a column or both
-        out_r = np.empty((g, cap), dtype=np.uint8)
-        out_c = np.empty((g, cap), dtype=np.uint8)
-        ends = np.empty((g, 6), dtype=np.int64)  # score, start row, slot, end row, slot, length
+        out = np.empty((g, 2, cap), dtype=np.uint8)  # each band's row codes, then column codes
+        ends = np.empty((g, 6), dtype=np.int64)  # score, start row, column, end row, column, length
         failed = self._align(
             rows.ctypes.data, m, cols.ctypes.data, g, ncols, offsets.ctypes.data, width,
-            table.ctypes.data, oe, e, local, M.ctypes.data, Ix.ctypes.data, Iy.ctypes.data,
-            profile.ctypes.data, cap, out_r.ctypes.data, out_c.ctypes.data, ends.ctypes.data,
+            table.ctypes.data, oe, e, local, cells.ctypes.data, profile.ctypes.data, cap,
+            out.ctypes.data, ends.ctypes.data,
         )
         if failed:
             raise ValueError("native traceback found no predecessor for a cell on the path")
-        paths = []
-        for (score, i0, b0, i1, b1, n), r, c in zip(ends.tolist(), out_r, out_c):
-            paths.append(None if n == 0 else (
-                score, (i0, offsets.item(i0) + b0), (i1, offsets.item(i1) + b1),
-                r[:n].tobytes(), c[:n].tobytes(),
-            ))
-        return paths
+        return [
+            None if n == 0 else (score, (i0, x0), (i1, x1), r[:n].tobytes(), c[:n].tobytes())
+            for (score, i0, x0, i1, x1, n), r, c in zip(ends.tolist(), out[:, 0], out[:, 1])
+        ]

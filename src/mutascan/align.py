@@ -213,36 +213,37 @@ def _band_align(
     Row 0 follows from the mode. Local mode leaves it unreachable and floors
     the M predecessor at 0, so an alignment may start anywhere. A global
     band has offsets[0] == 0: M is 0 at slot 0 and Iy at slot s >= 1 opens
-    a gap of s columns. The (len(rows) + 1, G, width) int32 M, Ix and Iy
-    stay inside this call, which returns one decoded path per band. The
-    compiled kernel fills and traces when it loads, else `_band_align_numpy`
-    does, on one argument list; both give the same paths.
+    a gap of s columns. The (3, len(rows) + 1, G, width) int32 block of M,
+    Ix and Iy stays inside this call, which returns one decoded path per
+    band. The compiled kernel fills and traces when it loads, else
+    `_band_align_numpy` does, on one argument list; both give the same paths.
     """
     # One block for all three: once glibc has freed it, its mmap threshold is the block's
     # size and its trim threshold twice that, so the next call takes it from the heap.
     # Three blocks of a third the size coalesce past that trim threshold, and were mapped
     # and faulted in again on every call.
-    M, Ix, Iy = np.empty((3, len(rows) + 1, cols.shape[0], width), dtype=np.int32)
-    M[0] = Ix[0] = Iy[0] = _NEG
+    cells = np.empty((3, len(rows) + 1, cols.shape[0], width), dtype=np.int32)
+    cells[:, 0] = _NEG
     oe, e = scoring.gap_open + scoring.gap_extend, scoring.gap_extend
     if not local:
-        M[0, :, 0] = 0
-        Iy[0, :, 1:] = oe + e * np.arange(width - 1)
+        cells[_M, 0, :, 0] = 0
+        cells[_IY, 0, :, 1:] = oe + e * np.arange(width - 1)
     kernel = _native.load()
     band_align = _band_align_numpy if kernel is None else kernel.band_align
     return [
         None if path is None else (*path[:3], _decode(path[3]), _decode(path[4]))
-        for path in band_align(rows, cols, offsets, scoring.table, oe, e, local, M, Ix, Iy)
+        for path in band_align(rows, cols, offsets, scoring.table, oe, e, local, cells)
     ]
 
 
 def _band_align_numpy(
     rows: np.ndarray, cols: np.ndarray, offsets: np.ndarray, table: np.ndarray,
-    oe: int, e: int, local: bool, M: np.ndarray, Ix: np.ndarray, Iy: np.ndarray,
+    oe: int, e: int, local: bool, cells: np.ndarray,
 ) -> list:
     """`_native.Kernel.band_align` in numpy: `_fill_rows_numpy`, then `_band_traceback_python`
     on each band. The fallback where the compiled kernel cannot be built, and its oracle."""
     codes, starts = rows.tolist(), offsets.tolist()
+    M, Ix, Iy = cells
     _fill_rows_numpy(rows, cols, starts, table, oe, e, local, M, Ix, Iy)
     return [
         _band_traceback_python(

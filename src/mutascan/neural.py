@@ -173,13 +173,13 @@ class TrainReport:
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """A checked network. Its weight and bias arrays are read-only copies of
-    those given, views over immutable bytes that no caller can make writeable
-    again, so no one can write a parameter the checks did not see."""
+    """A checked network. Its weights and biases are tuples of read-only copies,
+    views over immutable bytes that no caller can make writeable again, so no
+    one can write or swap a parameter the checks did not see."""
 
     topology: NetworkTopology
-    weights: list[np.ndarray]  # per layer pair, shape (to_size, from_size)
-    biases: list[np.ndarray]  # per non-input layer, shape (to_size,)
+    weights: tuple[np.ndarray, ...]  # per layer pair, shape (to_size, from_size)
+    biases: tuple[np.ndarray, ...]  # per non-input layer, shape (to_size,)
     train_config: TrainConfig | None = None
 
     def __post_init__(self):
@@ -195,10 +195,10 @@ class Network:
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError("network parameters must be finite")
         for name in ("weights", "biases"):
-            frozen = [
+            frozen = tuple(
                 np.frombuffer(np.asarray(a, dtype=np.float64).tobytes()).reshape(a.shape)
                 for a in getattr(self, name)
-            ]
+            )
             object.__setattr__(self, name, frozen)
 
     def __eq__(self, other) -> bool:

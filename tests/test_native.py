@@ -88,18 +88,16 @@ def _global_pair():
 
 def _assert_native_matches_numpy(native, calls):
     """`native.band_align` and `align._band_align_numpy`, each on copies of every
-    argument list, fill the same M, Ix and Iy and return the same paths; returns
-    the C kernel's (M, Ix, Iy) and paths of the last list."""
+    argument list, fill the same cell block and return the same paths; returns
+    the C kernel's block of M, Ix and Iy and its paths of the last list."""
     for args in calls:
         runs = []
         for band_align, unwritten in ((native.band_align, 12345), (align._band_align_numpy, -1)):
             copy = _copy(args)
-            for a in copy[-3:]:
-                a[1:] = unwritten  # rows 1.. are the fill's to write
-            runs.append((copy[-3:], band_align(*copy)))
+            copy[-1][:, 1:] = unwritten  # rows 1.. are the fill's to write
+            runs.append((copy[-1], band_align(*copy)))
         (got, got_paths), (want, want_paths) = runs
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        assert np.array_equal(got, want)
         assert got_paths == want_paths
     return runs[0]
 
@@ -175,6 +173,23 @@ def test_native_local_start_is_the_first_of_repeated_maxima(native):
         assert path[2] == (i, offsets[i] + b)
 
 
+def test_native_path_ends_are_sequence_columns(native):
+    """Both kernels give a path's first and last cells as (row, column), not (row,
+    slot): a local path from row 0, whose window starts at column -1, and a global
+    band whose row windows are clipped to the matrix at both ends."""
+    query = "ACGTTGCA"
+    local = _kernel_calls(banded_local_align, query, [(query, 0)], 2, Scoring())
+    clipped = _kernel_calls(
+        align._global_band, encode_bases(query), encode_bases("ACGTATGCAC"), 2, Scoring()
+    )
+    assert clipped[0][2].tolist() == [0, 0, 0, 1, 2, 3, 4, 4, 4]
+    [local_path], [global_path] = (
+        _assert_native_matches_numpy(native, calls)[1] for calls in (local, clipped)
+    )
+    assert local_path[1:3] == ((0, 1), (8, 9))  # column x holds subject base x - 2
+    assert global_path[1:3] == ((0, 0), (8, 10))  # the last row's window starts at column 4
+
+
 def test_native_global_fill_keeps_cells_below_neg(native):
     """A global-mode band with row 0 left unreachable holds M cells whose three
     predecessors all lie below _NEG; flooring global mode at _NEG would change them."""
@@ -182,12 +197,14 @@ def test_native_global_fill_keeps_cells_below_neg(native):
     cols = align._global_columns(cb)
     width = 5
     offsets = np.clip(np.arange(len(rows) + 1, dtype=np.int64) - 2, 0, cols.shape[1] - width)
-    shape, args = (len(rows) + 1, 1, width), (Scoring().table, -6, -1, False)
-    M, Ix, Iy = (np.full(shape, align._NEG, dtype=np.int32) for _ in range(3))
-    align._fill_rows_numpy(rows, cols, offsets.tolist(), *args, M, Ix, Iy)
-    native_fill = [np.full(shape, align._NEG, dtype=np.int32) for _ in range(3)]
-    with pytest.raises(ValueError):  # the traceback, after the fill, finds no start
-        native.band_align(rows, cols, offsets, *args, *native_fill)
+    args = [rows, cols, offsets, Scoring().table, -6, -1, False]
+    fills = []
+    for band_align in (native.band_align, align._band_align_numpy):
+        cells = np.full((3, len(rows) + 1, 1, width), align._NEG, dtype=np.int32)
+        with pytest.raises(ValueError):  # the traceback, after the fill, finds no start
+            band_align(*args, cells)
+        fills.append(cells)
+    got, (M, Ix, Iy) = fills
     below = [
         (i, s)
         for i in range(1, len(rows) + 1)
@@ -196,8 +213,7 @@ def test_native_global_fill_keeps_cells_below_neg(native):
         and max(M[i - 1, 0, p], Ix[i - 1, 0, p], Iy[i - 1, 0, p]) < align._NEG
     ]
     assert below
-    for got, want in zip(native_fill, (M, Ix, Iy)):
-        assert np.array_equal(got, want)
+    assert np.array_equal(got, fills[1])
 
 
 # --- seeding --------------------------------------------------------------------
@@ -424,14 +440,14 @@ def guarded(native):
 
 def _kernel_args(m=6, n=9, width=4, g=2):
     """`Kernel.band_align` arguments for g random bands: rows, cols, offsets,
-    table, oe, e, local, M, Ix, Iy."""
+    table, oe, e, local, cells."""
     rng = np.random.default_rng(5)
     rows = rng.integers(0, 5, m).astype(np.uint8)
     cols = rng.integers(0, 6, (g, n)).astype(np.uint8)
     offsets = np.clip(np.arange(-1, m, dtype=np.int64), 0, n - width)
     table = Scoring().table
-    arrays = [np.zeros((m + 1, g, width), dtype=np.int32) for _ in range(3)]
-    return [rows, cols, offsets, table, -6, -1, False, *arrays]
+    cells = np.zeros((3, m + 1, g, width), dtype=np.int32)
+    return [rows, cols, offsets, table, -6, -1, False, cells]
 
 
 @pytest.mark.parametrize(
@@ -454,12 +470,21 @@ def _kernel_args(m=6, n=9, width=4, g=2):
         (2, lambda a: a + 6),  # a row window past the columns
         (2, lambda a: a - 2),  # a row window before column 0
         pytest.param(2, lambda a: a.tolist(), id="offsets a list"),
-        (7, lambda a: a[:-1]),  # M one row short
-        pytest.param(7, lambda a: a.astype(np.int64), id="M int64"),
-        (8, lambda a: a.astype(np.int64)),  # Ix dtype
-        pytest.param(8, lambda a: np.asfortranarray(a), id="Ix not C-contiguous"),
-        (9, lambda a: a[:, ::-1]),  # Iy with negative strides
-        pytest.param(9, lambda a: a[:, :, :-1], id="Iy narrower than M"),
+        (7, lambda a: a[:, :-1].copy()),  # cells a row short
+        pytest.param(7, lambda a: np.concatenate([a, a[:, :1]], axis=1), id="cells a row long"),
+        pytest.param(7, lambda a: a.astype(np.int64), id="cells int64"),
+        pytest.param(7, lambda a: a.astype(np.uint32), id="cells uint32"),
+        pytest.param(7, lambda a: np.asfortranarray(a), id="cells not C-contiguous"),
+        pytest.param(7, lambda a: a[:, ::-1], id="cells with negative strides"),
+        pytest.param(7, lambda a: a[:2].copy(), id="cells of two matrices"),
+        pytest.param(7, lambda a: np.concatenate([a, a[:1]]), id="cells of four matrices"),
+        pytest.param(7, lambda a: a[:, :, :1].copy(), id="cells a band short"),
+        pytest.param(  # the windows of 5 slots leave the 9 columns
+            7, lambda a: np.concatenate([a, a[..., :1]], axis=3), id="cells a slot long"
+        ),
+        pytest.param(7, lambda a: a[:, :, :, :0].copy(), id="cells no slot a row"),
+        pytest.param(7, lambda a: a[0], id="cells one matrix"),
+        pytest.param(7, lambda a: a[None], id="cells five-dimensional"),
     ],
 )
 def test_fill_refuses_bad_arrays_before_calling_c(guarded, index, bad):
@@ -685,7 +710,7 @@ def test_training_kernel_matches_numpy_with_the_edges_in_one_batch(native):
 def test_traceback_with_no_predecessor_raises(native):
     a, b = DnaSequence("a", "", "ACGTTGCAAC"), DnaSequence("b", "", "ACGTGCAACG")
     [args] = _kernel_calls(global_align, a, b, Scoring())
-    args[-1][0, :, 2:] += 1000  # Iy of row 0 is no longer oe + e*k: slot 2 does not follow slot 1
+    args[-1][2, 0, :, 2:] += 1000  # row 0's Iy is no longer oe + e*k: slot 2 does not follow slot 1
     for band_align in (native.band_align, align._band_align_numpy):
         with pytest.raises(ValueError):
             band_align(*_copy(args))
@@ -698,24 +723,22 @@ def test_traceback_never_writes_past_its_capacity(native):
     for band in range(g):
         bands = [(query, 0 if k == band else far) for k in range(g)]
         [args] = _kernel_calls(banded_local_align, query, bands, 2, Scoring())
-        rows, cols, offsets, table, oe, e, local, M, Ix, Iy = args
-        ncols, width = cols.shape[1], M.shape[2]
+        rows, cols, offsets, table, oe, e, local, cells = args
+        ncols, width = cols.shape[1], cells.shape[-1]
         profile = np.empty((5, g, ncols), dtype=np.int32)
-        out_r = np.full(g * cap + guard, 0xAB, dtype=np.uint8)
-        out_c = np.full(g * cap + guard, 0xAB, dtype=np.uint8)
+        out = np.full(g * 2 * cap + guard, 0xAB, dtype=np.uint8)
         ends = np.zeros((g, 6), dtype=np.int64)
         status = native._align(
             rows.ctypes.data, len(rows), cols.ctypes.data, g, ncols, offsets.ctypes.data, width,
-            table.ctypes.data, oe, e, local, M.ctypes.data, Ix.ctypes.data,
-            Iy.ctypes.data, profile.ctypes.data, cap, out_r.ctypes.data, out_c.ctypes.data,
-            ends.ctypes.data,
+            table.ctypes.data, oe, e, local, cells.ctypes.data, profile.ctypes.data, cap,
+            out.ctypes.data, ends.ctypes.data,
         )
         assert status == -1
-        row = slice(band * cap, (band + 1) * cap)
-        for out in (out_r, out_c):
-            assert (out[row] != 0xAB).any()  # the band wrote its own row
-            out[row] = 0xAB
-            assert (out == 0xAB).all()  # and nothing before it or after it
+        for half in range(2):  # the band's row codes, then its column codes
+            codes = slice((2 * band + half) * cap, (2 * band + half + 1) * cap)
+            assert (out[codes] != 0xAB).any()  # the band wrote its own row
+            out[codes] = 0xAB
+        assert (out == 0xAB).all()  # and nothing before it or after it
 
 
 # --- packaging ------------------------------------------------------------------

@@ -307,6 +307,20 @@ def test_network_parameters_cannot_be_written():
     assert forward(net, [0.3] * 10) == 0.5
 
 
+def test_network_parameter_lists_cannot_be_changed():
+    """No caller can swap in an array the checks did not see, or add a layer."""
+    net = Network(
+        NetworkTopology((2, 2, 1)), [np.zeros((2, 2)), np.zeros((1, 2))], [np.zeros(2), np.zeros(1)]
+    )
+    for params in (net.weights, net.biases):
+        with pytest.raises(TypeError):
+            params[0] = np.full(params[0].shape, math.nan)
+        with pytest.raises(AttributeError):
+            params.append(np.zeros(1))
+        assert len(params) == 2
+    assert forward(net, [0.3, 0.7]) == 0.5
+
+
 def test_zero_init_half_targets_is_a_fixed_point():
     data = [([0.0] * 10, 0.5), ([1.0] * 10, 0.5)]
     cfg = TrainConfig(init_range=(0.0, 0.0), max_epochs=10)

@@ -8,8 +8,11 @@
  * the band layout. seed_diagonals finds a query's k-mer seeds in a
  * homology.KmerIndex and lists the (subject, diagonal) pairs they seed, as
  * homology._seed_diagonals_numpy does. train_epochs runs full-batch
- * gradient-descent epochs as neural._train_numpy does, bit for bit. Without
- * a compiler all three run as those numpy and Python functions instead.
+ * gradient-descent epochs as neural._train_numpy does, bit for bit; on
+ * x86-64, train_epochs_avx2 and train_epochs_avx512 are the same code built
+ * for wider vectors, and train_isa names the widest this CPU runs. Without
+ * a compiler all three kernels run as those numpy and Python functions
+ * instead.
  * Build with -fwrapv: int32 sums then wrap as numpy's do. Build with
  * -ffp-contract=off: a * b + c then rounds twice, as in numpy, and is never
  * fused where the base ISA has FMA. The Python caller (mutascan._native)
@@ -402,21 +405,15 @@ int64_t seed_diagonals(const uint8_t *query, int64_t n, int64_t k, const uint64_
     return g;
 }
 
+
 /* ---- training ---------------------------------------------------------- */
 
-/* Samples are the lanes of a V, and each operation on a V acts on each lane
- * alone, so every sample sees the IEEE operations of neural._train_numpy in
- * its order. Only element-wise work is vectorized: every sum over samples
- * runs one sample at a time, in sample order. */
-typedef double V __attribute__((vector_size(16)));
-typedef int64_t VI __attribute__((vector_size(16)));
-#define LANES 2 /* doubles in a V; _native._LANES */
-
-static inline V load(const double *p) { V v; memcpy(&v, p, sizeof v); return v; }
-static inline void store(double *p, V v) { memcpy(p, &v, sizeof v); }
-static inline V splat(double d) { return (V){d, d}; }
-/* Each lane from a where mask is all ones, else from b. */
-static inline V select(VI mask, V a, V b) { return (V)((mask & (VI)a) | (~mask & (VI)b)); }
+/* Inputs, targets, activations and deltas are feature-major: one row a unit,
+ * holding that unit's S samples in order. Each element-wise step is one
+ * plain loop over a row or over a whole layer block, which the compiler
+ * vectorizes at whatever width its target allows, and each element still
+ * gets the IEEE operations of neural._train_numpy in their order. Every sum
+ * over samples runs one sample at a time, in sample order. */
 
 /* The fixed exp's constants, as neural._fixed_exp and neural._exp_float spell
  * them: exp(x) rounds to 0 at and below EXP_LO; ln 2 split for the Cody-Waite
@@ -434,42 +431,86 @@ static const double TAYLOR[TERMS] = {
     1.0 / 362880, 1.0 / 3628800, 1.0 / 39916800, 1.0 / 479001600,
 };
 
-/* neural._sigmoid of the n values at z, n a multiple of LANES, in place:
- * (z >= 0 ? 1 : e) / (1 + e) with e = exp(-|z|), which never overflows.
- *
- * The exp is neural._fixed_exp in SSE2 operations. Cody-Waite reduction
- * -|z| = k ln 2 + r, clamped at EXP_LO, so v is in [-1076.3, 0.5]; floor(v)
- * is v rounded to an integer, less 1 where that rounded up, and its int64
- * lanes are the low bits of v + ROUND. Then the degree-12 Taylor polynomial
- * in Horner form, then ldexp(p, k) written out: 2^k scales exactly while the
- * result is normal, and a subnormal result is rounded once, by the product
- * with 2^-64, as libm's ldexp rounds it. A nan lane computes garbage and is
- * put back at the end. */
-static void sigmoid_layer(double *z, int64_t n)
+static inline uint64_t bits(double d) { uint64_t u; memcpy(&u, &d, sizeof u); return u; }
+static inline double from_bits(uint64_t u) { double d; memcpy(&d, &u, sizeof d); return d; }
+
+#define SIGN 0x8000000000000000u /* the sign bit of a double */
+#define INF 0x7ff0000000000000u  /* the bits of +inf: a larger magnitude is a nan */
+
+/* All ones where d's sign bit is set, else 0. The sigmoid makes each choice
+ * with such a mask, in integer operations that SSE2 has: a branch would
+ * leave an operation on one path only, and the compiler vectorizes no loop
+ * whose operation might trap on a path not taken. */
+static inline uint64_t sign_mask(double d) { return -(bits(d) >> 63); }
+
+/* All ones where d is a nan, else 0. */
+static inline uint64_t nan_mask(double d) { return -((INF - (bits(d) & ~SIGN)) >> 63); }
+
+/* a where mask is all ones, b where it is 0 */
+static inline double blend(uint64_t mask, double a, double b)
 {
-    for (int64_t y = 0; y < n; y += LANES) {
-        const V zv = load(z + y), x = (V)((VI)zv | (VI)splat(-0.0)); /* -|z|: the sign bit set */
-        const V c = select((VI)(x < EXP_LO), splat(EXP_LO), x);
-        const V v = c * INV_LN2 + 0.5, big = v + ROUND, rounded = big - ROUND;
-        const VI up = (VI)(rounded > v); /* -1 where v rounded up */
-        const V k = rounded - (V)(up & (VI)splat(1.0));
-        const VI ki = (VI)big - (VI)splat(ROUND) + up;
-        const V r = (c - k * LN2_HI) - k * LN2_LO;
-        V p = splat(TAYLOR[TERMS - 1]);
+    return from_bits((bits(a) & mask) | (bits(b) & ~mask));
+}
+
+/* neural._sigmoid of the n values at z, in place: (z >= 0 ? 1 : e) / (1 + e)
+ * with e = exp(-|z|), which never overflows. A z of -0 takes e, which is 1.
+ *
+ * The exp is neural._fixed_exp. Cody-Waite reduction x = -|z| = k ln 2 + r,
+ * with c = x clamped at EXP_LO, as is -inf, so v = c / ln 2 + 0.5 is in
+ * [-1076.3, 0.5]; k = floor(v) is v rounded to an integer, less 1 where that
+ * rounded up, and the low bits of v + ROUND hold it as an integer. Then the
+ * degree-12 Taylor polynomial in Horner form, then ldexp(p, k) written out
+ * as p * 2^(k + 64) * 2^-64: the first product is exact, and the second is
+ * exact while the result is normal and rounds a subnormal result once, as
+ * libm's ldexp does. A nan computes garbage, whose sign the hardware sets,
+ * and is put back at the end. */
+static inline void sigmoid_layer(double *restrict z, int64_t n)
+{
+    for (int64_t y = 0; y < n; y++) {
+        const double x = from_bits(bits(z[y]) | SIGN);
+        const double c = blend(sign_mask(x - EXP_LO), EXP_LO, x);
+        const double v = c * INV_LN2 + 0.5, big = v + ROUND, rounded = big - ROUND;
+        const uint64_t up = sign_mask(v - rounded); /* v - rounded is exact */
+        const double k = rounded - from_bits(up & bits(1.0));
+        const uint64_t biased = bits(big) - bits(ROUND) + up + 64 + 1023; /* k + 64 + 1023 */
+        const double r = (c - k * LN2_HI) - k * LN2_LO;
+        double p = TAYLOR[TERMS - 1];
         for (int i = TERMS - 2; i >= 0; i--)
             p = p * r + TAYLOR[i];
-        const VI low = (VI)(k < -1000.0);
-        const V scaled = p * (V)((ki + (low & 64) + 1023) << 52);
-        const V e = select((VI)(x != x), x, select(low, scaled * 0x1p-64, scaled));
-        store(z + y, select((VI)(zv >= 0.0), splat(1.0), e) / (1.0 + e));
+        const double e = blend(nan_mask(x), x, p * from_bits(biased << 52) * 0x1p-64);
+        z[y] = blend(sign_mask(z[y]), e, 1.0) / (1.0 + e);
     }
 }
 
-/* Every layer's activations: layer l (l >= 1) is a (sizes[l], stride) block
- * of acts, the blocks in layer order, from the (sizes[0], stride) inputs x.
- * A unit's input is w0 * a0, then + wi * ai in index order, then + b. */
-static void forward_all(const int64_t *sizes, int64_t layers, const double *x, int64_t stride,
-                        const double *params, double *acts)
+/* o = w * a, o = o + w * a, and o = o + w[0] * a[0..n) + ... + w[3] * a[3n..4n)
+ * added left to right, over the n values of a row: four rows a pass, so the
+ * sum stays in registers between them */
+static inline void row_times(double *restrict o, double w, const double *restrict a, int64_t n)
+{
+    for (int64_t s = 0; s < n; s++)
+        o[s] = w * a[s];
+}
+
+static inline void row_add_times(double *restrict o, double w, const double *restrict a,
+                                 int64_t n)
+{
+    for (int64_t s = 0; s < n; s++)
+        o[s] = o[s] + w * a[s];
+}
+
+static inline void row_add_times4(double *restrict o, const double *restrict w,
+                                  const double *restrict a, int64_t n)
+{
+    for (int64_t s = 0; s < n; s++)
+        o[s] = (((o[s] + w[0] * a[s]) + w[1] * a[n + s]) + w[2] * a[2 * n + s]) +
+               w[3] * a[3 * n + s];
+}
+
+/* Every layer's activations: layer l (l >= 1) is a (sizes[l], S) block of
+ * acts, the blocks in layer order, from the (sizes[0], S) inputs x. A unit's
+ * input is w0 * a0, then + wi * ai in index order, then + b. */
+static inline void forward_all(const int64_t *sizes, int64_t layers, const double *x, int64_t S,
+                               const double *params, double *acts)
 {
     const double *in = x, *w = params;
     double *out = acts;
@@ -478,44 +519,45 @@ static void forward_all(const int64_t *sizes, int64_t layers, const double *x, i
         const double *b = w + n_out * n_in;
         for (int64_t j = 0; j < n_out; j++) {
             const double *wj = w + j * n_in;
-            for (int64_t s = 0; s < stride; s += LANES) {
-                V z = wj[0] * load(in + s);
-                for (int64_t i = 1; i < n_in; i++)
-                    z = z + wj[i] * load(in + i * stride + s);
-                store(out + j * stride + s, z + b[j]);
-            }
+            double *z = out + j * S;
+            row_times(z, wj[0], in, S);
+            int64_t i = 1;
+            for (; i + 4 <= n_in; i += 4)
+                row_add_times4(z, wj + i, in + i * S, S);
+            for (; i < n_in; i++)
+                row_add_times(z, wj[i], in + i * S, S);
+            for (int64_t s = 0; s < S; s++)
+                z[s] = z[s] + b[j];
         }
-        sigmoid_layer(out, n_out * stride);
+        sigmoid_layer(out, n_out * S);
         in = out;
-        out += n_out * stride;
+        out += n_out * S;
         w = b + n_out;
     }
 }
 
 /* The gradient of scale * sum over the S samples and the outputs of
  * (out - t)^2, into grads (params' layout), from forward_all's acts; t is
- * (sizes[layers - 1], stride). Every sum over samples runs in sample order
- * and every sum over units in index order. delta is scratch for 2 * stride
- * * (the largest of sizes[1..]). */
-static void backward(const int64_t *sizes, int64_t layers, const double *x, const double *t,
-                     int64_t S, int64_t stride, double scale, const double *params,
-                     const double *acts, double *grads, double *delta)
+ * (sizes[layers - 1], S). Every sum over samples runs in sample order and
+ * every sum over units in index order. delta is scratch for 2 * S * (the
+ * largest of sizes[1..]). */
+static inline void backward(const int64_t *sizes, int64_t layers, const double *x,
+                            const double *t, int64_t S, double scale, const double *params,
+                            const double *acts, double *grads, double *delta)
 {
     int64_t widest = 0, at = 0, act_at = 0;
     for (int64_t l = 1; l < layers; l++) {
         widest = sizes[l] > widest ? sizes[l] : widest;
         at += (sizes[l - 1] + 1) * sizes[l];
-        act_at += stride * sizes[l];
+        act_at += S * sizes[l];
     }
-    double *cur = delta, *prev = delta + stride * widest;
+    double *cur = delta, *prev = delta + S * widest;
     const double two_scale = 2.0 * scale;
     int64_t n_out = sizes[layers - 1];
-    act_at -= stride * n_out;
+    act_at -= S * n_out;
     const double *out = acts + act_at;
-    for (int64_t y = 0; y < stride * n_out; y += LANES) {
-        const V o = load(out + y);
-        store(cur + y, two_scale * (o - load(t + y)) * o * (1.0 - o));
-    }
+    for (int64_t y = 0; y < S * n_out; y++)
+        cur[y] = two_scale * (out[y] - t[y]) * out[y] * (1.0 - out[y]);
     for (int64_t l = layers - 1; l >= 1; l--) {
         const int64_t n_in = sizes[l - 1];
         at -= (n_in + 1) * n_out;
@@ -523,13 +565,13 @@ static void backward(const int64_t *sizes, int64_t layers, const double *x, cons
         double *gw = grads + at, *gb = gw + n_out * n_in;
         const double *in = x;
         if (l > 1) {
-            act_at -= stride * n_in;
+            act_at -= S * n_in;
             in = acts + act_at;
         }
         for (int64_t j = 0; j < n_out; j++) {
-            const double *d = cur + j * stride;
+            const double *d = cur + j * S;
             for (int64_t i = 0; i < n_in; i++) {
-                const double *a = in + i * stride;
+                const double *a = in + i * S;
                 double g = d[0] * a[0];
                 for (int64_t s = 1; s < S; s++)
                     g = g + d[s] * a[s];
@@ -541,14 +583,14 @@ static void backward(const int64_t *sizes, int64_t layers, const double *x, cons
             gb[j] = g;
         }
         if (l > 1) {
-            for (int64_t i = 0; i < n_in; i++)
-                for (int64_t s = 0; s < stride; s += LANES) {
-                    V sum = load(cur + s) * w[i];
-                    for (int64_t j = 1; j < n_out; j++)
-                        sum = sum + load(cur + j * stride + s) * w[j * n_in + i];
-                    const V a = load(in + i * stride + s);
-                    store(prev + i * stride + s, sum * a * (1.0 - a));
-                }
+            for (int64_t i = 0; i < n_in; i++) {
+                double *p = prev + i * S;
+                row_times(p, w[i], cur, S);
+                for (int64_t j = 1; j < n_out; j++)
+                    row_add_times(p, w[j * n_in + i], cur + j * S, S);
+            }
+            for (int64_t y = 0; y < S * n_in; y++)
+                prev[y] = prev[y] * in[y] * (1.0 - in[y]);
             double *swap = cur;
             cur = prev;
             prev = swap;
@@ -559,44 +601,43 @@ static void backward(const int64_t *sizes, int64_t layers, const double *x, cons
 
 /* Full-batch gradient descent with momentum, as neural._train_numpy runs it.
  *
- * sizes holds the layers >= 2 layer sizes, each >= 1. x (sizes[0], stride)
- * and t (sizes[layers - 1], stride) are feature-major: one row a unit, the
- * S >= 1 samples in its first S columns, stride >= S a multiple of LANES and
- * the padding columns never summed. params and vel hold P = sum of
- * (sizes[l - 1] + 1) * sizes[l] values in the layout W0, b0, W1, b1, ...,
- * and grads is scratch for P. acts is scratch for stride times the sum of
- * sizes[1..], delta for 2 * stride * their maximum.
+ * sizes holds the layers >= 2 layer sizes, each >= 1. x (sizes[0], S) and t
+ * (sizes[layers - 1], S) are feature-major: one row a unit, holding its
+ * S >= 1 samples in order. params and vel hold P = sum of (sizes[l - 1] + 1)
+ * * sizes[l] values in the layout W0, b0, W1, b1, ..., and grads is scratch
+ * for P. acts is scratch for S times the sum of sizes[1..], delta for 2 * S
+ * times their maximum.
  *
  * Each epoch takes the gradient of the MSE at params, steps vel and params,
  * and writes the new MSE to history. Stops after the first epoch whose MSE
  * is at or below target_mse or not finite, or after epochs epochs; returns
  * the number run. */
-int64_t train_epochs(const int64_t *sizes, int64_t layers, const double *x, const double *t,
-                     int64_t S, int64_t stride, double lr, double momentum, double target_mse,
-                     int64_t epochs, double *params, double *vel, double *grads, double *acts,
-                     double *delta, double *history)
+static inline int64_t train(const int64_t *sizes, int64_t layers, const double *x,
+                            const double *t, int64_t S, double lr, double momentum,
+                            double target_mse, int64_t epochs, double *params, double *vel,
+                            double *grads, double *acts, double *delta, double *history)
 {
     int64_t P = 0, act_at = 0;
     for (int64_t l = 1; l < layers; l++) {
         P += (sizes[l - 1] + 1) * sizes[l];
-        act_at += stride * sizes[l];
+        act_at += S * sizes[l];
     }
     const int64_t n_out = sizes[layers - 1];
-    const double *out = acts + act_at - stride * n_out;
+    const double *out = acts + act_at - S * n_out;
     const double scale = 1.0 / (double)S;
-    forward_all(sizes, layers, x, stride, params, acts);
+    forward_all(sizes, layers, x, S, params, acts);
     for (int64_t epoch = 0; epoch < epochs; epoch++) {
-        backward(sizes, layers, x, t, S, stride, scale, params, acts, grads, delta);
+        backward(sizes, layers, x, t, S, scale, params, acts, grads, delta);
         for (int64_t p = 0; p < P; p++) {
             const double v = vel[p] * momentum - lr * grads[p];
             vel[p] = v;
             params[p] = params[p] + v;
         }
-        forward_all(sizes, layers, x, stride, params, acts);
+        forward_all(sizes, layers, x, S, params, acts);
         double sum = 0.0;
         for (int64_t s = 0; s < S; s++)
             for (int64_t j = 0; j < n_out; j++) {
-                const double err = out[j * stride + s] - t[j * stride + s];
+                const double err = out[j * S + s] - t[j * S + s];
                 sum = sum + err * err; /* +0.0 + err * err is err * err, as err * err >= +0.0 */
             }
         const double mse = sum / (double)(S * n_out);
@@ -605,4 +646,36 @@ int64_t train_epochs(const int64_t *sizes, int64_t layers, const double *x, cons
             return epoch + 1;
     }
     return epochs;
+}
+
+/* train, compiled once for each instruction set in the list: flatten inlines
+ * every call, so the whole epoch is built for the entry's target. */
+#define TRAIN_ENTRY(name, ...)                                                                    \
+    __attribute__((__VA_ARGS__)) int64_t name(                                                    \
+        const int64_t *sizes, int64_t layers, const double *x, const double *t, int64_t S,        \
+        double lr, double momentum, double target_mse, int64_t epochs, double *params,            \
+        double *vel, double *grads, double *acts, double *delta, double *history)                 \
+    {                                                                                             \
+        return train(sizes, layers, x, t, S, lr, momentum, target_mse, epochs, params, vel,       \
+                     grads, acts, delta, history);                                                \
+    }
+
+TRAIN_ENTRY(train_epochs, flatten)
+#if defined(__x86_64__)
+TRAIN_ENTRY(train_epochs_avx2, flatten, target("avx2"))
+TRAIN_ENTRY(train_epochs_avx512, flatten, target("avx512f"))
+#endif
+
+/* The widest training entry this CPU runs: 2 for train_epochs_avx512, 1 for
+ * train_epochs_avx2, 0 for train_epochs, the only one built off x86-64. */
+int64_t train_isa(void)
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        return 2;
+    if (__builtin_cpu_supports("avx2"))
+        return 1;
+#endif
+    return 0;
 }

@@ -1,10 +1,14 @@
 """The compiled kernels: `_band.c`, built on first use with the system `cc`.
 
-The one library exports three functions. `band_align` fills and traces
+The one library exports three kernels. `band_align` fills and traces
 banded alignments, in place of `align._band_align_numpy`; `seed_diagonals`
 lists the diagonals a query's k-mer seeds fall on, in place of
 `homology._seed_diagonals_numpy`; `train_epochs` runs gradient-descent
-epochs, in place of `neural._train_numpy`, with the same bits.
+epochs, in place of `neural._train_numpy`, with the same bits. On x86-64
+the training kernel is built three times from one body, for the baseline
+ISA, AVX2 and AVX-512 (`_TRAIN_ENTRIES`), and `train_isa` reports the
+widest this CPU runs; `Kernel` binds that entry once, when it loads. One
+library serves every CPU, so its name says nothing of the CPU.
 
 `load` compiles the C file with `cc -O3 -fwrapv -ffp-contract=off -shared
 -fPIC` into a per-user cache directory, `$XDG_CACHE_HOME/mutascan` or else
@@ -46,8 +50,8 @@ _BUILD_TIMEOUT_S = 120
 _TABLE_SHAPE = (5, 6)
 # homology.MIN_K and MAX_K: a k-mer's 2-bit code fills at most a uint64
 _K_RANGE = (4, 32)
-# training's samples per vector (LANES in the C code): the sample stride is a multiple
-_LANES = 2
+# the C training entries, in the order of the level `train_isa` returns
+_TRAIN_ENTRIES = ("train_epochs", "train_epochs_avx2", "train_epochs_avx512")
 
 _ptr, _i64, _i32, _f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int32, ctypes.c_double
 
@@ -224,12 +228,18 @@ class Kernel:
         self._seed = library.seed_diagonals
         self._seed.argtypes = [_ptr, _i64, _i64, _ptr, _ptr, _ptr, _i64, _i64, _ptr, _ptr]
         self._seed.restype = _i64
-        self._train = library.train_epochs
-        self._train.argtypes = [
-            _ptr, _i64, _ptr, _ptr, _i64, _i64, _f64, _f64, _f64, _i64, _ptr, _ptr, _ptr, _ptr,
-            _ptr, _ptr,
-        ]
-        self._train.restype = _i64
+        library.train_isa.argtypes = []
+        library.train_isa.restype = _i64
+        # the entries this CPU runs, one build of the same epoch each; the widest is bound
+        self._train_entries = {}
+        for name in _TRAIN_ENTRIES[: library.train_isa() + 1]:
+            entry = self._train_entries[name] = getattr(library, name)
+            entry.argtypes = [
+                _ptr, _i64, _ptr, _ptr, _i64, _f64, _f64, _f64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr,
+                _ptr,
+            ]
+            entry.restype = _i64
+        self._train = entry
 
     def train(
         self, sizes: tuple, inputs, targets, learning_rate: float, momentum: float,
@@ -246,19 +256,16 @@ class Kernel:
         """
         samples, count = _check_training(sizes, inputs, targets, params, vel, history)
         layer_sizes = np.asarray(sizes, dtype=np.int64)
-        # the C code's scratch: feature-major inputs and targets, one row of `stride`
-        # samples a unit, zero-padded to whole vectors; gradients; and each non-input
-        # layer's activations and deltas in the same layout
-        stride = -(-samples // _LANES) * _LANES
-        x = np.zeros((sizes[0], stride))
-        x[:, :samples] = inputs.T
-        t = np.zeros((sizes[-1], stride))
-        t[:, :samples] = targets.T
+        # the C code's scratch: feature-major inputs and targets, one row of the samples
+        # a unit; gradients; and each non-input layer's activations and deltas in the
+        # same layout
+        x = np.ascontiguousarray(inputs.T)
+        t = np.ascontiguousarray(targets.T)
         grads = np.empty(count)
-        acts = np.empty(stride * sum(sizes[1:]))
-        delta = np.empty(2 * stride * max(sizes[1:]))
+        acts = np.empty(samples * sum(sizes[1:]))
+        delta = np.empty(2 * samples * max(sizes[1:]))
         return self._train(
-            layer_sizes.ctypes.data, len(sizes), x.ctypes.data, t.ctypes.data, samples, stride,
+            layer_sizes.ctypes.data, len(sizes), x.ctypes.data, t.ctypes.data, samples,
             learning_rate, momentum, target_mse, len(history), params.ctypes.data,
             vel.ctypes.data, grads.ctypes.data, acts.ctypes.data, delta.ctypes.data,
             history.ctypes.data,

@@ -597,8 +597,23 @@ def test_training_refuses_overlapping_buffers(guarded, pair):
         guarded.train(*args)
 
 
+# --- every training entry against numpy -----------------------------------------
+
+
+def _entry_trains(native):
+    """`Kernel.train` bound to each C training entry this CPU runs, by the entry's name:
+    the same epoch built for each instruction set, reached through the kernel's entry
+    table; the widest is the one `load` binds."""
+    trains = {}
+    for name, entry in native._train_entries.items():
+        kernel = _native.Kernel(native.path)
+        kernel._train = entry
+        trains[name] = kernel.train
+    return trains
+
+
 def test_training_writes_no_further_than_its_history(native):
-    for train_epochs in (native.train, neural._train_numpy):
+    for train_epochs in (*_entry_trains(native).values(), neural._train_numpy):
         args = _train_args()
         buffer = np.full(30, 7.0)
         args[-1] = buffer[5:25]  # 20 epochs, none at or below the target
@@ -607,24 +622,11 @@ def test_training_writes_no_further_than_its_history(native):
         assert (buffer[5:25] != 7.0).all()
 
 
-def test_training_kernel_matches_numpy_on_wide_layers(native):
-    """`neural.train` hands the kernel 10-4-1; here every layer has several units."""
+def _train_all(native, make_args):
+    """(epochs run, params, vel, the history written) from numpy, then from each C
+    entry this CPU runs, each on its own `make_args()`."""
     runs = []
-    for train_epochs in (native.train, neural._train_numpy):
-        args = _train_args(samples=7, sizes=(3, 6, 5, 2))
-        runs.append((train_epochs(*args), *args[6:]))
-    assert runs[0][0] == runs[1][0] == 20
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(runs[0][1:], runs[1][1:]))
-
-
-# --- training's sample lanes ------------------------------------------------------
-
-
-def _train_both(native, make_args):
-    """(epochs run, params, vel, the history written) from the kernel and from numpy,
-    each on its own `make_args()`."""
-    runs = []
-    for train_epochs in (native.train, neural._train_numpy):
+    for train_epochs in (neural._train_numpy, *_entry_trains(native).values()):
         args = make_args()
         epochs = train_epochs(*args)
         runs.append((epochs, args[6], args[7], args[8][:epochs]))
@@ -644,13 +646,47 @@ def _same_training_bits(run, other):
     return True
 
 
-@pytest.mark.parametrize("samples", range(1, 4 * _native._LANES + 2))
-def test_training_kernel_matches_numpy_at_every_sample_count(native, samples):
-    """Samples are the C code's vector lanes, the last vector padded: every count up
-    to past four vectors, on layers none of whose widths is a multiple of the lanes."""
-    runs = _train_both(native, lambda: _train_args(samples=samples, sizes=(5, 3, 7, 1)))
+def _all_match_numpy(runs):
+    return all(_same_training_bits(runs[0], run) for run in runs[1:])
+
+
+def test_training_kernel_matches_numpy_on_wide_layers(native):
+    """`neural.train` hands the kernel 10-4-1; here every layer has several units."""
+    runs = _train_all(native, lambda: _train_args(samples=7, sizes=(3, 6, 5, 2)))
     assert runs[0][0] == 20
-    assert _same_training_bits(*runs)
+    assert _all_match_numpy(runs)
+
+
+@pytest.mark.parametrize("samples", range(1, 34))
+def test_training_kernel_matches_numpy_at_every_sample_count(native, samples):
+    """Samples are the C code's vector lanes, each layer's rows one loop the compiler
+    vectorizes with a scalar or narrower tail: every count up to past four 8-double
+    vectors, on layers none of whose widths is a multiple of a vector."""
+    runs = _train_all(native, lambda: _train_args(samples=samples, sizes=(5, 3, 7, 1)))
+    assert runs[0][0] == 20
+    assert _all_match_numpy(runs)
+
+
+@pytest.mark.parametrize("level", range(len(_native._TRAIN_ENTRIES)))
+def test_kernel_binds_the_widest_entry_the_cpu_reports(native, monkeypatch, level):
+    """A CPU reporting no AVX2 (level 0) gets the baseline build, one reporting AVX2
+    but no AVX-512 (level 1) the AVX2 build; no entry is called to bind it."""
+    name = _native._TRAIN_ENTRIES[level]
+    library = _native.ctypes.CDLL(str(native.path))
+    if not hasattr(library, name):
+        pytest.skip(f"{name} is built on x86-64 only")
+
+    class Reporting:
+        def __init__(self, path):
+            self.train_isa = lambda: level
+
+        def __getattr__(self, attr):
+            return getattr(library, attr)
+
+    monkeypatch.setattr(_native.ctypes, "CDLL", Reporting)
+    kernel = _native.Kernel(native.path)
+    assert kernel._train.__name__ == name
+    assert list(kernel._train_entries) == list(_native._TRAIN_ENTRIES[: level + 1])
 
 
 def _floor_point(v):
@@ -694,17 +730,17 @@ def _edge_args(edges):
 def test_training_kernel_matches_numpy_at_the_exps_edges(native, edge):
     """One sample a run, so each pre-activation's sigmoid shows in the bits; the
     fixed exp meets +-0, +-inf, nan, floor ties, subnormal and zero results there."""
-    runs = _train_both(native, lambda: _edge_args([edge]))
+    runs = _train_all(native, lambda: _edge_args([edge]))
     assert runs[0][0] == (1 if math.isnan(edge[0]) else 3)  # a nan MSE stops the run
-    assert _same_training_bits(*runs)
+    assert _all_match_numpy(runs)
 
 
 def test_training_kernel_matches_numpy_with_the_edges_in_one_batch(native):
-    """Every finite edge in one batch: the lanes of a vector take different branches."""
+    """Every finite edge in one batch: the lanes of a vector take different choices."""
     edges = [e for e in _EDGES if not math.isnan(e[0])]
-    runs = _train_both(native, lambda: _edge_args(edges))
+    runs = _train_all(native, lambda: _edge_args(edges))
     assert runs[0][0] == 3
-    assert _same_training_bits(*runs)
+    assert _all_match_numpy(runs)
 
 
 def test_traceback_with_no_predecessor_raises(native):

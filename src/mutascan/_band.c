@@ -8,11 +8,11 @@
  * the band layout. seed_diagonals finds a query's k-mer seeds in a
  * homology.KmerIndex and lists the (subject, diagonal) pairs they seed, as
  * homology._seed_diagonals_numpy does. train_epochs runs full-batch
- * gradient-descent epochs as neural._train_numpy does, bit for bit; on
- * x86-64, train_epochs_avx2 and train_epochs_avx512 are the same code built
- * for wider vectors, and train_isa names the widest this CPU runs. Without
- * a compiler all three kernels run as those numpy and Python functions
- * instead.
+ * gradient-descent epochs as neural._train_numpy does, bit for bit. On
+ * x86-64, band_align_avx2 and train_epochs_avx2, and train_epochs_avx512,
+ * are the same code built for wider vectors, and isa_level names the widest
+ * this CPU runs. Without a compiler all three kernels run as those numpy
+ * and Python functions instead.
  * Build with -fwrapv: int32 sums then wrap as numpy's do. Build with
  * -ffp-contract=off: a * b + c then rounds twice, as in numpy, and is never
  * fused where the base ISA has FMA. The Python caller (mutascan._native)
@@ -40,76 +40,166 @@
 
 static inline int32_t max32(int32_t a, int32_t b) { return a > b ? a : b; }
 
-/* Fill rows 1..m of M, Ix and Iy, each (m + 1, G, width) int32 in C order;
- * row 0 is already set. rows holds m codes 0..4, cols (G, ncols) codes
- * 0..5, offsets m + 1 window starts with 0 <= offsets[i] <= ncols - width
- * for i >= 1, and table the 5 x 6 scores of (row code, column code).
- * profile is scratch for ROWS * G * ncols int32: the score of every row
- * code against every column, so a row's scores are one plain load a slot.
- *
- * Every loop over a row's slots but the Iy running max is branch-free and
- * reads only the row above, so the compiler vectorizes it. */
-static void band_fill_rows(const uint8_t *restrict rows, int64_t m, const uint8_t *restrict cols,
-                           int64_t G, int64_t ncols, const int64_t *restrict offsets,
-                           int64_t width, const int32_t *restrict table, int32_t oe, int32_t e,
-                           int32_t local, int32_t *M, int32_t *Ix, int32_t *Iy,
-                           int32_t *restrict profile)
+/* Bands a vector step covers. A batch of fewer bands keeps one scalar Iy
+ * chain a band; from here on the Iy step of a slot is one vector operation
+ * across the bands. Timed on batches cut from screen-large-db's 8-band
+ * search batches, fill and traceback, on both the baseline and the AVX2
+ * entry: the chains were faster at 4 to 7 bands (AVX2 406 against 507 us at
+ * 7), the lanes at 8 to 16 (AVX2 391 against 479 us at 8). */
+#define LANES 8
+
+/* Each band's max of one row of M, the (width, G) values at cm, into top:
+ * LANES bands at a time, whose maxima stay in one register, then one band
+ * at a time. On the 8-band search batches, fill and traceback took 367-380
+ * us on the AVX2 entry (588 on the baseline), and 408-415 us (615) with one
+ * plain loop over slots and then bands that updates top in memory. */
+static inline void row_maxima(const int32_t *restrict cm, int64_t G, int64_t width,
+                              int32_t *restrict top)
 {
-    const int64_t plane = G * width, columns = G * ncols;
+    int64_t g = 0;
+    for (; g + LANES <= G; g += LANES) {
+        int32_t best[LANES];
+        for (int l = 0; l < LANES; l++)
+            best[l] = cm[g + l];
+        for (int64_t s = 1; s < width; s++)
+            for (int l = 0; l < LANES; l++)
+                best[l] = max32(best[l], cm[s * G + g + l]);
+        for (int l = 0; l < LANES; l++)
+            top[g + l] = best[l];
+    }
+    for (; g < G; g++) {
+        int32_t best = cm[g];
+        for (int64_t s = 1; s < width; s++)
+            best = max32(best, cm[s * G + g]);
+        top[g] = best;
+    }
+}
+
+/* Local mode's start, the first maximum of M in row-major order, as far as
+ * row i: a band whose row max top[g] beats its best so far, ends[g * ENDS],
+ * takes that max as its best and i as its row, ends[g * ENDS + 3]. Row 0
+ * sets every band's. */
+static inline void keep_start(const int32_t *restrict top, int64_t G, int64_t i,
+                              int64_t *restrict ends)
+{
+    for (int64_t g = 0; g < G; g++)
+        if (i == 0 || top[g] > ends[g * ENDS]) {
+            ends[g * ENDS] = top[g];
+            ends[g * ENDS + 3] = i;
+        }
+}
+
+/* Fill rows 1..m of M, Ix and Iy, each (m + 1, width, G) int32 in C order:
+ * slot s of band g in row i sits at (i * width + s) * G + g, so a row's G
+ * bands lie side by side as SIMD lanes (the inter-sequence layout of SWIPE,
+ * Rognes 2011); row 0 is already set. rows holds m codes 0..4, cols (G,
+ * ncols) codes 0..5, offsets m + 1 window starts with 0 <= offsets[i] <=
+ * ncols - width for i >= 1, and table the 5 x 6 scores of (row code, column
+ * code). scratch is (ROWS * ncols + 2) * G int32: the profile, the score of
+ * every row code against every column, (ROWS, ncols, G), so a row's scores
+ * are one plain load a cell; then the bands' Iy running maxima and row
+ * maxima of M.
+ *
+ * In local mode each band's start, the first maximum of M in row-major
+ * order, is found while its row is in cache: its value goes to
+ * ends[g * ENDS] and its row to ends[g * ENDS + 3] (keep_start).
+ *
+ * The M and Ix steps of a row are each one branch-free loop over slot x
+ * band that reads only the row above, so the compiler vectorizes them. The
+ * Iy running max is serial along the slots. */
+static inline void band_fill_rows(const uint8_t *restrict rows, int64_t m,
+                                  const uint8_t *restrict cols, int64_t G, int64_t ncols,
+                                  const int64_t *restrict offsets, int64_t width,
+                                  const int32_t *restrict table, int32_t oe, int32_t e,
+                                  int32_t local, int32_t *M, int32_t *Ix, int32_t *Iy,
+                                  int32_t *restrict scratch, int64_t *restrict ends)
+{
+    const int64_t plane = width * G, columns = ncols * G;
     const int32_t ne = -e, iy_base = oe - e;
+    int32_t *restrict profile = scratch, *restrict run = scratch + ROWS * columns;
+    int32_t *restrict top = run + G;
     for (int r = 0; r < ROWS; r++)
-        for (int64_t x = 0; x < columns; x++)
-            profile[r * columns + x] = table[CODES * r + cols[x]];
+        for (int64_t g = 0; g < G; g++)
+            for (int64_t x = 0; x < ncols; x++)
+                profile[r * columns + x * G + g] = table[CODES * r + cols[g * ncols + x]];
+    if (local) {
+        row_maxima(M, G, width, top);
+        keep_start(top, G, 0, ends);
+    }
     for (int64_t i = 1; i <= m; i++) {
         /* Diagonal coordinates (the window moved): M reads the same slot of
          * the row above and Ix the next, and Ix's last slot is unreachable.
          * Column coordinates: M reads the previous slot and Ix the same, and
-         * M's first slot is unreachable. */
+         * M's first slot is unreachable. In the flat loops a slot is G
+         * cells. */
         const int64_t step = offsets[i] != offsets[i - 1], lag = 1 - step;
-        for (int64_t g = 0; g < G; g++) {
-            const int32_t *restrict sub = profile + rows[i - 1] * columns + g * ncols + offsets[i];
-            const int64_t here = i * plane + g * width;
-            const int32_t *restrict pm = M + here - plane;
-            const int32_t *restrict px = Ix + here - plane;
-            const int32_t *restrict py = Iy + here - plane;
-            int32_t *restrict cm = M + here;
-            int32_t *restrict cx = Ix + here;
-            int32_t *restrict cy = Iy + here;
-            if (lag)
-                cm[0] = NEG;
-            if (local) {
-                for (int64_t s = lag; s < width; s++) {
-                    const int32_t best = max32(max32(pm[s - lag], py[s - lag]), px[s - lag]);
-                    cm[s] = sub[s] + max32(best, 0);
-                }
-            } else {
-                for (int64_t s = lag; s < width; s++)
-                    cm[s] = sub[s] + max32(max32(pm[s - lag], py[s - lag]), px[s - lag]);
+        const int64_t back = lag * G, ahead = step * G, here = i * plane;
+        const int32_t *restrict sub = profile + rows[i - 1] * columns + offsets[i] * G;
+        const int32_t *restrict pm = M + here - plane;
+        const int32_t *restrict px = Ix + here - plane;
+        const int32_t *restrict py = Iy + here - plane;
+        int32_t *restrict cm = M + here;
+        int32_t *restrict cx = Ix + here;
+        int32_t *restrict cy = Iy + here;
+        for (int64_t c = 0; c < back; c++)
+            cm[c] = NEG;
+        if (local) {
+            for (int64_t c = back; c < plane; c++) {
+                const int32_t best = max32(max32(pm[c - back], py[c - back]), px[c - back]);
+                cm[c] = sub[c] + max32(best, 0);
             }
-            for (int64_t s = 0; s < width - step; s++)
-                cx[s] = max32(max32(pm[s + step], py[s + step]) + oe, px[s + step] + e);
-            if (step)
-                cx[width - 1] = NEG;
-            /* Iy[s] = max over k < s of (H[k] - e*k) + oe - e + e*s, H = max(M, Ix) */
-            int32_t run = max32(cm[0], cx[0]);
-            cy[0] = NEG;
-            for (int64_t s = 1; s < width; s++) {
-                const int32_t t = (int32_t)s;
-                cy[s] = run + (iy_base + e * t);
-                run = max32(run, max32(cm[s], cx[s]) + ne * t);
-            }
+        } else {
+            for (int64_t c = back; c < plane; c++)
+                cm[c] = sub[c] + max32(max32(pm[c - back], py[c - back]), px[c - back]);
         }
+        for (int64_t c = 0; c < plane - ahead; c++)
+            cx[c] = max32(max32(pm[c + ahead], py[c + ahead]) + oe, px[c + ahead] + e);
+        for (int64_t c = plane - ahead; c < plane; c++)
+            cx[c] = NEG;
+        /* Iy[s] = max over k < s of (H[k] - e*k) + oe - e + e*s, H = max(M, Ix) */
+        for (int64_t g = 0; g < G; g++)
+            cy[g] = NEG;
+        if (G < LANES) { /* each chain also takes its band's row max */
+            for (int64_t g = 0; g < G; g++) {
+                int32_t r = max32(cm[g], cx[g]), best = cm[g];
+                for (int64_t s = 1; s < width; s++) {
+                    const int32_t t = (int32_t)s;
+                    const int64_t c = s * G + g;
+                    cy[c] = r + (iy_base + e * t);
+                    r = max32(r, max32(cm[c], cx[c]) + ne * t);
+                    best = max32(best, cm[c]);
+                }
+                top[g] = best;
+            }
+        } else {
+            for (int64_t g = 0; g < G; g++)
+                run[g] = max32(cm[g], cx[g]);
+            for (int64_t s = 1; s < width; s++) {
+                const int32_t t = (int32_t)s, open = iy_base + e * t, shift = ne * t;
+                const int32_t *restrict sm = cm + s * G, *restrict sx = cx + s * G;
+                int32_t *restrict sy = cy + s * G;
+                for (int64_t g = 0; g < G; g++) {
+                    sy[g] = run[g] + open;
+                    run[g] = max32(run[g], max32(sm[g], sx[g]) + shift);
+                }
+            }
+            if (local)
+                row_maxima(cm, G, width, top);
+        }
+        if (local)
+            keep_start(top, G, i, ends);
     }
 }
 
 /* The (M, Ix, Iy) values of slot b of row i, or all NEG outside the window. */
-static inline void cell(const int32_t *M, const int32_t *Ix, const int32_t *Iy,
-                        int64_t rstride, int64_t width, int64_t i, int64_t b, int64_t *v)
+static inline void cell(const int32_t *M, const int32_t *Ix, const int32_t *Iy, int64_t rstride,
+                        int64_t sstride, int64_t width, int64_t i, int64_t b, int64_t *v)
 {
     if (0 <= b && b < width) {
-        v[0] = M[i * rstride + b];
-        v[1] = Ix[i * rstride + b];
-        v[2] = Iy[i * rstride + b];
+        const int64_t at = i * rstride + b * sstride;
+        v[0] = M[at];
+        v[1] = Ix[at];
+        v[2] = Iy[at];
     } else {
         v[0] = v[1] = v[2] = NEG;
     }
@@ -117,45 +207,37 @@ static inline void cell(const int32_t *M, const int32_t *Ix, const int32_t *Iy,
 
 /* Trace the best path of one band back to its start.
  *
- * M, Ix and Iy hold rows 0..m of width slots, rstride elements apart.
- * Candidate scores are compared in int64, as Python compares its ints.
- * Writes the path's row codes, last column first, to out[0..cap) and its
- * column codes to out[cap..2 cap), and (score, start row, start column,
- * end row, end column) to ends, a cell's column being offsets[i] + b.
- * Returns the path length; 0 when local and no cell scores above 0; -1
+ * M, Ix and Iy hold rows 0..m of width slots, rows rstride elements apart
+ * and slots sstride. Candidate scores are compared in int64, as Python
+ * compares its ints. In local mode the path starts in row ends[3], at the
+ * first slot that holds the band's M maximum ends[0], as band_fill_rows
+ * left them. Writes the path's row codes, last column first, to out[0..cap)
+ * and its column codes to out[cap..2 cap), and (score, start row, start
+ * column, end row, end column) to ends, a cell's column being offsets[i] +
+ * b. Returns the path length; 0 when local and no cell scores above 0; -1
  * when a step finds no predecessor, a move leaves the matrix, or the path
  * would pass cap columns. */
-static int64_t band_traceback(const int32_t *M, const int32_t *Ix, const int32_t *Iy,
-                              int64_t rstride, int64_t m, int64_t width, const uint8_t *rows,
-                              const uint8_t *cols, int64_t ncols, const int64_t *offsets,
-                              const int32_t *table, int64_t oe, int64_t e, int32_t local,
-                              int64_t cap, uint8_t *out, int64_t *ends)
+static inline int64_t band_traceback(const int32_t *M, const int32_t *Ix, const int32_t *Iy,
+                                     int64_t rstride, int64_t sstride, int64_t m, int64_t width,
+                                     const uint8_t *rows, const uint8_t *cols, int64_t ncols,
+                                     const int64_t *offsets, const int32_t *table, int64_t oe,
+                                     int64_t e, int32_t local, int64_t cap, uint8_t *out,
+                                     int64_t *ends)
 {
     int64_t i, b, score, here[3], cand[3];
     int state = 0; /* 0 M, 1 Ix, 2 Iy: the preference order on ties */
-    if (local) { /* the first maximum of M in row-major order */
-        int32_t best = M[0];
-        i = b = 0;
-        for (int64_t r = 0; r <= m; r++) {
-            const int32_t *row = M + r * rstride;
-            int32_t top = row[0];
-            for (int64_t s = 1; s < width; s++) /* branch-free, so it vectorizes */
-                top = max32(top, row[s]);
-            if (top > best) { /* only then find the row's first slot that holds it */
-                best = top;
-                i = r;
-                for (b = 0; row[b] != top; b++)
-                    ;
-            }
-        }
-        cell(M, Ix, Iy, rstride, width, i, b, here);
+    if (local) {
+        i = ends[3];
+        for (b = 0; M[i * rstride + b * sstride] != ends[0]; b++)
+            ;
+        cell(M, Ix, Iy, rstride, sstride, width, i, b, here);
         score = here[0];
         if (score <= 0)
             return 0;
     } else {
         i = m;
         b = ncols - 1 - offsets[m];
-        cell(M, Ix, Iy, rstride, width, i, b, here);
+        cell(M, Ix, Iy, rstride, sstride, width, i, b, here);
         score = here[0];
         for (int k = 1; k < 3; k++)
             if (here[k] > score) {
@@ -183,7 +265,7 @@ static int64_t band_traceback(const int32_t *M, const int32_t *Ix, const int32_t
             i -= 1;
             if (local && target == 0)
                 break;
-            cell(M, Ix, Iy, rstride, width, i, b, here);
+            cell(M, Ix, Iy, rstride, sstride, width, i, b, here);
             cand[0] = here[0];
             cand[1] = here[1];
             cand[2] = here[2];
@@ -195,7 +277,7 @@ static int64_t band_traceback(const int32_t *M, const int32_t *Ix, const int32_t
             target = here[1];
             b += offsets[i] - offsets[i - 1];
             i -= 1;
-            cell(M, Ix, Iy, rstride, width, i, b, here);
+            cell(M, Ix, Iy, rstride, sstride, width, i, b, here);
             cand[0] = here[0] + oe;
             cand[1] = here[1] + e;
             cand[2] = here[2] + oe;
@@ -207,7 +289,7 @@ static int64_t band_traceback(const int32_t *M, const int32_t *Ix, const int32_t
             out[cap + n++] = cols[x];
             target = here[2];
             b -= 1;
-            cell(M, Ix, Iy, rstride, width, i, b, here);
+            cell(M, Ix, Iy, rstride, sstride, width, i, b, here);
             cand[0] = here[0] + oe;
             cand[1] = here[1] + oe;
             cand[2] = here[2] + e;
@@ -230,7 +312,7 @@ static int64_t band_traceback(const int32_t *M, const int32_t *Ix, const int32_t
 }
 
 /* Fill rows 1..m of the G bands and trace each band's best path back to
- * its start. cells is the (3, m + 1, G, width) int32 block of M, Ix and Iy
+ * its start. cells is the (3, m + 1, width, G) int32 block of M, Ix and Iy
  * in C order, row 0 already set; the other arguments are band_fill_rows'.
  *
  * Band g writes its path's row codes and column codes to row g of the
@@ -239,21 +321,21 @@ static int64_t band_traceback(const int32_t *M, const int32_t *Ix, const int32_t
  * scores above 0, and the other entries of that row are then unset.
  * Returns 0, or -1 when a band's traceback fails as band_traceback says;
  * the bands after it are then not traced. */
-int64_t band_align(const uint8_t *rows, int64_t m, const uint8_t *cols, int64_t G, int64_t ncols,
-                   const int64_t *offsets, int64_t width, const int32_t *table, int32_t oe,
-                   int32_t e, int32_t local, int32_t *cells, int32_t *profile, int64_t cap,
-                   uint8_t *out, int64_t *ends)
+static inline int64_t align_bands(const uint8_t *rows, int64_t m, const uint8_t *cols, int64_t G,
+                                  int64_t ncols, const int64_t *offsets, int64_t width,
+                                  const int32_t *table, int32_t oe, int32_t e, int32_t local,
+                                  int32_t *cells, int32_t *scratch, int64_t cap, uint8_t *out,
+                                  int64_t *ends)
 {
-    const int64_t block = (m + 1) * G * width;
+    const int64_t block = (m + 1) * width * G;
     int32_t *M = cells, *Ix = cells + block, *Iy = cells + 2 * block;
     band_fill_rows(rows, m, cols, G, ncols, offsets, width, table, oe, e, local, M, Ix, Iy,
-                   profile);
+                   scratch, ends);
     for (int64_t g = 0; g < G; g++) {
         int64_t *band_ends = ends + g * ENDS;
-        const int64_t n = band_traceback(M + g * width, Ix + g * width, Iy + g * width,
-                                         G * width, m, width, rows, cols + g * ncols, ncols,
-                                         offsets, table, oe, e, local, cap, out + 2 * g * cap,
-                                         band_ends);
+        const int64_t n = band_traceback(M + g, Ix + g, Iy + g, width * G, G, m, width, rows,
+                                         cols + g * ncols, ncols, offsets, table, oe, e, local,
+                                         cap, out + 2 * g * cap, band_ends);
         if (n < 0)
             return -1;
         band_ends[ENDS - 1] = n;
@@ -648,10 +730,23 @@ static inline int64_t train(const int64_t *sizes, int64_t layers, const double *
     return epochs;
 }
 
-/* train, compiled once for each instruction set in the list: flatten inlines
- * every call, so the whole epoch is built for the entry's target. */
-#define TRAIN_ENTRY(name, ...)                                                                    \
-    __attribute__((__VA_ARGS__)) int64_t name(                                                    \
+/* band_align and train_epochs, compiled once for each instruction set
+ * listed: flatten inlines every call, so the whole fill and traceback, and
+ * the whole epoch, are built for the entry's target. band_align has no
+ * AVX-512 entry: built so, it tied the AVX2 one on screen-large-db's 8-band
+ * search batches and was 9-12 % slower on 2-band batches cut from them. */
+#define ALIGN_ENTRY(suffix, ...)                                                                  \
+    __attribute__((__VA_ARGS__)) int64_t band_align##suffix(                                      \
+        const uint8_t *rows, int64_t m, const uint8_t *cols, int64_t G, int64_t ncols,            \
+        const int64_t *offsets, int64_t width, const int32_t *table, int32_t oe, int32_t e,       \
+        int32_t local, int32_t *cells, int32_t *scratch, int64_t cap, uint8_t *out,               \
+        int64_t *ends)                                                                            \
+    {                                                                                             \
+        return align_bands(rows, m, cols, G, ncols, offsets, width, table, oe, e, local, cells,   \
+                           scratch, cap, out, ends);                                              \
+    }
+#define TRAIN_ENTRY(suffix, ...)                                                                  \
+    __attribute__((__VA_ARGS__)) int64_t train_epochs##suffix(                                    \
         const int64_t *sizes, int64_t layers, const double *x, const double *t, int64_t S,        \
         double lr, double momentum, double target_mse, int64_t epochs, double *params,            \
         double *vel, double *grads, double *acts, double *delta, double *history)                 \
@@ -660,15 +755,18 @@ static inline int64_t train(const int64_t *sizes, int64_t layers, const double *
                      grads, acts, delta, history);                                                \
     }
 
-TRAIN_ENTRY(train_epochs, flatten)
+ALIGN_ENTRY(, flatten)
+TRAIN_ENTRY(, flatten)
 #if defined(__x86_64__)
-TRAIN_ENTRY(train_epochs_avx2, flatten, target("avx2"))
-TRAIN_ENTRY(train_epochs_avx512, flatten, target("avx512f"))
+ALIGN_ENTRY(_avx2, flatten, target("avx2"))
+TRAIN_ENTRY(_avx2, flatten, target("avx2"))
+TRAIN_ENTRY(_avx512, flatten, target("avx512f"))
 #endif
 
-/* The widest training entry this CPU runs: 2 for train_epochs_avx512, 1 for
- * train_epochs_avx2, 0 for train_epochs, the only one built off x86-64. */
-int64_t train_isa(void)
+/* The widest entries this CPU runs: 2 for train_epochs_avx512 (and
+ * band_align_avx2), 1 for the _avx2 entries, 0 for band_align and
+ * train_epochs, the only ones built off x86-64. */
+int64_t isa_level(void)
 {
 #if defined(__x86_64__)
     __builtin_cpu_init();

@@ -6,9 +6,10 @@ lists the diagonals a query's k-mer seeds fall on, in place of
 `homology._seed_diagonals_numpy`; `train_epochs` runs gradient-descent
 epochs, in place of `neural._train_numpy`, with the same bits. On x86-64
 the training kernel is built three times from one body, for the baseline
-ISA, AVX2 and AVX-512 (`_TRAIN_ENTRIES`), and `train_isa` reports the
-widest this CPU runs; `Kernel` binds that entry once, when it loads. One
-library serves every CPU, so its name says nothing of the CPU.
+ISA, AVX2 and AVX-512 (`_ISA_SUFFIXES`), and the band kernel for the first
+two; `isa_level` reports the widest level this CPU runs, and `Kernel`
+binds the widest entry of each kernel at that level once, when it loads.
+One library serves every CPU, so its name says nothing of the CPU.
 
 `load` compiles the C file with `cc -O3 -fwrapv -ffp-contract=off -shared
 -fPIC` into a per-user cache directory, `$XDG_CACHE_HOME/mutascan` or else
@@ -50,8 +51,11 @@ _BUILD_TIMEOUT_S = 120
 _TABLE_SHAPE = (5, 6)
 # homology.MIN_K and MAX_K: a k-mer's 2-bit code fills at most a uint64
 _K_RANGE = (4, 32)
-# the C training entries, in the order of the level `train_isa` returns
-_TRAIN_ENTRIES = ("train_epochs", "train_epochs_avx2", "train_epochs_avx512")
+# the suffix of the C train_epochs entries built for each level `isa_level` returns:
+# the baseline ISA, AVX2, AVX-512; band_align is built for the first two, as its AVX-512
+# build was no faster than AVX2 on the benchmark's batches
+_ISA_SUFFIXES = ("", "_avx2", "_avx512")
+_BAND_SUFFIXES = _ISA_SUFFIXES[:2]
 
 _ptr, _i64, _i32, _f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int32, ctypes.c_double
 
@@ -155,12 +159,12 @@ def _check_bands(rows, cols, offsets, table, cells) -> tuple[int, int, int, int]
     """Refuse bands the C code would misread; return (m, G, ncols, width)."""
     m = len(rows)
     g, ncols = cols.shape if cols.ndim == 2 else (0, 0)
-    width = cells.shape[-1] if cells.ndim == 4 else 0
+    width = cells.shape[2] if cells.ndim == 4 else 0
     _check("rows", rows, np.uint8, (m,))
     _check("cols", cols, np.uint8, (g, ncols))
     _check("offsets", offsets, np.int64, (m + 1,))
     _check("table", table, np.int32, _TABLE_SHAPE)
-    _check("cells", cells, np.int32, (3, m + 1, g, width))
+    _check("cells", cells, np.int32, (3, m + 1, width, g))
     if width < 1:
         raise ValueError("a band needs at least one slot a row")
     if rows.size and int(rows.max()) >= _TABLE_SHAPE[0]:
@@ -213,33 +217,40 @@ def _check_training(sizes, inputs, targets, params, vel, history) -> tuple[int, 
     return samples, count
 
 
+def _entries(library, name: str, suffixes, argtypes: list) -> dict:
+    """The library's C entries `name + suffix`, one for each suffix, by name, each
+    declared to take `argtypes` and return an int64."""
+    entries = {}
+    for suffix in suffixes:
+        entry = entries[name + suffix] = getattr(library, name + suffix)
+        entry.argtypes, entry.restype = argtypes, _i64
+    return entries
+
+
 class Kernel:
     """The loaded library: each method checks its arguments once, then calls C."""
 
     def __init__(self, path: Path):
         self.path = path
         library = ctypes.CDLL(str(path))
-        self._align = library.band_align
-        self._align.argtypes = [
-            _ptr, _i64, _ptr, _i64, _i64, _ptr, _i64, _ptr, _i32, _i32, _i32, _ptr, _ptr, _i64,
-            _ptr, _ptr,
-        ]
-        self._align.restype = _i64
         self._seed = library.seed_diagonals
         self._seed.argtypes = [_ptr, _i64, _i64, _ptr, _ptr, _ptr, _i64, _i64, _ptr, _ptr]
         self._seed.restype = _i64
-        library.train_isa.argtypes = []
-        library.train_isa.restype = _i64
-        # the entries this CPU runs, one build of the same epoch each; the widest is bound
-        self._train_entries = {}
-        for name in _TRAIN_ENTRIES[: library.train_isa() + 1]:
-            entry = self._train_entries[name] = getattr(library, name)
-            entry.argtypes = [
-                _ptr, _i64, _ptr, _ptr, _i64, _f64, _f64, _f64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr,
-                _ptr,
-            ]
-            entry.restype = _i64
-        self._train = entry
+        library.isa_level.argtypes = []
+        library.isa_level.restype = _i64
+        # the entries this CPU runs, one build of the same code each, by name; the widest
+        # of each kernel is bound
+        level = library.isa_level()
+        self._align_entries = _entries(library, "band_align", _BAND_SUFFIXES[: level + 1], [
+            _ptr, _i64, _ptr, _i64, _i64, _ptr, _i64, _ptr, _i32, _i32, _i32, _ptr, _ptr, _i64,
+            _ptr, _ptr,
+        ])
+        self._train_entries = _entries(library, "train_epochs", _ISA_SUFFIXES[: level + 1], [
+            _ptr, _i64, _ptr, _ptr, _i64, _f64, _f64, _f64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr,
+            _ptr,
+        ])
+        self._align = list(self._align_entries.values())[-1]
+        self._train = list(self._train_entries.values())[-1]
 
     def train(
         self, sizes: tuple, inputs, targets, learning_rate: float, momentum: float,
@@ -304,17 +315,19 @@ class Kernel:
     def band_align(self, rows, cols, offsets, table, oe: int, e: int, local: bool, cells):
         """`align._band_align_numpy` in C: the same arguments, fill and paths.
 
-        Raises ValueError where the Python traceback would fail: a cell on a
-        path has no predecessor.
+        `cells` is the (3, rows + 1, width, bands) block of M, Ix and Iy, so
+        the bands are the C fill's SIMD lanes. Raises ValueError where the
+        Python traceback would fail: a cell on a path has no predecessor.
         """
         m, g, ncols, width = _check_bands(rows, cols, offsets, table, cells)
-        profile = np.empty((_TABLE_SHAPE[0], g, ncols), dtype=np.int32)  # the C code's scratch
+        # the C code's scratch: the (5, ncols, g) profile, then two rows of g lanes
+        scratch = np.empty((_TABLE_SHAPE[0] * ncols + 2, g), dtype=np.int32)
         cap = m + ncols  # each step consumes a row, a column or both
         out = np.empty((g, 2, cap), dtype=np.uint8)  # each band's row codes, then column codes
         ends = np.empty((g, 6), dtype=np.int64)  # score, start row, column, end row, column, length
         failed = self._align(
             rows.ctypes.data, m, cols.ctypes.data, g, ncols, offsets.ctypes.data, width,
-            table.ctypes.data, oe, e, local, cells.ctypes.data, profile.ctypes.data, cap,
+            table.ctypes.data, oe, e, local, cells.ctypes.data, scratch.ctypes.data, cap,
             out.ctypes.data, ends.ctypes.data,
         )
         if failed:

@@ -213,21 +213,23 @@ def _band_align(
     Row 0 follows from the mode. Local mode leaves it unreachable and floors
     the M predecessor at 0, so an alignment may start anywhere. A global
     band has offsets[0] == 0: M is 0 at slot 0 and Iy at slot s >= 1 opens
-    a gap of s columns. The (3, len(rows) + 1, G, width) int32 block of M,
+    a gap of s columns. The (3, len(rows) + 1, width, G) int32 block of M,
     Ix and Iy stays inside this call, which returns one decoded path per
-    band. The compiled kernel fills and traces when it loads, else
+    band. The band is its innermost axis, so a row's G bands lie side by
+    side as the compiled fill's SIMD lanes (SWIPE's inter-sequence layout,
+    Rognes 2011). The compiled kernel fills and traces when it loads, else
     `_band_align_numpy` does, on one argument list; both give the same paths.
     """
     # One block for all three: once glibc has freed it, its mmap threshold is the block's
     # size and its trim threshold twice that, so the next call takes it from the heap.
     # Three blocks of a third the size coalesce past that trim threshold, and were mapped
     # and faulted in again on every call.
-    cells = np.empty((3, len(rows) + 1, cols.shape[0], width), dtype=np.int32)
+    cells = np.empty((3, len(rows) + 1, width, cols.shape[0]), dtype=np.int32)
     cells[:, 0] = _NEG
     oe, e = scoring.gap_open + scoring.gap_extend, scoring.gap_extend
     if not local:
-        cells[_M, 0, :, 0] = 0
-        cells[_IY, 0, :, 1:] = oe + e * np.arange(width - 1)
+        cells[_M, 0, 0] = 0
+        cells[_IY, 0, 1:] = (oe + e * np.arange(width - 1))[:, None]
     kernel = _native.load()
     band_align = _band_align_numpy if kernel is None else kernel.band_align
     return [
@@ -247,7 +249,7 @@ def _band_align_numpy(
     _fill_rows_numpy(rows, cols, starts, table, oe, e, local, M, Ix, Iy)
     return [
         _band_traceback_python(
-            M[:, g], Ix[:, g], Iy[:, g], codes, cols[g], starts, table, oe, e, local
+            M[..., g], Ix[..., g], Iy[..., g], codes, cols[g], starts, table, oe, e, local
         )
         for g in range(len(cols))
     ]
@@ -257,33 +259,35 @@ def _fill_rows_numpy(
     rows: np.ndarray, cols: np.ndarray, offsets: list[int], table: np.ndarray,
     oe: int, e: int, local: bool, M: np.ndarray, Ix: np.ndarray, Iy: np.ndarray,
 ) -> None:
-    """Fill rows 1.. of `_band_align`'s M, Ix and Iy with one numpy step per row.
+    """Fill rows 1.. of `_band_align`'s M, Ix and Iy, each (rows + 1, width, bands),
+    with one numpy step per row across all bands, in the C fill's layout.
 
     The fallback where the compiled kernel cannot be built, and the
     reference the tests compare it with.
     """
     m = len(rows)
-    width = M.shape[2]
+    width = M.shape[1]
     # 0-d int32 constants: ufuncs convert a Python int on every call
     oe, e = np.array(oe, dtype=np.int32), np.array(e, dtype=np.int32)
     # slots no move reaches: M's first slot of a column-coordinate row, Ix's
     # last slot of a diagonal-coordinate row, Iy's first slot of every row
-    M[1:, :, 0] = Ix[1:, :, -1] = Iy[1:, :, 0] = _NEG
+    M[1:, 0] = Ix[1:, -1] = Iy[1:, 0] = _NEG
 
     zero = np.array(0, dtype=np.int32)
     sub_rows = list(table)
+    columns = np.ascontiguousarray(cols.T)  # (columns, bands): a window is a row slice
     steps = np.arange(width, dtype=np.int32)
     # Iy[t] = max over k < t of (H[k] - e*k) + oe - e + e*t, H = max(M, Ix)
-    ramp = (-e * steps)[None, :]
-    iy_add = ((oe - e) + e * steps[1:])[None, :]
+    ramp = (-e * steps)[:, None]
+    iy_add = ((oe - e) + e * steps[1:])[:, None]
     tmp = np.empty(M.shape[1:], dtype=np.int32)
     best = np.empty_like(tmp)
-    tmp_head, tmp_tail = tmp[:, :-1], tmp[:, 1:]
-    best_head = best[:, :-1]
+    tmp_head, tmp_tail = tmp[:-1], tmp[1:]
+    best_head = best[:-1]
     # per-row views, made once: the loop below only indexes and calls ufuncs
     rows_m, rows_x, rows_y = list(M), list(Ix), list(Iy)
-    tails_m, tails_x, tails_y = list(M[:, :, 1:]), list(Ix[:, :, 1:]), list(Iy[:, :, 1:])
-    heads_x = list(Ix[:, :, :-1])
+    tails_m, tails_x, tails_y = list(M[:, 1:]), list(Ix[:, 1:]), list(Iy[:, 1:])
+    heads_x = list(Ix[:, :-1])
     maximum, add, running_max = np.maximum, np.add, np.maximum.accumulate
 
     codes = rows.tolist()
@@ -291,7 +295,7 @@ def _fill_rows_numpy(
         pm, px, py = rows_m[i - 1], rows_x[i - 1], rows_y[i - 1]
         cm, cx = rows_m[i], rows_x[i]
         off = offsets[i]
-        sub = sub_rows[codes[i - 1]][cols[:, off : off + width]]
+        sub = sub_rows[codes[i - 1]][columns[off : off + width]]
         maximum(pm, py, out=tmp)
         maximum(tmp, px, out=best)
         if local:
@@ -303,13 +307,13 @@ def _fill_rows_numpy(
             add(tails_x[i - 1], e, out=best_head)
             maximum(head, best_head, out=head)
         else:
-            add(sub[:, 1:], best_head, out=tails_m[i])
+            add(sub[1:], best_head, out=tails_m[i])
             add(tmp, oe, out=cx)
             add(px, e, out=best)
             maximum(cx, best, out=cx)
         maximum(cm, cx, out=tmp)
         add(tmp, ramp, out=tmp)
-        running_max(tmp, axis=1, out=tmp)
+        running_max(tmp, axis=0, out=tmp)
         add(tmp_head, iy_add, out=tails_y[i])
 
 
@@ -319,7 +323,9 @@ def _band_traceback_python(
 ):
     """Trace the best path of one band filled by `_band_align` back to its start.
 
-    M, Ix and Iy are the band's (len(rows) + 1, width) values. Cell (i, b)
+    M, Ix and Iy are the band's (len(rows) + 1, width) values: views that
+    take one band of the (rows + 1, width, bands) block, a slot every
+    `bands` values, as the C traceback reads it. Cell (i, b)
     lies in row i and column x = offsets[i] + b and consumes the row code
     rows[i - 1] and the column code cols[x]. With step = offsets[i] -
     offsets[i - 1], the M predecessor of (i, b) is slot b - 1 + step of row

@@ -30,8 +30,9 @@ MIN_K = 4
 MAX_K = 32  # 2 bits a base in a uint64 code
 DEFAULT_MAX_HITS = 20
 BAND_RADIUS = 16
-# seeded diagonals filled together; one batch stores at most
-# 3 x 32 x 33 int32 cells per query row
+# seeded diagonals filled together, as the SIMD lanes of one `_band_align`
+# call: from 8 bands on, the kernel's Iy step is one vector operation across
+# them. One batch stores at most 3 x 33 x 32 int32 cells per query row.
 _BATCH_GROUPS = 32
 # Indexes kept per process, keyed on (database, k). A diagnosis consults a
 # few databases at one k, so 8 keeps all of them built across diagnoses;

@@ -289,7 +289,7 @@ def test_band_never_stores_more_than_the_full_matrix():
             [((rows, cols, starts, width, *_), _)] = _band_align_calls(
                 _global_band, ca, cb, radius, Scoring()
             )
-            # _band_align stores (len(rows) + 1, len(cols), width) cells a matrix
+            # _band_align stores (len(rows) + 1, width, len(cols)) cells a matrix
             assert len(rows) == m and cols.shape == (1, n + 1) and width <= n + 1
             assert all(0 <= s <= n + 1 - width for s in starts)
 

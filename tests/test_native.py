@@ -86,20 +86,35 @@ def _global_pair():
     )
 
 
+def _entry_methods(native, method):
+    """`Kernel.band_align` or `Kernel.train`, as `method` names, bound to each C entry
+    of that kernel this CPU runs, by the entry's name: the same code built for each
+    instruction set, reached through the kernel's entry table; the widest, last, is
+    the one `load` binds."""
+    slot = {"band_align": "_align", "train": "_train"}[method]
+    methods = {}
+    for name, entry in getattr(native, slot + "_entries").items():
+        kernel = _native.Kernel(native.path)
+        setattr(kernel, slot, entry)
+        methods[name] = getattr(kernel, method)
+    return methods
+
+
 def _assert_native_matches_numpy(native, calls):
-    """`native.band_align` and `align._band_align_numpy`, each on copies of every
-    argument list, fill the same cell block and return the same paths; returns
-    the C kernel's block of M, Ix and Iy and its paths of the last list."""
+    """Every C band entry this CPU runs and `align._band_align_numpy`, each on copies
+    of every argument list, fill the same cell block and return the same paths;
+    returns the widest entry's block of M, Ix and Iy and its paths of the last list."""
     for args in calls:
-        runs = []
-        for band_align, unwritten in ((native.band_align, 12345), (align._band_align_numpy, -1)):
-            copy = _copy(args)
-            copy[-1][:, 1:] = unwritten  # rows 1.. are the fill's to write
-            runs.append((copy[-1], band_align(*copy)))
-        (got, got_paths), (want, want_paths) = runs
-        assert np.array_equal(got, want)
-        assert got_paths == want_paths
-    return runs[0]
+        want = _copy(args)
+        want[-1][:, 1:] = -1  # rows 1.. are the fill's to write
+        want_paths = align._band_align_numpy(*want)
+        for name, band_align in _entry_methods(native, "band_align").items():
+            got = _copy(args)
+            got[-1][:, 1:] = 12345
+            got_paths = band_align(*got)
+            assert np.array_equal(got[-1], want[-1]), name
+            assert got_paths == want_paths, name
+    return got[-1], got_paths
 
 
 @settings(max_examples=120, deadline=None)
@@ -136,13 +151,13 @@ def _first_max_cells(M):
 
 
 @st.composite
-def _motif_batches(draw):
-    """A query of one repeated motif and bands whose subjects repeat it too, so the
-    M maximum of a band often repeats within a row and across rows."""
+def _motif_batches(draw, count=st.integers(1, 5)):
+    """A query of one repeated motif and `count` bands whose subjects repeat it too,
+    so the M maximum of a band often repeats within a row and across rows."""
     motif = draw(dna("ACGT", 1, 4))
     query = motif * draw(st.integers(2, 12))
     bands = []
-    for _ in range(draw(st.integers(1, 5))):
+    for _ in range(draw(count)):
         flank = draw(dna("ACGT", 1, 6))
         subject = flank + motif * draw(st.integers(1, 16)) + flank
         bands.append((subject, draw(st.integers(-12, 12))))
@@ -158,13 +173,51 @@ def test_native_local_start_matches_python_on_repeated_maxima(native, batch, rad
     )
 
 
+def _varied(bases, rng):
+    """A copy of `bases` with about one base in 8 substituted, N included: the same
+    length, so it can be a global band's columns next to `bases`."""
+    return "".join(rng.choice("ACGTN") if rng.random() < 0.125 else c for c in bases)
+
+
+@pytest.mark.parametrize("count", range(1, 34))
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_every_band_entry_matches_numpy_at_every_band_count(native, count, data):
+    """Batches of 1 to 33 bands, past four 8-lane AVX2 vectors, and on both sides of
+    the C fill's switch from one Iy chain a band to one vector step across the bands:
+    local batches of random and of tie-heavy motif bands, and a global batch of
+    columns of one length."""
+    scoring = data.draw(_SCORINGS)
+    radius = data.draw(st.integers(0, 12))
+    motif_query, motif_bands = data.draw(_motif_batches(st.just(count)))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))  # one seed: batches draw many bases
+    query, ref, patient = (random_bases(rng, rng.randint(1, 120), "ACGTNN") for _ in range(3))
+    bands = [
+        (random_bases(rng, rng.randint(1, 120), "ACGTNN"), rng.randint(-120, 120))
+        for _ in range(count)
+    ]
+    [args] = _kernel_calls(
+        align._global_band, encode_bases(ref), encode_bases(patient), radius, scoring
+    )
+    columns = [patient] + [_varied(patient, rng) for _ in range(count - 1)]
+    args[1] = np.concatenate([align._global_columns(encode_bases(c)) for c in columns])
+    args[-1] = np.repeat(args[-1], count, axis=3)  # every band's row 0 is the mode's
+    calls = [
+        args,
+        *_kernel_calls(banded_local_align, query, bands, radius, scoring),
+        *_kernel_calls(banded_local_align, motif_query, motif_bands, radius, scoring),
+    ]
+    assert [call[1].shape[0] for call in calls] == [count] * 3
+    _assert_native_matches_numpy(native, calls)
+
+
 def test_native_local_start_is_the_first_of_repeated_maxima(native):
     motif = "ACG"
     query = motif * 8
     bands = [("TT" + motif * 12 + "TT", -2), ("GG" + motif * 3 + "GG", -2)]
     calls = _kernel_calls(banded_local_align, query, bands, 6, Scoring())
     (M, _, _), got = _assert_native_matches_numpy(native, calls)
-    long, short = _first_max_cells(M[:, 0]), _first_max_cells(M[:, 1])
+    long, short = _first_max_cells(M[..., 0]), _first_max_cells(M[..., 1])
     assert len({i for i, _ in long}) < len(long)  # the maximum repeats within a row
     assert len({i for i, _ in short}) > 1  # and across rows
     offsets = calls[0][2]
@@ -199,21 +252,21 @@ def test_native_global_fill_keeps_cells_below_neg(native):
     offsets = np.clip(np.arange(len(rows) + 1, dtype=np.int64) - 2, 0, cols.shape[1] - width)
     args = [rows, cols, offsets, Scoring().table, -6, -1, False]
     fills = []
-    for band_align in (native.band_align, align._band_align_numpy):
-        cells = np.full((3, len(rows) + 1, 1, width), align._NEG, dtype=np.int32)
+    for band_align in (*_entry_methods(native, "band_align").values(), align._band_align_numpy):
+        cells = np.full((3, len(rows) + 1, width, 1), align._NEG, dtype=np.int32)
         with pytest.raises(ValueError):  # the traceback, after the fill, finds no start
             band_align(*args, cells)
         fills.append(cells)
-    got, (M, Ix, Iy) = fills
+    *got, (M, Ix, Iy) = fills
     below = [
         (i, s)
         for i in range(1, len(rows) + 1)
         for s in range(width)
         if 0 <= (p := s - 1 + int(offsets[i] != offsets[i - 1])) < width
-        and max(M[i - 1, 0, p], Ix[i - 1, 0, p], Iy[i - 1, 0, p]) < align._NEG
+        and max(M[i - 1, p, 0], Ix[i - 1, p, 0], Iy[i - 1, p, 0]) < align._NEG
     ]
     assert below
-    assert np.array_equal(got, fills[1])
+    assert all(np.array_equal(fill, fills[-1]) for fill in got)
 
 
 # --- seeding --------------------------------------------------------------------
@@ -446,7 +499,7 @@ def _kernel_args(m=6, n=9, width=4, g=2):
     cols = rng.integers(0, 6, (g, n)).astype(np.uint8)
     offsets = np.clip(np.arange(-1, m, dtype=np.int64), 0, n - width)
     table = Scoring().table
-    cells = np.zeros((3, m + 1, g, width), dtype=np.int32)
+    cells = np.zeros((3, m + 1, width, g), dtype=np.int32)
     return [rows, cols, offsets, table, -6, -1, False, cells]
 
 
@@ -478,11 +531,11 @@ def _kernel_args(m=6, n=9, width=4, g=2):
         pytest.param(7, lambda a: a[:, ::-1], id="cells with negative strides"),
         pytest.param(7, lambda a: a[:2].copy(), id="cells of two matrices"),
         pytest.param(7, lambda a: np.concatenate([a, a[:1]]), id="cells of four matrices"),
-        pytest.param(7, lambda a: a[:, :, :1].copy(), id="cells a band short"),
+        pytest.param(7, lambda a: a[..., :1].copy(), id="cells a band short"),
         pytest.param(  # the windows of 5 slots leave the 9 columns
-            7, lambda a: np.concatenate([a, a[..., :1]], axis=3), id="cells a slot long"
+            7, lambda a: np.concatenate([a, a[:, :, :1]], axis=2), id="cells a slot long"
         ),
-        pytest.param(7, lambda a: a[:, :, :, :0].copy(), id="cells no slot a row"),
+        pytest.param(7, lambda a: a[:, :, :0].copy(), id="cells no slot a row"),
         pytest.param(7, lambda a: a[0], id="cells one matrix"),
         pytest.param(7, lambda a: a[None], id="cells five-dimensional"),
     ],
@@ -600,20 +653,8 @@ def test_training_refuses_overlapping_buffers(guarded, pair):
 # --- every training entry against numpy -----------------------------------------
 
 
-def _entry_trains(native):
-    """`Kernel.train` bound to each C training entry this CPU runs, by the entry's name:
-    the same epoch built for each instruction set, reached through the kernel's entry
-    table; the widest is the one `load` binds."""
-    trains = {}
-    for name, entry in native._train_entries.items():
-        kernel = _native.Kernel(native.path)
-        kernel._train = entry
-        trains[name] = kernel.train
-    return trains
-
-
 def test_training_writes_no_further_than_its_history(native):
-    for train_epochs in (*_entry_trains(native).values(), neural._train_numpy):
+    for train_epochs in (*_entry_methods(native, "train").values(), neural._train_numpy):
         args = _train_args()
         buffer = np.full(30, 7.0)
         args[-1] = buffer[5:25]  # 20 epochs, none at or below the target
@@ -626,7 +667,7 @@ def _train_all(native, make_args):
     """(epochs run, params, vel, the history written) from numpy, then from each C
     entry this CPU runs, each on its own `make_args()`."""
     runs = []
-    for train_epochs in (neural._train_numpy, *_entry_trains(native).values()):
+    for train_epochs in (neural._train_numpy, *_entry_methods(native, "train").values()):
         args = make_args()
         epochs = train_epochs(*args)
         runs.append((epochs, args[6], args[7], args[8][:epochs]))
@@ -667,26 +708,32 @@ def test_training_kernel_matches_numpy_at_every_sample_count(native, samples):
     assert _all_match_numpy(runs)
 
 
-@pytest.mark.parametrize("level", range(len(_native._TRAIN_ENTRIES)))
+@pytest.mark.parametrize("level", range(len(_native._ISA_SUFFIXES)))
 def test_kernel_binds_the_widest_entry_the_cpu_reports(native, monkeypatch, level):
-    """A CPU reporting no AVX2 (level 0) gets the baseline build, one reporting AVX2
-    but no AVX-512 (level 1) the AVX2 build; no entry is called to bind it."""
-    name = _native._TRAIN_ENTRIES[level]
+    """A CPU reporting no AVX2 (level 0) gets the baseline builds, one reporting AVX2
+    but no AVX-512 (level 1) the AVX2 builds, and one reporting AVX-512 (level 2) the
+    AVX-512 training build and the AVX2 band build, the widest band_align has: the one
+    level binds both kernels, and no entry is called to bind them."""
     library = _native.ctypes.CDLL(str(native.path))
-    if not hasattr(library, name):
-        pytest.skip(f"{name} is built on x86-64 only")
+    if not hasattr(library, "train_epochs" + _native._ISA_SUFFIXES[level]):
+        pytest.skip("the wider entries are built on x86-64 only")
 
     class Reporting:
         def __init__(self, path):
-            self.train_isa = lambda: level
+            self.isa_level = lambda: level
 
         def __getattr__(self, attr):
             return getattr(library, attr)
 
     monkeypatch.setattr(_native.ctypes, "CDLL", Reporting)
     kernel = _native.Kernel(native.path)
-    assert kernel._train.__name__ == name
-    assert list(kernel._train_entries) == list(_native._TRAIN_ENTRIES[: level + 1])
+    train_suffixes = _native._ISA_SUFFIXES[: level + 1]
+    band_suffixes = _native._BAND_SUFFIXES[: level + 1]
+    assert (kernel._align.__name__, kernel._train.__name__) == (
+        "band_align" + band_suffixes[-1], "train_epochs" + train_suffixes[-1]
+    )
+    assert list(kernel._align_entries) == ["band_align" + s for s in band_suffixes]
+    assert list(kernel._train_entries) == ["train_epochs" + s for s in train_suffixes]
 
 
 def _floor_point(v):
@@ -746,8 +793,8 @@ def test_training_kernel_matches_numpy_with_the_edges_in_one_batch(native):
 def test_traceback_with_no_predecessor_raises(native):
     a, b = DnaSequence("a", "", "ACGTTGCAAC"), DnaSequence("b", "", "ACGTGCAACG")
     [args] = _kernel_calls(global_align, a, b, Scoring())
-    args[-1][2, 0, :, 2:] += 1000  # row 0's Iy is no longer oe + e*k: slot 2 does not follow slot 1
-    for band_align in (native.band_align, align._band_align_numpy):
+    args[-1][2, 0, 2:] += 1000  # row 0's Iy is no longer oe + e*k: slot 2 does not follow slot 1
+    for band_align in (*_entry_methods(native, "band_align").values(), align._band_align_numpy):
         with pytest.raises(ValueError):
             band_align(*_copy(args))
 
@@ -760,13 +807,13 @@ def test_traceback_never_writes_past_its_capacity(native):
         bands = [(query, 0 if k == band else far) for k in range(g)]
         [args] = _kernel_calls(banded_local_align, query, bands, 2, Scoring())
         rows, cols, offsets, table, oe, e, local, cells = args
-        ncols, width = cols.shape[1], cells.shape[-1]
-        profile = np.empty((5, g, ncols), dtype=np.int32)
+        ncols, width = cols.shape[1], cells.shape[2]
+        scratch = np.empty((5 * ncols + 2, g), dtype=np.int32)
         out = np.full(g * 2 * cap + guard, 0xAB, dtype=np.uint8)
         ends = np.zeros((g, 6), dtype=np.int64)
         status = native._align(
             rows.ctypes.data, len(rows), cols.ctypes.data, g, ncols, offsets.ctypes.data, width,
-            table.ctypes.data, oe, e, local, cells.ctypes.data, profile.ctypes.data, cap,
+            table.ctypes.data, oe, e, local, cells.ctypes.data, scratch.ctypes.data, cap,
             out.ctypes.data, ends.ctypes.data,
         )
         assert status == -1

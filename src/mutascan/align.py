@@ -8,7 +8,6 @@ anything scores 0, neither match nor mismatch.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -32,10 +31,6 @@ _FIRST_RADIUS = 16  # global_align's first band half-width
 _M, _IX, _IY = 0, 1, 2
 _UNREACHABLE = (_NEG, _NEG, _NEG)
 _GAP = ord("-")  # traceback code of a gap column
-# call_mutations' column classes: Insert (gap in A), Delete (gap in B),
-# Match, Substitute; a variant is a maximal run of I, D or S
-_INS, _DEL, _MATCH, _SUB = b"IDMS"
-_VARIANT_RUNS = re.compile(rb"I+|D+|S+")
 
 
 class AlignError(MutascanError):
@@ -518,27 +513,36 @@ def call_mutations(alignment: AlignmentResult) -> list[Mutation]:
     Each maximal run of substituted columns becomes one Substitution; each
     maximal gap run one Insertion or Deletion. The list is sorted by
     reference position, insertions before substitutions before deletions
-    when positions tie.
+    when positions tie. Only the columns whose two rows differ are visited:
+    no column is gapped on both sides, so every other column is a match.
     """
     a, b = alignment.aligned_a, alignment.aligned_b
     ca = np.frombuffer(a.encode("ascii"), dtype=np.uint8)
     cb = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
-    in_ref = ca != _GAP
-    classes = np.select([~in_ref, cb == _GAP, ca == cb], [_INS, _DEL, _MATCH], _SUB)
-    text = classes.astype(np.uint8).tobytes()
-    consumed = np.cumsum(in_ref) - in_ref  # reference bases left of each column
-    muts: list[Mutation] = []
-    for run in _VARIANT_RUNS.finditer(text):
-        lo, hi = run.span()
-        ref_pos = consumed.item(lo)
-        if text[lo] == _INS:  # sits after the last consumed reference base
-            muts.append(Mutation(ref_pos, MutationKind.INSERTION, "", b[lo:hi]))
-        elif text[lo] == _DEL:
-            muts.append(Mutation(ref_pos + 1, MutationKind.DELETION, a[lo:hi], ""))
+    runs: list[list] = []  # [first column, end column, kind] of each maximal run
+    for col in np.flatnonzero(ca != cb).tolist():
+        if a[col] == "-":
+            kind = MutationKind.INSERTION
+        elif b[col] == "-":
+            kind = MutationKind.DELETION
         else:
-            muts.append(
-                Mutation(ref_pos + 1, MutationKind.SUBSTITUTION, a[lo:hi], b[lo:hi])
-            )
+            kind = MutationKind.SUBSTITUTION
+        if runs and runs[-1][1] == col and runs[-1][2] is kind:
+            runs[-1][1] = col + 1
+        else:
+            runs.append([col, col + 1, kind])
+    muts: list[Mutation] = []
+    gaps = seen = 0  # gap columns in row A left of column `seen`
+    for lo, hi, kind in runs:
+        gaps += a.count("-", seen, lo)
+        seen = lo
+        ref_pos = lo - gaps  # reference bases left of column lo
+        if kind is MutationKind.INSERTION:  # sits after the last consumed reference base
+            muts.append(Mutation(ref_pos, kind, "", b[lo:hi]))
+        elif kind is MutationKind.DELETION:
+            muts.append(Mutation(ref_pos + 1, kind, a[lo:hi], ""))
+        else:
+            muts.append(Mutation(ref_pos + 1, kind, a[lo:hi], b[lo:hi]))
     muts.sort(key=lambda mu: (mu.position, _KIND_ORDER[mu.kind]))
     return muts
 

@@ -24,7 +24,7 @@ import numbers
 import operator
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
-from functools import reduce
+from functools import lru_cache, reduce
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -42,6 +42,11 @@ MODEL_VERSION = 1
 
 # a candidate scoring at or above this is labelled AtRisk
 RISK_THRESHOLD = 0.5
+
+# Model texts parsed and checked per process, keyed on the text itself
+# (`_parse_net`): a long-lived caller scores with one model or a few, and
+# each entry holds one small network.
+_NET_MEMO_SIZE = 4
 
 # epochs per kernel call: no buffer grows with max_epochs, and Ctrl-C lands between calls
 _CHUNK_EPOCHS = 65_536
@@ -520,16 +525,31 @@ def net_to_json(net: Network) -> str:
 
 
 def load_net(path: str | Path) -> Network:
+    """The checked network in the model file at `path`.
+
+    The file is read on every call, and each distinct text is parsed and
+    checked once (`_parse_net`), so a file rewritten in place loads anew.
+    Errors are not memoized, and each names `path`.
+    """
     text = read_text(path, CorruptFileError)
+    try:
+        return _parse_net(text)
+    except NeuralError as exc:
+        raise type(exc)(f"model file {path} {exc}") from exc.__cause__
+
+
+@lru_cache(maxsize=_NET_MEMO_SIZE)
+def _parse_net(text: str) -> Network:
+    """The network a model text holds; an error's message follows the file's name."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError: an int past the digit limit
-        raise CorruptFileError(f"model file {path} is not valid JSON: {exc}") from exc
+        raise CorruptFileError(f"is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise CorruptFileError(f"{path} is not a model file")
+        raise CorruptFileError(f"is not a {MODEL_FORMAT} file")
     if doc.get("version") != MODEL_VERSION:
         raise VersionMismatchError(
-            f"model version {doc.get('version')!r}, expected {MODEL_VERSION}"
+            f"has version {doc.get('version')!r}, expected {MODEL_VERSION}"
         )
     try:
         topology = NetworkTopology(tuple(doc["topology"]))
@@ -550,7 +570,7 @@ def load_net(path: str | Path) -> Network:
         )
         return Network(topology, weights, biases, train_config=cfg)
     except (KeyError, TypeError, ValueError, DimensionMismatchError) as exc:
-        raise CorruptFileError(f"model file {path} is malformed: {exc}") from exc
+        raise CorruptFileError(f"is malformed: {exc}") from exc
 
 
 def _parameters(name: str, values) -> np.ndarray:

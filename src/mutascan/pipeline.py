@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -394,6 +394,27 @@ def _mutation_dict(m: Mutation) -> dict:
     return {**mutation_to_dict(m), "effect": _effect_dict(m.effect)}
 
 
+def _scoring_dict(s: Scoring) -> dict:
+    return {
+        "match": s.match,
+        "mismatch": s.mismatch,
+        "gap_open": s.gap_open,
+        "gap_extend": s.gap_extend,
+    }
+
+
+def _verdict_dict(v: GateVerdict | None) -> dict | None:
+    if v is None:
+        return None
+    return {
+        "accepted": v.accepted,
+        "measured_gc": v.measured_gc,
+        "target": v.target,
+        "tolerance": v.tolerance,
+        "gene_band_flag": v.gene_band_flag,
+    }
+
+
 def report_to_dict(report: DiagnosisReport) -> dict:
     return {
         "patient_id": report.patient_id,
@@ -402,13 +423,13 @@ def report_to_dict(report: DiagnosisReport) -> dict:
             "subject_id": report.adopted.subject.id,
             "cds_start": report.adopted.cds_start,
             "cds_end": report.adopted.cds_end,
-            "gate_verdict": asdict(report.adopted.verdict),
+            "gate_verdict": _verdict_dict(report.adopted.verdict),
             "top_hit": hit_to_dict(report.adopted.top_hit),
         },
         "rejected_references": [
             {
                 "database_name": r.database_name,
-                "gate_verdict": asdict(r.verdict) if r.verdict else None,
+                "gate_verdict": _verdict_dict(r.verdict),
                 "reason": r.reason,
             }
             for r in report.rejected
@@ -438,7 +459,7 @@ def report_to_dict(report: DiagnosisReport) -> dict:
             "gate_tolerance": GC_GATE_TOLERANCE,
             "threshold": RISK_THRESHOLD,
             "search_k": DEFAULT_K,
-            "scoring": asdict(Scoring()),
+            "scoring": _scoring_dict(Scoring()),
             **report.model,
         },
     }

@@ -207,7 +207,8 @@ def read_fasta_path(path) -> FastaFile:
 def write_texts_atomic(texts: dict) -> None:
     """Write each text of a {path: text} map as UTF-8, whole, and all of them or none.
 
-    Every text first goes to a temp file in its path's directory, under a
+    Each text is encoded once and written as bytes with `os.write`, line
+    endings as they are, to a temp file in its path's directory, under a
     fresh name created exclusively, so writers of one path never share a
     temp file, whether threads or processes. Only when all are written,
     and no path is a directory, do the temp files replace their paths, in
@@ -224,13 +225,17 @@ def write_texts_atomic(texts: dict) -> None:
     try:
         for path, text in texts.items():
             path = Path(path)
+            data = memoryview(text.encode("utf-8"))  # before the temp file: nothing to undo
             # `/` and `.` have no name
             tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
             # 0o666 under the umask, the mode open(path, "w") gives, not mkstemp's 0o600
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append((tmp, path))
-            with open(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            try:
+                while data:  # os.write may write less than it is given
+                    data = data[os.write(fd, data) :]
+            finally:
+                os.close(fd)
         for _, path in staged:
             if path.is_dir():  # os.replace would fail on it after earlier renames
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mutascan import align as align_module
@@ -250,21 +250,29 @@ def test_spans_match_the_aligned_strings(kernels, pair, diagonals, radius, scori
 
 
 _SUBSTITUTED = [(x, y) for x in "ACGTN" for y in "ACGTN" if x != y]
+_N_AGAINST_A_BASE = [(x, y) for x, y in _SUBSTITUTED if "N" in (x, y)]
 
 
 @st.composite
 def _aligned_rows(draw):
     """Two aligned rows made of runs of match, substitute, insert and delete
-    columns over ACGTN; any run may start, end or follow any other."""
+    columns over ACGTN; any run may start, end or follow any other, and a
+    single match column may split two runs of one kind."""
     base = st.sampled_from("ACGTN")
+    substituted = st.one_of(st.sampled_from(_N_AGAINST_A_BASE), st.sampled_from(_SUBSTITUTED))
+    runs = draw(st.lists(st.tuples(st.sampled_from("MSID"), st.integers(1, 4))))
+    if draw(st.booleans()):  # a variant run, one match column, then another of its kind
+        kind = draw(st.sampled_from("SID"))
+        at = draw(st.integers(0, len(runs)))
+        runs[at:at] = [(kind, draw(st.integers(1, 3))), ("M", 1), (kind, draw(st.integers(1, 3)))]
     columns = []
-    for kind, length in draw(st.lists(st.tuples(st.sampled_from("MSID"), st.integers(1, 4)))):
+    for kind, length in runs:
         for _ in range(length):
             if kind == "M":
                 x = draw(base)
                 columns.append((x, x))
             elif kind == "S":
-                columns.append(draw(st.sampled_from(_SUBSTITUTED)))
+                columns.append(draw(substituted))
             elif kind == "I":
                 columns.append(("-", draw(base)))
             else:
@@ -274,6 +282,15 @@ def _aligned_rows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_aligned_rows())
+@example(("", ""))  # no column
+@example(("ACGTN", "ACGTN"))  # no differing column
+@example(("AC-G", "GTA-"))  # S then I then D, from column 0 to the last column
+@example(("A-CG", "AT-T"))  # I then D then S
+@example(("ACGT", "A-TT"))  # D then S
+@example(("ACGTA", "TCCTN"))  # substitutions split by one match column: three calls
+@example(("A-C-G", "ATCGG"))  # insertions split by one match column
+@example(("ACGTA", "-C-T-"))  # deletions split by one match column, at both ends
+@example(("NACN", "ANCG"))  # N against a base, either way
 def test_calls_and_identity_match_the_column_walk(rows):
     aligned_a, aligned_b = rows
     res = AlignmentResult(0, aligned_a, aligned_b, 0, 0, 0, 0)

@@ -621,6 +621,75 @@ def test_load_rejects_other_versions(tmp_path):
         load_net(path)
 
 
+def test_load_net_parses_each_text_once(tmp_path):
+    net = _random_net(random.Random(49), [10, 4, 1])
+    paths = [tmp_path / "one.json", tmp_path / "two.json"]
+    for path in paths:
+        save_net(net, path)
+    first = load_net(paths[0])
+    hits = neural._parse_net.cache_info().hits
+    assert load_net(paths[1]) is first  # an equal text in another file
+    assert load_net(paths[0]) is first
+    assert neural._parse_net.cache_info().hits == hits + 2
+    assert first == net and first is not net
+    assert neural._parse_net.__wrapped__(net_to_json(net)) == first
+
+
+def test_load_net_reads_a_rewritten_file_anew(tmp_path):
+    rng = random.Random(50)
+    path = tmp_path / "model.json"
+    old, new = _random_net(rng, [10, 4, 1]), _random_net(rng, [10, 4, 1])
+    save_net(old, path)
+    assert load_net(path) == old
+    save_net(new, path)
+    loaded = load_net(path)
+    assert loaded == new and loaded != old
+    x = [0.5] * 10
+    assert forward(loaded, x) == forward(new, x) != forward(old, x)
+
+
+_BAD_MODEL_TEXTS = {
+    "not JSON": ("{not json", CorruptFileError, " is not valid JSON: "),
+    "not a model": (
+        '{"format": "other", "version": 1}', CorruptFileError, " is not a mutascan-model file"
+    ),
+    "another version": (
+        '{"format": "mutascan-model", "version": 2}', VersionMismatchError, " has version 2, "
+    ),
+    "malformed": (
+        '{"format": "mutascan-model", "version": 1}', CorruptFileError, " is malformed: "
+    ),
+}
+
+
+@pytest.mark.parametrize("text,error,says", _BAD_MODEL_TEXTS.values(), ids=_BAD_MODEL_TEXTS.keys())
+def test_load_net_errors_are_raised_on_every_call_naming_its_path(tmp_path, text, error, says):
+    paths = [tmp_path / "a.json", tmp_path / "b" / "b.json"]
+    paths[1].parent.mkdir()
+    for path in paths:
+        path.write_text(text, encoding="utf-8")
+    other = tmp_path / "other.json"
+    rng = random.Random(51)
+    messages = []
+    for path in paths * 2:
+        misses = neural._parse_net.cache_info().misses
+        with pytest.raises(error) as exc:
+            load_net(path)
+        assert type(exc.value) is error
+        assert neural._parse_net.cache_info().misses == misses + 1  # not served from the memo
+        assert f"{path}{says}" in str(exc.value)
+        messages.append(str(exc.value).replace(str(path), "PATH"))
+        for _ in range(neural._NET_MEMO_SIZE + 1):  # other texts cycle the memo
+            save_net(_random_net(rng, [2, 2, 1]), other)
+            load_net(other)
+    assert len(set(messages)) == 1
+
+
+def test_model_memo_size_is_private():
+    assert neural._parse_net.cache_info().maxsize == neural._NET_MEMO_SIZE
+    assert not [name for name in vars(neural) if "MEMO" in name and not name.startswith("_")]
+
+
 def _write_rows(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

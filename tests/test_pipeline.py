@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mutascan import pipeline
-from mutascan.align import MutationKind, global_align
+from mutascan.align import MutationKind, Scoring, global_align
 from mutascan.errors import MutascanError
 from mutascan.homology import _build_index, search
 from mutascan.neural import (
@@ -50,7 +50,7 @@ from mutascan.seqio import (
     write_fasta_path,
     write_texts_atomic,
 )
-from mutascan.seqstats import windowed_gc
+from mutascan.seqstats import composition, gc_gate, windowed_gc
 
 from conftest import FAST_TRAIN
 from oracles import json_values, plausible_or_any
@@ -615,6 +615,35 @@ def test_reports_are_byte_identical_across_runs(corpus, trained_model, tmp_path)
         texts.append((wd / "report.json").read_bytes())
         assert (wd / "report.txt").read_bytes()
     assert texts[0] == texts[1]
+
+
+def test_a_model_rewritten_between_diagnoses_scores_the_second(corpus, trained_model, tmp_path):
+    model = tmp_path / "model.json"
+    shutil.copyfile(trained_model, model)
+    scores = []
+    for name in ("trained", "zeroed"):
+        report = run_diagnosis(
+            corpus["patient_mutated"],
+            corpus["manifest"],
+            model_path=model,
+            work_dir=tmp_path / name,
+        )
+        scores.append([c.score for c in report.classifications])
+        # other weights in the same file: every parameter 0, so every candidate scores 0.5
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        doc["weights"] = [[[0.0] * len(row) for row in w] for w in doc["weights"]]
+        doc["biases"] = [[0.0] * len(b) for b in doc["biases"]]
+        model.write_text(json.dumps(doc), encoding="utf-8")
+    assert len(scores[0]) == 1 and scores[0][0] != 0.5
+    assert scores[1] == [0.5]
+
+
+def test_report_records_hold_every_field_of_their_dataclass():
+    # built field by field, not through dataclasses.asdict: a new field must be added there too
+    verdict = gc_gate(composition(parse_fasta(">r\nACGTTGCA\n").records[0]))
+    assert pipeline._verdict_dict(verdict) == dataclasses.asdict(verdict)
+    assert pipeline._verdict_dict(None) is None
+    assert pipeline._scoring_dict(Scoring()) == dataclasses.asdict(Scoring())
 
 
 def test_report_dict_shape(corpus, trained_model, tmp_path):

@@ -206,6 +206,64 @@ def test_atomic_write_gives_the_mode_open_gives(tmp_path):
     assert modes[0] == modes[1]
 
 
+def test_atomic_write_writes_utf8_bytes_with_line_endings_unchanged(tmp_path):
+    texts = {
+        tmp_path / "utf8.txt": "caf\u00e9 \u2603 \U0001f600\n",
+        tmp_path / "crlf.txt": "one\r\ntwo\rthree\n\r",
+        tmp_path / "empty.txt": "",
+    }
+    write_texts_atomic(texts)
+    for path, text in texts.items():
+        assert path.read_bytes() == text.encode("utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["crlf.txt", "empty.txt", "utf8.txt"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077, 0o002])
+def test_atomic_write_mode_is_0o666_under_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_texts_atomic({tmp_path / "atomic.txt": "text\n"})
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "atomic.txt").st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_atomic_write_finishes_files_that_os_write_takes_a_few_bytes_at_a_time(
+    tmp_path, monkeypatch
+):
+    real_write = os.write
+    calls = []
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return real_write(fd, bytes(data[:3]))
+
+    monkeypatch.setattr(os, "write", short_write)
+    texts = {tmp_path / "a.txt": ">r caf\u00e9\nACGT\n" * 5, tmp_path / "b.txt": "\u2603" * 7}
+    write_texts_atomic(texts)
+    monkeypatch.undo()
+    for path, text in texts.items():
+        assert path.read_bytes() == text.encode("utf-8")
+    assert len(calls) == sum(-(-len(t.encode("utf-8")) // 3) for t in texts.values())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+
+
+def test_unencodable_text_writes_nothing_and_leaves_no_temp_file(tmp_path):
+    earlier = {tmp_path / "a.txt": "old a\n", tmp_path / "b.txt": "old b\n"}
+    write_texts_atomic(earlier)
+    with pytest.raises(UnicodeEncodeError):
+        write_texts_atomic(
+            {
+                tmp_path / "a.txt": "new a\n",
+                tmp_path / "b.txt": "a lone surrogate \ud800\n",
+                tmp_path / "c.txt": "new c\n",
+            }
+        )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+    for path, text in earlier.items():
+        assert path.read_text(encoding="utf-8") == text
+
+
 # --- fuzzing ------------------------------------------------------------------
 
 

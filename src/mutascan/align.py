@@ -26,6 +26,10 @@ DEFAULT_CELL_CAP = 25_000_000  # cells of one global band: 3 int32 arrays, 300 M
 _NEG = -(1 << 28)  # unreachable; far below any score, far above int32 overflow
 OUTSIDE_CODE = 5  # _band_align column code outside the sequence; scores as unreachable
 _FIRST_RADIUS = 16  # global_align's first band half-width
+# bands filled together, as the SIMD lanes of one `_band_align` call: from 8
+# bands on, the kernel's Iy step is one vector operation across them. One
+# search batch (radius 16) stores at most 3 x 33 x 32 int32 cells per query row.
+_BATCH_BANDS = 32
 
 # traceback states, preference order on ties
 _M, _IX, _IY = 0, 1, 2
@@ -190,15 +194,17 @@ def _band_align(
     cols: np.ndarray,
     offsets: np.ndarray,
     width: int,
+    col_starts: list[int],
     scoring: Scoring,
     local: bool = False,
-) -> list:
+) -> list[AlignmentResult | None]:
     """Banded three-state affine-gap alignment (Gotoh) of every band: fill, then trace.
 
     `rows` holds the base codes down the matrix. Each of the G bands stores
     `width` cells per row; row i (1-based) of band g scores against the
     codes cols[g, offsets[i] : offsets[i] + width], where OUTSIDE_CODE marks
-    a column outside the sequence. `offsets` is an int64 array. From one row
+    a column outside the sequence; column x of band g ends after sequence
+    base x + col_starts[g]. `offsets` is an int64 array. From one row
     to the next the offset steps by 1 or by 0. A step of 1 keeps the row in
     diagonal coordinates: M reads the same slot of the previous row and Ix
     the next slot. A step of 0 keeps it in column coordinates: M reads the
@@ -209,11 +215,13 @@ def _band_align(
     the M predecessor at 0, so an alignment may start anywhere. A global
     band has offsets[0] == 0: M is 0 at slot 0 and Iy at slot s >= 1 opens
     a gap of s columns. The (3, len(rows) + 1, width, G) int32 block of M,
-    Ix and Iy stays inside this call, which returns one decoded path per
-    band. The band is its innermost axis, so a row's G bands lie side by
-    side as the compiled fill's SIMD lanes (SWIPE's inter-sequence layout,
-    Rognes 2011). The compiled kernel fills and traces when it loads, else
-    `_band_align_numpy` does, on one argument list; both give the same paths.
+    Ix and Iy stays inside this call, which returns one `AlignmentResult`
+    per band (side A the rows, side B the columns; None for a local band
+    with no path above 0). The band is the block's innermost axis, so a
+    row's G bands lie side by side as the compiled fill's SIMD lanes (SWIPE's
+    inter-sequence layout, Rognes 2011). The compiled kernel fills and traces
+    when it loads, else `_band_align_numpy` does, on one argument list; both
+    give the same paths.
     """
     # One block for all three: once glibc has freed it, its mmap threshold is the block's
     # size and its trim threshold twice that, so the next call takes it from the heap.
@@ -227,10 +235,8 @@ def _band_align(
         cells[_IY, 0, 1:] = (oe + e * np.arange(width - 1))[:, None]
     kernel = _native.load()
     band_align = _band_align_numpy if kernel is None else kernel.band_align
-    return [
-        None if path is None else (*path[:3], _decode(path[3]), _decode(path[4]))
-        for path in band_align(rows, cols, offsets, scoring.table, oe, e, local, cells)
-    ]
+    paths = band_align(rows, cols, offsets, scoring.table, oe, e, local, cells)
+    return [_alignment(path, shift) for path, shift in zip(paths, col_starts)]
 
 
 def _band_align_numpy(
@@ -396,9 +402,14 @@ def _band_traceback_python(
     return score, (i, offsets[i] + b), end, bytes(rev_r), bytes(rev_c)
 
 
-def _decode(rev_codes: bytes) -> str:
-    """Bases for codes collected last to first; _GAP decodes to '-'."""
-    return rev_codes[::-1].translate(_BASE_TABLE).decode("ascii")
+def _alignment(path, shift: int) -> AlignmentResult | None:
+    """The record of one traced path, None where the band has none; column x ends
+    after sequence base x + shift. The codes come last first; _GAP decodes to '-'."""
+    if path is None:
+        return None
+    score, (i0, x0), (i1, x1), *rev = path
+    a, b = (codes[::-1].translate(_BASE_TABLE).decode("ascii") for codes in rev)
+    return AlignmentResult(score, a, b, i0, i1, x0 + shift, x1 + shift)
 
 
 def _global_band(ca: np.ndarray, cb: np.ndarray, radius: int, scoring: Scoring):
@@ -408,7 +419,7 @@ def _global_band(ca: np.ndarray, cb: np.ndarray, radius: int, scoring: Scoring):
     clipped to the matrix, so at most n + 1 columns a row are stored, and
     a width of n + 1 is the full DP. Raises SizeCapExceededError before
     filling a band of more than DEFAULT_CELL_CAP cells. Returns the band's
-    one `_band_align` path.
+    one `_band_align` alignment.
     """
     m, n = len(ca), len(cb)
     lo = min(0, n - m) - radius
@@ -420,8 +431,8 @@ def _global_band(ca: np.ndarray, cb: np.ndarray, radius: int, scoring: Scoring):
             f"above the {DEFAULT_CELL_CAP}-cell cap"
         )
     starts = np.clip(np.arange(m + 1, dtype=np.int64) + lo, 0, n + 1 - width)
-    [path] = _band_align(ca, _global_columns(cb), starts, width, scoring)
-    return path
+    [aln] = _band_align(ca, _global_columns(cb), starts, width, [0], scoring)
+    return aln
 
 
 def _global_columns(cb: np.ndarray) -> np.ndarray:
@@ -460,14 +471,13 @@ def global_align(
     ca = encode_bases(a.bases)
     cb = encode_bases(b.bases)
     radius = _FIRST_RADIUS
-    path = _global_band(ca, cb, radius, scoring)
+    aln = _global_band(ca, cb, radius, scoring)
     full_radius = (n - abs(n - m) + 1) // 2  # from here on the band stores whole rows
-    while radius < full_radius and path[0] <= _outside_bound(m, n, radius, scoring):
+    while radius < full_radius and aln.score <= _outside_bound(m, n, radius, scoring):
         radius += 1
     if radius != _FIRST_RADIUS:
-        path = _global_band(ca, cb, radius, scoring)
-    score, _, _, aligned_a, aligned_b = path
-    return AlignmentResult(score, aligned_a, aligned_b, 0, m, 0, n)
+        aln = _global_band(ca, cb, radius, scoring)
+    return aln
 
 
 def banded_local_align(
@@ -478,8 +488,9 @@ def banded_local_align(
     Smith-Waterman with affine gaps (Gotoh), restricted to the DP cells
     (i, j) with |i - j - diagonal| <= radius; None where no alignment in
     the band scores above 0. Side A of each record is the query, side B
-    the subject. All bands go through one `_band_align` call: one
-    vectorised row of every band per query base, then one path per band.
+    the subject. The query is encoded once, and the bands are filled in
+    `_band_align` calls of at most `_BATCH_BANDS`, in input order: one
+    vectorised row of a batch's bands per query base, then one path per band.
     """
     width = 2 * radius + 1
     m = len(query)
@@ -493,17 +504,11 @@ def banded_local_align(
         x_hi = min(cols.shape[1], first + len(subject))
         if x_lo < x_hi:
             cols[g, x_lo:x_hi] = encode_bases(subject[x_lo - first : x_hi - first])
-    paths = _band_align(rows, cols, offsets, width, scoring, local=True)
+    col_starts = [1 - diag - radius for _, diag in bands]
     out: list[AlignmentResult | None] = []
-    for (_, diag), path in zip(bands, paths):
-        if path is None:
-            out.append(None)
-            continue
-        score, (i0, x0), (i1, x1), aligned_q, aligned_s = path
-        shift = diag + radius - 1  # column x is subject prefix length x - shift
-        out.append(
-            AlignmentResult(score, aligned_q, aligned_s, i0, i1, x0 - shift, x1 - shift)
-        )
+    for lo in range(0, len(bands), _BATCH_BANDS):
+        cut = slice(lo, lo + _BATCH_BANDS)
+        out += _band_align(rows, cols[cut], offsets, width, col_starts[cut], scoring, local=True)
     return out
 
 

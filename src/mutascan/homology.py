@@ -6,10 +6,10 @@ collect exact k-mer seed matches by binary search of the query's codes
 and list the diagonals (query offset minus subject offset) they fall on,
 in one call of the compiled kernel or else in numpy (`_seed_diagonals_numpy`),
 then run a banded gapped local alignment around each seeded diagonal,
-filled in batches by `align.banded_local_align`. Per-subject alignments
-merge into one ranked hit carrying the classic report columns (max
-score, total score, query cover, E-value, max identity). Only the
-forward strand is searched.
+all in one `align.banded_local_align` call. Per-subject alignments merge
+into one ranked hit carrying the classic report columns (max score, total
+score, query cover, E-value, max identity). Only the forward strand is
+searched.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ MIN_K = 4
 MAX_K = 32  # 2 bits a base in a uint64 code
 DEFAULT_MAX_HITS = 20
 BAND_RADIUS = 16
-# seeded diagonals filled together, as the SIMD lanes of one `_band_align`
-# call: from 8 bands on, the kernel's Iy step is one vector operation across
-# them. One batch stores at most 3 x 33 x 32 int32 cells per query row.
-_BATCH_GROUPS = 32
 # Indexes kept per process, keyed on (database, k). A diagnosis consults a
 # few databases at one k, so 8 keeps all of them built across diagnoses;
 # an index holds 24 bytes a database base.
@@ -211,15 +207,12 @@ def search(
     # (a) seed matches, (b) grouped by subject and diagonal
     keys = _seed_diagonals(qb, index)
 
-    # (c) one banded gapped local alignment per seeded diagonal, in batches
+    # (c) one banded gapped local alignment per seeded diagonal
+    bands = [(index.subjects[si].bases, diag) for si, diag in keys]
     per_subject: dict[int, list[AlignmentResult]] = {}
-    for lo in range(0, len(keys), _BATCH_GROUPS):
-        batch = keys[lo : lo + _BATCH_GROUPS]
-        bands = [(index.subjects[si].bases, diag) for si, diag in batch]
-        alns = banded_local_align(qb, bands, BAND_RADIUS, SEARCH_SCORING)
-        for (si, _), aln in zip(batch, alns):
-            if aln is not None:
-                per_subject.setdefault(si, []).append(aln)
+    for (si, _), aln in zip(keys, banded_local_align(qb, bands, BAND_RADIUS, SEARCH_SCORING)):
+        if aln is not None:
+            per_subject.setdefault(si, []).append(aln)
 
     # (d) merge per-subject alignments into hits
     hits: list[HomologyHit] = []

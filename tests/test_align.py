@@ -366,6 +366,30 @@ def test_each_alignment_traces_its_last_fill_in_one_call(kernels):
                     assert len(paths) == len(cols)  # one path per band
 
 
+@settings(max_examples=6, deadline=None)
+@given(st.integers(65, 100), st.randoms(use_true_random=False))
+def test_local_bands_are_filled_in_batches_of_32(kernels, count, rng):
+    """`banded_local_align` cuts its bands into `_band_align` calls of 32, the last one
+    shorter, and returns one record per band, in input order, as if each band were
+    aligned alone."""
+    query = random_bases(rng, rng.randint(1, 60))
+    # every fifth band lies past the query's last row, so has no path; the next holds the query
+    bands = [
+        (query, 100) if g % 5 == 0 else (query, 0) if g % 5 == 1
+        else (random_bases(rng, rng.randint(1, 80), "ACGTN"), rng.randint(-70, 70))
+        for g in range(count)
+    ]
+    sizes = [32] * (count // 32) + [count % 32] * (count % 32 > 0)
+    for kernel in kernels:
+        with kernel():
+            calls = _band_align_calls(banded_local_align, query, bands, 6, Scoring())
+            assert [len(cols) for (_, cols, *_), _ in calls] == sizes
+            got = [aln for _, alignments in calls for aln in alignments]
+            alone = [banded_local_align(query, [band], 6, Scoring()) for band in bands]
+            assert got == [aln for [aln] in alone]
+            assert got[0] is None and got[1].score > 0
+
+
 def test_scoring_table_is_read_only():
     table = Scoring().table
     assert not table.flags.writeable
@@ -605,6 +629,14 @@ def test_apply_rejects_reference_mismatch():
     ref = _seq("ACGT")
     with pytest.raises(ValueError):
         apply_mutations(ref, [Mutation(2, MutationKind.SUBSTITUTION, "G", "T")])
+
+
+def test_apply_rejects_a_deletion_whose_bases_differ():
+    ref = _seq("ACGTAC")
+    for deleted in ("A", "GA", "GTAA"):  # reference bases 3.. are G, GT, GTAC
+        with pytest.raises(ValueError, match="do not match"):
+            apply_mutations(ref, [Mutation(3, MutationKind.DELETION, deleted, "")])
+    assert apply_mutations(ref, [Mutation(3, MutationKind.DELETION, "GTA", "")]).bases == "ACC"
 
 
 def test_call_then_apply_round_trip():

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mutascan import homology
-from mutascan.align import AlignmentResult, Scoring
+from mutascan.align import _BATCH_BANDS, AlignmentResult, Scoring
 from mutascan.homology import (
-    _BATCH_GROUPS,
     _build_index,
     BAND_RADIUS,
     DEFAULT_K,
@@ -407,7 +406,7 @@ def test_search_batches_many_diagonals_like_reference():
     query = _query(random_bases(rng, 70))
     index = build_index(_db(*subjects), 4)
     diagonals = seed_diagonal_counts(query.bases, [b for _, b in subjects], 4)
-    assert len(diagonals) > 2 * _BATCH_GROUPS
+    assert len(diagonals) > 2 * _BATCH_BANDS
     assert search(query, index, 50) == reference_search(query, index, 50)
 
 

@@ -69,7 +69,7 @@ def _kernel_calls(fn, *args):
     return calls
 
 
-# up to a full search batch: 32 bands, as many as `homology.search` aligns in one call
+# up to a full batch: 32 bands, as many as `banded_local_align` fills in one call
 _BANDS = st.lists(st.tuples(dna("ACGTNN", 1, 300), st.integers(-300, 300)), min_size=1, max_size=32)
 
 
@@ -179,6 +179,16 @@ def _varied(bases, rng):
     return "".join(rng.choice("ACGTN") if rng.random() < 0.125 else c for c in bases)
 
 
+def _one_call(calls):
+    """The argument lists of one `banded_local_align`'s batches as one list of all its
+    bands: the batches share rows, offsets and scores, so their columns and cell
+    blocks join along the band axis."""
+    rows, _, offsets, table, oe, e, local, _ = calls[0]
+    cols = np.concatenate([call[1] for call in calls])
+    cells = np.concatenate([call[-1] for call in calls], axis=3)
+    return [rows, cols, offsets, table, oe, e, local, cells]
+
+
 @pytest.mark.parametrize("count", range(1, 34))
 @settings(max_examples=4, deadline=None)
 @given(data=st.data())
@@ -204,8 +214,8 @@ def test_every_band_entry_matches_numpy_at_every_band_count(native, count, data)
     args[-1] = np.repeat(args[-1], count, axis=3)  # every band's row 0 is the mode's
     calls = [
         args,
-        *_kernel_calls(banded_local_align, query, bands, radius, scoring),
-        *_kernel_calls(banded_local_align, motif_query, motif_bands, radius, scoring),
+        _one_call(_kernel_calls(banded_local_align, query, bands, radius, scoring)),
+        _one_call(_kernel_calls(banded_local_align, motif_query, motif_bands, radius, scoring)),
     ]
     assert [call[1].shape[0] for call in calls] == [count] * 3
     _assert_native_matches_numpy(native, calls)
@@ -443,6 +453,13 @@ def test_cache_directory_others_may_write_is_not_loaded_from(native, tmp_path, m
     assert kernel is not None and kernel.path.parent != cache
     assert not kernel.path.exists()  # the private build directory is removed after loading
     assert built.path.read_bytes() == b"not a shared library"
+
+
+def test_a_file_where_the_cache_directory_should_be_is_refused(tmp_path):
+    for cache in (tmp_path / "cache", tmp_path / "cache" / "deeper"):
+        (tmp_path / "cache").write_bytes(b"")
+        assert _native._private_dir(cache) is False
+        assert (tmp_path / "cache").read_bytes() == b""  # left as it was
 
 
 def test_cache_directory_is_made_private(native, tmp_path):

@@ -824,6 +824,22 @@ def test_load_net_refuses_parameters_that_are_not_json_numbers(tmp_path, field, 
     assert str(exc.value).startswith(f"model file {path} is malformed: ")
 
 
+@pytest.mark.parametrize("field", ["weights", "biases"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
+def test_load_net_refuses_parameters_that_are_not_finite(tmp_path, field, value):
+    path = tmp_path / "model.json"
+    save_net(_zero_network(NetworkTopology()), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    first_layer = doc[field][0]
+    (first_layer[0] if field == "weights" else first_layer)[0] = value
+    text = json.dumps(doc)  # Python's json writes Infinity, -Infinity and NaN, and reads them
+    assert ("Infinity" if math.isinf(value) else "NaN") in text
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorruptFileError) as exc:
+        load_net(path)
+    assert str(exc.value) == f"model file {path} is malformed: network parameters must be finite"
+
+
 _TRAINING_ROW = st.fixed_dictionaries(
     {},
     optional={

@@ -16,8 +16,8 @@
  * Build with -fwrapv: int32 sums then wrap as numpy's do. Build with
  * -ffp-contract=off: a * b + c then rounds twice, as in numpy, and is never
  * fused where the base ISA has FMA. The Python caller (mutascan._native)
- * checks every array's dtype, shape and C order, every code, every row
- * window, k and the layer sizes before the call.
+ * checks every array's dtype, shape and C order, every code, each band's
+ * first column and width, k and the layer sizes before the call.
  */
 #include <float.h>
 #include <math.h>
@@ -89,13 +89,21 @@ static inline void keep_start(const int32_t *restrict top, int64_t G, int64_t i,
         }
 }
 
+/* The first column of row i's window: i + lo clamped to 0..ncols - width; the caller
+ * keeps |lo| <= 2^62 and 1 <= width <= ncols. */
+static inline int64_t window(int64_t i, int64_t lo, int64_t ncols, int64_t width)
+{
+    const int64_t x = i + lo;
+    return x < 0 ? 0 : x > ncols - width ? ncols - width : x;
+}
+
 /* Fill rows 1..m of M, Ix and Iy, each (m + 1, width, G) int32 in C order:
  * slot s of band g in row i sits at (i * width + s) * G + g, so a row's G
  * bands lie side by side as SIMD lanes (the inter-sequence layout of SWIPE,
  * Rognes 2011); row 0 is already set. rows holds m codes 0..4, cols (G,
- * ncols) codes 0..5, offsets m + 1 window starts with 0 <= offsets[i] <=
- * ncols - width for i >= 1, and table the 5 x 6 scores of (row code, column
- * code). scratch is (ROWS * ncols + 2) * G int32: the profile, the score of
+ * ncols) codes 0..5, row i's window starts at column window(i, lo, ncols,
+ * width), and table holds the 5 x 6 scores of (row code, column code).
+ * scratch is (ROWS * ncols + 2) * G int32: the profile, the score of
  * every row code against every column, (ROWS, ncols, G), so a row's scores
  * are one plain load a cell; then the bands' Iy running maxima and row
  * maxima of M.
@@ -109,10 +117,9 @@ static inline void keep_start(const int32_t *restrict top, int64_t G, int64_t i,
  * Iy running max is serial along the slots. */
 static inline void band_fill_rows(const uint8_t *restrict rows, int64_t m,
                                   const uint8_t *restrict cols, int64_t G, int64_t ncols,
-                                  const int64_t *restrict offsets, int64_t width,
-                                  const int32_t *restrict table, int32_t oe, int32_t e,
-                                  int32_t local, int32_t *M, int32_t *Ix, int32_t *Iy,
-                                  int32_t *restrict scratch, int64_t *restrict ends)
+                                  int64_t lo, int64_t width, const int32_t *restrict table,
+                                  int32_t oe, int32_t e, int32_t local, int32_t *M, int32_t *Ix,
+                                  int32_t *Iy, int32_t *restrict scratch, int64_t *restrict ends)
 {
     const int64_t plane = width * G, columns = ncols * G;
     const int32_t ne = -e, iy_base = oe - e;
@@ -132,9 +139,10 @@ static inline void band_fill_rows(const uint8_t *restrict rows, int64_t m,
          * Column coordinates: M reads the previous slot and Ix the same, and
          * M's first slot is unreachable. In the flat loops a slot is G
          * cells. */
-        const int64_t step = offsets[i] != offsets[i - 1], lag = 1 - step;
+        const int64_t first = window(i, lo, ncols, width);
+        const int64_t step = first != window(i - 1, lo, ncols, width), lag = 1 - step;
         const int64_t back = lag * G, ahead = step * G, here = i * plane;
-        const int32_t *restrict sub = profile + rows[i - 1] * columns + offsets[i] * G;
+        const int32_t *restrict sub = profile + rows[i - 1] * columns + first * G;
         const int32_t *restrict pm = M + here - plane;
         const int32_t *restrict px = Ix + here - plane;
         const int32_t *restrict py = Iy + here - plane;
@@ -191,10 +199,13 @@ static inline void band_fill_rows(const uint8_t *restrict rows, int64_t m,
     }
 }
 
-/* The (M, Ix, Iy) values of slot b of row i, or all NEG outside the window. */
+/* The (M, Ix, Iy) values of cell (i, x), at slot x - window(i) of row i, or
+ * all NEG outside the row's window. */
 static inline void cell(const int32_t *M, const int32_t *Ix, const int32_t *Iy, int64_t rstride,
-                        int64_t sstride, int64_t width, int64_t i, int64_t b, int64_t *v)
+                        int64_t sstride, int64_t lo, int64_t ncols, int64_t width, int64_t i,
+                        int64_t x, int64_t *v)
 {
+    const int64_t b = x - window(i, lo, ncols, width);
     if (0 <= b && b < width) {
         const int64_t at = i * rstride + b * sstride;
         v[0] = M[at];
@@ -208,36 +219,37 @@ static inline void cell(const int32_t *M, const int32_t *Ix, const int32_t *Iy, 
 /* Trace the best path of one band back to its start.
  *
  * M, Ix and Iy hold rows 0..m of width slots, rows rstride elements apart
- * and slots sstride. Candidate scores are compared in int64, as Python
- * compares its ints. In local mode the path starts in row ends[3], at the
- * first slot that holds the band's M maximum ends[0], as band_fill_rows
- * left them. Writes the path's row codes, last column first, to out[0..cap)
- * and its column codes to out[cap..2 cap), and (score, start row, start
- * column, end row, end column) to ends, a cell's column being offsets[i] +
- * b. Returns the path length; 0 when local and no cell scores above 0; -1
- * when a step finds no predecessor, a move leaves the matrix, or the path
+ * and slots sstride. The path walks matrix cells (i, x): M comes from (i - 1,
+ * x - 1), Ix from (i - 1, x) and Iy from (i, x - 1), each read by cell().
+ * Candidate scores are compared in int64, as Python compares its ints. In
+ * local mode the path starts in row ends[3], at the first slot that holds the
+ * band's M maximum ends[0], as band_fill_rows left them. Writes the path's
+ * row codes, last column first, to out[0..cap) and its column codes to
+ * out[cap..2 cap), and (score, start row, start column, end row, end column)
+ * to ends. Returns the path length; 0 when local and no cell scores above 0;
+ * -1 when a step finds no predecessor, a move leaves the matrix, or the path
  * would pass cap columns. */
 static inline int64_t band_traceback(const int32_t *M, const int32_t *Ix, const int32_t *Iy,
                                      int64_t rstride, int64_t sstride, int64_t m, int64_t width,
                                      const uint8_t *rows, const uint8_t *cols, int64_t ncols,
-                                     const int64_t *offsets, const int32_t *table, int64_t oe,
-                                     int64_t e, int32_t local, int64_t cap, uint8_t *out,
-                                     int64_t *ends)
+                                     int64_t lo, const int32_t *table, int64_t oe, int64_t e,
+                                     int32_t local, int64_t cap, uint8_t *out, int64_t *ends)
 {
-    int64_t i, b, score, here[3], cand[3];
+    int64_t i, x, score, here[3], cand[3];
     int state = 0; /* 0 M, 1 Ix, 2 Iy: the preference order on ties */
     if (local) {
         i = ends[3];
-        for (b = 0; M[i * rstride + b * sstride] != ends[0]; b++)
-            ;
-        cell(M, Ix, Iy, rstride, sstride, width, i, b, here);
+        for (x = 0; M[i * rstride + x * sstride] != ends[0]; x++)
+            ; /* the maximum's slot, then its column */
+        x += window(i, lo, ncols, width);
+        cell(M, Ix, Iy, rstride, sstride, lo, ncols, width, i, x, here);
         score = here[0];
         if (score <= 0)
             return 0;
     } else {
         i = m;
-        b = ncols - 1 - offsets[m];
-        cell(M, Ix, Iy, rstride, sstride, width, i, b, here);
+        x = ncols - 1;
+        cell(M, Ix, Iy, rstride, sstride, lo, ncols, width, i, x, here);
         score = here[0];
         for (int k = 1; k < 3; k++)
             if (here[k] > score) {
@@ -246,55 +258,49 @@ static inline int64_t band_traceback(const int32_t *M, const int32_t *Ix, const 
             }
     }
     ends[3] = i;
-    ends[4] = offsets[i] + b;
-    const int64_t origin = -offsets[0];
+    ends[4] = x;
     int64_t n = 0;
     for (;;) {
         int64_t target;
         if (n >= cap)
             return -1;
         if (state == 0) {
-            const int64_t x = offsets[i] + b;
             if (i < 1 || x < 0 || x >= ncols || cols[x] >= OUTSIDE)
                 return -1;
             const uint8_t r = rows[i - 1], c = cols[x];
             out[n] = r;
             out[cap + n++] = c;
             target = here[0] - table[CODES * r + c];
-            b += offsets[i] - offsets[i - 1] - 1;
             i -= 1;
+            x -= 1;
             if (local && target == 0)
                 break;
-            cell(M, Ix, Iy, rstride, sstride, width, i, b, here);
-            cand[0] = here[0];
-            cand[1] = here[1];
-            cand[2] = here[2];
+            cell(M, Ix, Iy, rstride, sstride, lo, ncols, width, i, x, here);
+            memcpy(cand, here, sizeof cand);
         } else if (state == 1) {
             if (i < 1)
                 return -1;
             out[n] = rows[i - 1];
             out[cap + n++] = GAP;
             target = here[1];
-            b += offsets[i] - offsets[i - 1];
             i -= 1;
-            cell(M, Ix, Iy, rstride, sstride, width, i, b, here);
+            cell(M, Ix, Iy, rstride, sstride, lo, ncols, width, i, x, here);
             cand[0] = here[0] + oe;
             cand[1] = here[1] + e;
             cand[2] = here[2] + oe;
         } else {
-            const int64_t x = offsets[i] + b;
             if (x < 0 || x >= ncols)
                 return -1;
             out[n] = GAP;
             out[cap + n++] = cols[x];
             target = here[2];
-            b -= 1;
-            cell(M, Ix, Iy, rstride, sstride, width, i, b, here);
+            x -= 1;
+            cell(M, Ix, Iy, rstride, sstride, lo, ncols, width, i, x, here);
             cand[0] = here[0] + oe;
             cand[1] = here[1] + oe;
             cand[2] = here[2] + e;
         }
-        if (i == 0 && b == origin && !local)
+        if (i == 0 && x == 0 && !local)
             break;
         if (cand[0] == target)
             state = 0;
@@ -307,7 +313,7 @@ static inline int64_t band_traceback(const int32_t *M, const int32_t *Ix, const 
     }
     ends[0] = score;
     ends[1] = i;
-    ends[2] = offsets[i] + b;
+    ends[2] = x;
     return n;
 }
 
@@ -322,19 +328,19 @@ static inline int64_t band_traceback(const int32_t *M, const int32_t *Ix, const 
  * Returns 0, or -1 when a band's traceback fails as band_traceback says;
  * the bands after it are then not traced. */
 static inline int64_t align_bands(const uint8_t *rows, int64_t m, const uint8_t *cols, int64_t G,
-                                  int64_t ncols, const int64_t *offsets, int64_t width,
+                                  int64_t ncols, int64_t lo, int64_t width,
                                   const int32_t *table, int32_t oe, int32_t e, int32_t local,
                                   int32_t *cells, int32_t *scratch, int64_t cap, uint8_t *out,
                                   int64_t *ends)
 {
     const int64_t block = (m + 1) * width * G;
     int32_t *M = cells, *Ix = cells + block, *Iy = cells + 2 * block;
-    band_fill_rows(rows, m, cols, G, ncols, offsets, width, table, oe, e, local, M, Ix, Iy,
-                   scratch, ends);
+    band_fill_rows(rows, m, cols, G, ncols, lo, width, table, oe, e, local, M, Ix, Iy, scratch,
+                   ends);
     for (int64_t g = 0; g < G; g++) {
         int64_t *band_ends = ends + g * ENDS;
         const int64_t n = band_traceback(M + g, Ix + g, Iy + g, width * G, G, m, width, rows,
-                                         cols + g * ncols, ncols, offsets, table, oe, e, local,
+                                         cols + g * ncols, ncols, lo, table, oe, e, local,
                                          cap, out + 2 * g * cap, band_ends);
         if (n < 0)
             return -1;
@@ -738,11 +744,10 @@ static inline int64_t train(const int64_t *sizes, int64_t layers, const double *
 #define ALIGN_ENTRY(suffix, ...)                                                                  \
     __attribute__((__VA_ARGS__)) int64_t band_align##suffix(                                      \
         const uint8_t *rows, int64_t m, const uint8_t *cols, int64_t G, int64_t ncols,            \
-        const int64_t *offsets, int64_t width, const int32_t *table, int32_t oe, int32_t e,       \
-        int32_t local, int32_t *cells, int32_t *scratch, int64_t cap, uint8_t *out,               \
-        int64_t *ends)                                                                            \
+        int64_t lo, int64_t width, const int32_t *table, int32_t oe, int32_t e, int32_t local,    \
+        int32_t *cells, int32_t *scratch, int64_t cap, uint8_t *out, int64_t *ends)               \
     {                                                                                             \
-        return align_bands(rows, m, cols, G, ncols, offsets, width, table, oe, e, local, cells,   \
+        return align_bands(rows, m, cols, G, ncols, lo, width, table, oe, e, local, cells,        \
                            scratch, cap, out, ends);                                              \
     }
 #define TRAIN_ENTRY(suffix, ...)                                                                  \

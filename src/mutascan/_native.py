@@ -22,8 +22,8 @@ process. With no compiler, a failed build or a failed load, `load` returns
 None, and `align`, `homology` and `neural` run their numpy versions instead.
 
 ctypes checks no bounds, so each `Kernel` method checks every argument
-before it calls C: dtype, C order, shape, codes, row windows, k and layer
-sizes.
+before it calls C: dtype, C order, shape, codes, the band's first column and
+width, k and layer sizes.
 """
 
 from __future__ import annotations
@@ -155,24 +155,24 @@ def _check(name: str, a: np.ndarray, dtype, shape: tuple) -> None:
         raise ValueError(f"{name} must be C-contiguous")
 
 
-def _check_bands(rows, cols, offsets, table, cells) -> tuple[int, int, int, int]:
-    """Refuse bands the C code would misread; return (m, G, ncols, width)."""
+def _check_bands(rows, cols, lo, table, cells) -> tuple[int, int, int, int]:
+    """Refuse bands the C code would misread; return (m, G, ncols, width). Row i's window,
+    from clamp(i + lo, 0, ncols - width), lies inside the columns whatever lo is."""
     m = len(rows)
     g, ncols = cols.shape if cols.ndim == 2 else (0, 0)
     width = cells.shape[2] if cells.ndim == 4 else 0
     _check("rows", rows, np.uint8, (m,))
     _check("cols", cols, np.uint8, (g, ncols))
-    _check("offsets", offsets, np.int64, (m + 1,))
     _check("table", table, np.int32, _TABLE_SHAPE)
     _check("cells", cells, np.int32, (3, m + 1, width, g))
-    if width < 1:
-        raise ValueError("a band needs at least one slot a row")
+    if type(lo) is not int or abs(lo) > 2**62:  # not a bool; i + lo fits an int64
+        raise ValueError(f"lo must be an int within +-2**62, not {lo!r}")
+    if not 1 <= width <= ncols:
+        raise ValueError(f"a row window of {width} slots does not fit the {ncols} columns")
     if rows.size and int(rows.max()) >= _TABLE_SHAPE[0]:
         raise ValueError(f"row code {int(rows.max())} above {_TABLE_SHAPE[0] - 1}")
     if cols.size and int(cols.max()) >= _TABLE_SHAPE[1]:
         raise ValueError(f"column code {int(cols.max())} above {_TABLE_SHAPE[1] - 1}")
-    if m and (int(offsets[1:].min()) < 0 or int(offsets[1:].max()) > ncols - width):
-        raise ValueError(f"a row window of {width} slots leaves the {ncols} columns")
     return m, g, ncols, width
 
 
@@ -242,7 +242,7 @@ class Kernel:
         # of each kernel is bound
         level = library.isa_level()
         self._align_entries = _entries(library, "band_align", _BAND_SUFFIXES[: level + 1], [
-            _ptr, _i64, _ptr, _i64, _i64, _ptr, _i64, _ptr, _i32, _i32, _i32, _ptr, _ptr, _i64,
+            _ptr, _i64, _ptr, _i64, _i64, _i64, _i64, _ptr, _i32, _i32, _i32, _ptr, _ptr, _i64,
             _ptr, _ptr,
         ])
         self._train_entries = _entries(library, "train_epochs", _ISA_SUFFIXES[: level + 1], [
@@ -312,21 +312,21 @@ class Kernel:
             raise ValueError("a seed's (subject, diagonal) key does not fit an int64")
         return list(zip(*work[:, :groups].tolist()))
 
-    def band_align(self, rows, cols, offsets, table, oe: int, e: int, local: bool, cells):
+    def band_align(self, rows, cols, lo: int, table, oe: int, e: int, local: bool, cells):
         """`align._band_align_numpy` in C: the same arguments, fill and paths.
 
         `cells` is the (3, rows + 1, width, bands) block of M, Ix and Iy, so
-        the bands are the C fill's SIMD lanes. Raises ValueError where the
-        Python traceback would fail: a cell on a path has no predecessor.
+        the bands are the C fill's SIMD lanes; C works out each row's window
+        from `lo`. Raises ValueError where the Python traceback would fail.
         """
-        m, g, ncols, width = _check_bands(rows, cols, offsets, table, cells)
+        m, g, ncols, width = _check_bands(rows, cols, lo, table, cells)
         # the C code's scratch: the (5, ncols, g) profile, then two rows of g lanes
         scratch = np.empty((_TABLE_SHAPE[0] * ncols + 2, g), dtype=np.int32)
         cap = m + ncols  # each step consumes a row, a column or both
         out = np.empty((g, 2, cap), dtype=np.uint8)  # each band's row codes, then column codes
         ends = np.empty((g, 6), dtype=np.int64)  # score, start row, column, end row, column, length
         failed = self._align(
-            rows.ctypes.data, m, cols.ctypes.data, g, ncols, offsets.ctypes.data, width,
+            rows.ctypes.data, m, cols.ctypes.data, g, ncols, lo, width,
             table.ctypes.data, oe, e, local, cells.ctypes.data, scratch.ctypes.data, cap,
             out.ctypes.data, ends.ctypes.data,
         )

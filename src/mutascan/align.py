@@ -192,7 +192,7 @@ _BASE_TABLE = bytes.maketrans(bytes([0, 1, 2, 3, 4]), b"ACGTN")
 def _band_align(
     rows: np.ndarray,
     cols: np.ndarray,
-    offsets: np.ndarray,
+    lo: int,
     width: int,
     col_starts: list[int],
     scoring: Scoring,
@@ -200,28 +200,29 @@ def _band_align(
 ) -> list[AlignmentResult | None]:
     """Banded three-state affine-gap alignment (Gotoh) of every band: fill, then trace.
 
-    `rows` holds the base codes down the matrix. Each of the G bands stores
-    `width` cells per row; row i (1-based) of band g scores against the
-    codes cols[g, offsets[i] : offsets[i] + width], where OUTSIDE_CODE marks
-    a column outside the sequence; column x of band g ends after sequence
-    base x + col_starts[g]. `offsets` is an int64 array. From one row
-    to the next the offset steps by 1 or by 0. A step of 1 keeps the row in
-    diagonal coordinates: M reads the same slot of the previous row and Ix
-    the next slot. A step of 0 keeps it in column coordinates: M reads the
-    previous slot and Ix the same slot. Iy is an exact integer running-max
-    scan along the row. Cells outside the stored windows are unreachable.
+    `rows` holds the base codes down the matrix and `cols` the (G, ncols) codes
+    across it, one row a band, where OUTSIDE_CODE marks a column outside the
+    sequence; column x of band g ends after sequence base x + col_starts[g].
+    Each band stores `width` cells per row: row i (row 0 before the first
+    code) keeps the columns from clamp(i + lo, 0, ncols - width), so every
+    window lies inside the columns. From one row to the next the window
+    steps by 1 or by 0. A step of 1 keeps the row in diagonal coordinates: M
+    reads the same slot of the previous row and Ix the next slot. A step of
+    0 keeps it in column coordinates: M reads the previous slot and Ix the
+    same slot. Iy is an exact integer running-max scan along the row. Cells
+    outside the stored windows are unreachable.
 
     Row 0 follows from the mode. Local mode leaves it unreachable and floors
     the M predecessor at 0, so an alignment may start anywhere. A global
-    band has offsets[0] == 0: M is 0 at slot 0 and Iy at slot s >= 1 opens
-    a gap of s columns. The (3, len(rows) + 1, width, G) int32 block of M,
-    Ix and Iy stays inside this call, which returns one `AlignmentResult`
-    per band (side A the rows, side B the columns; None for a local band
-    with no path above 0). The band is the block's innermost axis, so a
-    row's G bands lie side by side as the compiled fill's SIMD lanes (SWIPE's
-    inter-sequence layout, Rognes 2011). The compiled kernel fills and traces
-    when it loads, else `_band_align_numpy` does, on one argument list; both
-    give the same paths.
+    band has lo <= 0, so row 0's window starts at column 0: M is 0 at slot 0
+    and Iy at slot s >= 1 opens a gap of s columns. The (3, len(rows) + 1,
+    width, G) int32 block of M, Ix and Iy stays inside this call, which
+    returns one `AlignmentResult` per band (side A the rows, side B the
+    columns; None for a local band with no path above 0). The band is the
+    block's innermost axis, so a row's G bands lie side by side as the
+    compiled fill's SIMD lanes (SWIPE's inter-sequence layout, Rognes 2011).
+    The compiled kernel fills and traces when it loads, else
+    `_band_align_numpy` does, on one argument list; both give the same paths.
     """
     # One block for all three: once glibc has freed it, its mmap threshold is the block's
     # size and its trim threshold twice that, so the next call takes it from the heap.
@@ -235,17 +236,18 @@ def _band_align(
         cells[_IY, 0, 1:] = (oe + e * np.arange(width - 1))[:, None]
     kernel = _native.load()
     band_align = _band_align_numpy if kernel is None else kernel.band_align
-    paths = band_align(rows, cols, offsets, scoring.table, oe, e, local, cells)
+    paths = band_align(rows, cols, lo, scoring.table, oe, e, local, cells)
     return [_alignment(path, shift) for path, shift in zip(paths, col_starts)]
 
 
 def _band_align_numpy(
-    rows: np.ndarray, cols: np.ndarray, offsets: np.ndarray, table: np.ndarray,
+    rows: np.ndarray, cols: np.ndarray, lo: int, table: np.ndarray,
     oe: int, e: int, local: bool, cells: np.ndarray,
 ) -> list:
     """`_native.Kernel.band_align` in numpy: `_fill_rows_numpy`, then `_band_traceback_python`
     on each band. The fallback where the compiled kernel cannot be built, and its oracle."""
-    codes, starts = rows.tolist(), offsets.tolist()
+    codes, last = rows.tolist(), cols.shape[1] - cells.shape[2]
+    starts = [min(max(i + lo, 0), last) for i in range(len(codes) + 1)]  # each row's window
     M, Ix, Iy = cells
     _fill_rows_numpy(rows, cols, starts, table, oe, e, local, M, Ix, Iy)
     return [
@@ -257,7 +259,7 @@ def _band_align_numpy(
 
 
 def _fill_rows_numpy(
-    rows: np.ndarray, cols: np.ndarray, offsets: list[int], table: np.ndarray,
+    rows: np.ndarray, cols: np.ndarray, starts: list[int], table: np.ndarray,
     oe: int, e: int, local: bool, M: np.ndarray, Ix: np.ndarray, Iy: np.ndarray,
 ) -> None:
     """Fill rows 1.. of `_band_align`'s M, Ix and Iy, each (rows + 1, width, bands),
@@ -295,13 +297,13 @@ def _fill_rows_numpy(
     for i in range(1, m + 1):
         pm, px, py = rows_m[i - 1], rows_x[i - 1], rows_y[i - 1]
         cm, cx = rows_m[i], rows_x[i]
-        off = offsets[i]
+        off = starts[i]
         sub = sub_rows[codes[i - 1]][columns[off : off + width]]
         maximum(pm, py, out=tmp)
         maximum(tmp, px, out=best)
         if local:
             maximum(best, zero, out=best)
-        if off != offsets[i - 1]:
+        if off != starts[i - 1]:
             add(sub, best, out=cm)
             head = heads_x[i]
             add(tmp_tail, oe, out=head)
@@ -320,20 +322,19 @@ def _fill_rows_numpy(
 
 def _band_traceback_python(
     M: np.ndarray, Ix: np.ndarray, Iy: np.ndarray, rows: list[int],
-    cols: np.ndarray, offsets: list[int], table: np.ndarray, oe: int, e: int, local: bool,
+    cols: np.ndarray, starts: list[int], table: np.ndarray, oe: int, e: int, local: bool,
 ):
     """Trace the best path of one band filled by `_band_align` back to its start.
 
     M, Ix and Iy are the band's (len(rows) + 1, width) values: views that
     take one band of the (rows + 1, width, bands) block, a slot every
-    `bands` values, as the C traceback reads it. Cell (i, b)
-    lies in row i and column x = offsets[i] + b and consumes the row code
-    rows[i - 1] and the column code cols[x]. With step = offsets[i] -
-    offsets[i - 1], the M predecessor of (i, b) is slot b - 1 + step of row
-    i - 1, the Ix predecessor slot b + step of row i - 1 and the Iy
-    predecessor slot b - 1 of row i; a slot outside the window is
-    unreachable. Each move is recomputed from the stored values, taking the
-    first candidate that reaches the cell's value.
+    `bands` values, as the C traceback reads it. The path walks matrix
+    cells: cell (i, x) lies in row i and column x, at slot x - starts[i] of
+    the row's window, and consumes the row code rows[i - 1] and the column
+    code cols[x]. Its M predecessor is (i - 1, x - 1), its Ix predecessor
+    (i - 1, x) and its Iy predecessor (i, x - 1); a cell outside its row's
+    window is unreachable. Each move is recomputed from the stored values,
+    taking the first candidate that reaches the cell's value.
 
     Local mode starts at the first maximum of M in row-major order, which
     must be above 0, and stops at a fresh start; ties prefer a fresh start,
@@ -348,58 +349,48 @@ def _band_traceback_python(
     col = cols.item
     m_at, x_at, y_at = M.item, Ix.item, Iy.item
 
-    def cell(i: int, b: int) -> tuple[int, int, int]:
+    def cell(i: int, x: int) -> tuple[int, int, int]:
+        b = x - starts[i]
         if 0 <= b < width:
             return m_at(i, b), x_at(i, b), y_at(i, b)
         return _UNREACHABLE
 
     if local:
         i, b = divmod(int(np.argmax(M)), width)
-        here = cell(i, b)
+        x = starts[i] + b
+        here = cell(i, x)
         score, state = here[_M], _M
         if score <= 0:
             return None
     else:
-        i = len(rows)
-        b = len(cols) - 1 - offsets[i]
-        here = cell(i, b)
+        i, x = len(rows), len(cols) - 1
+        here = cell(i, x)
         score = max(here)
         state = here.index(score)  # index order == preference order M, Ix, Iy
-    end = (i, offsets[i] + b)
-    origin = -offsets[0]  # slot of column 0 in row 0
+    end = (i, x)
     rev_r: list[int] = []
     rev_c: list[int] = []
+    steps = ((0, 0, 0), (oe, e, oe), (oe, oe, e))  # [s][p]: what a move from p into s adds
     while True:
-        if state == _M:
-            r, c = rows[i - 1], col(offsets[i] + b)
-            rev_r.append(r)
-            rev_c.append(c)
-            target = here[_M] - sub[r][c]
-            b += offsets[i] - offsets[i - 1] - 1
-            i -= 1
-            if local and target == 0:
-                break
-            here = cell(i, b)
-            candidates = here
-        elif state == _IX:
-            rev_r.append(rows[i - 1])
-            rev_c.append(_GAP)
-            target = here[_IX]
-            b += offsets[i] - offsets[i - 1]
-            i -= 1
-            here = cell(i, b)
-            candidates = (here[0] + oe, here[1] + e, here[2] + oe)
-        else:
-            rev_r.append(_GAP)
-            rev_c.append(col(offsets[i] + b))
-            target = here[_IY]
-            b -= 1
-            here = cell(i, b)
-            candidates = (here[0] + oe, here[1] + oe, here[2] + e)
-        if i == 0 and b == origin and not local:
+        # the move consumes row code rows[i - 1] unless it is Iy, and column code cols[x]
+        # unless it is Ix; as in C, a code outside the matrix, or an M move's outside the
+        # sequence, leaves the path with no predecessor
+        r = _GAP if state == _IY else rows[i - 1] if i > 0 else None
+        c = _GAP if state == _IX else col(x) if x >= 0 else None
+        if r is None or c is None or (state == _M and c == OUTSIDE_CODE):
+            raise ValueError(f"no path reaches cell ({i}, {x}) from inside the matrix")
+        rev_r.append(r)
+        rev_c.append(c)
+        target = here[state] - (sub[r][c] if state == _M else 0)
+        i, x = i - (r != _GAP), x - (c != _GAP)
+        if local and state == _M and target == 0:
+            break  # a fresh start
+        here = cell(i, x)
+        if i == 0 and x == 0 and not local:
             break
-        state = candidates.index(target)
-    return score, (i, offsets[i] + b), end, bytes(rev_r), bytes(rev_c)
+        from_m, from_x, from_y = steps[state]
+        state = (here[0] + from_m, here[1] + from_x, here[2] + from_y).index(target)
+    return score, (i, x), end, bytes(rev_r), bytes(rev_c)
 
 
 def _alignment(path, shift: int) -> AlignmentResult | None:
@@ -415,11 +406,10 @@ def _alignment(path, shift: int) -> AlignmentResult | None:
 def _global_band(ca: np.ndarray, cb: np.ndarray, radius: int, scoring: Scoring):
     """Align in the band of diagonals [min(0, n-m) - radius, max(0, n-m) + radius].
 
-    Row i keeps the `width` columns starting at starts[i]; the window is
-    clipped to the matrix, so at most n + 1 columns a row are stored, and
-    a width of n + 1 is the full DP. Raises SizeCapExceededError before
-    filling a band of more than DEFAULT_CELL_CAP cells. Returns the band's
-    one `_band_align` alignment.
+    Row i keeps the `width` columns from i + lo, clamped to the matrix, so at
+    most n + 1 columns a row are stored, and a width of n + 1 is the full DP.
+    Raises SizeCapExceededError before filling a band of more than
+    DEFAULT_CELL_CAP cells. Returns the band's one `_band_align` alignment.
     """
     m, n = len(ca), len(cb)
     lo = min(0, n - m) - radius
@@ -430,8 +420,7 @@ def _global_band(ca: np.ndarray, cb: np.ndarray, radius: int, scoring: Scoring):
             f"{m} x {n} alignment needs a band of {(m + 1) * width} cells, "
             f"above the {DEFAULT_CELL_CAP}-cell cap"
         )
-    starts = np.clip(np.arange(m + 1, dtype=np.int64) + lo, 0, n + 1 - width)
-    [aln] = _band_align(ca, _global_columns(cb), starts, width, [0], scoring)
+    [aln] = _band_align(ca, _global_columns(cb), lo, width, [0], scoring)
     return aln
 
 
@@ -495,20 +484,20 @@ def banded_local_align(
     width = 2 * radius + 1
     m = len(query)
     rows = encode_bases(query)
-    offsets = np.arange(-1, m, dtype=np.int64)  # row i's window starts at column i - 1
-    # cols[g, x] holds the code of subject base x - diagonal - radius
-    cols = np.full((len(bands), m + width - 1), OUTSIDE_CODE, dtype=np.uint8)
+    # cols[g, x] holds the code of subject base x - 1 - diagonal - radius; column 0 lies
+    # outside every subject, so row i's window starts at column i (lo = 0)
+    cols = np.full((len(bands), m + width), OUTSIDE_CODE, dtype=np.uint8)
     for g, (subject, diag) in enumerate(bands):
-        first = diag + radius
-        x_lo = max(0, first)
+        first = diag + radius + 1
+        x_lo = max(1, first)
         x_hi = min(cols.shape[1], first + len(subject))
         if x_lo < x_hi:
             cols[g, x_lo:x_hi] = encode_bases(subject[x_lo - first : x_hi - first])
-    col_starts = [1 - diag - radius for _, diag in bands]
+    col_starts = [-diag - radius for _, diag in bands]
     out: list[AlignmentResult | None] = []
-    for lo in range(0, len(bands), _BATCH_BANDS):
-        cut = slice(lo, lo + _BATCH_BANDS)
-        out += _band_align(rows, cols[cut], offsets, width, col_starts[cut], scoring, local=True)
+    for start in range(0, len(bands), _BATCH_BANDS):
+        cut = slice(start, start + _BATCH_BANDS)
+        out += _band_align(rows, cols[cut], 0, width, col_starts[cut], scoring, local=True)
     return out
 
 

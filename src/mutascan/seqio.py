@@ -74,6 +74,8 @@ class DnaSequence:
     def __post_init__(self):
         if not self.id or any(c.isspace() for c in self.id):
             raise ValueError(f"record id must be a non-empty token, got {self.id!r}")
+        if not self.id.isprintable():  # it reaches report.txt, the hit table and the terminal
+            raise ValueError(f"record id {self.id!r} holds a character that is not printable")
         if not self.bases:
             raise ValueError(f"record {self.id!r} has no bases")
         if _INVALID_SYMBOL.search(self.bases):
@@ -115,7 +117,8 @@ def parse_fasta(text: str) -> FastaFile:
 
     Raises EmptyInputError, InvalidSymbolError, DuplicateIdError, or
     SequencelessHeaderError; any other format violation (data before the
-    first header, a header with no id) raises the base FastaParseError.
+    first header, a header with no id or with an id that holds a character
+    that is not printable) raises the base FastaParseError.
     Results are memoized by text (`PARSE_MEMO_SIZE`); errors are not.
     """
     records: list[DnaSequence] = []
@@ -146,6 +149,8 @@ def parse_fasta(text: str) -> FastaFile:
             if not parts:
                 raise FastaParseError("header line with no id")
             cur_id = parts[0]
+            if not cur_id.isprintable():
+                raise FastaParseError(f"header {line!r}: the id holds an unprintable character")
             cur_desc = parts[1] if len(parts) > 1 else ""
             if cur_id in seen:
                 raise DuplicateIdError(f"duplicate record id {cur_id!r}")

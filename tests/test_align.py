@@ -303,12 +303,13 @@ def test_band_never_stores_more_than_the_full_matrix():
         ca = encode_bases(random_bases(rng, m))
         cb = encode_bases(random_bases(rng, n))
         for radius in (16, 64, 4096):
-            [((rows, cols, starts, width, *_), _)] = _band_align_calls(
+            [((rows, cols, lo, width, *_), _)] = _band_align_calls(
                 _global_band, ca, cb, radius, Scoring()
             )
-            # _band_align stores (len(rows) + 1, width, len(cols)) cells a matrix
-            assert len(rows) == m and cols.shape == (1, n + 1) and width <= n + 1
-            assert all(0 <= s <= n + 1 - width for s in starts)
+            # _band_align stores (len(rows) + 1, width, len(cols)) cells a matrix, row i
+            # the columns from clamp(i + lo, 0, n + 1 - width); row 0 from column 0
+            assert len(rows) == m and cols.shape == (1, n + 1) and 1 <= width <= n + 1
+            assert lo == min(0, n - m) - radius < 0
 
 
 def test_global_align_fills_at_most_two_bands(monkeypatch):
@@ -520,9 +521,9 @@ def test_size_cap(monkeypatch):
     widths = []
     band_align = align_module._band_align
 
-    def recording_align(rows, cols, offsets, width, *args, **kwargs):
+    def recording_align(rows, cols, lo, width, *args, **kwargs):
         widths.append(width)
-        return band_align(rows, cols, offsets, width, *args, **kwargs)
+        return band_align(rows, cols, lo, width, *args, **kwargs)
 
     monkeypatch.setattr(align_module, "_band_align", recording_align)
     with pytest.raises(SizeCapExceededError):

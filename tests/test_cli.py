@@ -411,6 +411,26 @@ def test_diagnose_with_an_unprintable_database_name_exits_1_and_writes_nothing(
     assert not (tmp_path / "wd").exists()
 
 
+@pytest.mark.parametrize("record_id", ["pat\x1b[31mX", "b\x00c"], ids=["terminal escape", "nul"])
+def test_diagnose_with_an_unprintable_patient_id_exits_1_and_writes_nothing(
+    corpus, trained_model, tmp_path, monkeypatch, capsys, record_id
+):
+    patient = tmp_path / "patient.fasta"
+    text = corpus["patient_mutated"].read_text(encoding="ascii")
+    patient.write_text(f">{record_id}\n" + text.split("\n", 1)[1], encoding="ascii")
+    monkeypatch.setenv("MUTASCAN_WORKDIR", str(tmp_path / "wd"))
+    rc = main(
+        [
+            "diagnose", "--patient", str(patient),
+            "--manifest", str(corpus["manifest"]), "--model", str(trained_model),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(f">{record_id}") in err
+    assert not (tmp_path / "wd").exists()
+
+
 @pytest.mark.parametrize(
     "value,rc,written",
     [(None, 0, ["mutascan-work"]), ("from-env", 0, ["from-env"]), ("", 1, [])],

@@ -1,9 +1,10 @@
 """Metamorphic relations of a whole diagnosis: changes to the input that must leave
 the result as it was, or change it in a way known in advance.
 
-Each example is a generated gene of 0.1-8 kb at 38 % GC, alone in its database,
-and a patient made from it by planted substitutions, insertions and deletions. Every
-relation runs under both band kernels and with one model."""
+Each example is a generated gene of 0.1-8 kb at 38 % GC, alone in its database
+unless a relation adds records, and a patient made from it by planted
+substitutions, insertions and deletions. Every relation runs under both band
+kernels and with one model."""
 
 import json
 import random
@@ -11,7 +12,8 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mutascan.align import apply_mutations
+from mutascan.align import Mutation, MutationKind, apply_mutations, mutation_to_dict
+from mutascan.homology import DEFAULT_K
 from mutascan.neural import Label
 from mutascan.pipeline import run_diagnosis
 from mutascan.seqio import DnaSequence, FastaFile, write_fasta
@@ -57,13 +59,21 @@ def _gene_and_patient(case):
     return gene, _plant(rng, gene, min(edits, length // 50))
 
 
-def _inputs(root, gene):
-    """Write a one-gene database and its manifest under `root`; return the manifest."""
-    (root / "db.fasta").write_text(write_fasta(FastaFile((DnaSequence(GENE_ID, "", gene),))))
+def _inputs(root, gene, records=None, later=None, name="manifest"):
+    """Write a database of `records`, (id, bases) pairs in order, by default the gene
+    alone, and its manifest under `root`; return the manifest. Every record that
+    holds the gene has the gene's CDS. `later` is a second database's records,
+    listed after the first."""
     start = len(gene) // 10 + 1
     cds = [start, start + 3 * (len(gene) * 8 // 30) - 1]
-    manifest = root / "manifest.json"
-    databases = [{"name": "genes", "fasta": "db.fasta", "cds": {GENE_ID: cds}}]
+    databases = []
+    for i, db in enumerate([records or [(GENE_ID, gene)]] + ([later] if later else [])):
+        fasta = f"db-{name}-{i}.fasta"
+        sequences = tuple(DnaSequence(record_id, "", bases) for record_id, bases in db)
+        (root / fasta).write_text(write_fasta(FastaFile(sequences)))
+        cds_map = {record_id: cds for record_id, bases in db if bases == gene}
+        databases.append({"name": f"genes-{i}", "fasta": fasta, "cds": cds_map})
+    manifest = root / f"{name}.json"
     manifest.write_text(json.dumps({"databases": databases}))
     return manifest
 
@@ -146,3 +156,125 @@ def test_the_called_mutations_rebuild_the_patient_from_the_reference(
         rebuilt = apply_mutations(report.adopted.subject, list(report.mutations))
         assert rebuilt.bases == patient
         assert (report.mutations == ()) == (patient == gene)
+
+
+def _unrelated(rng: random.Random, patient: str, length: int) -> str:
+    """A generated gene of `length` bases that shares no k-mer of the search with the
+    patient, so no seed of the search falls in it."""
+    kmers = {patient[i : i + DEFAULT_K] for i in range(len(patient) - DEFAULT_K + 1)}
+    while True:
+        bases = _gene(rng, length)
+        if not any(bases[i : i + DEFAULT_K] in kmers for i in range(length - DEFAULT_K + 1)):
+            return bases
+
+
+def _without_e_value(report_json: bytes) -> dict:
+    """report.json's document without the top hit's E-value, which grows with the database."""
+    doc = json.loads(report_json)
+    del doc["adopted_reference"]["top_hit"]["e_value"]
+    return doc
+
+
+@settings(max_examples=8, deadline=None)
+@given(_CASES, st.integers(1, 400), st.booleans())
+@example((8000, 4, 6), 400, True)
+def test_records_the_search_cannot_reach_leave_the_diagnosis_unchanged(
+    kernels, tmp_path_factory, trained_model, case, length, first
+):
+    """A record that shares no k-mer with the patient, before or after the gene, leaves
+    everything but the E-value as it was; a database listed after the adopted one, even
+    one that holds the patient itself, is never consulted."""
+    gene, patient = _gene_and_patient(case)
+    root = tmp_path_factory.mktemp("irrelevant")
+    decoy = ("unrelated", _unrelated(random.Random(case[1]), patient, length))
+    records = [decoy, (GENE_ID, gene)] if first else [(GENE_ID, gene), decoy]
+    manifests = {
+        "alone": _inputs(root, gene, name="alone"),
+        "unrelated record": _inputs(root, gene, records, name="decoy"),
+        "later database": _inputs(root, gene, later=[("patient", patient)], name="later"),
+    }
+    text = _wrapped("patient", patient, 60)
+    for k, kernel in enumerate(kernels):
+        with kernel():
+            reports = {
+                variant: _diagnose(root, f"{variant}-{k}", text, manifest, trained_model)[1]
+                for variant, manifest in manifests.items()
+            }
+        assert reports["later database"] == reports["alone"]
+        assert _without_e_value(reports["unrelated record"]) == _without_e_value(reports["alone"])
+
+
+@settings(max_examples=6, deadline=None)
+@given(_CASES, st.permutations(range(4)))
+@example((8000, 5, 6), [3, 2, 1, 0])
+def test_the_order_of_a_databases_records_leaves_the_diagnosis_unchanged(
+    kernels, tmp_path_factory, trained_model, case, order
+):
+    """The gene, a copy of it under a lower id, which ties it on max score, its first
+    half and an unrelated record, in any order: the lower id of the tie is adopted,
+    and report.json is the same bytes."""
+    gene, patient = _gene_and_patient(case)
+    root = tmp_path_factory.mktemp("order")
+    records = [
+        (GENE_ID, gene),
+        ("copy", gene),
+        ("half", gene[: len(gene) // 2]),
+        ("unrelated", _unrelated(random.Random(case[1]), patient, 300)),
+    ]
+    given_order = _inputs(root, gene, records, name="given")
+    permuted = _inputs(root, gene, [records[i] for i in order], name="permuted")
+    text = _wrapped("patient", patient, 60)
+    reports = set()
+    for k, kernel in enumerate(kernels):
+        with kernel():
+            for name, manifest in (("given", given_order), ("permuted", permuted)):
+                report, report_json = _diagnose(
+                    root, f"{name}-{k}", text, manifest, trained_model
+                )
+                assert report.adopted.subject.id == "copy"
+                reports.add(report_json)
+    assert len(reports) == 1
+
+
+def _far_from(mutations, position: int, length: int, distance: int = 12) -> bool:
+    """Whether reference position `position` (1-based) lies at least `distance` bases
+    from both ends of a `length`-base reference and from every call's span."""
+    if not distance < position <= length - distance:
+        return False
+    for m in mutations:
+        lo, hi = m.position, m.position + max(len(m.ref_bases), 1) - 1
+        if m.kind is MutationKind.INSERTION:  # between bases `position` and `position` + 1
+            lo, hi = m.position, m.position + 1
+        if lo - distance < position < hi + distance:
+            return False
+    return True
+
+
+@settings(max_examples=10, deadline=None)
+@given(_CASES, st.integers(0, 2**32), st.sampled_from("ACGT"))
+@example((8000, 6, 6), 17, "A")
+def test_one_more_substitution_away_from_the_edits_adds_exactly_that_call(
+    kernels, tmp_path_factory, trained_model, case, pick, base
+):
+    gene, patient = _gene_and_patient(case)
+    root = tmp_path_factory.mktemp("one-more-edit")
+    manifest = _inputs(root, gene)
+    for k, kernel in enumerate(kernels):
+        with kernel():
+            report, _ = _diagnose(
+                root, f"patient-{k}", _wrapped("patient", patient, 60), manifest, trained_model
+            )
+            calls = list(report.mutations)
+            free = [p for p in range(1, len(gene) + 1) if _far_from(calls, p, len(gene))]
+            position = free[pick % len(free)]
+            old = gene[position - 1]
+            new = base if base != old else "ACGT"["ACGT".index(old) - 1]
+            added = Mutation(position, MutationKind.SUBSTITUTION, old, new)
+            want = sorted([*calls, added], key=lambda m: m.position)
+            edited = apply_mutations(report.adopted.subject, want).bases
+            again, _ = _diagnose(
+                root, f"edited-{k}", _wrapped("patient", edited, 60), manifest, trained_model
+            )
+        assert [mutation_to_dict(m) for m in again.mutations] == [
+            mutation_to_dict(m) for m in want
+        ]

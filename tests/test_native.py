@@ -100,18 +100,27 @@ def _entry_methods(native, method):
     return methods
 
 
+def _paths(band_align, args):
+    """The paths `band_align(*args)` returns, or ValueError if its traceback fails."""
+    try:
+        return band_align(*args)
+    except ValueError:
+        return ValueError
+
+
 def _assert_native_matches_numpy(native, calls):
     """Every C band entry this CPU runs and `align._band_align_numpy`, each on copies
-    of every argument list, fill the same cell block and return the same paths;
-    returns the widest entry's block of M, Ix and Iy and its paths of the last list."""
+    of every argument list, fill the same cell block and return the same paths, or
+    all fail to trace; returns the widest entry's block of M, Ix and Iy and its paths
+    of the last list."""
     for args in calls:
         want = _copy(args)
         want[-1][:, 1:] = -1  # rows 1.. are the fill's to write
-        want_paths = align._band_align_numpy(*want)
+        want_paths = _paths(align._band_align_numpy, want)
         for name, band_align in _entry_methods(native, "band_align").items():
             got = _copy(args)
             got[-1][:, 1:] = 12345
-            got_paths = band_align(*got)
+            got_paths = _paths(band_align, got)
             assert np.array_equal(got[-1], want[-1]), name
             assert got_paths == want_paths, name
     return got[-1], got_paths
@@ -181,12 +190,12 @@ def _varied(bases, rng):
 
 def _one_call(calls):
     """The argument lists of one `banded_local_align`'s batches as one list of all its
-    bands: the batches share rows, offsets and scores, so their columns and cell
-    blocks join along the band axis."""
-    rows, _, offsets, table, oe, e, local, _ = calls[0]
+    bands: the batches share rows, lo and scores, so their columns and cell blocks
+    join along the band axis."""
+    rows, _, lo, table, oe, e, local, _ = calls[0]
     cols = np.concatenate([call[1] for call in calls])
     cells = np.concatenate([call[-1] for call in calls], axis=3)
-    return [rows, cols, offsets, table, oe, e, local, cells]
+    return [rows, cols, lo, table, oe, e, local, cells]
 
 
 @pytest.mark.parametrize("count", range(1, 34))
@@ -221,6 +230,37 @@ def test_every_band_entry_matches_numpy_at_every_band_count(native, count, data)
     _assert_native_matches_numpy(native, calls)
 
 
+@st.composite
+def _band_geometries(draw):
+    """`Kernel.band_align` arguments for 1-33 random bands under any lo and width the
+    window rule takes: lo from -(ncols + 2) to ncols + 2 and width from 1 to ncols.
+    Local mode, or global mode with lo < 0, so that row 0's window starts at column
+    0; row 0 is set for the mode as `_band_align` sets it."""
+    local = draw(st.booleans())
+    m, ncols, g = draw(st.integers(0, 40)), draw(st.integers(1, 40)), draw(st.integers(1, 33))
+    width = draw(st.integers(1, ncols))
+    lo = draw(st.integers(-(ncols + 2), ncols + 2 if local else -1))
+    scoring = draw(_SCORINGS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))  # one seed: bands draw many codes
+    rows = rng.integers(0, 5, m).astype(np.uint8)
+    cols = rng.integers(0, 6, (g, ncols)).astype(np.uint8)
+    oe, e = scoring.gap_open + scoring.gap_extend, scoring.gap_extend
+    cells = np.full((3, m + 1, width, g), align._NEG, dtype=np.int32)
+    if not local:
+        cells[0, 0, 0] = 0
+        cells[2, 0, 1:] = (oe + e * np.arange(width - 1))[:, None]
+    return [rows, cols, lo, scoring.table, oe, e, local, cells]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_band_geometries())
+def test_every_band_entry_matches_numpy_at_any_lo_and_width(native, args):
+    """Windows clamped at column 0, at the last column or at both, in diagonal and in
+    column coordinates: the same cells and paths from every C band entry and numpy;
+    a global band whose last cell lies outside its last window fails in all."""
+    _assert_native_matches_numpy(native, [args])
+
+
 def test_native_local_start_is_the_first_of_repeated_maxima(native):
     motif = "ACG"
     query = motif * 8
@@ -230,26 +270,34 @@ def test_native_local_start_is_the_first_of_repeated_maxima(native):
     long, short = _first_max_cells(M[..., 0]), _first_max_cells(M[..., 1])
     assert len({i for i, _ in long}) < len(long)  # the maximum repeats within a row
     assert len({i for i, _ in short}) > 1  # and across rows
-    offsets = calls[0][2]
+    assert calls[0][2] == 0  # a local band's row i keeps the columns from column i
     for path, cells in zip(got, (long, short)):
         i, b = cells[0]  # nonzero lists cells in row-major order
-        assert path[2] == (i, offsets[i] + b)
+        assert path[2] == (i, i + b)
+
+
+def _window(i, lo, ncols, width):
+    """The first column of row i's window: i + lo, clamped to the columns."""
+    return min(max(i + lo, 0), ncols - width)
 
 
 def test_native_path_ends_are_sequence_columns(native):
     """Both kernels give a path's first and last cells as (row, column), not (row,
-    slot): a local path from row 0, whose window starts at column -1, and a global
-    band whose row windows are clipped to the matrix at both ends."""
+    slot): a local path from row 0, whose window starts at the padding column 0, and a
+    global band whose row windows are clamped to the matrix at both ends."""
     query = "ACGTTGCA"
     local = _kernel_calls(banded_local_align, query, [(query, 0)], 2, Scoring())
     clipped = _kernel_calls(
         align._global_band, encode_bases(query), encode_bases("ACGTATGCAC"), 2, Scoring()
     )
-    assert clipped[0][2].tolist() == [0, 0, 0, 1, 2, 3, 4, 4, 4]
+    _, cols, lo, *_, cells = clipped[0]
+    assert (lo, cells.shape[2]) == (-2, 7)
+    windows = [_window(i, lo, cols.shape[1], 7) for i in range(len(query) + 1)]
+    assert windows == [0, 0, 0, 1, 2, 3, 4, 4, 4]
     [local_path], [global_path] = (
         _assert_native_matches_numpy(native, calls)[1] for calls in (local, clipped)
     )
-    assert local_path[1:3] == ((0, 1), (8, 9))  # column x holds subject base x - 2
+    assert local_path[1:3] == ((0, 2), (8, 10))  # column x holds subject base x - 3
     assert global_path[1:3] == ((0, 0), (8, 10))  # the last row's window starts at column 4
 
 
@@ -258,9 +306,8 @@ def test_native_global_fill_keeps_cells_below_neg(native):
     predecessors all lie below _NEG; flooring global mode at _NEG would change them."""
     rows, cb = encode_bases("ACGTTGCA"), encode_bases("TTGCAACGTA")
     cols = align._global_columns(cb)
-    width = 5
-    offsets = np.clip(np.arange(len(rows) + 1, dtype=np.int64) - 2, 0, cols.shape[1] - width)
-    args = [rows, cols, offsets, Scoring().table, -6, -1, False]
+    width, lo = 5, -2
+    args = [rows, cols, lo, Scoring().table, -6, -1, False]
     fills = []
     for band_align in (*_entry_methods(native, "band_align").values(), align._band_align_numpy):
         cells = np.full((3, len(rows) + 1, width, 1), align._NEG, dtype=np.int32)
@@ -268,11 +315,12 @@ def test_native_global_fill_keeps_cells_below_neg(native):
             band_align(*args, cells)
         fills.append(cells)
     *got, (M, Ix, Iy) = fills
+    windows = [_window(i, lo, cols.shape[1], width) for i in range(len(rows) + 1)]
     below = [
         (i, s)
         for i in range(1, len(rows) + 1)
         for s in range(width)
-        if 0 <= (p := s - 1 + int(offsets[i] != offsets[i - 1])) < width
+        if 0 <= (p := s - 1 + int(windows[i] != windows[i - 1])) < width
         and max(M[i - 1, p, 0], Ix[i - 1, p, 0], Iy[i - 1, p, 0]) < align._NEG
     ]
     assert below
@@ -508,16 +556,16 @@ def guarded(native):
     return kernel
 
 
-def _kernel_args(m=6, n=9, width=4, g=2):
-    """`Kernel.band_align` arguments for g random bands: rows, cols, offsets,
+def _kernel_args(m=6, n=4, lo=-1, g=2):
+    """`Kernel.band_align` arguments for g random bands whose rows keep all n
+    columns, so one slot more is a window wider than the columns: rows, cols, lo,
     table, oe, e, local, cells."""
     rng = np.random.default_rng(5)
     rows = rng.integers(0, 5, m).astype(np.uint8)
     cols = rng.integers(0, 6, (g, n)).astype(np.uint8)
-    offsets = np.clip(np.arange(-1, m, dtype=np.int64), 0, n - width)
     table = Scoring().table
-    cells = np.zeros((3, m + 1, width, g), dtype=np.int32)
-    return [rows, cols, offsets, table, -6, -1, False, cells]
+    cells = np.zeros((3, m + 1, n, g), dtype=np.int32)
+    return [rows, cols, lo, table, -6, -1, False, cells]
 
 
 @pytest.mark.parametrize(
@@ -534,12 +582,12 @@ def _kernel_args(m=6, n=9, width=4, g=2):
             1, lambda a: np.where(a == a[0, 1], 6, a).astype(np.uint8), id="column code 6 at [0, 1]"
         ),
         pytest.param(1, lambda a: np.concatenate([a, a]), id="cols a band more than M holds"),
-        (2, lambda a: a.astype(np.int32)),  # offsets dtype
-        (2, lambda a: a[:-1]),  # offsets one short
-        pytest.param(2, lambda a: np.append(a, a[-1]), id="offsets one long"),
-        (2, lambda a: a + 6),  # a row window past the columns
-        (2, lambda a: a - 2),  # a row window before column 0
-        pytest.param(2, lambda a: a.tolist(), id="offsets a list"),
+        pytest.param(1, lambda a: a[:, :-1].copy(), id="a width above ncols"),
+        (2, lambda lo: float(lo)),  # lo a float
+        (2, lambda lo: True),  # lo a bool
+        (2, lambda lo: 2**62 + 1),  # lo beyond 2**62: i + lo might not fit an int64
+        (2, lambda lo: -(2**62) - 1),
+        pytest.param(2, lambda lo: np.int64(lo), id="lo a numpy int"),
         (7, lambda a: a[:, :-1].copy()),  # cells a row short
         pytest.param(7, lambda a: np.concatenate([a, a[:, :1]], axis=1), id="cells a row long"),
         pytest.param(7, lambda a: a.astype(np.int64), id="cells int64"),
@@ -549,7 +597,7 @@ def _kernel_args(m=6, n=9, width=4, g=2):
         pytest.param(7, lambda a: a[:2].copy(), id="cells of two matrices"),
         pytest.param(7, lambda a: np.concatenate([a, a[:1]]), id="cells of four matrices"),
         pytest.param(7, lambda a: a[..., :1].copy(), id="cells a band short"),
-        pytest.param(  # the windows of 5 slots leave the 9 columns
+        pytest.param(  # a window of 5 slots is wider than the 4 columns
             7, lambda a: np.concatenate([a, a[:, :, :1]], axis=2), id="cells a slot long"
         ),
         pytest.param(7, lambda a: a[:, :, :0].copy(), id="cells no slot a row"),
@@ -564,6 +612,17 @@ def test_fill_refuses_bad_arrays_before_calling_c(guarded, index, bad):
     args[index] = bad(args[index])
     with pytest.raises(ValueError):
         guarded.band_align(*args)
+
+
+@pytest.mark.parametrize("lo", [-(2**62), -7, -1, 0, 3, 2**62])
+def test_fill_passes_any_lo_and_width_that_fit_to_c(guarded, lo):
+    """Every window the clamp gives lies inside the columns, so each lo within
+    +-2**62 and each width from 1 to the columns reaches C."""
+    for width in range(1, 5):
+        args = _kernel_args(lo=lo)
+        args[-1] = np.zeros((3, 7, width, 2), dtype=np.int32)
+        with pytest.raises(AssertionError, match="the C function was called"):
+            guarded.band_align(*args)
 
 
 def _seed_args():
@@ -823,13 +882,13 @@ def test_traceback_never_writes_past_its_capacity(native):
     for band in range(g):
         bands = [(query, 0 if k == band else far) for k in range(g)]
         [args] = _kernel_calls(banded_local_align, query, bands, 2, Scoring())
-        rows, cols, offsets, table, oe, e, local, cells = args
+        rows, cols, lo, table, oe, e, local, cells = args
         ncols, width = cols.shape[1], cells.shape[2]
         scratch = np.empty((5 * ncols + 2, g), dtype=np.int32)
         out = np.full(g * 2 * cap + guard, 0xAB, dtype=np.uint8)
         ends = np.zeros((g, 6), dtype=np.int64)
         status = native._align(
-            rows.ctypes.data, len(rows), cols.ctypes.data, g, ncols, offsets.ctypes.data, width,
+            rows.ctypes.data, len(rows), cols.ctypes.data, g, ncols, lo, width,
             table.ctypes.data, oe, e, local, cells.ctypes.data, scratch.ctypes.data, cap,
             out.ctypes.data, ends.ctypes.data,
         )

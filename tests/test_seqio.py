@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import threading
 
 import pytest
@@ -101,6 +102,26 @@ def test_data_before_first_header_rejected():
 def test_header_without_id_rejected():
     with pytest.raises(FastaParseError):
         parse_fasta(">\nACGT")
+
+
+_UNPRINTABLE_IDS = pytest.mark.parametrize(
+    "record_id", ["pat\x1b[31mX", "b\x00c", "del\x7f", "zero\u200bwidth"],
+    ids=["terminal escape", "nul", "delete", "zero-width space"],
+)
+
+
+@_UNPRINTABLE_IDS
+def test_header_with_an_unprintable_id_rejected(record_id):
+    """An id reaches report.txt, the hit table and the terminal as it is."""
+    header = f">{record_id} a description"
+    with pytest.raises(FastaParseError, match="^header " + re.escape(repr(header)) + ": the id"):
+        parse_fasta(f">ok\nACGT\n{header}\nACGT\n")
+
+
+@_UNPRINTABLE_IDS
+def test_record_with_an_unprintable_id_rejected(record_id):
+    with pytest.raises(ValueError, match="not printable"):
+        DnaSequence(record_id, "", "ACGT")
 
 
 def test_parse_is_memoized_by_text():

@@ -3,10 +3,11 @@
  *
  * band_align fills every band of a banded three-state affine-gap (Gotoh)
  * alignment and traces each back to its start. band_fill_rows mirrors
- * align._fill_rows_numpy and band_traceback mirrors
- * align._band_traceback_python, value for value; their docstrings describe
- * the band layout. seed_diagonals finds a query's k-mer seeds in a
- * homology.KmerIndex and lists the (subject, diagonal) pairs they seed, as
+ * align._fill_rows_numpy value for value, and band_traceback mirrors
+ * align._band_traceback_python move for move, from the same
+ * [state][predecessor] table; their docstrings describe the band layout.
+ * seed_diagonals finds a query's k-mer seeds in a homology.KmerIndex and
+ * lists the (subject, diagonal) pairs they seed, as
  * homology._seed_diagonals_numpy does. train_epochs runs full-batch
  * gradient-descent epochs as neural._train_numpy does, bit for bit. On
  * x86-64, band_align_avx2 and train_epochs_avx2, and train_epochs_avx512,
@@ -16,8 +17,8 @@
  * Build with -fwrapv: int32 sums then wrap as numpy's do. Build with
  * -ffp-contract=off: a * b + c then rounds twice, as in numpy, and is never
  * fused where the base ISA has FMA. The Python caller (mutascan._native)
- * checks every array's dtype, shape and C order, every code, each band's
- * first column and width, k and the layer sizes before the call.
+ * checks every array's dtype, shape and C order, every code, lo and the
+ * band width, k and the layer sizes before the call.
  */
 #include <float.h>
 #include <math.h>
@@ -221,7 +222,10 @@ static inline void cell(const int32_t *M, const int32_t *Ix, const int32_t *Iy, 
  * M, Ix and Iy hold rows 0..m of width slots, rows rstride elements apart
  * and slots sstride. The path walks matrix cells (i, x): M comes from (i - 1,
  * x - 1), Ix from (i - 1, x) and Iy from (i, x - 1), each read by cell().
- * Candidate scores are compared in int64, as Python compares its ints. In
+ * Each step is one move, whatever the state: the next state is the first
+ * predecessor k, in the order M, Ix, Iy, with here[k] + steps[state][k]
+ * equal to the state's value less, for M, the pair's score. Candidate
+ * scores are compared in int64, as Python compares its ints. In
  * local mode the path starts in row ends[3], at the first slot that holds the
  * band's M maximum ends[0], as band_fill_rows left them. Writes the path's
  * row codes, last column first, to out[0..cap) and its column codes to
@@ -235,7 +239,9 @@ static inline int64_t band_traceback(const int32_t *M, const int32_t *Ix, const 
                                      int64_t lo, const int32_t *table, int64_t oe, int64_t e,
                                      int32_t local, int64_t cap, uint8_t *out, int64_t *ends)
 {
-    int64_t i, x, score, here[3], cand[3];
+    /* [state][predecessor]: what a move from the predecessor into the state adds */
+    const int64_t steps[3][3] = {{0, 0, 0}, {oe, e, oe}, {oe, oe, e}};
+    int64_t i, x, score, here[3];
     int state = 0; /* 0 M, 1 Ix, 2 Iy: the preference order on ties */
     if (local) {
         i = ends[3];
@@ -261,55 +267,30 @@ static inline int64_t band_traceback(const int32_t *M, const int32_t *Ix, const 
     ends[4] = x;
     int64_t n = 0;
     for (;;) {
-        int64_t target;
-        if (n >= cap)
+        /* the move consumes row code rows[i - 1] unless it is Iy, and column code
+         * cols[x] unless it is Ix; a code outside the matrix, or an M move's outside
+         * the sequence, leaves the path with no predecessor */
+        const int down = state != 2, left = state != 1;
+        if (n >= cap || (down && i < 1) || (left && (x < 0 || x >= ncols)) ||
+            (state == 0 && cols[x] >= OUTSIDE))
             return -1;
-        if (state == 0) {
-            if (i < 1 || x < 0 || x >= ncols || cols[x] >= OUTSIDE)
-                return -1;
-            const uint8_t r = rows[i - 1], c = cols[x];
-            out[n] = r;
-            out[cap + n++] = c;
-            target = here[0] - table[CODES * r + c];
-            i -= 1;
-            x -= 1;
-            if (local && target == 0)
-                break;
-            cell(M, Ix, Iy, rstride, sstride, lo, ncols, width, i, x, here);
-            memcpy(cand, here, sizeof cand);
-        } else if (state == 1) {
-            if (i < 1)
-                return -1;
-            out[n] = rows[i - 1];
-            out[cap + n++] = GAP;
-            target = here[1];
-            i -= 1;
-            cell(M, Ix, Iy, rstride, sstride, lo, ncols, width, i, x, here);
-            cand[0] = here[0] + oe;
-            cand[1] = here[1] + e;
-            cand[2] = here[2] + oe;
-        } else {
-            if (x < 0 || x >= ncols)
-                return -1;
-            out[n] = GAP;
-            out[cap + n++] = cols[x];
-            target = here[2];
-            x -= 1;
-            cell(M, Ix, Iy, rstride, sstride, lo, ncols, width, i, x, here);
-            cand[0] = here[0] + oe;
-            cand[1] = here[1] + oe;
-            cand[2] = here[2] + e;
-        }
+        const uint8_t r = down ? rows[i - 1] : GAP, c = left ? cols[x] : GAP;
+        out[n] = r;
+        out[cap + n++] = c;
+        const int64_t target = here[state] - (state == 0 ? table[CODES * r + c] : 0);
+        i -= down;
+        x -= left;
+        if (local && state == 0 && target == 0)
+            break; /* a fresh start */
+        cell(M, Ix, Iy, rstride, sstride, lo, ncols, width, i, x, here);
         if (i == 0 && x == 0 && !local)
             break;
-        if (cand[0] == target)
-            state = 0;
-        else if (cand[1] == target)
-            state = 1;
-        else if (cand[2] == target)
-            state = 2;
-        else
+        int k = 0;
+        while (k < 3 && here[k] + steps[state][k] != target)
+            k++;
+        if (k == 3)
             return -1;
+        state = k;
     }
     ends[0] = score;
     ends[1] = i;

@@ -22,8 +22,8 @@ process. With no compiler, a failed build or a failed load, `load` returns
 None, and `align`, `homology` and `neural` run their numpy versions instead.
 
 ctypes checks no bounds, so each `Kernel` method checks every argument
-before it calls C: dtype, C order, shape, codes, the band's first column and
-width, k and layer sizes.
+before it calls C: dtype, C order, shape, codes, `lo` and the band width,
+k and layer sizes.
 """
 
 from __future__ import annotations

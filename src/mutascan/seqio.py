@@ -137,14 +137,12 @@ def parse_fasta(text: str) -> FastaFile:
         records.append(DnaSequence(cur_id, cur_desc, "".join(cur_parts)))
         cur_id, cur_desc, cur_parts, cur_len = None, "", [], 0
 
-    saw_header = False
     for raw in io.StringIO(text):
         line = raw.rstrip()
         if not line:
             continue
         if line.startswith(">"):
             flush()
-            saw_header = True
             parts = line[1:].split(None, 1)
             if not parts:
                 raise FastaParseError("header line with no id")
@@ -166,7 +164,7 @@ def parse_fasta(text: str) -> FastaFile:
             cur_len += len(upper)
     flush()
 
-    if not saw_header:
+    if not records:  # every header flushed a record or raised
         raise EmptyInputError("no FASTA header found")
     return FastaFile(tuple(records))
 

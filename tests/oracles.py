@@ -17,6 +17,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import strategies as st
@@ -842,6 +843,216 @@ def reference_fixed_train(topology, data, cfg):
         history=tuple(history),
     )
     return net, report
+
+
+# --- the whole diagnosis -----------------------------------------------------
+
+_DIAGNOSIS_SCORING = {"match": 2, "mismatch": -1, "gap_open": -5, "gap_extend": -1}
+_GATE_TARGET, _GATE_TOLERANCE = 38.0, 2.0  # percent GC
+_SEARCH_K = 11
+_SEARCH_HITS = 20
+_THRESHOLD = 0.5
+_TRANSITIONS = {("A", "G"), ("G", "A"), ("C", "T"), ("T", "C")}
+
+
+def reference_effect(kind: str, position: int, ref: str, alt: str, gene: str, cds: tuple):
+    """The protein effect of one call against the gene's CDS [first, last], 1-based:
+    (effect kind, reference amino acid, patient amino acid).
+
+    A substitution or deletion is coding when one of its reference bases lies
+    in the CDS, an insertion after base p when first <= p < last. A coding
+    indel is a Frameshift unless its length is a multiple of 3, then a
+    Missense with no amino acids. A coding substitution is read over the
+    complete CDS codons that hold one of its bases: no changed amino acid is
+    Silent, a changed one that becomes a stop Nonsense, else the first
+    changed one is a Missense.
+    """
+    first, last = cds
+    if kind == "insertion":
+        coding = first <= position < last
+    else:
+        coding = any(first <= p <= last for p in range(position, position + len(ref)))
+    if not coding:
+        return "NonCoding", None, None
+    if kind != "substitution":
+        return ("Missense" if len(ref + alt) % 3 == 0 else "Frameshift"), None, None
+    codons = (last - first + 1) // 3  # complete codons of the CDS
+    mutated = list(gene)
+    held = set()
+    for p, base in zip(range(position, position + len(alt)), alt):
+        if first <= p <= last:
+            mutated[p - 1] = base
+            held.add((p - first) // 3)
+    changed = []
+    for c in sorted(held):
+        if c < codons:
+            at = first - 1 + 3 * c
+            was, now = codon_to_aa(gene[at : at + 3]), codon_to_aa("".join(mutated[at : at + 3]))
+            if was != now:
+                changed.append((was, now))
+    if not changed:
+        return "Silent", None, None
+    for was, now in changed:
+        if now == "*":
+            return "Nonsense", was, None
+    return "Missense", *changed[0]
+
+
+def reference_features(kind: str, position: int, ref: str, alt: str, effect: str, gene: str):
+    """`neural.encode`'s 10 features of one classified call, from their definitions."""
+    effects = ("Silent", "Missense", "Nonsense")
+    if kind == "substitution":
+        changed = [(r, a) for r, a in zip(ref, alt) if r != a]
+        f10 = 1.0 if changed and all(pair in _TRANSITIONS for pair in changed) else 0.0
+    else:
+        f10 = 0.5
+    return [
+        position / len(gene),
+        *(1.0 if kind == k else 0.0 for k in ("substitution", "insertion", "deletion")),
+        *(1.0 if effect == k else 0.0 for k in effects),
+        1.0 if effect == "Frameshift" else 0.0,
+        window_gc_fraction(gene, max(1, position), 21),
+        f10,
+    ]
+
+
+def reference_score(weights: list, biases: list, features: list) -> float:
+    """The network's output: each unit sums its terms in index order, adds its bias,
+    and takes the fixed sigmoid; `weights` and `biases` are nested lists."""
+    acts = features
+    for w, b in zip(weights, biases):
+        acts = [
+            fixed_sigmoid_scalar(_sum_in_order(x * a for x, a in zip(row, acts)) + bias)
+            for row, bias in zip(w, b)
+        ]
+    return acts[0]
+
+
+def _verdict(gc: float) -> dict:
+    return {
+        "accepted": abs(gc - _GATE_TARGET) <= _GATE_TOLERANCE,
+        "measured_gc": gc,
+        "target": _GATE_TARGET,
+        "tolerance": _GATE_TOLERANCE,
+        "gene_band_flag": 45.0 <= gc <= 50.0,
+    }
+
+
+def reference_diagnosis(patient, manifest, net):
+    """`report_to_dict` of the diagnosis of `patient`, apart from the model's path.
+
+    `patient` and every record have `id` and `bases`; `manifest` lists the
+    databases in priority order as (name, records, CDS bounds by record id);
+    `net` has `weights` and `biases`. Each database in turn is searched by
+    `reference_search` at k = 11; the first one whose top hit (ties broken by
+    subject id) passes the GC gate, 38 +/- 2 percent, is adopted, and every
+    database before it is recorded as rejected. The adopted gene and the
+    patient are aligned by `reference_global_align`, called by
+    `reference_calls`, classified by `reference_effect`, and every
+    protein-altering call is scored by `reference_score`, AtRisk from 0.5 on.
+    Returns None where every database is rejected.
+    """
+    from mutascan import __version__
+
+    rejected = []
+    for name, records, cds in manifest:
+        index = SimpleNamespace(
+            subjects=tuple(records), k=_SEARCH_K, total_length=sum(len(r.bases) for r in records)
+        )
+        hits = reference_search(patient, index, _SEARCH_HITS)
+        if not hits:
+            rejected.append(
+                {"database_name": name, "gate_verdict": None,
+                 "reason": "no hits for the patient query"}
+            )
+            continue
+        top = hits[0]
+        gene = next(r for r in records if r.id == top.subject_id)
+        verdict = _verdict(gc_percent(gene.bases))
+        if verdict["accepted"]:
+            break
+        rejected.append(
+            {"database_name": name, "gate_verdict": verdict,
+             "reason": f"GC {verdict['measured_gc']:.1f}% outside 38.0% +/- 2.0%"}
+        )
+    else:
+        return None
+
+    best = top.best_alignment
+    query_identity = reference_identity(best.aligned_a, best.aligned_b)
+    top_hit = {
+        "subject_id": top.subject_id,
+        "max_score": best.score,
+        "total_score": top.total_score,
+        "query_cover": top.query_cover,
+        "e_value": top.e_value,
+        "max_ident": query_identity,
+        "best_alignment": {
+            "score": best.score,
+            "length": len(best.aligned_a),
+            "identity_percent": query_identity,
+            "aligned_query": best.aligned_a,
+            "aligned_subject": best.aligned_b,
+        },
+    }
+    aln = reference_global_align(gene.bases, patient.bases, SimpleNamespace(**_DIAGNOSIS_SCORING))
+    calls, identity = reference_calls(aln.aligned_a, aln.aligned_b)
+    weights = [w.tolist() for w in net.weights]
+    biases = [b.tolist() for b in net.biases]
+    mutations, candidates, classifications = [], [], []
+    for call in calls:
+        kind = call.kind.value
+        effect, ref_aa, alt_aa = reference_effect(
+            kind, call.position, call.ref_bases, call.alt_bases, gene.bases, cds[gene.id]
+        )
+        record = {
+            "position": call.position, "kind": kind, "ref": call.ref_bases,
+            "alt": call.alt_bases, "effect": {"kind": effect, "ref_aa": ref_aa, "alt_aa": alt_aa},
+        }
+        mutations.append(record)
+        if effect in ("Silent", "NonCoding"):
+            continue
+        candidates.append(record)
+        features = reference_features(
+            kind, call.position, call.ref_bases, call.alt_bases, effect, gene.bases
+        )
+        score = reference_score(weights, biases, features)
+        label = "AtRisk" if score >= _THRESHOLD else "Normal"
+        classifications.append({"mutation": record, "score": score, "label": label})
+    at_risk = any(c["label"] == "AtRisk" for c in classifications)
+    return {
+        "patient_id": patient.id,
+        "adopted_reference": {
+            "database_name": name,
+            "subject_id": gene.id,
+            "cds_start": cds[gene.id][0],
+            "cds_end": cds[gene.id][1],
+            "gate_verdict": verdict,
+            "top_hit": top_hit,
+        },
+        "rejected_references": rejected,
+        "alignment": {
+            "score": aln.score,
+            "length": len(aln.aligned_a),
+            "identity_percent": identity,
+            "aligned_reference": aln.aligned_a,
+            "aligned_patient": aln.aligned_b,
+        },
+        "mutations": mutations,
+        "malignant_candidates": candidates,
+        "classifications": classifications,
+        "overall_label": "AtRisk" if at_risk else "Normal",
+        "display": "highly risk of breast cancer" if at_risk else "Normal",
+        "tool_versions": {"mutascan": __version__},
+        "config": {
+            "gate_target": _GATE_TARGET,
+            "gate_tolerance": _GATE_TOLERANCE,
+            "threshold": _THRESHOLD,
+            "search_k": _SEARCH_K,
+            "scoring": _DIAGNOSIS_SCORING,
+            "trained_here": False,
+        },
+    }
 
 
 # --- random generators -----------------------------------------------------

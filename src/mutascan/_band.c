@@ -7,7 +7,7 @@
  * align._band_traceback_python move for move, from the same
  * [state][predecessor] table; their docstrings describe the band layout.
  * seed_diagonals finds a query's k-mer seeds in a homology.KmerIndex and
- * lists the (subject, diagonal) pairs they seed, as
+ * lists their (subject, diagonal) pairs in query order, as
  * homology._seed_diagonals_numpy does. train_epochs runs full-batch
  * gradient-descent epochs as neural._train_numpy does, bit for bit. On
  * x86-64, band_align_avx2 and train_epochs_avx2, and train_epochs_avx512,
@@ -332,10 +332,8 @@ static inline int64_t align_bands(const uint8_t *rows, int64_t m, const uint8_t 
 
 /* ---- k-mer seeding ---------------------------------------------------- */
 
-#define NCODE 4       /* the base code of N: a window that holds one is not a seed */
-#define DIGIT_BITS 11 /* radix digit; a 2,048-entry count table fits on the stack */
-#define DIGITS (1 << DIGIT_BITS)
-#define BATCH 16      /* binary searches run in lockstep */
+#define NCODE 4  /* the base code of N: a window that holds one is not a seed */
+#define BATCH 16 /* binary searches run in lockstep */
 
 /* For each of the nb codes x, the first of the n ascending codes that
  * equals it, in at; where none does, codes[at] differs (or n is 0).
@@ -357,53 +355,29 @@ static void first_entries(const uint64_t *codes, int64_t n, const uint64_t *x, i
     }
 }
 
-/* Stable sort of n keys below 2^bits by DIGIT_BITS-bit digits, least
- * significant first, ping-ponging between a and b. Returns the buffer that
- * holds the sorted keys. */
-static uint64_t *radix_sort(uint64_t *a, uint64_t *b, int64_t n, int bits)
-{
-    for (int shift = 0; shift < bits; shift += DIGIT_BITS) {
-        int64_t count[DIGITS] = {0};
-        for (int64_t i = 0; i < n; i++)
-            count[(a[i] >> shift) & (DIGITS - 1)]++;
-        int64_t at = 0;
-        for (int d = 0; d < DIGITS; d++) {
-            const int64_t c = count[d];
-            count[d] = at;
-            at += c;
-        }
-        for (int64_t i = 0; i < n; i++)
-            b[count[(a[i] >> shift) & (DIGITS - 1)]++] = a[i];
-        uint64_t *t = a;
-        a = b;
-        b = t;
-    }
-    return a;
-}
-
-/* The (subject, diagonal) pairs that a query's k-mer seeds fall on.
+/* A query's k-mer seeds, as (subject, diagonal) pairs in query order.
  *
  * query holds n base codes 0..4 (A C G T N) and 1 <= k <= 32. The index's
  * W windows have ascending 2-bit codes in codes, window w starting at
  * offsets[w] of subject subject_idx[w]. A query window that starts at q
  * and holds no N seeds every index window of its code, on diagonal
- * q - offsets[w].
+ * q - offsets[w]; the seeds come window by window from q = 0, and within
+ * a query window in index order.
  *
  * Writes the number of seeds to *total. When it is above cap, returns 0
- * and writes nothing else: call again with a larger cap. Otherwise work,
- * 2 x cap int64, ends with the G pairs in ascending order: subject in
- * work[0..G) and diagonal in work[cap..cap + G); returns G. Returns -1
- * when a seed's subject is negative or its key, subject * span +
- * diagonal - low (span and low taken over the seeds' diagonals), would
- * not fit an int64; no key is formed then. */
+ * and work holds no result: call again with a larger cap. Otherwise work,
+ * 2 x cap int64, gets the G seeds left after dropping each seed whose pair
+ * equals the last one written: subject in work[0..G) and diagonal in
+ * work[cap..cap + G); returns G. Returns -1 when a seed's subject is
+ * negative or its diagonal does not fit an int64. */
 int64_t seed_diagonals(const uint8_t *query, int64_t n, int64_t k, const uint64_t *codes,
                        const int64_t *subject_idx, const int64_t *offsets, int64_t W,
                        int64_t cap, int64_t *work, int64_t *total)
 {
     /* k = 32 keeps all 64 bits: 1 << 64 is undefined, a shift by 0 is not */
     const uint64_t mask = ~(uint64_t)0 >> (64 - 2 * k);
-    int64_t *diag = work, *subj = work + cap;
-    int64_t t = 0, low = INT64_MAX, high = INT64_MIN, top = 0, bad = 0;
+    int64_t *subj = work, *diag = work + cap;
+    int64_t t = 0, g = 0, bad = 0;
     uint64_t code = 0;
     int64_t clean = 0; /* N-free bases ending at j */
     uint64_t x[BATCH];
@@ -425,53 +399,25 @@ int64_t seed_diagonals(const uint8_t *query, int64_t n, int64_t k, const uint64_
             int64_t hi = lo;
             while (hi < W && codes[hi] == x[i])
                 hi++;
-            if (t + (hi - lo) > cap) { /* count on, write nothing */
-                t += hi - lo;
+            t += hi - lo;
+            if (t > cap) /* count on, write nothing */
                 continue;
-            }
-            for (int64_t w = lo; w < hi; w++, t++) {
+            for (int64_t w = lo; w < hi; w++) {
                 const int64_t s = subject_idx[w];
                 int64_t d;
                 bad |= __builtin_sub_overflow(q, offsets[w], &d) | (s < 0);
-                diag[t] = d;
-                subj[t] = s;
-                low = d < low ? d : low;
-                high = d > high ? d : high;
-                top = s > top ? s : top;
+                if (g > 0 && subj[g - 1] == s && diag[g - 1] == d)
+                    continue;
+                subj[g] = s;
+                diag[g++] = d;
             }
         }
         nb = 0;
     }
     *total = t;
-    if (t > cap || t == 0)
+    if (t > cap)
         return 0;
-    /* keys up to top * span + span - 1 must fit an int64 */
-    uint64_t span; /* high - low first: never negative, as high >= low */
-    if (bad || __builtin_sub_overflow(high, low, &span) || span > (uint64_t)INT64_MAX ||
-        (uint64_t)top > ((uint64_t)INT64_MAX - span) / (span + 1))
-        return -1;
-    span += 1;
-    uint64_t *keys = (uint64_t *)diag, *spare = (uint64_t *)subj;
-    for (int64_t i = 0; i < t; i++)
-        keys[i] = (uint64_t)subj[i] * span + (uint64_t)(diag[i] - low);
-    const uint64_t largest = (uint64_t)top * span + span - 1;
-    int bits = 0;
-    while (bits < 64 && largest >> bits)
-        bits++;
-    uint64_t *sorted = radix_sort(keys, spare, t, bits);
-    /* Keep one key of each run of equal keys at sorted[g], then decode the
-     * G keys in place: key i is read before work[i] and work[cap + i] are
-     * written, and sorted is one of those two rows. */
-    int64_t g = 1;
-    for (int64_t i = 1; i < t; i++)
-        if (sorted[i] != sorted[g - 1])
-            sorted[g++] = sorted[i];
-    for (int64_t i = 0; i < g; i++) {
-        const uint64_t key = sorted[i];
-        work[i] = (int64_t)(key / span);
-        work[cap + i] = (int64_t)(key % span) + low;
-    }
-    return g;
+    return bad ? -1 : g;
 }
 
 

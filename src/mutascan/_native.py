@@ -2,7 +2,7 @@
 
 The one library exports three kernels. `band_align` fills and traces
 banded alignments, in place of `align._band_align_numpy`; `seed_diagonals`
-lists the diagonals a query's k-mer seeds fall on, in place of
+collects a query's k-mer seeds, in place of
 `homology._seed_diagonals_numpy`; `train_epochs` runs gradient-descent
 epochs, in place of `neural._train_numpy`, with the same bits. On x86-64
 the training kernel is built three times from one body, for the baseline
@@ -56,6 +56,8 @@ _K_RANGE = (4, 32)
 # build was no faster than AVX2 on the benchmark's batches
 _ISA_SUFFIXES = ("", "_avx2", "_avx512")
 _BAND_SUFFIXES = _ISA_SUFFIXES[:2]
+# the ValueError both seeding backends raise for a seed they cannot hold
+SEED_RANGE_ERROR = "a seed's subject is negative or its diagonal does not fit an int64"
 
 _ptr, _i64, _i32, _f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int32, ctypes.c_double
 
@@ -282,18 +284,19 @@ class Kernel:
             history.ctypes.data,
         )
 
-    def seed_diagonals(self, query, k: int, codes, subject_idx, offsets) -> list:
+    def seed_diagonals(
+        self, query, k: int, codes, subject_idx, offsets
+    ) -> tuple[np.ndarray, np.ndarray]:
         """`homology._seed_diagonals_numpy` in C: the same arguments, the query's
         base codes and a `KmerIndex`'s k, codes, subject_idx and offsets, and the
-        same ascending list of seeded (subject, diagonal) pairs.
+        same two int64 arrays of the seeds' subjects and diagonals, in query
+        order, without a seed whose pair equals the one before it.
 
-        One C call finds, sorts and dedupes the seeds in a buffer sized for
-        two seeds a query window plus 64. A query with more seeds, as in
-        repeats, makes that call count them only, and a second call seeds
-        into a buffer that holds them all. Raises ValueError when a seed's
-        subject is negative or its (subject, diagonal) key would not fit an
-        int64: that range depends on the seeds found, so the C call checks
-        it after collecting them and before it forms a key.
+        One C call collects the seeds in a buffer sized for two seeds a query
+        window plus 64. A query with more seeds, as in repeats, makes that
+        call count them only, and a second call seeds into a buffer that holds
+        them all. Raises ValueError when a seed's subject is negative or its
+        diagonal does not fit an int64.
         """
         _check_seeds(query, k, codes, subject_idx, offsets)
         n, w = len(query), len(codes)
@@ -301,16 +304,16 @@ class Kernel:
         cap = 2 * max(n - k + 1, 0) + 64
         while True:
             work = np.empty((2, cap), dtype=np.int64)
-            groups = self._seed(
+            written = self._seed(
                 query.ctypes.data, n, k, codes.ctypes.data, subject_idx.ctypes.data,
                 offsets.ctypes.data, w, cap, work.ctypes.data, total.ctypes.data,
             )
             if total.item() <= cap:
                 break
             cap = total.item()
-        if groups < 0:
-            raise ValueError("a seed's (subject, diagonal) key does not fit an int64")
-        return list(zip(*work[:, :groups].tolist()))
+        if written < 0:
+            raise ValueError(SEED_RANGE_ERROR)
+        return work[0, :written], work[1, :written]
 
     def band_align(self, rows, cols, lo: int, table, oe: int, e: int, local: bool, cells):
         """`align._band_align_numpy` in C: the same arguments, fill and paths.

@@ -2,11 +2,13 @@
 
 The index packs every N-free k-mer window of the database into a 2-bit
 code (so k is at most 32) and sorts the codes. The search pipeline:
-collect exact k-mer seed matches by binary search of the query's codes
-and list the diagonals (query offset minus subject offset) they fall on,
-in one call of the compiled kernel or else in numpy (`_seed_diagonals_numpy`),
-then run a banded gapped local alignment around each seeded diagonal,
-all in one `align.banded_local_align` call. Per-subject alignments merge
+collect exact k-mer seed matches by binary search of the query's codes,
+each with the diagonal (query offset minus subject offset) it falls on,
+in query order, in one call of the compiled kernel or else in numpy
+(`_seed_diagonals_numpy`); pair them once into the ascending distinct
+(subject, diagonal) list (`_seed_diagonals`); then run a banded gapped
+local alignment around each seeded diagonal, all in one
+`align.banded_local_align` call. Per-subject alignments merge
 into one ranked hit carrying the classic report columns (max score, total
 score, query cover, E-value, max identity). Only the forward strand is
 searched.
@@ -142,34 +144,40 @@ def _build_index(db: FastaFile, k: int) -> KmerIndex:
 def _seed_diagonals(qb: str, index: KmerIndex) -> list[tuple[int, int]]:
     """The seeded (subject, diagonal) pairs, ascending.
 
-    The compiled kernel seeds when it loads, else `_seed_diagonals_numpy`
-    does, on one argument list; both give the same list.
+    The compiled kernel collects the seeds when it loads, else
+    `_seed_diagonals_numpy` does, on one argument list; both return the same
+    arrays, paired here once as Python ints, so no pair can overflow.
     """
     kernel = _native.load()
     seed_diagonals = _seed_diagonals_numpy if kernel is None else kernel.seed_diagonals
-    return seed_diagonals(encode_bases(qb), index.k, index.codes, index.subject_idx, index.offsets)
+    subject, diagonal = seed_diagonals(
+        encode_bases(qb), index.k, index.codes, index.subject_idx, index.offsets
+    )
+    return sorted(set(zip(subject.tolist(), diagonal.tolist())))
 
 
 def _seed_diagonals_numpy(
     query: np.ndarray, k: int, codes: np.ndarray, subject_idx: np.ndarray, offsets: np.ndarray
-) -> list[tuple[int, int]]:
-    """`_native.Kernel.seed_diagonals` in numpy: the same arguments and pairs.
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_native.Kernel.seed_diagonals` in numpy: the same arguments, the same
+    int64 arrays of the seeds' subjects and diagonals in query order, without
+    a seed whose pair equals the one before it, and the same ValueError.
     The fallback where the compiled kernel cannot be built, and its oracle."""
     q_offsets, q_codes = _window_codes(query, k)
     lo = np.searchsorted(codes, q_codes, side="left")
     counts = np.searchsorted(codes, q_codes, side="right") - lo
-    total = int(counts.sum())
-    if total == 0:
-        return []
     # entry j of match run r is index window lo[r] + j
     run_start = np.cumsum(counts) - counts
-    window = np.arange(total) - np.repeat(run_start - lo, counts)
+    window = np.arange(counts.sum()) - np.repeat(run_start - lo, counts)
     subject = subject_idx[window]
-    diagonal = np.repeat(q_offsets, counts) - offsets[window]
-    low = int(diagonal.min())
-    span = int(diagonal.max()) - low + 1
-    keys = np.unique(subject * span + (diagonal - low))
-    return list(zip((keys // span).tolist(), (keys % span + low).tolist()))
+    offset = offsets[window]
+    diagonal = np.repeat(q_offsets, counts) - offset
+    # q >= 0, so q - offset wraps only past the top, to below 0, from an offset below 0
+    if (subject < 0).any() or ((offset < 0) & (diagonal < 0)).any():
+        raise ValueError(_native.SEED_RANGE_ERROR)
+    keep = np.ones(len(subject), dtype=bool)
+    keep[1:] = (subject[1:] != subject[:-1]) | (diagonal[1:] != diagonal[:-1])
+    return subject[keep], diagonal[keep]
 
 
 def _select_non_overlapping(alns: list[AlignmentResult]) -> list[AlignmentResult]:

@@ -1,10 +1,12 @@
 """The compiled kernels against the numpy and Python code they mirror: the band
 fill and traceback, the k-mer seeding of a search, and the training epochs."""
 
+import dataclasses
 import hashlib
 import importlib.resources
 import math
 import random
+import shutil
 import subprocess
 import sysconfig
 from types import SimpleNamespace
@@ -335,16 +337,32 @@ def _index(subjects, k):
     return build_index(db, k)
 
 
+def _assert_same_seeds(got, want):
+    """Two backends' seed arrays, subjects then diagonals: equal in value, dtype and order."""
+    assert len(got) == len(want) == 2
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
+def _paired(kernel, query, index):
+    """`homology._seed_diagonals(query, index)` with `kernel` loaded; None runs numpy."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "load", lambda: kernel)
+        return homology._seed_diagonals(query, index)
+
+
 def _assert_seeds_agree(native, query, subjects, index):
     """`native.seed_diagonals` and `homology._seed_diagonals_numpy`, each on a copy of
-    the one argument list `_seed_diagonals(query, index)` builds, return the
-    enumeration oracle's seeded (subject, diagonal) pairs in ascending order; returns
-    the list."""
+    the one argument list `_seed_diagonals(query, index)` builds, return the same
+    seed arrays, and `_seed_diagonals` pairs them into the enumeration oracle's
+    seeded (subject, diagonal) pairs in ascending order; returns the pairs."""
     [args] = _kernel_calls(homology._seed_diagonals, query, index)
     got = native.seed_diagonals(*_copy(args))
-    assert got == homology._seed_diagonals_numpy(*_copy(args))
-    assert got == sorted(seed_diagonal_counts(query, subjects, index.k))
-    return got
+    _assert_same_seeds(got, homology._seed_diagonals_numpy(*_copy(args)))
+    pairs = _paired(SimpleNamespace(seed_diagonals=lambda *a: got), query, index)
+    assert pairs == sorted(seed_diagonal_counts(query, subjects, index.k))
+    return pairs
 
 
 @st.composite
@@ -409,20 +427,55 @@ def test_native_seeding_grows_its_buffer_for_repeats(native, monkeypatch):
     assert len(calls) == 2 and calls[0] < calls[1] == windows * (297 + 147 + 47)
 
 
+def test_native_seeding_past_its_cap_only_counts(native):
+    """A C call whose raw seeds pass its cap returns 0 and their count, however few
+    the skip would leave: a query equal to a repeat-free subject seeds 190 windows,
+    all on diagonal 0, which the skip writes as one."""
+    subject = random_bases(random.Random(9), 200)
+    index = _index([subject], 11)
+    query = encode_bases(subject)
+    assert _assert_seeds_agree(native, subject, [subject], index) == [(0, 0)]
+    work = np.empty((2, 8), dtype=np.int64)
+    total = np.zeros(1, dtype=np.int64)
+    written = native._seed(
+        query.ctypes.data, len(query), 11, index.codes.ctypes.data,
+        index.subject_idx.ctypes.data, index.offsets.ctypes.data, len(index.codes), 8,
+        work.ctypes.data, total.ctypes.data,
+    )
+    assert (written, total.item()) == (0, 190)
+
+
 @pytest.mark.parametrize(
     "array,bad",
     [
         ("subject_idx", lambda a: a - 1),  # a negative subject
         ("offsets", lambda a: a + np.iinfo(np.int64).min),  # a diagonal past int64
-        ("subject_idx", lambda a: a + 2**62),  # subject x span past int64
     ],
 )
 def test_native_seeding_refuses_keys_that_do_not_fit_int64(native, array, bad):
+    """A seed that neither backend can hold raises the same ValueError on both."""
     index = _index(["ACGTACGTTGCA", "TTGCAACGTACG"], 4)
     arrays = {"codes": index.codes, "subject_idx": index.subject_idx, "offsets": index.offsets}
     arrays[array] = bad(arrays[array])
-    with pytest.raises(ValueError):
-        native.seed_diagonals(encode_bases("ACGTACGTTGCAACGTACG"), 4, **arrays)
+    for seed_diagonals in (native.seed_diagonals, homology._seed_diagonals_numpy):
+        with pytest.raises(ValueError, match=_native.SEED_RANGE_ERROR):
+            seed_diagonals(encode_bases("ACGTACGTTGCAACGTACG"), 4, **arrays)
+
+
+@pytest.mark.parametrize("shift", [2**62, 2**63 - 2])
+def test_seeding_takes_subject_ids_up_to_int64_max(native, shift):
+    """No key is formed from a seed's subject and diagonal, so subjects up to the
+    int64 maximum give the same arrays on both backends and the oracle's pairs."""
+    subjects = ["ACGTACGTTGCA", "TTGCAACGTACG"]
+    index = _index(subjects, 4)
+    shifted = dataclasses.replace(index, subject_idx=index.subject_idx + shift)
+    query = "ACGTACGTTGCAACGTACG"
+    want = sorted((s + shift, d) for s, d in seed_diagonal_counts(query, subjects, 4))
+    assert want[-1][0] == shift + 1
+    [args] = _kernel_calls(homology._seed_diagonals, query, shifted)
+    _assert_same_seeds(native.seed_diagonals(*args), homology._seed_diagonals_numpy(*args))
+    for kernel in (native, None):
+        assert _paired(kernel, query, shifted) == want
 
 
 # --- loader ---------------------------------------------------------------------
@@ -433,6 +486,14 @@ def _library_name():
     source = importlib.resources.files("mutascan").joinpath("_band.c").read_bytes()
     build = "\0".join(("", *_native._CC, sysconfig.get_platform())).encode()
     return f"_band-{hashlib.sha256(source + build).hexdigest()[:16]}.so"
+
+
+def _warm_cache(native, cache):
+    """A new private cache directory holding a copy of the session's library under its
+    cache name, so the first load from it builds nothing; returns the directory."""
+    cache.mkdir(mode=0o700)
+    shutil.copyfile(native.path, cache / _library_name())
+    return cache
 
 
 @pytest.mark.parametrize("case", ["no cc", "failing cc", "unloadable library"])
@@ -488,7 +549,7 @@ def test_without_a_working_kernel_numpy_runs_and_agrees(tmp_path, monkeypatch, c
 
 @pytest.mark.parametrize("mode", [0o770, 0o707, 0o777])
 def test_cache_directory_others_may_write_is_not_loaded_from(native, tmp_path, mode):
-    cache = tmp_path / "cache"
+    cache = _warm_cache(native, tmp_path / "cache")
     built = _native._load(cache)
     assert built is not None and built.path.parent == cache
     built.path.unlink()  # a new file, not a rewrite of the loaded one
@@ -517,7 +578,7 @@ def test_cache_directory_is_made_private(native, tmp_path):
 
 
 def test_warm_load_starts_no_process(native, tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
+    cache = _warm_cache(native, tmp_path / "cache")
     assert _native._load(cache) is not None
 
     def no_process(*args, **kwargs):
@@ -534,11 +595,12 @@ def test_cache_key_is_source_flags_and_platform(native, tmp_path):
 
 
 def test_changed_compiler_flags_build_a_new_library(native, tmp_path, monkeypatch):
-    built = _native._load(tmp_path).path.name
+    cache = _warm_cache(native, tmp_path / "cache")
+    built = _native._load(cache).path.name
     monkeypatch.setattr(_native, "_CC", (*_native._CC, "-g0"))
-    rebuilt = _native._load(tmp_path)
+    rebuilt = _native._load(cache)
     assert rebuilt is not None and rebuilt.path.name == _library_name() != built
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([built, rebuilt.path.name])
+    assert sorted(p.name for p in cache.iterdir()) == sorted([built, rebuilt.path.name])
 
 
 # --- checks before each C call ---------------------------------------------------
